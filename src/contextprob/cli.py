@@ -4,9 +4,12 @@ Subcommands: ``analyze`` (interference coefficients and context classes),
 ``represent`` (state vectors and operator matrices), ``verify`` (named check
 suites with exit code 1 on failure), ``example kq`` (the bundled four-point
 model reproduced against its closed forms), and ``gen random`` (seeded model
-generation).  Exit codes: 0 success, 1 verification or reproduction failure,
-2 load/validation failure; diagnostics for the latter are machine readable
-on stderr.
+generation).  Exit codes: 0 success, 1 a check failed (verification or
+reproduction failure, or an :class:`InvariantViolation`), 2 load/validation
+failure, 3 input the calculus cannot represent (any other library error,
+such as a degenerate anchor context or a compatible reference pair).  A
+library error that ends a command writes a one-line JSON diagnostic to
+stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +25,11 @@ from . import complex_repr as cr
 from . import hyperbolic_repr as hr
 from . import interference as itf
 from . import multivalued as mv
-from .errors import ContextualProbabilityError, ModelValidationError
+from .errors import (
+    ContextualProbabilityError,
+    InvariantViolation,
+    ModelValidationError,
+)
 from .models import (
     ModelDocument,
     dumps_model,
@@ -37,7 +44,9 @@ from .verify import run_suite
 
 def _emit(payload, args) -> None:
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True, default=str)
+        text = json.dumps(
+            payload, indent=2, sort_keys=True, default=str, allow_nan=False
+        )
     else:
         text = _render_text(payload)
     if args.output:
@@ -477,6 +486,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ModelValidationError as exc:
         return _fail_load(exc)
+    except ContextualProbabilityError as exc:
+        diag = {"error": type(exc).__name__, "detail": str(exc)}
+        print(json.dumps(diag), file=sys.stderr)
+        return 1 if isinstance(exc, InvariantViolation) else 3
 
 
 if __name__ == "__main__":

@@ -77,6 +77,7 @@ def model_from_dict(doc: Mapping) -> ModelDocument:
         "'points' must be a nonempty array",
     )
     ids: list[str] = []
+    seen: set[str] = set()
     weights: list[float] = []
     for entry in points_raw:
         _validate(
@@ -90,7 +91,8 @@ def model_from_dict(doc: Mapping) -> ModelDocument:
             f"weight of {pid!r} must be a number",
         )
         _validate(float(w) > 0.0, f"weight of {pid!r} must be positive")
-        _validate(pid not in ids, f"duplicate point id {pid!r}")
+        _validate(pid not in seen, f"duplicate point id {pid!r}")
+        seen.add(pid)
         ids.append(pid)
         weights.append(float(w))
     total = math.fsum(weights)
@@ -112,7 +114,7 @@ def model_from_dict(doc: Mapping) -> ModelDocument:
         _validate(isinstance(mapping, Mapping), f"variable {name!r} must be an object")
         try:
             variables[name] = RandomVariable.from_mapping(space, name, mapping)
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise ModelValidationError(str(exc)) from None
 
     contexts_raw = doc.get("contexts", {})
@@ -139,11 +141,16 @@ def model_from_dict(doc: Mapping) -> ModelDocument:
             pair_names = (names[0], names[1])
     else:
         _validate(
-            isinstance(pair_names_raw, Sequence) and len(pair_names_raw) == 2,
-            "'reference_pair' must name exactly two variables",
+            isinstance(pair_names_raw, Sequence)
+            and not isinstance(pair_names_raw, str)
+            and len(pair_names_raw) == 2,
+            "'reference_pair' must be an array naming exactly two variables",
         )
         for name in pair_names_raw:
-            _validate(name in variables, f"reference pair names unknown {name!r}")
+            _validate(
+                isinstance(name, str) and name in variables,
+                f"reference pair names unknown {name!r}",
+            )
         pair_names = (pair_names_raw[0], pair_names_raw[1])
     return ModelDocument(space, variables, contexts, pair_names)
 

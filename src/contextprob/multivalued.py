@@ -35,14 +35,6 @@ from .space import Event, FiniteKolmogorovSpace, IDENTITY_TOL, ReferencePair
 RECURSION_BORN_TOL = 1e-9
 
 
-def _p(space: FiniteKolmogorovSpace, e: Event) -> float:
-    return space.probability(e)
-
-
-def _cond(space: FiniteKolmogorovSpace, b: Event, c: Event) -> float:
-    return space.conditional(b, c)
-
-
 @dataclass(frozen=True)
 class SplitDecomposition:
     """Both sides of the contextual split of P(B(D1 u D2)|C), its
@@ -65,26 +57,26 @@ def contextual_total_probability_split(
     normalised coefficient.  All three displayed forms are identities."""
     if not (d1 & d2).is_empty():
         raise ValueError("the two conditioning events must be disjoint")
-    if _p(space, c) == 0.0:
+    if space.probability(c) == 0.0:
         raise ZeroConditioningContext("context has probability zero")
     for name, e in (("D1", d1), ("D2", d2)):
-        if _p(space, b & e) == 0.0:
+        if space.probability(b & e) == 0.0:
             raise DegenerateCell(f"B meets {name} with probability zero")
-        if _p(space, e & c) == 0.0:
+        if space.probability(e & c) == 0.0:
             raise DegenerateCell(f"{name} meets the context with probability zero")
 
     union = d1 | d2
-    lhs = _cond(space, b & union, c)
+    lhs = space.conditional(b & union, c)
 
-    additivity_rhs = _cond(space, b & d1, c) + _cond(space, b & d2, c)
+    additivity_rhs = space.conditional(b & d1, c) + space.conditional(b & d2, c)
     conditioned_rhs = math.fsum(
-        _cond(space, b, e & c) * _cond(space, e, c) for e in (d1, d2)
+        space.conditional(b, e & c) * space.conditional(e, c) for e in (d1, d2)
     )
 
-    p_b_d1 = _cond(space, b, d1)
-    p_b_d2 = _cond(space, b, d2)
-    p_d1_c = _cond(space, d1, c)
-    p_d2_c = _cond(space, d2, c)
+    p_b_d1 = space.conditional(b, d1)
+    p_b_d2 = space.conditional(b, d2)
+    p_d1_c = space.conditional(d1, c)
+    p_d2_c = space.conditional(d2, c)
     delta = lhs - (p_b_d1 * p_d1_c + p_b_d2 * p_d2_c)
     root = math.sqrt(p_b_d1 * p_d1_c * p_b_d2 * p_d2_c)
     lam = delta / (2.0 * root)
@@ -116,19 +108,19 @@ def mu_coefficient(
     identity and is checked before returning."""
     if not (d1 & d2).is_empty():
         raise ValueError("the two conditioning events must be disjoint")
-    if _p(space, c) == 0.0:
+    if space.probability(c) == 0.0:
         raise ZeroConditioningContext("context has probability zero")
-    if _p(space, b & d1) == 0.0:
+    if space.probability(b & d1) == 0.0:
         raise DegenerateCell("B meets D1 with probability zero")
-    if _p(space, d1 & c) == 0.0:
+    if space.probability(d1 & c) == 0.0:
         raise DegenerateCell("D1 meets the context with probability zero")
-    if _p(space, b & d2 & c) == 0.0:
+    if space.probability(b & d2 & c) == 0.0:
         raise DegenerateCell("B, D2 and the context have null intersection")
 
     union = d1 | d2
-    lhs = _cond(space, b & union, c)
-    head = _cond(space, b, d1) * _cond(space, d1, c)
-    tail = _cond(space, b & d2, c)
+    lhs = space.conditional(b & union, c)
+    head = space.conditional(b, d1) * space.conditional(d1, c)
+    tail = space.conditional(b & d2, c)
     root = math.sqrt(head * tail)
     mu = (lhs - head - tail) / (2.0 * root)
     if abs(head + tail + 2.0 * mu * root - lhs) > IDENTITY_TOL:
@@ -185,7 +177,7 @@ def build_amplitude_nvalued(
     if len(signs) != n - 1 or any(s not in (1, -1) for s in signs):
         raise ValueError("one branch sign of +1 or -1 per level is required")
 
-    pc = _p(space, context)
+    pc = space.probability(context)
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
 
@@ -204,10 +196,10 @@ def build_amplitude_nvalued(
         bx = pair.b_partition[jx]
         head_terms = []
         for cell in cells:
-            p_cell_c = _cond(space, cell, context)
+            p_cell_c = space.conditional(cell, context)
             if p_cell_c == 0.0:
                 raise DegenerateCell("context misses a conditioning cell")
-            p_b_cell = _cond(space, bx, cell)
+            p_b_cell = space.conditional(bx, cell)
             if p_b_cell == 0.0:
                 raise DegenerateCell("outcome misses a conditioning cell")
             head_terms.append(p_b_cell * p_cell_c)
@@ -231,11 +223,11 @@ def build_amplitude_nvalued(
                 phase=theta,
                 arg=cmath.phase(partials[n - 2]),
                 partial=partials[n - 2],
-                tail_probability=_cond(space, bx & tails[n - 2], context),
+                tail_probability=space.conditional(bx & tails[n - 2], context),
             )
         )
         for j in range(n - 3, -1, -1):
-            tail_prob = _cond(space, bx & tails[j + 1], context)
+            tail_prob = space.conditional(bx & tails[j + 1], context)
             if tail_prob == 0.0:
                 raise DegenerateCell("tail of the recursion has probability zero")
             mu = mu_coefficient(space, bx, cells[j], tails[j + 1], context)
@@ -252,7 +244,7 @@ def build_amplitude_nvalued(
                     phase=gamma,
                     arg=cmath.phase(partials[j]),
                     partial=partials[j],
-                    tail_probability=_cond(space, bx & tails[j], context),
+                    tail_probability=space.conditional(bx & tails[j], context),
                 )
             )
         records.reverse()
@@ -275,7 +267,7 @@ def build_amplitude_nvalued(
         component = sum(
             cis(beta[j]) * math.sqrt(head_terms[j]) for j in range(n)
         )
-        direct = _cond(space, bx, context)
+        direct = space.conditional(bx, context)
         if abs(abs(component) ** 2 - direct) > RECURSION_BORN_TOL:
             raise InvariantViolation(
                 "recursive state drifted from the outcome probability"

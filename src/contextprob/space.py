@@ -12,15 +12,19 @@ Zero-weight points are rejected at construction: every construction downstream
 divides by cell probabilities, and null atoms add nothing but spurious
 degeneracy.
 
-Everything in this module is immutable after construction and all operations
-are pure functions, so values can be shared freely across threads.
+Values in this module are immutable after construction and operations are
+pure functions, with one exception: each space memoises the probabilities of
+the events it has measured and the transition matrices it has built, in a
+private dict that takes no part in equality, hashing or printing.  Values can
+still be shared across threads: a race between two threads only computes the
+same entry twice.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -34,6 +38,9 @@ from .errors import (
 WEIGHT_TOL = 1e-12      # point weights must sum to one within this
 IDENTITY_TOL = 1e-12    # residue allowed on exact algebraic identities
 PREDICATE_TOL = 1e-10   # structural predicates (double stochasticity, symmetry)
+
+# maps the digits of bin(mask) to 0/1 bytes, the selectors of compress()
+_BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -94,15 +101,27 @@ class Event:
 
 @dataclass(frozen=True)
 class FiniteKolmogorovSpace:
-    """Ordered sample points with strictly positive weights summing to one."""
+    """Ordered sample points with strictly positive weights summing to one.
+
+    ``_memo`` maps an event mask to its probability and a transition-matrix
+    key to its matrix; only results are stored, never failures.
+    """
 
     points: tuple[str, ...]
     weights: tuple[float, ...]
+    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
+    _reversed_weights: tuple[float, ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _memo: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         if len(self.points) != len(self.weights):
             raise ValueError("points and weights must have equal length")
-        if len(set(self.points)) != len(self.points):
+        positions = {p: i for i, p in enumerate(self.points)}
+        if len(positions) != len(self.points):
             raise ValueError("point identifiers must be unique")
         if not self.points:
             raise ValueError("sample space must be nonempty")
@@ -112,6 +131,8 @@ class FiniteKolmogorovSpace:
         total = math.fsum(self.weights)
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1")
+        object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "_reversed_weights", self.weights[::-1])
 
     @property
     def n(self) -> int:
@@ -119,8 +140,8 @@ class FiniteKolmogorovSpace:
 
     def index(self, point: str) -> int:
         try:
-            return self.points.index(point)
-        except ValueError:
+            return self._positions[point]
+        except KeyError:
             raise KeyError(f"unknown point {point!r}") from None
 
     def event(self, members: Iterable[str]) -> Event:
@@ -147,10 +168,22 @@ class FiniteKolmogorovSpace:
         return tuple(self.points[i] for i in e.indices())
 
     def probability(self, e: Event) -> float:
-        """Measure of an event: the sum of its point weights."""
-        if e.size != self.n:
+        """Measure of an event: the correctly rounded sum of its point weights,
+        computed once per distinct event."""
+        if e.size != len(self.points):
             raise ValueError("event does not belong to this space")
-        return math.fsum(self.weights[i] for i in e.indices())
+        p = self._memo.get(e.mask)
+        return self._measure(e.mask) if p is None else p
+
+    def _measure(self, mask: int) -> float:
+        p = self._memo.get(mask)
+        if p is None:
+            # bin() lists bit 0 last, so its digits select from the weights
+            # in reverse point order
+            bits = bin(mask)[2:].encode().translate(_BIT_SELECTORS)
+            p = math.fsum(compress(self._reversed_weights[-len(bits):], bits))
+            self._memo[mask] = p
+        return p
 
     def conditional(self, b: Event, c: Event) -> float:
         """Conditional probability of ``b`` given the context ``c``."""
@@ -182,10 +215,14 @@ class RandomVariable:
         missing = [p for p in space.points if p not in mapping]
         if missing:
             raise ValueError(f"variable {name!r} misses points {missing}")
-        extra = [p for p in mapping if p not in space.points]
+        extra = [p for p in mapping if p not in space._positions]
         if extra:
             raise ValueError(f"variable {name!r} names unknown points {extra}")
-        return cls(name, tuple(float(mapping[p]) for p in space.points))
+        values = tuple(float(mapping[p]) for p in space.points)
+        nonfinite = [p for p, v in zip(space.points, values) if not math.isfinite(v)]
+        if nonfinite:
+            raise ValueError(f"variable {name!r} is not finite at {nonfinite}")
+        return cls(name, values)
 
     def distinct_values(self) -> tuple[float, ...]:
         """Distinct values in order of first occurrence over the point order."""
@@ -272,16 +309,10 @@ def transition_matrix(
     """Transition probabilities of one reference variable conditioned on the
     other; raises :class:`DegenerateCell` if a conditioning cell is null.
 
-    Results are memoised: all inputs are immutable and the matrix is context
-    independent, while the callers recompute it per context.
+    The matrix is context independent while the callers ask for it per
+    context, so it is memoised in the space, keyed by the direction and the
+    values and masks of both partitions.
     """
-    return _transition_matrix_cached(space, pair, direction)
-
-
-@lru_cache(maxsize=256)
-def _transition_matrix_cached(
-    space: FiniteKolmogorovSpace, pair: ReferencePair, direction: str
-) -> TransitionMatrix:
     if direction == "b/a":
         rows, cols = pair.a_partition, pair.b_partition
         row_values, col_values = pair.a_values, pair.b_values
@@ -290,16 +321,26 @@ def _transition_matrix_cached(
         row_values, col_values = pair.b_values, pair.a_values
     else:
         raise ValueError(f"unknown direction {direction!r}")
+    row_masks = tuple([e.mask for e in rows])
+    col_masks = tuple([e.mask for e in cols])
+    key = (direction, row_values, col_values, row_masks, col_masks)
+    matrix = space._memo.get(key)
+    if matrix is not None:
+        return matrix
+    if any(e.size != space.n for e in (*rows, *cols)):
+        raise ValueError("event does not belong to this space")
     entries = np.empty((len(rows), len(cols)))
-    for i, row in enumerate(rows):
-        p_row = space.probability(row)
+    for i, row in enumerate(row_masks):
+        p_row = space._measure(row)
         if p_row == 0.0:
             raise DegenerateCell(
                 f"conditioning cell {row_values[i]!r} has probability zero"
             )
-        for j, col in enumerate(cols):
-            entries[i, j] = space.probability(row & col) / p_row
-    return TransitionMatrix(entries, direction, row_values, col_values)
+        for j, col in enumerate(col_masks):
+            entries[i, j] = space._measure(row & col) / p_row
+    matrix = TransitionMatrix(entries, direction, row_values, col_values)
+    space._memo[key] = matrix
+    return matrix
 
 
 def is_nondegenerate(

@@ -48,10 +48,15 @@ class Check:
     witness: str | None = None
 
     def to_dict(self) -> dict:
+        """JSON form; a residual that is not finite (a failed expectation)
+        is written as null, with the witness saying what failed."""
+        residual = self.residual
+        if residual is not None and not math.isfinite(residual):
+            residual = None
         return {
             "id": self.id,
             "status": self.status,
-            "residual": self.residual,
+            "residual": residual,
             "witness": self.witness,
         }
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -251,3 +252,76 @@ class TestProcessContract:
     def test_missing_file_exit_two(self):
         proc = run_cli("analyze", "/nonexistent/model.json")
         assert proc.returncode == 2
+
+
+@pytest.fixture
+def compatible_path(tmp_path, kq_path):
+    """The kq model with b set equal to a: a compatible reference pair."""
+    with open(kq_path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["variables"]["b"] = dict(raw["variables"]["a"])
+    path = tmp_path / "compatible.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def stderr_diagnostic(capsys) -> dict:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    return json.loads(err)
+
+
+class TestErrorContract:
+    """Library errors end a command with a JSON diagnostic, never a
+    traceback: 1 for an invariant violation, 3 for input that cannot be
+    represented."""
+
+    def test_degenerate_anchor_exit_three(self, kq_path, capsys):
+        assert main(["represent", kq_path, "--anchor", "C12"]) == 3
+        diag = stderr_diagnostic(capsys)
+        assert diag["error"] == "DegenerateContext"
+        assert diag["detail"]
+
+    @pytest.mark.parametrize("command", ("verify", "represent"))
+    def test_compatible_pair_exit_three(self, compatible_path, command, capsys):
+        assert main([command, compatible_path]) == 3
+        assert stderr_diagnostic(capsys)["error"] == "DegenerateCell"
+
+    def test_invariant_violation_exit_one(self, kq_path, monkeypatch, capsys):
+        def drifted(*args, **kwargs):
+            raise cp.PhaseInconsistency("phase relation drifted")
+
+        monkeypatch.setattr("contextprob.cli.run_suite", drifted)
+        assert main(["verify", kq_path]) == 1
+        diag = stderr_diagnostic(capsys)
+        assert diag == {
+            "error": "PhaseInconsistency", "detail": "phase relation drifted",
+        }
+
+    def test_subprocess_has_no_traceback(self, kq_path):
+        proc = run_cli("represent", kq_path, "--anchor", "C12")
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["error"] == "DegenerateContext"
+
+
+class TestStrictJson:
+    def test_failed_expect_writes_null_residual(self, tmp_path):
+        from contextprob.cli import _emit
+        from contextprob.verify import VerificationReport, _Recorder
+
+        rec = _Recorder("demo.expect", tol=1e-12)
+        rec.expect(False, "context S1 has no state")
+        report = VerificationReport([rec.result()])
+        out = tmp_path / "report.json"
+        _emit(report.to_dict(), argparse.Namespace(format="json", output=str(out)))
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        parsed = json.loads(out.read_text(), parse_constant=reject)
+        assert parsed["passed"] is False
+        check = parsed["checks"][0]
+        assert check["status"] == "fail"
+        assert check["residual"] is None
+        assert check["witness"] == "context S1 has no state"

@@ -67,6 +67,34 @@ class TestLoader:
         with pytest.raises(cp.ModelValidationError):
             loads_model("{not json")
 
+    @pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+    def test_rejects_nonfinite_variable_value(self, value):
+        raw = minimal_doc()
+        raw["variables"]["a"]["w1"] = value
+        with pytest.raises(cp.ModelValidationError, match="not finite"):
+            model_from_dict(raw)
+
+    @pytest.mark.parametrize("value", (None, [1.0]))
+    def test_rejects_non_numeric_variable_value(self, value):
+        raw = minimal_doc()
+        raw["variables"]["b"]["w2"] = value
+        with pytest.raises(cp.ModelValidationError):
+            model_from_dict(raw)
+
+    def test_rejects_nan_literal_in_json_text(self):
+        # json.loads accepts the non-standard NaN literal; the loader must not
+        text = json.dumps(minimal_doc()).replace('"w1": 1.0', '"w1": NaN', 1)
+        assert "NaN" in text
+        with pytest.raises(cp.ModelValidationError, match="not finite"):
+            loads_model(text)
+
+    @pytest.mark.parametrize("pair", ("ab", ["a"], ["a", "b", "a"], [["a"], "b"]))
+    def test_rejects_malformed_reference_pair(self, pair):
+        raw = minimal_doc()
+        raw["reference_pair"] = pair
+        with pytest.raises(cp.ModelValidationError):
+            model_from_dict(raw)
+
     def test_explicit_reference_pair(self):
         raw = minimal_doc()
         raw["variables"]["c"] = {"w1": 0.0, "w2": 1.0, "w3": 2.0, "w4": 3.0}

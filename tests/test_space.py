@@ -1,10 +1,42 @@
 import math
+import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import contextprob as cp
+from contextprob.models import model_from_dict
 from contextprob.space import Event
+
+
+def spread_space(n: int) -> cp.FiniteKolmogorovSpace:
+    """Seeded space whose weights span nine orders of magnitude, so that the
+    order of a plain float sum would change its rounding."""
+    rng = random.Random(n)
+    raw = [rng.random() * 10.0 ** -rng.randrange(9) for _ in range(n)]
+    total = math.fsum(raw)
+    return cp.FiniteKolmogorovSpace(
+        tuple(f"w{i}" for i in range(n)), tuple(w / total for w in raw)
+    )
+
+
+# shared across examples, so later examples also hit memoised events
+SPREAD_SPACES = {n: spread_space(n) for n in (1, 7, 64, 1500)}
+
+
+@st.composite
+def space_and_mask(draw):
+    space = SPREAD_SPACES[draw(st.sampled_from(sorted(SPREAD_SPACES)))]
+    full = (1 << space.n) - 1
+    mask = draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
+    return space, mask
+
+
+def member_fsum(space: cp.FiniteKolmogorovSpace, mask: int) -> float:
+    return math.fsum(w for i, w in enumerate(space.weights) if mask >> i & 1)
 
 
 class TestEventAlgebra:
@@ -76,6 +108,82 @@ class TestProbability:
             kq.space.conditional(kq.context("C123"), kq.space.empty_event())
 
 
+class TestMemoisedMeasure:
+    @given(space_and_mask())
+    def test_equals_fsum_of_member_weights(self, case):
+        space, mask = case
+        expected = member_fsum(space, mask)
+        assert space.probability(Event(mask, space.n)) == expected
+        # a repeated call is answered from the memo with the same float
+        assert space.probability(Event(mask, space.n)) == expected
+
+    @pytest.mark.parametrize("n", sorted(SPREAD_SPACES))
+    def test_empty_and_full_events(self, n):
+        space = spread_space(n)
+        for _ in range(2):
+            assert space.probability(space.empty_event()) == 0.0
+            assert space.probability(space.full_event()) == math.fsum(
+                space.weights
+            )
+
+    def test_event_of_another_space_rejected(self, kq):
+        kq.space.probability(kq.space.full_event())
+        with pytest.raises(ValueError):
+            kq.space.probability(Event(0b1111, 5))
+
+    def test_memo_outside_equality_hash_and_repr(self):
+        s1 = cp.FiniteKolmogorovSpace(("w1", "w2"), (0.25, 0.75))
+        s2 = cp.FiniteKolmogorovSpace(("w1", "w2"), (0.25, 0.75))
+        s1.probability(s1.full_event())
+        assert s1 == s2
+        assert hash(s1) == hash(s2)
+        assert repr(s1) == repr(s2)
+        assert "_memo" not in repr(s1)
+
+
+class TestPointLookup:
+    def test_index_follows_point_order(self):
+        space = spread_space(64)
+        assert [space.index(p) for p in space.points] == list(range(64))
+
+    def test_unknown_point_messages(self):
+        space = cp.FiniteKolmogorovSpace(("w1", "w2"), (0.25, 0.75))
+        with pytest.raises(KeyError, match=re.escape("unknown point 'w9'")):
+            space.index("w9")
+        raw = {
+            "points": [{"id": "w1", "p": 0.25}, {"id": "w2", "p": 0.75}],
+            "variables": {
+                "a": {"w1": 1.0, "w2": -1.0},
+                "b": {"w1": 1.0, "w2": -1.0, "w9": 1.0},
+            },
+            "contexts": {},
+        }
+        with pytest.raises(
+            cp.ModelValidationError,
+            match=re.escape("variable 'b' names unknown points ['w9']"),
+        ):
+            model_from_dict(raw)
+        del raw["variables"]["b"]["w9"]
+        raw["contexts"]["C"] = ["w1", "w9"]
+        with pytest.raises(
+            cp.ModelValidationError,
+            match=re.escape("context 'C' references unknown point 'w9'"),
+        ):
+            model_from_dict(raw)
+
+    def test_duplicate_point_messages(self):
+        with pytest.raises(ValueError, match="point identifiers must be unique"):
+            cp.FiniteKolmogorovSpace(("w1", "w2", "w1"), (0.25, 0.25, 0.5))
+        raw = {
+            "points": [{"id": "w1", "p": 0.5}, {"id": "w1", "p": 0.5}],
+            "variables": {"a": {"w1": 1.0}, "b": {"w1": 1.0}},
+        }
+        with pytest.raises(
+            cp.ModelValidationError, match=re.escape("duplicate point id 'w1'")
+        ):
+            model_from_dict(raw)
+
+
 class TestReferencePair:
     def test_value_order_first_occurrence(self, kq):
         assert kq.pair.a_values == (1.0, -1.0)
@@ -120,6 +228,51 @@ class TestTransitionMatrix:
         for direction in ("b/a", "a/b"):
             t = cp.transition_matrix(space, pair, direction)
             np.testing.assert_allclose(t.entries.sum(axis=1), 1.0, atol=1e-14)
+
+    def test_memoised_per_space_and_direction(self, skewed):
+        space, pair = skewed
+        t_ba = cp.transition_matrix(space, pair)
+        assert cp.transition_matrix(space, pair, "b/a") is t_ba
+        assert cp.transition_matrix(space, pair, "a/b") is not t_ba
+        assert cp.transition_matrix(space, pair, "a/b").direction == "a/b"
+
+    def test_equal_partitions_keep_their_own_values(self, skewed):
+        space, pair = skewed
+        relabelled = cp.ReferencePair.from_variables(
+            space,
+            cp.RandomVariable("a2", tuple(2.0 * v + 3.0 for v in pair.a.values)),
+            cp.RandomVariable("b2", tuple(-v for v in pair.b.values)),
+        )
+        assert relabelled.a_partition == pair.a_partition
+        assert relabelled.b_partition == pair.b_partition
+        for direction in ("b/a", "a/b"):
+            t = cp.transition_matrix(space, pair, direction)
+            t2 = cp.transition_matrix(space, relabelled, direction)
+            np.testing.assert_array_equal(t.entries, t2.entries)
+        t2 = cp.transition_matrix(space, relabelled)
+        assert t2.row_values == (5.0, 1.0)
+        assert t2.col_values == (-1.0, 1.0)
+        t2 = cp.transition_matrix(space, relabelled, "a/b")
+        assert t2.row_values == (-1.0, 1.0)
+        assert t2.col_values == (5.0, 1.0)
+        assert cp.transition_matrix(space, pair).row_values == (1.0, -1.0)
+
+    def test_null_conditioning_cell_raises_every_call(self):
+        space = cp.FiniteKolmogorovSpace(("w1", "w2"), (0.3, 0.7))
+        v = cp.RandomVariable("v", (1.0, -1.0))
+        cells = (Event(0b01, 2), Event(0b10, 2))
+        pair = cp.ReferencePair(
+            v, v, (1.0, -1.0, 0.0), (1.0, -1.0),
+            (*cells, space.empty_event()), cells,
+        )
+        for _ in range(3):
+            with pytest.raises(cp.DegenerateCell):
+                cp.transition_matrix(space, pair)
+        # the failing direction leaves the other one untouched
+        t = cp.transition_matrix(space, pair, "a/b")
+        np.testing.assert_array_equal(
+            t.entries, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        )
 
 
 class TestNondegeneracy:
