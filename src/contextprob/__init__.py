@@ -30,12 +30,10 @@ from .space import (
     are_incompatible,
     check_incompatibility_structure,
     classical_total_probability,
-    conditional_probability,
     dispersion,
     is_double_stochastic,
     is_nondegenerate,
     is_symmetrically_conditioned,
-    probability,
     transition_matrix,
 )
 from .interference import (
@@ -57,7 +55,7 @@ from .complex_repr import (
     HermitianOperator,
     HilbertBasis,
     a_basis_for_context,
-    b_basis,
+    amplitude_from_coefficients,
     born_probability,
     build_amplitude,
     commutator,
@@ -83,6 +81,7 @@ from .hyperbolic_repr import (
     check_decomposability,
     expand_in_basis,
     hyperbolic_a_basis,
+    hyperbolic_amplitude_from_coefficients,
     hyperbolic_born,
     hyperbolic_inner_product,
     hyperbolic_interference_transform,

@@ -160,11 +160,11 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _complex_entry(space, pair, event, branch, basis):
-    psi = cr.build_amplitude(space, pair, event, branch)
+def _complex_entry(coeffs, branch, basis):
+    psi = cr.amplitude_from_coefficients(coeffs, branch)
     born_b = max(
-        abs(psi.born(x) - space.conditional(pair.b_partition[j], event))
-        for j, x in enumerate(pair.b_values)
+        abs(psi.born(x) - coeffs.b_profile[j])
+        for j, x in enumerate(coeffs.pair.b_values)
     )
     entry = {
         "amplitude": {
@@ -178,7 +178,7 @@ def _complex_entry(space, pair, event, branch, basis):
         born_a = max(
             abs(
                 cr.born_probability(psi, basis.vector(i))
-                - space.conditional(pair.a_partition[i], event)
+                - coeffs.a_profile[i]
             )
             for i in range(2)
         )
@@ -216,13 +216,17 @@ def cmd_represent(args) -> int:
 
     for name, event in _selected_contexts(doc, args.context).items():
         try:
-            out["complex"][name] = _complex_entry(
-                space, pair, event, args.branch, basis
-            )
+            coeffs = itf.interference_coefficients(space, pair, event)
+        except ContextualProbabilityError as exc:
+            out["complex"][name] = {"skipped": str(exc)}
+            out["hyperbolic"][name] = {"skipped": str(exc)}
+            continue
+        try:
+            out["complex"][name] = _complex_entry(coeffs, args.branch, basis)
         except ContextualProbabilityError as exc:
             out["complex"][name] = {"skipped": str(exc)}
         try:
-            psi = hr.build_hyperbolic_amplitude(space, pair, event)
+            psi = hr.hyperbolic_amplitude_from_coefficients(coeffs)
             decomposable = {"b": hr.check_decomposability(psi.components)}
             if g_basis is not None:
                 decomposable["a"] = hr.check_decomposability(
@@ -233,10 +237,7 @@ def cmd_represent(args) -> int:
                 "epsilons": list(psi.epsilons),
                 "thetas": list(psi.thetas),
                 "born_residual": max(
-                    abs(
-                        psi.born(x)
-                        - space.conditional(pair.b_partition[j], event)
-                    )
+                    abs(psi.born(x) - coeffs.b_profile[j])
                     for j, x in enumerate(pair.b_values)
                 ),
                 "decomposable": decomposable,
@@ -390,7 +391,7 @@ def cmd_gen_random(args) -> int:
             incompatible=not args.allow_compatible,
             n_contexts=args.contexts,
         )
-    except ContextualProbabilityError as exc:
+    except (ContextualProbabilityError, ValueError) as exc:
         return _fail_load(exc)
     if args.output:
         save_model(doc, args.output)

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .interference import (
     ContextClass,
+    InterferenceCoefficients,
     PhaseAssignment,
     assign_phases,
     cis,
@@ -96,34 +97,27 @@ def born_probability(psi, basis_vector) -> float:
 
 
 def _amplitude_from_phases(
-    space: FiniteKolmogorovSpace,
-    pair: ReferencePair,
-    context: Event,
-    phases: PhaseAssignment,
+    coeffs: InterferenceCoefficients, phases: PhaseAssignment
 ) -> np.ndarray:
-    pc = space.probability(context)
-    pa = [space.probability(ay & context) / pc for ay in pair.a_partition]
-    t = transition_matrix(space, pair, "b/a")
+    pa = coeffs.a_profile
+    t = coeffs.transition.rows
     return np.array(
         [
-            math.sqrt(pa[0] * t.entries[0, j])
-            + cis(phases.thetas[j]) * math.sqrt(pa[1] * t.entries[1, j])
+            math.sqrt(pa[0] * t[0][j])
+            + cis(phases.thetas[j]) * math.sqrt(pa[1] * t[1][j])
             for j in range(2)
         ],
         dtype=complex,
     )
 
 
-def build_amplitude(
-    space: FiniteKolmogorovSpace,
-    pair: ReferencePair,
-    context: Event,
-    convention: str = "principal",
+def amplitude_from_coefficients(
+    coeffs: InterferenceCoefficients, convention: str = "principal"
 ) -> ComplexAmplitude:
     """Construct the complex state vector of a trigonometric (or boundary)
-    context.  The squared moduli must reproduce the direct conditional
-    probabilities; a violation indicates an upstream bug."""
-    coeffs = interference_coefficients(space, pair, context)
+    context from its interference coefficients.  The squared moduli must
+    reproduce the context's conditional b-probabilities; a violation
+    indicates an upstream bug."""
     cls = classify_context(coeffs)
     if cls is ContextClass.MIXED:
         raise MixedContext("mixed contexts have no complex representation")
@@ -133,12 +127,26 @@ def build_amplitude(
             "hyperbolic representation instead"
         )
     phases = assign_phases(coeffs, convention, mode="trigonometric")
-    components = _amplitude_from_phases(space, pair, context, phases)
-    psi = ComplexAmplitude(components, pair.b_values, context, convention)
-    for j, bx in enumerate(pair.b_partition):
-        if abs(psi.born(pair.b_values[j]) - space.conditional(bx, context)) > BORN_TOL:
+    components = _amplitude_from_phases(coeffs, phases)
+    b_values = coeffs.pair.b_values
+    psi = ComplexAmplitude(components, b_values, coeffs.context, convention)
+    for j, x in enumerate(b_values):
+        if abs(psi.born(x) - coeffs.b_profile[j]) > BORN_TOL:
             raise PhaseInconsistency("squared modulus drifted from the probability")
     return psi
+
+
+def build_amplitude(
+    space: FiniteKolmogorovSpace,
+    pair: ReferencePair,
+    context: Event,
+    convention: str = "principal",
+) -> ComplexAmplitude:
+    """Construct the complex state vector of a trigonometric (or boundary)
+    context; see :func:`amplitude_from_coefficients`."""
+    return amplitude_from_coefficients(
+        interference_coefficients(space, pair, context), convention
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,14 +208,6 @@ def a_basis_for_context(
     return HilbertBasis(
         label="a", vectors=vectors, anchor=anchor_context, unitary=unitary,
         witness=witness,
-    )
-
-
-def b_basis(pair: ReferencePair) -> HilbertBasis:
-    """The canonical basis indexed by the b-outcomes."""
-    k = len(pair.b_values)
-    return HilbertBasis(
-        label="b", vectors=np.eye(k, dtype=complex), anchor=None, unitary=True
     )
 
 

@@ -31,6 +31,7 @@ from .errors import (
 from .hyperbolic import HyperbolicNumber, ZERO, exp_j
 from .interference import (
     ContextClass,
+    InterferenceCoefficients,
     assign_phases,
     classify_context,
     interference_coefficients,
@@ -92,18 +93,17 @@ def _components(psi) -> Sequence[HyperbolicNumber]:
     return psi.components if isinstance(psi, HyperbolicAmplitude) else psi
 
 
-def build_hyperbolic_amplitude(
-    space: FiniteKolmogorovSpace, pair: ReferencePair, context: Event
+def hyperbolic_amplitude_from_coefficients(
+    coeffs: InterferenceCoefficients,
 ) -> HyperbolicAmplitude:
     """Construct the hyperbolic state vector of a hyperbolic (or boundary)
-    context.
+    context from its interference coefficients.
 
     The sign of each component's exponential is the sign of the outcome's
     perturbation, the rapidity is arccosh of |lambda| (made common to both
     outcomes when the transition matrix is double stochastic), and the signed
-    squared norms must reproduce the direct conditional probabilities.
+    squared norms must reproduce the context's conditional b-probabilities.
     """
-    coeffs = interference_coefficients(space, pair, context)
     cls = classify_context(coeffs)
     if cls is ContextClass.MIXED:
         raise MixedContext("mixed contexts have no hyperbolic representation")
@@ -114,30 +114,39 @@ def build_hyperbolic_amplitude(
         )
     phases = assign_phases(coeffs, mode="hyperbolic")
     assert phases.epsilons is not None
-    pc = space.probability(context)
-    pa = [space.probability(ay & context) / pc for ay in pair.a_partition]
-    t = transition_matrix(space, pair, "b/a")
+    pa = coeffs.a_profile
+    t = coeffs.transition.rows
     components = []
     for j in range(2):
-        first = HyperbolicNumber(math.sqrt(pa[0] * t.entries[0, j]), 0.0)
+        first = HyperbolicNumber(math.sqrt(pa[0] * t[0][j]), 0.0)
         second = (
-            phases.epsilons[j] * math.sqrt(pa[1] * t.entries[1, j])
+            phases.epsilons[j] * math.sqrt(pa[1] * t[1][j])
         ) * exp_j(phases.thetas[j])
         components.append(first + second)
+    b_values = coeffs.pair.b_values
     psi = HyperbolicAmplitude(
         components=tuple(components),
         epsilons=phases.epsilons,
         thetas=phases.thetas,
-        b_values=pair.b_values,
-        context=context,
+        b_values=b_values,
+        context=coeffs.context,
     )
-    for j, bx in enumerate(pair.b_partition):
-        direct = space.conditional(bx, context)
-        if abs(psi.born(pair.b_values[j]) - direct) > BORN_TOL:
+    for j, x in enumerate(b_values):
+        if abs(psi.born(x) - coeffs.b_profile[j]) > BORN_TOL:
             raise PhaseInconsistency(
                 "signed squared norm drifted from the probability"
             )
     return psi
+
+
+def build_hyperbolic_amplitude(
+    space: FiniteKolmogorovSpace, pair: ReferencePair, context: Event
+) -> HyperbolicAmplitude:
+    """Construct the hyperbolic state vector of a hyperbolic (or boundary)
+    context; see :func:`hyperbolic_amplitude_from_coefficients`."""
+    return hyperbolic_amplitude_from_coefficients(
+        interference_coefficients(space, pair, context)
+    )
 
 
 @dataclass(frozen=True)

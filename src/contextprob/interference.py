@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-import numpy as np
 
 from .errors import (
     DegenerateCell,
@@ -104,12 +103,22 @@ class OutcomeCoefficients:
 
 @dataclass(frozen=True, eq=False)
 class InterferenceCoefficients:
-    """Per-outcome interference data for one context under one pair."""
+    """Per-outcome interference data for one context under one pair.
+
+    ``a_profile[i]`` is P(a=y_i|C) and ``b_profile[j]`` is P(b=x_j|C), the
+    context's measures every coefficient was derived from, and
+    ``transition`` is the pair's "b/a" transition matrix they were combined
+    with; phases, states and checks of the same context read these instead
+    of measuring again.
+    """
 
     space: FiniteKolmogorovSpace
     pair: ReferencePair
     context: Event
     outcomes: tuple[OutcomeCoefficients, ...]
+    a_profile: tuple[float, ...]
+    b_profile: tuple[float, ...]
+    transition: TransitionMatrix
 
     @property
     def deltas(self) -> tuple[float, ...]:
@@ -118,24 +127,6 @@ class InterferenceCoefficients:
     @property
     def lambdas(self) -> tuple[float, ...]:
         return tuple(o.lam for o in self.outcomes)
-
-
-def _context_a_profile(
-    space: FiniteKolmogorovSpace, pair: ReferencePair, context: Event
-) -> tuple[float, ...]:
-    """P(a=y|C) for every y; raises on null or a-degenerate contexts."""
-    pc = space.probability(context)
-    if pc == 0.0:
-        raise ZeroConditioningContext("context has probability zero")
-    probs = []
-    for i, ay in enumerate(pair.a_partition):
-        p = space.probability(ay & context) / pc
-        if p == 0.0:
-            raise DegenerateContext(
-                f"context misses the cell a={pair.a_values[i]!r}"
-            )
-        probs.append(p)
-    return tuple(probs)
 
 
 def _require_dichotomous(pair: ReferencePair) -> None:
@@ -151,14 +142,8 @@ def delta(
 ) -> float:
     """Perturbation of the context-free total probability decomposition at
     the b-outcome ``x``."""
-    _require_dichotomous(pair)
-    if not are_incompatible(space, pair):
-        raise DegenerateCell("reference variables must be incompatible")
-    pa = _context_a_profile(space, pair, context)
-    t = transition_matrix(space, pair, "b/a")
-    j = pair.b_index(x)
-    direct = space.conditional(pair.b_partition[j], context)
-    return direct - math.fsum(pa[i] * t.entries[i, j] for i in range(2))
+    coeffs = interference_coefficients(space, pair, context)
+    return coeffs.outcomes[pair.b_index(x)].delta
 
 
 def lambda_coefficient(
@@ -166,34 +151,45 @@ def lambda_coefficient(
 ) -> float:
     """Incompatibility coefficient: delta normalised by twice the geometric
     mean of the four constituent probabilities."""
-    _require_dichotomous(pair)
-    if not are_incompatible(space, pair):
-        raise DegenerateCell("reference variables must be incompatible")
-    pa = _context_a_profile(space, pair, context)
-    t = transition_matrix(space, pair, "b/a")
-    j = pair.b_index(x)
-    prod = pa[0] * t.entries[0, j] * pa[1] * t.entries[1, j]
-    if prod <= 0.0:
-        raise DegenerateCell("a probability under the normalising root vanishes")
-    d = delta(space, pair, context, x)
-    return d / (2.0 * math.sqrt(prod))
+    coeffs = interference_coefficients(space, pair, context)
+    return coeffs.outcomes[pair.b_index(x)].lam
 
 
 def interference_coefficients(
     space: FiniteKolmogorovSpace, pair: ReferencePair, context: Event
 ) -> InterferenceCoefficients:
-    """Compute delta and lambda for every b-outcome of one context."""
+    """Compute delta and lambda for every b-outcome of one context.
+
+    The context is measured once: P(C), P(A_i & C) and P(B_j & C) are read
+    from the space's measure of their masks and carried in the result as
+    the conditional profiles.  Raises on null or a-degenerate contexts and
+    on a vanishing normalising root.
+    """
     _require_dichotomous(pair)
     if not are_incompatible(space, pair):
         raise DegenerateCell("reference variables must be incompatible")
-    pa = _context_a_profile(space, pair, context)
-    t = transition_matrix(space, pair, "b/a")
+    mask = space._masks(context)[0]
+    pc = space._measure(mask)
+    if pc == 0.0:
+        raise ZeroConditioningContext("context has probability zero")
+    pa = []
+    for i, ay in enumerate(pair.a_partition):
+        p = space._measure(ay.mask & mask) / pc
+        if p == 0.0:
+            raise DegenerateContext(
+                f"context misses the cell a={pair.a_values[i]!r}"
+            )
+        pa.append(p)
+    pb = [space._measure(bx.mask & mask) / pc for bx in pair.b_partition]
+    transition = transition_matrix(space, pair, "b/a")
+    t = transition.rows
     outcomes = []
     for j, x in enumerate(pair.b_values):
-        direct = space.conditional(pair.b_partition[j], context)
-        classical = math.fsum(pa[i] * t.entries[i, j] for i in range(2))
-        d = direct - classical
-        prod = pa[0] * t.entries[0, j] * pa[1] * t.entries[1, j]
+        classical = math.fsum(pa[i] * t[i][j] for i in range(2))
+        d = pb[j] - classical
+        prod = pa[0] * t[0][j] * pa[1] * t[1][j]
+        if prod <= 0.0:
+            raise DegenerateCell("a probability under the normalising root vanishes")
         lam = d / (2.0 * math.sqrt(prod))
         if abs(abs(lam) - 1.0) <= BOUNDARY_TOL:
             tag = OutcomeClass.BOUNDARY
@@ -202,7 +198,9 @@ def interference_coefficients(
         else:
             tag = OutcomeClass.HYPERBOLIC
         outcomes.append(OutcomeCoefficients(x, d, lam, tag))
-    coeffs = InterferenceCoefficients(space, pair, context, tuple(outcomes))
+    coeffs = InterferenceCoefficients(
+        space, pair, context, tuple(outcomes), tuple(pa), tuple(pb), transition
+    )
     if abs(math.fsum(coeffs.deltas)) > PREDICATE_TOL:
         raise InvariantViolation("outcome perturbations must sum to zero")
     return coeffs
@@ -266,7 +264,7 @@ def assign_phases(
     else:
         raise ValueError(f"unknown phase mode {mode!r}")
 
-    t = transition_matrix(coeffs.space, coeffs.pair, "b/a")
+    t = coeffs.transition
     ds = is_double_stochastic(t)
     lambdas = coeffs.lambdas
 
@@ -330,22 +328,20 @@ def assign_phases(
 
 
 def reconstruct_probability(
-    space: FiniteKolmogorovSpace,
-    pair: ReferencePair,
-    context: Event,
-    phases: PhaseAssignment,
+    coeffs: InterferenceCoefficients, phases: PhaseAssignment
 ) -> dict[float, float]:
-    """Evaluate the interference form of the total probability formula.
+    """Evaluate the interference form of the total probability formula from
+    the context's measures and its phases.
 
     The result is an identity: it must reproduce the direct conditional
     probability of every b-outcome.
     """
-    pa = _context_a_profile(space, pair, context)
-    t = transition_matrix(space, pair, "b/a")
+    pa = coeffs.a_profile
+    t = coeffs.transition.rows
     out: dict[float, float] = {}
-    for j, x in enumerate(pair.b_values):
-        classical = math.fsum(pa[i] * t.entries[i, j] for i in range(2))
-        cross = math.sqrt(pa[0] * t.entries[0, j] * pa[1] * t.entries[1, j])
+    for j, x in enumerate(coeffs.pair.b_values):
+        classical = math.fsum(pa[i] * t[i][j] for i in range(2))
+        cross = math.sqrt(pa[0] * t[0][j] * pa[1] * t[1][j])
         if phases.kind == "trigonometric":
             factor = math.cos(phases.thetas[j])
         else:
@@ -361,12 +357,12 @@ def k_coefficient(m: TransitionMatrix) -> float:
     Equals one exactly when the matrix is double stochastic; the two
     conditions are algebraically equivalent, so disagreement signals a bug.
     """
-    p = m.entries
-    if p.shape != (2, 2):
+    if m.entries.shape != (2, 2):
         raise ValueError("cosine ratio is defined for 2x2 matrices")
-    if np.min(p) <= 0.0:
+    p = m.rows
+    if min(p[0] + p[1]) <= 0.0:
         raise DegenerateCell("all transition entries must be positive")
-    k = math.sqrt((p[0, 0] * p[1, 0]) / (p[0, 1] * p[1, 1]))
+    k = math.sqrt((p[0][0] * p[1][0]) / (p[0][1] * p[1][1]))
     ds = is_double_stochastic(m)
     if ds != (abs(k - 1.0) <= 1e-8):
         raise InvariantViolation(
@@ -455,12 +451,10 @@ def verify_no_global_alpha(
             else:
                 alpha = shared[0]
 
-    mags = list(lam1_abs.values())
-    has_distinct = any(
-        abs(mags[i] - mags[j]) > 1e-8
-        for i in range(len(mags))
-        for j in range(i + 1, len(mags))
-    )
+    # fl(max - min) bounds fl(|a - b|) for every pair, so this is the
+    # all-pairs test in linear time
+    mags = lam1_abs.values()
+    has_distinct = bool(mags) and max(mags) - min(mags) > 1e-8
     found = alpha is not None
     if found and has_distinct and not ds:
         raise InvariantViolation(

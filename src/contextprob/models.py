@@ -14,6 +14,7 @@ digits so that load -> serialise -> load is a fixed point.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -225,17 +226,11 @@ def generate_kq(q: float) -> ModelDocument:
     contexts: dict[str, Event] = {}
     names = [1, 2, 3, 4]
     for size in (2, 3):
-        for combo in _combinations(names, size):
+        for combo in itertools.combinations(names, size):
             label = "C" + "".join(str(i) for i in combo)
             contexts[label] = space.event([f"w{i}" for i in combo])
     contexts["Omega"] = space.full_event()
     return ModelDocument(space, variables, contexts, ("a", "b"))
-
-
-def _combinations(items: list[int], size: int):
-    import itertools
-
-    return itertools.combinations(items, size)
 
 
 def _doubly_stochastic_matrix(rng: np.random.Generator, k: int) -> np.ndarray:

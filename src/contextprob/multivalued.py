@@ -55,28 +55,30 @@ def contextual_total_probability_split(
     """Split P(B(D1 u D2)|C) over two disjoint events with the conditioning
     on C removed from the transition factors, quantifying the removal by a
     normalised coefficient.  All three displayed forms are identities."""
-    if not (d1 & d2).is_empty():
+    b, d1, d2, c = space._masks(b, d1, d2, c)
+    if d1 & d2:
         raise ValueError("the two conditioning events must be disjoint")
-    if space.probability(c) == 0.0:
+    m = space._measure
+    pc = m(c)
+    if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
     for name, e in (("D1", d1), ("D2", d2)):
-        if space.probability(b & e) == 0.0:
+        if m(b & e) == 0.0:
             raise DegenerateCell(f"B meets {name} with probability zero")
-        if space.probability(e & c) == 0.0:
+        if m(e & c) == 0.0:
             raise DegenerateCell(f"{name} meets the context with probability zero")
 
-    union = d1 | d2
-    lhs = space.conditional(b & union, c)
+    lhs = m(b & (d1 | d2) & c) / pc
 
-    additivity_rhs = space.conditional(b & d1, c) + space.conditional(b & d2, c)
+    additivity_rhs = m(b & d1 & c) / pc + m(b & d2 & c) / pc
     conditioned_rhs = math.fsum(
-        space.conditional(b, e & c) * space.conditional(e, c) for e in (d1, d2)
+        (m(b & e & c) / m(e & c)) * (m(e & c) / pc) for e in (d1, d2)
     )
 
-    p_b_d1 = space.conditional(b, d1)
-    p_b_d2 = space.conditional(b, d2)
-    p_d1_c = space.conditional(d1, c)
-    p_d2_c = space.conditional(d2, c)
+    p_b_d1 = m(b & d1) / m(d1)
+    p_b_d2 = m(b & d2) / m(d2)
+    p_d1_c = m(d1 & c) / pc
+    p_d2_c = m(d2 & c) / pc
     delta = lhs - (p_b_d1 * p_d1_c + p_b_d2 * p_d2_c)
     root = math.sqrt(p_b_d1 * p_d1_c * p_b_d2 * p_d2_c)
     lam = delta / (2.0 * root)
@@ -106,21 +108,23 @@ def mu_coefficient(
     """Coefficient of the half-eliminated split, where only the head factor
     drops its conditioning on C.  The reconstruction it certifies is an
     identity and is checked before returning."""
-    if not (d1 & d2).is_empty():
+    b, d1, d2, c = space._masks(b, d1, d2, c)
+    if d1 & d2:
         raise ValueError("the two conditioning events must be disjoint")
-    if space.probability(c) == 0.0:
+    m = space._measure
+    pc = m(c)
+    if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
-    if space.probability(b & d1) == 0.0:
+    if m(b & d1) == 0.0:
         raise DegenerateCell("B meets D1 with probability zero")
-    if space.probability(d1 & c) == 0.0:
+    if m(d1 & c) == 0.0:
         raise DegenerateCell("D1 meets the context with probability zero")
-    if space.probability(b & d2 & c) == 0.0:
+    if m(b & d2 & c) == 0.0:
         raise DegenerateCell("B, D2 and the context have null intersection")
 
-    union = d1 | d2
-    lhs = space.conditional(b & union, c)
-    head = space.conditional(b, d1) * space.conditional(d1, c)
-    tail = space.conditional(b & d2, c)
+    lhs = m(b & (d1 | d2) & c) / pc
+    head = (m(b & d1) / m(d1)) * (m(d1 & c) / pc)
+    tail = m(b & d2 & c) / pc
     root = math.sqrt(head * tail)
     mu = (lhs - head - tail) / (2.0 * root)
     if abs(head + tail + 2.0 * mu * root - lhs) > IDENTITY_TOL:
@@ -177,16 +181,18 @@ def build_amplitude_nvalued(
     if len(signs) != n - 1 or any(s not in (1, -1) for s in signs):
         raise ValueError("one branch sign of +1 or -1 per level is required")
 
-    pc = space.probability(context)
+    c = space._masks(context, *pair.a_partition, *pair.b_partition)[0]
+    m = space._measure
+    pc = m(c)
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
 
     cells = [pair.a_partition[i] for i in order]
     tails: list[Event] = []
-    running = space.empty_event()
+    running = 0
     for cell in reversed(cells):
-        running = running | cell
-        tails.append(running)
+        running |= cell.mask
+        tails.append(Event(running, space.n))
     tails.reverse()  # tails[j] = union of cells[j:]
 
     levels: dict[float, tuple[SplitLevel, ...]] = {}
@@ -194,12 +200,13 @@ def build_amplitude_nvalued(
     components = []
     for jx, x in enumerate(pair.b_values):
         bx = pair.b_partition[jx]
+        b = bx.mask
         head_terms = []
         for cell in cells:
-            p_cell_c = space.conditional(cell, context)
+            p_cell_c = m(cell.mask & c) / pc
             if p_cell_c == 0.0:
                 raise DegenerateCell("context misses a conditioning cell")
-            p_b_cell = space.conditional(bx, cell)
+            p_b_cell = m(b & cell.mask) / m(cell.mask)
             if p_b_cell == 0.0:
                 raise DegenerateCell("outcome misses a conditioning cell")
             head_terms.append(p_b_cell * p_cell_c)
@@ -223,11 +230,11 @@ def build_amplitude_nvalued(
                 phase=theta,
                 arg=cmath.phase(partials[n - 2]),
                 partial=partials[n - 2],
-                tail_probability=space.conditional(bx & tails[n - 2], context),
+                tail_probability=m(b & tails[n - 2].mask & c) / pc,
             )
         )
         for j in range(n - 3, -1, -1):
-            tail_prob = space.conditional(bx & tails[j + 1], context)
+            tail_prob = m(b & tails[j + 1].mask & c) / pc
             if tail_prob == 0.0:
                 raise DegenerateCell("tail of the recursion has probability zero")
             mu = mu_coefficient(space, bx, cells[j], tails[j + 1], context)
@@ -244,7 +251,7 @@ def build_amplitude_nvalued(
                     phase=gamma,
                     arg=cmath.phase(partials[j]),
                     partial=partials[j],
-                    tail_probability=space.conditional(bx & tails[j], context),
+                    tail_probability=m(b & tails[j].mask & c) / pc,
                 )
             )
         records.reverse()
@@ -267,7 +274,7 @@ def build_amplitude_nvalued(
         component = sum(
             cis(beta[j]) * math.sqrt(head_terms[j]) for j in range(n)
         )
-        direct = space.conditional(bx, context)
+        direct = m(b & c) / pc
         if abs(abs(component) ** 2 - direct) > RECURSION_BORN_TOL:
             raise InvariantViolation(
                 "recursive state drifted from the outcome probability"

@@ -13,11 +13,13 @@ divides by cell probabilities, and null atoms add nothing but spurious
 degeneracy.
 
 Values in this module are immutable after construction and operations are
-pure functions, with one exception: each space memoises the probabilities of
-the events it has measured and the transition matrices it has built, in a
-private dict that takes no part in equality, hashing or printing.  Values can
-still be shared across threads: a race between two threads only computes the
-same entry twice.
+pure functions, with one exception: each space memoises, in a private dict
+that takes no part in equality, hashing or printing, three kinds of result:
+the probability of each event mask it has measured, each transition matrix
+it has built, and whether a reference pair is incompatible.  Nothing per
+context is stored there: a context's measures are read once per pass by the
+caller that needs them.  Values can still be shared across threads: a race
+between two threads only computes the same entry twice.
 """
 
 from __future__ import annotations
@@ -103,8 +105,9 @@ class Event:
 class FiniteKolmogorovSpace:
     """Ordered sample points with strictly positive weights summing to one.
 
-    ``_memo`` maps an event mask to its probability and a transition-matrix
-    key to its matrix; only results are stored, never failures.
+    ``_memo`` maps an event mask to its probability, a transition-matrix key
+    to its matrix and an incompatibility key to its truth value; only results
+    are stored, never failures.
     """
 
     points: tuple[str, ...]
@@ -175,6 +178,12 @@ class FiniteKolmogorovSpace:
         p = self._memo.get(e.mask)
         return self._measure(e.mask) if p is None else p
 
+    def _masks(self, *events: Event) -> list[int]:
+        """The masks of the given events; raises unless all belong here."""
+        if {e.size for e in events} != {len(self.points)}:
+            raise ValueError("event does not belong to this space")
+        return [e.mask for e in events]
+
     def _measure(self, mask: int) -> float:
         p = self._memo.get(mask)
         if p is None:
@@ -191,14 +200,6 @@ class FiniteKolmogorovSpace:
         if pc == 0.0:
             raise ZeroConditioningContext("conditioning context has probability zero")
         return self.probability(b & c) / pc
-
-
-def probability(space: FiniteKolmogorovSpace, e: Event) -> float:
-    return space.probability(e)
-
-
-def conditional_probability(space: FiniteKolmogorovSpace, b: Event, c: Event) -> float:
-    return space.conditional(b, c)
 
 
 @dataclass(frozen=True)
@@ -287,12 +288,18 @@ class TransitionMatrix:
 
     ``direction == "b/a"`` means entry (i, j) is the probability of the j-th
     b-outcome conditioned on the i-th a-outcome; rows sum to one.
+
+    ``rows`` holds the entries as Python floats, for the per-context
+    arithmetic; ``double_stochastic`` is :func:`is_double_stochastic` at its
+    default tolerance.  Both are computed once, at construction.
     """
 
     entries: np.ndarray
     direction: str
     row_values: tuple[float, ...]
     col_values: tuple[float, ...]
+    rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False)
+    double_stochastic: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.direction not in ("b/a", "a/b"):
@@ -301,6 +308,11 @@ class TransitionMatrix:
         row_sums = self.entries.sum(axis=1)
         if np.max(np.abs(row_sums - 1.0)) > IDENTITY_TOL:
             raise InvariantViolation("transition matrix rows do not sum to one")
+        rows = tuple(tuple(row) for row in self.entries.tolist())
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(
+            self, "double_stochastic", _columns_sum_to_one(self.entries, PREDICATE_TOL)
+        )
 
 
 def transition_matrix(
@@ -321,14 +333,12 @@ def transition_matrix(
         row_values, col_values = pair.b_values, pair.a_values
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    row_masks = tuple([e.mask for e in rows])
-    col_masks = tuple([e.mask for e in cols])
+    row_masks = tuple(space._masks(*rows))
+    col_masks = tuple(space._masks(*cols))
     key = (direction, row_values, col_values, row_masks, col_masks)
     matrix = space._memo.get(key)
     if matrix is not None:
         return matrix
-    if any(e.size != space.n for e in (*rows, *cols)):
-        raise ValueError("event does not belong to this space")
     entries = np.empty((len(rows), len(cols)))
     for i, row in enumerate(row_masks):
         p_row = space._measure(row)
@@ -357,12 +367,21 @@ def is_nondegenerate(
 
 
 def are_incompatible(space: FiniteKolmogorovSpace, pair: ReferencePair) -> bool:
-    """True iff every joint cell of the two partitions has positive probability."""
-    for ay in pair.a_partition:
-        for bx in pair.b_partition:
-            if space.probability(ay & bx) == 0.0:
-                return False
-    return True
+    """True iff every joint cell of the two partitions has positive probability.
+
+    Context independent, so memoised in the space, keyed by the masks of
+    both partitions.
+    """
+    a_masks = tuple(space._masks(*pair.a_partition))
+    b_masks = tuple(space._masks(*pair.b_partition))
+    key = ("incompatible", a_masks, b_masks)
+    result = space._memo.get(key)
+    if result is None:
+        result = all(
+            space._measure(ay & bx) != 0.0 for ay in a_masks for bx in b_masks
+        )
+        space._memo[key] = result
+    return result
 
 
 @dataclass(frozen=True)
@@ -413,21 +432,22 @@ def classical_total_probability(
     This is an identity of the measure; the result is checked against the
     direct conditional probability before returning.
     """
-    pc = space.probability(context)
+    c = space._masks(context, *pair.a_partition, *pair.b_partition)[0]
+    pc = space._measure(c)
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
     out: dict[float, float] = {}
     for j, bx in enumerate(pair.b_partition):
         total = 0.0
         for i, ay in enumerate(pair.a_partition):
-            cell = ay & context
-            p_cell = space.probability(cell)
+            cell = ay.mask & c
+            p_cell = space._measure(cell)
             if p_cell == 0.0:
                 raise DegenerateCell(
                     f"cell for a={pair.a_values[i]!r} within the context is null"
                 )
-            total += (p_cell / pc) * (space.probability(bx & cell) / p_cell)
-        direct = space.conditional(bx, context)
+            total += (p_cell / pc) * (space._measure(bx.mask & cell) / p_cell)
+        direct = space._measure(bx.mask & c) / pc
         if abs(total - direct) > IDENTITY_TOL:
             raise InvariantViolation(
                 "total probability decomposition drifted from the direct value"
@@ -448,12 +468,18 @@ def dispersion(
     return math.fsum(space.weights[i] * (v.values[i] - mean) ** 2 for i in idx) / pc
 
 
+def _columns_sum_to_one(entries: np.ndarray, tol: float) -> bool:
+    if entries.shape[0] != entries.shape[1]:
+        return False
+    col_sums = entries.sum(axis=0)
+    return bool(np.max(np.abs(col_sums - 1.0)) <= tol)
+
+
 def is_double_stochastic(m: TransitionMatrix, tol: float = PREDICATE_TOL) -> bool:
     """True iff every column also sums to one (rows always do)."""
-    if m.entries.shape[0] != m.entries.shape[1]:
-        return False
-    col_sums = m.entries.sum(axis=0)
-    return bool(np.max(np.abs(col_sums - 1.0)) <= tol)
+    if tol == PREDICATE_TOL:
+        return m.double_stochastic
+    return _columns_sum_to_one(m.entries, tol)
 
 
 def is_symmetrically_conditioned(

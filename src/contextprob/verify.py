@@ -112,16 +112,22 @@ class _Recorder:
         return Check(self.id, status, residual=self.worst, witness=self.witness)
 
 
-def _classified_contexts(doc: ModelDocument):
-    """Yield (name, event, coefficients, class) for every declared context
-    that is a-nondegenerate."""
+def _classified_contexts(doc: ModelDocument) -> list:
+    """(name, coefficients, class) for every declared context that is
+    a-nondegenerate, in declaration order; empty unless the pair is
+    dichotomous.  Computed once per :func:`run_suite` call and shared by the
+    suites."""
     space, pair = doc.space, doc.pair
+    if len(pair.a_values) != 2 or len(pair.b_values) != 2:
+        return []
+    out = []
     for name, event in doc.contexts.items():
         try:
             coeffs = itf.interference_coefficients(space, pair, event)
         except (DegenerateContext, DegenerateCell, ZeroConditioningContext):
             continue
-        yield name, event, coeffs, itf.classify_context(coeffs)
+        out.append((name, coeffs, itf.classify_context(coeffs)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +135,9 @@ def _classified_contexts(doc: ModelDocument):
 # ---------------------------------------------------------------------------
 
 
-def _core_checks(doc: ModelDocument, tol: float | None) -> list[Check]:
+def _core_checks(
+    doc: ModelDocument, tol: float | None, classified: list
+) -> list[Check]:
     space, pair = doc.space, doc.pair
     checks: list[Check] = []
 
@@ -198,25 +206,21 @@ def _core_checks(doc: ModelDocument, tol: float | None) -> list[Check]:
     if dichotomous:
         t = transition_matrix(space, pair, "b/a")
         k = itf.k_coefficient(t)
-        for name, event, coeffs, cls in _classified_contexts(doc):
+        rows = t.rows
+        for name, coeffs, cls in classified:
             rec.compare(math.fsum(coeffs.deltas), 0.0, name)
-            pc = space.probability(event)
-            pa = [space.probability(ay & event) / pc for ay in pair.a_partition]
+            pa = coeffs.a_profile
             weighted = math.fsum(
                 coeffs.lambdas[j]
-                * math.sqrt(pa[0] * t.entries[0, j] * pa[1] * t.entries[1, j])
+                * math.sqrt(pa[0] * rows[0][j] * pa[1] * rows[1][j])
                 for j in range(2)
             )
             rec2.compare(weighted, 0.0, name)
             if cls is not itf.ContextClass.MIXED:
                 phases = itf.assign_phases(coeffs)
-                recon = itf.reconstruct_probability(space, pair, event, phases)
+                recon = itf.reconstruct_probability(coeffs, phases)
                 for j, x in enumerate(pair.b_values):
-                    rec3.compare(
-                        recon[x],
-                        space.conditional(pair.b_partition[j], event),
-                        f"{name}, x={x}",
-                    )
+                    rec3.compare(recon[x], coeffs.b_profile[j], f"{name}, x={x}")
             if cls in (itf.ContextClass.TRIGONOMETRIC, itf.ContextClass.BOUNDARY):
                 lam = coeffs.lambdas
                 rec4.compare(lam[1], -k * lam[0], name)
@@ -245,7 +249,9 @@ def _core_checks(doc: ModelDocument, tol: float | None) -> list[Check]:
 # ---------------------------------------------------------------------------
 
 
-def _complex_checks(doc: ModelDocument, tol: float | None) -> list[Check]:
+def _complex_checks(
+    doc: ModelDocument, tol: float | None, classified: list
+) -> list[Check]:
     space, pair = doc.space, doc.pair
     checks: list[Check] = []
     if len(pair.a_values) != 2 or len(pair.b_values) != 2:
@@ -257,20 +263,19 @@ def _complex_checks(doc: ModelDocument, tol: float | None) -> list[Check]:
     basis = cr.a_basis_for_context(space, pair, space.full_event())
 
     representable = [
-        (name, event, coeffs)
-        for name, event, coeffs, cls in _classified_contexts(doc)
+        (name, coeffs, cr.amplitude_from_coefficients(coeffs))
+        for name, coeffs, cls in classified
         if cls in (itf.ContextClass.TRIGONOMETRIC, itf.ContextClass.BOUNDARY)
     ]
 
     rec = _Recorder("complex.born_b", _tol(tol, cr.BORN_TOL))
     rec_norm = _Recorder("complex.normalization", _tol(tol, cr.BORN_TOL))
     rec_conj = _Recorder("complex.conjugation_symmetry", _tol(tol, IDENTITY_TOL))
-    for name, event, _ in representable:
-        psi = cr.build_amplitude(space, pair, event)
-        psi_bar = cr.build_amplitude(space, pair, event, "conjugate")
+    for name, coeffs, psi in representable:
+        psi_bar = cr.amplitude_from_coefficients(coeffs, "conjugate")
         rec_norm.compare(psi.norm_sq(), 1.0, name)
         for j, x in enumerate(pair.b_values):
-            direct = space.conditional(pair.b_partition[j], event)
+            direct = coeffs.b_profile[j]
             rec.compare(psi.born(x), direct, f"{name}, x={x}")
             rec_conj.compare(psi.born(x), psi_bar.born(x), f"{name}, x={x}")
     checks.append(rec.result())
@@ -279,12 +284,11 @@ def _complex_checks(doc: ModelDocument, tol: float | None) -> list[Check]:
 
     rec = _Recorder("complex.born_a", _tol(tol, cr.BORN_TOL))
     if ds:
-        for name, event, _ in representable:
-            psi = cr.build_amplitude(space, pair, event)
+        for name, coeffs, psi in representable:
             for i, y in enumerate(pair.a_values):
                 rec.compare(
                     cr.born_probability(psi, basis.vector(i)),
-                    space.conditional(pair.a_partition[i], event),
+                    coeffs.a_profile[i],
                     f"{name}, y={y}",
                 )
         checks.append(rec.result())
@@ -330,7 +334,7 @@ def _complex_checks(doc: ModelDocument, tol: float | None) -> list[Check]:
             ({pair.a_values[0]: 0.3, pair.a_values[1]: 2.7},
              {pair.b_values[0]: -1.4, pair.b_values[1]: 0.9}),
         ]
-        family = [(n, e) for n, e, _ in representable]
+        family = [(n, coeffs.context) for n, coeffs, _ in representable]
         family += [
             (f"a-cell {y}", pair.a_partition[i])
             for i, y in enumerate(pair.a_values)
@@ -377,10 +381,7 @@ def _complex_checks(doc: ModelDocument, tol: float | None) -> list[Check]:
             )
 
     rec = _Recorder("complex.global_phase_offset", _tol(tol, PREDICATE_TOL))
-    trig_named = {
-        name: event
-        for name, event, coeffs in representable
-    }
+    trig_named = {name: coeffs.context for name, coeffs, _ in representable}
     if len(trig_named) >= 2:
         report = itf.verify_no_global_alpha(space, pair, trig_named)
         if ds:
@@ -414,7 +415,9 @@ def _complex_checks(doc: ModelDocument, tol: float | None) -> list[Check]:
 # ---------------------------------------------------------------------------
 
 
-def _hyperbolic_checks(doc: ModelDocument, tol: float | None) -> list[Check]:
+def _hyperbolic_checks(
+    doc: ModelDocument, tol: float | None, classified: list
+) -> list[Check]:
     space, pair = doc.space, doc.pair
     checks: list[Check] = []
     rng = np.random.default_rng(20240817)
@@ -471,22 +474,17 @@ def _hyperbolic_checks(doc: ModelDocument, tol: float | None) -> list[Check]:
     t = transition_matrix(space, pair, "b/a")
     ds = is_double_stochastic(t)
     hyp = [
-        (name, event, coeffs)
-        for name, event, coeffs, cls in _classified_contexts(doc)
+        (name, coeffs, hr.hyperbolic_amplitude_from_coefficients(coeffs))
+        for name, coeffs, cls in classified
         if cls in (itf.ContextClass.HYPERBOLIC, itf.ContextClass.BOUNDARY)
     ]
 
     rec = _Recorder("hyperbolic.born_b", _tol(tol, hr.BORN_TOL))
     rec_eps = _Recorder("hyperbolic.epsilon_sum_zero", _tol(tol, 0.0))
     rec_rap = _Recorder("hyperbolic.rapidity_equality", _tol(tol, PREDICATE_TOL))
-    for name, event, coeffs in hyp:
-        psi = hr.build_hyperbolic_amplitude(space, pair, event)
+    for name, coeffs, psi in hyp:
         for j, x in enumerate(pair.b_values):
-            rec.compare(
-                psi.born(x),
-                space.conditional(pair.b_partition[j], event),
-                f"{name}, x={x}",
-            )
+            rec.compare(psi.born(x), coeffs.b_profile[j], f"{name}, x={x}")
         rec_eps.compare(float(sum(psi.epsilons)), 0.0, name)
         if ds:
             rec_rap.compare(
@@ -512,8 +510,8 @@ def _hyperbolic_checks(doc: ModelDocument, tol: float | None) -> list[Check]:
 
     rec = _Recorder("hyperbolic.basis_unitarity", _tol(tol, hr.GRAM_TOL))
     strict_hyp = [
-        (name, event)
-        for name, event, coeffs in hyp
+        (name, coeffs.context)
+        for name, coeffs, _ in hyp
         if any(abs(l) > 1.0 + 1e-12 for l in coeffs.lambdas)
     ]
     if not ds:
@@ -534,12 +532,11 @@ def _hyperbolic_checks(doc: ModelDocument, tol: float | None) -> list[Check]:
                 )
                 rec.compare(g.x, 1.0 if i == k else 0.0, f"gram[{i}][{k}].x")
                 rec.compare(g.y, 0.0, f"gram[{i}][{k}].y")
-        for cname, event, coeffs in hyp:
-            psi = hr.build_hyperbolic_amplitude(space, pair, event)
+        for cname, coeffs, psi in hyp:
             for i, y in enumerate(pair.a_values):
                 rec.compare(
                     hr.hyperbolic_born(psi.components, basis.vectors[i]),
-                    space.conditional(pair.a_partition[i], event),
+                    coeffs.a_profile[i],
                     f"{cname}, y={y}",
                 )
         checks.append(rec.result())
@@ -550,19 +547,12 @@ def _hyperbolic_checks(doc: ModelDocument, tol: float | None) -> list[Check]:
             rec.result(skip_reason="transition matrix not double stochastic")
         )
     else:
-        for name, event, coeffs in hyp:
-            psi = hr.build_hyperbolic_amplitude(space, pair, event)
-            pc = space.probability(event)
-            p_a = [space.probability(ay & event) / pc for ay in pair.a_partition]
+        for name, coeffs, psi in hyp:
             out = hr.hyperbolic_interference_transform(
-                p_a, t, psi.thetas[0], psi.epsilons[0]
+                coeffs.a_profile, t, psi.thetas[0], psi.epsilons[0]
             )
             for j, x in enumerate(pair.b_values):
-                rec.compare(
-                    out[j],
-                    space.conditional(pair.b_partition[j], event),
-                    f"{name}, x={x}",
-                )
+                rec.compare(out[j], coeffs.b_profile[j], f"{name}, x={x}")
         checks.append(
             rec.result(None if hyp else "no hyperbolic contexts declared")
         )
@@ -596,7 +586,9 @@ def _hyperbolic_checks(doc: ModelDocument, tol: float | None) -> list[Check]:
 # ---------------------------------------------------------------------------
 
 
-def _multivalued_checks(doc: ModelDocument, tol: float | None) -> list[Check]:
+def _multivalued_checks(
+    doc: ModelDocument, tol: float | None, classified: list
+) -> list[Check]:
     space, pair = doc.space, doc.pair
     checks: list[Check] = []
 
@@ -605,8 +597,10 @@ def _multivalued_checks(doc: ModelDocument, tol: float | None) -> list[Check]:
     rec_f3 = _Recorder("multivalued.contextual_split", _tol(tol, IDENTITY_TOL))
     rec_f5 = _Recorder("multivalued.half_eliminated_split", _tol(tol, IDENTITY_TOL))
     tuples = 0
+    m = space._measure
     for name, c in doc.contexts.items():
-        if space.probability(c) == 0.0:
+        pc = space.probability(c)
+        if pc == 0.0:
             continue
         for bx in pair.b_partition:
             for i1 in range(len(pair.a_partition)):
@@ -623,8 +617,10 @@ def _multivalued_checks(doc: ModelDocument, tol: float | None) -> list[Check]:
                     rec_f1.compare(split.additivity_lhs, split.additivity_rhs, name)
                     rec_f2.compare(split.lhs, split.conditioned_rhs, name)
                     rec_f3.compare(split.lhs, split.rhs, name)
-                    head = space.conditional(bx, d1) * space.conditional(d1, c)
-                    tail = space.conditional(bx & d2, c)
+                    head = (m(bx.mask & d1.mask) / m(d1.mask)) * (
+                        m(d1.mask & c.mask) / pc
+                    )
+                    tail = m(bx.mask & d2.mask & c.mask) / pc
                     rec_f5.compare(
                         head + tail + 2.0 * mu * math.sqrt(head * tail),
                         split.lhs,
@@ -637,6 +633,7 @@ def _multivalued_checks(doc: ModelDocument, tol: float | None) -> list[Check]:
 
     rec = _Recorder("multivalued.recursion_born", _tol(tol, mv.RECURSION_BORN_TOL))
     n = len(pair.a_values)
+    coefficients = {name: coeffs for name, coeffs, _ in classified}
     built = 0
     unrepresentable = 0
     for name, c in doc.contexts.items():
@@ -654,9 +651,9 @@ def _multivalued_checks(doc: ModelDocument, tol: float | None) -> list[Check]:
                 space.conditional(pair.b_partition[j], c),
                 f"{name}, x={x}",
             )
-        if n == 2:
+        if name in coefficients:
             try:
-                flat = cr.build_amplitude(space, pair, c)
+                flat = cr.amplitude_from_coefficients(coefficients[name])
             except ContextualProbabilityError:
                 continue
             for j, x in enumerate(pair.b_values):
@@ -681,12 +678,13 @@ def run_suite(
     if suite not in SUITES and suite != "all":
         raise ValueError(f"unknown suite {suite!r}")
     report = VerificationReport()
-    if suite in ("core", "all"):
-        report.checks.extend(_core_checks(doc, tolerance))
-    if suite in ("complex", "all"):
-        report.checks.extend(_complex_checks(doc, tolerance))
-    if suite in ("hyperbolic", "all"):
-        report.checks.extend(_hyperbolic_checks(doc, tolerance))
-    if suite in ("multivalued", "all"):
-        report.checks.extend(_multivalued_checks(doc, tolerance))
+    classified = _classified_contexts(doc)
+    for name, checks in (
+        ("core", _core_checks),
+        ("complex", _complex_checks),
+        ("hyperbolic", _hyperbolic_checks),
+        ("multivalued", _multivalued_checks),
+    ):
+        if suite in (name, "all"):
+            report.checks.extend(checks(doc, tolerance, classified))
     return report

@@ -203,7 +203,7 @@ def test_criterion_05_reconstruction_identity_randomised():
             if itf.classify_context(coeffs) is itf.ContextClass.MIXED:
                 continue
             phases = itf.assign_phases(coeffs)
-            rec = itf.reconstruct_probability(space, pair, ctx, phases)
+            rec = itf.reconstruct_probability(coeffs, phases)
             for j, x in enumerate(pair.b_values):
                 worst_rec = max(
                     worst_rec,

@@ -188,6 +188,14 @@ class TestGenRandom:
         t = cp.transition_matrix(doc.space, doc.pair)
         assert cp.is_double_stochastic(t)
 
+    def test_too_few_points_is_a_diagnostic(self):
+        proc = run_cli("gen", "random", "--seed", "0", "--points", "3")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        diag = json.loads(proc.stderr)
+        assert diag["error"] == "model-validation"
+        assert "joint cell" in diag["detail"]
+
     def test_generated_model_verifies(self, tmp_path):
         out = tmp_path / "model.json"
         assert main(

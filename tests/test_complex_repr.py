@@ -469,3 +469,30 @@ class TestBasicContextClasses:
             coeffs = cp.interference_coefficients(kq.space, kq.pair, bx)
             assert coeffs.lambdas[j] == pytest.approx(1.0, abs=1e-12)
             assert coeffs.lambdas[1 - j] == pytest.approx(-1.0, abs=1e-12)
+
+
+class TestAmplitudeFromCoefficients:
+    @pytest.mark.parametrize("convention", ("principal", "conjugate"))
+    def test_carried_coefficients_give_the_same_state(self, convention):
+        docs = [cp.generate_kq(q) for q in Q_GRID]
+        docs += [cp.generate_random_model(seed=s, n_points=8) for s in range(20)]
+        built = 0
+        for doc in docs:
+            space, pair = doc.space, doc.pair
+            for ctx in doc.contexts.values():
+                try:
+                    coeffs = cp.interference_coefficients(space, pair, ctx)
+                except cp.ContextualProbabilityError:
+                    continue
+                try:
+                    psi = cp.build_amplitude(space, pair, ctx, convention)
+                except (cp.MixedContext, cp.HyperbolicContext) as exc:
+                    with pytest.raises(type(exc)):
+                        cp.amplitude_from_coefficients(coeffs, convention)
+                    continue
+                carried = cp.amplitude_from_coefficients(coeffs, convention)
+                np.testing.assert_array_equal(carried.components, psi.components)
+                assert carried.branch == psi.branch == convention
+                assert carried.context is ctx
+                built += 1
+        assert built > 50

@@ -270,3 +270,32 @@ class TestBasicContexts:
                 )
                 if both:
                     assert cls is cp.ContextClass.BOUNDARY
+
+
+class TestHyperbolicAmplitudeFromCoefficients:
+    def test_carried_coefficients_give_the_same_state(self, kq, skewed, ds_skewed):
+        models = [(kq.space, kq.pair, list(kq.contexts.values()))]
+        for space, pair in (skewed, ds_skewed):
+            models.append(
+                (space, pair, [*pair.b_partition, space.event(("w1", "w2", "w4"))])
+            )
+        for seed in range(20):
+            doc = cp.generate_random_model(seed=seed, n_points=8)
+            models.append((doc.space, doc.pair, list(doc.contexts.values())))
+        built = 0
+        for space, pair, contexts in models:
+            for ctx in contexts:
+                try:
+                    coeffs = cp.interference_coefficients(space, pair, ctx)
+                except cp.ContextualProbabilityError:
+                    continue
+                try:
+                    psi = cp.build_hyperbolic_amplitude(space, pair, ctx)
+                except (cp.MixedContext, cp.TrigonometricContext) as exc:
+                    with pytest.raises(type(exc)):
+                        cp.hyperbolic_amplitude_from_coefficients(coeffs)
+                    continue
+                carried = cp.hyperbolic_amplitude_from_coefficients(coeffs)
+                assert carried == psi
+                built += 1
+        assert built > 10

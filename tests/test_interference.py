@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contextprob as cp
 
@@ -211,7 +213,7 @@ class TestReconstruction:
             except cp.ContextualProbabilityError:
                 continue
             phases = cp.assign_phases(coeffs)
-            rec = cp.reconstruct_probability(space, pair, ctx, phases)
+            rec = cp.reconstruct_probability(coeffs, phases)
             for j, x in enumerate(pair.b_values):
                 assert rec[x] == pytest.approx(
                     space.conditional(pair.b_partition[j], ctx), abs=1e-10
@@ -222,7 +224,7 @@ class TestReconstruction:
         b1 = pair.b_partition[0]
         coeffs = cp.interference_coefficients(space, pair, b1)
         phases = cp.assign_phases(coeffs)
-        rec = cp.reconstruct_probability(space, pair, b1, phases)
+        rec = cp.reconstruct_probability(coeffs, phases)
         assert rec[1.0] == pytest.approx(1.0, abs=1e-10)
         assert rec[-1.0] == pytest.approx(0.0, abs=1e-10)
 
@@ -238,7 +240,7 @@ class TestReconstruction:
                 if cp.classify_context(coeffs) is cp.ContextClass.MIXED:
                     continue
                 phases = cp.assign_phases(coeffs)
-                rec = cp.reconstruct_probability(space, pair, ctx, phases)
+                rec = cp.reconstruct_probability(coeffs, phases)
                 for j, x in enumerate(pair.b_values):
                     assert rec[x] == pytest.approx(
                         space.conditional(pair.b_partition[j], ctx), abs=1e-10
@@ -382,3 +384,85 @@ class TestGlobalPhaseOffset:
         assert report.has_distinct_lambda_pair
         assert not report.found
         assert report.witness is not None
+
+
+def _profiles_match_conditionals(space, pair, ctx):
+    try:
+        coeffs = cp.interference_coefficients(space, pair, ctx)
+    except cp.ContextualProbabilityError:
+        return False
+    for i, ay in enumerate(pair.a_partition):
+        assert coeffs.a_profile[i] == space.conditional(ay, ctx)
+    for j, bx in enumerate(pair.b_partition):
+        assert coeffs.b_profile[j] == space.conditional(bx, ctx)
+    return True
+
+
+class TestCarriedProfiles:
+    def test_kq_profiles_are_the_conditionals(self, kq):
+        checked = sum(
+            _profiles_match_conditionals(kq.space, kq.pair, ctx)
+            for ctx in kq.contexts.values()
+        )
+        assert checked > 5
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_points=st.integers(4, 24),
+        ds=st.sampled_from((None, True, False)),
+        mask=st.integers(1, (1 << 24) - 1),
+    )
+    def test_random_model_profiles_are_the_conditionals(
+        self, seed, n_points, ds, mask
+    ):
+        doc = cp.generate_random_model(
+            seed=seed, n_points=n_points, double_stochastic=ds, n_contexts=0
+        )
+        space, pair = doc.space, doc.pair
+        ctx = cp.Event(mask & ((1 << n_points) - 1) or 1, n_points)
+        for c in (ctx, space.full_event(), *pair.b_partition):
+            _profiles_match_conditionals(space, pair, c)
+
+    def test_delta_and_lambda_read_the_coefficients(self, skewed):
+        space, pair = skewed
+        ctx = space.event(("w1", "w2", "w4"))
+        coeffs = cp.interference_coefficients(space, pair, ctx)
+        for o in coeffs.outcomes:
+            assert cp.delta(space, pair, ctx, o.value) == o.delta
+            assert cp.lambda_coefficient(space, pair, ctx, o.value) == o.lam
+        with pytest.raises(KeyError):
+            cp.lambda_coefficient(space, pair, ctx, 7.0)
+
+    def test_vanishing_root_raises_degenerate_cell(self):
+        # every cell is populated, but the product under the normalising
+        # root of b=+1 underflows: (1/2)(2e-200)(1/2)(2e-200) = 0 in floats
+        space = cp.FiniteKolmogorovSpace(
+            ("w1", "w2", "w3", "w4"), (1e-200, 0.5, 0.5, 1e-200)
+        )
+        a = cp.RandomVariable("a", (1.0, 1.0, -1.0, -1.0))
+        b = cp.RandomVariable("b", (1.0, -1.0, -1.0, 1.0))
+        pair = cp.ReferencePair.from_variables(space, a, b)
+        assert cp.are_incompatible(space, pair)
+        full = space.full_event()
+        with pytest.raises(cp.DegenerateCell, match="normalising root"):
+            cp.interference_coefficients(space, pair, full)
+        with pytest.raises(cp.DegenerateCell, match="normalising root"):
+            cp.lambda_coefficient(space, pair, full, 1.0)
+
+
+class TestDistinctLambdaPair:
+    def test_equal_magnitudes_are_not_distinct(self, kq):
+        # lambda(b1) is -sqrt(1-2q)/2 on C123 and +sqrt(1-2q)/2 on C134
+        contexts = {n: kq.context(n) for n in ("C123", "C134")}
+        report = cp.verify_no_global_alpha(kq.space, kq.pair, contexts)
+        assert not report.has_distinct_lambda_pair
+
+    def test_one_differing_context_is_distinct(self, kq):
+        contexts = {n: kq.context(n) for n in ("C123", "C134", "C124")}
+        report = cp.verify_no_global_alpha(kq.space, kq.pair, contexts)
+        assert report.has_distinct_lambda_pair
+
+    def test_single_context_is_not_distinct(self, kq):
+        report = cp.verify_no_global_alpha(kq.space, kq.pair, [kq.context("C124")])
+        assert not report.has_distinct_lambda_pair

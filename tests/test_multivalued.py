@@ -231,3 +231,73 @@ class TestRecursiveAmplitude:
             if found:
                 break
         assert found, "expected some lopsided context to leave the range"
+
+
+class TestSplitErrors:
+    """The split functions keep their checks and messages."""
+
+    @pytest.fixture
+    def model(self):
+        return make_three_valued(seed=4)
+
+    @pytest.mark.parametrize(
+        "fn", (contextual_total_probability_split, mu_coefficient)
+    )
+    def test_event_of_another_space(self, model, fn):
+        space, pair = model
+        b, d1, d2 = pair.b_partition[0], pair.a_partition[0], pair.a_partition[1]
+        foreign = cp.Event(0b11, 2)
+        for args in ((foreign, d1, d2, space.full_event()), (b, d1, d2, foreign)):
+            with pytest.raises(ValueError, match="space"):
+                fn(space, *args)
+
+    @pytest.mark.parametrize(
+        "fn", (contextual_total_probability_split, mu_coefficient)
+    )
+    def test_overlapping_conditioning_events(self, model, fn):
+        space, pair = model
+        d1 = pair.a_partition[0]
+        d2 = pair.a_partition[0] | pair.a_partition[1]
+        with pytest.raises(ValueError, match="must be disjoint"):
+            fn(space, pair.b_partition[0], d1, d2, space.full_event())
+
+    @pytest.mark.parametrize(
+        "fn", (contextual_total_probability_split, mu_coefficient)
+    )
+    def test_null_context(self, model, fn):
+        space, pair = model
+        with pytest.raises(cp.ZeroConditioningContext, match="probability zero"):
+            fn(
+                space, pair.b_partition[0], pair.a_partition[0],
+                pair.a_partition[1], space.empty_event(),
+            )
+
+    def test_degenerate_cells(self, model):
+        space, pair = model
+        a1, a2, a3 = pair.a_partition
+        b1 = pair.b_partition[0]
+        full = space.full_event()
+        split, mu = contextual_total_probability_split, mu_coefficient
+        with pytest.raises(cp.DegenerateCell, match="^B meets D1 with"):
+            split(space, a3, a1, a2, full)
+        with pytest.raises(cp.DegenerateCell, match="^B meets D2 with"):
+            split(space, a1 | a3, a3, a2, full)
+        with pytest.raises(cp.DegenerateCell, match="^D2 meets the context"):
+            split(space, b1, a1, a2, a1)
+        with pytest.raises(cp.DegenerateCell, match="^D1 meets the context"):
+            split(space, b1, a1, a2, a2)
+        with pytest.raises(cp.DegenerateCell, match="^B meets D1 with"):
+            mu(space, a3, a1, a2, full)
+        with pytest.raises(cp.DegenerateCell, match="^D1 meets the context"):
+            mu(space, b1, a1, a2, a2)
+        with pytest.raises(cp.DegenerateCell, match="^B, D2 and the context"):
+            mu(space, b1, a1, a2, a1)
+
+    def test_recursion_errors(self, model):
+        space, pair = model
+        with pytest.raises(ValueError, match="space"):
+            build_amplitude_nvalued(space, pair, cp.Event(0b11, 2))
+        with pytest.raises(cp.ZeroConditioningContext):
+            build_amplitude_nvalued(space, pair, space.empty_event())
+        with pytest.raises(cp.DegenerateCell, match="context misses a conditioning"):
+            build_amplitude_nvalued(space, pair, pair.a_partition[0])

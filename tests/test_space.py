@@ -309,6 +309,28 @@ class TestIncompatibility:
         assert not cp.are_incompatible(space, pair)
 
 
+    def test_memo_keeps_pairs_apart(self, skewed):
+        # pairs sharing one partition, or both partitions with other values,
+        # each get their own answer in whichever order they are asked
+        space, pair = skewed
+        same_cells = cp.ReferencePair.from_variables(
+            space,
+            cp.RandomVariable("a2", tuple(-v for v in pair.a.values)),
+            cp.RandomVariable("b2", tuple(-v for v in pair.b.values)),
+        )
+        assert same_cells.a_partition == pair.a_partition
+        assert same_cells.a_values != pair.a_values
+        compatible = cp.ReferencePair.from_variables(space, pair.a, pair.a)
+        swapped = cp.ReferencePair.from_variables(space, pair.b, pair.a)
+        expected = [(pair, True), (compatible, False), (same_cells, True),
+                    (swapped, True), (compatible, False)]
+        for order in (expected, expected[::-1]):
+            fresh = cp.FiniteKolmogorovSpace(space.points, space.weights)
+            for p, want in order:
+                assert cp.are_incompatible(fresh, p) is want
+                assert cp.are_incompatible(fresh, p) is want
+
+
 class TestIncompatibilityStructure:
     def test_kq_both_hold(self, kq):
         report = cp.check_incompatibility_structure(kq.space, kq.pair)
@@ -415,6 +437,32 @@ class TestDoubleStochasticity:
     def test_skewed_matrix(self, skewed):
         space, pair = skewed
         assert not cp.is_double_stochastic(cp.transition_matrix(space, pair))
+
+
+    def test_flag_and_rows_match_the_entries(self, kq, skewed, ds_skewed):
+        for space, pair in ((kq.space, kq.pair), skewed, ds_skewed):
+            for direction in ("b/a", "a/b"):
+                t = cp.transition_matrix(space, pair, direction)
+                assert t.rows == tuple(tuple(r) for r in t.entries.tolist())
+                col_dev = np.max(np.abs(t.entries.sum(axis=0) - 1.0))
+                assert cp.is_double_stochastic(t) is bool(col_dev <= 1e-10)
+                assert cp.is_double_stochastic(t, tol=1.0) is True
+
+    def test_swapped_pairs_keep_their_own_flags(self, ds_skewed):
+        # b conditioned on a is double stochastic here, a on b is not; the
+        # swapped pair asks for the same cells in the other roles
+        space, pair = ds_skewed
+        swapped = cp.ReferencePair.from_variables(space, pair.b, pair.a)
+        relabelled = cp.ReferencePair.from_variables(
+            space, pair.a, cp.RandomVariable("b2", tuple(-v for v in pair.b.values))
+        )
+        for p, direction, want in (
+            (pair, "b/a", True), (swapped, "b/a", False),
+            (pair, "a/b", False), (swapped, "a/b", True),
+            (relabelled, "b/a", True), (relabelled, "a/b", False),
+        ):
+            t = cp.transition_matrix(space, p, direction)
+            assert cp.is_double_stochastic(t) is want
 
 
 class TestSymmetricConditioning:
