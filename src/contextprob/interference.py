@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-
 from .errors import (
     DegenerateCell,
     DegenerateContext,
@@ -93,7 +92,7 @@ class ContextClass(str, Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutcomeCoefficients:
     value: float
     delta: float
@@ -101,7 +100,7 @@ class OutcomeCoefficients:
     tag: OutcomeClass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class InterferenceCoefficients:
     """Per-outcome interference data for one context under one pair.
 

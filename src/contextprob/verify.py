@@ -263,7 +263,7 @@ def _complex_checks(
     basis = cr.a_basis_for_context(space, pair, space.full_event())
 
     representable = [
-        (name, coeffs, cr.amplitude_from_coefficients(coeffs))
+        (name, coeffs)
         for name, coeffs, cls in classified
         if cls in (itf.ContextClass.TRIGONOMETRIC, itf.ContextClass.BOUNDARY)
     ]
@@ -271,31 +271,28 @@ def _complex_checks(
     rec = _Recorder("complex.born_b", _tol(tol, cr.BORN_TOL))
     rec_norm = _Recorder("complex.normalization", _tol(tol, cr.BORN_TOL))
     rec_conj = _Recorder("complex.conjugation_symmetry", _tol(tol, IDENTITY_TOL))
-    for name, coeffs, psi in representable:
+    rec_a = _Recorder("complex.born_a", _tol(tol, cr.BORN_TOL))
+    for name, coeffs in representable:
+        psi = cr.amplitude_from_coefficients(coeffs)
         psi_bar = cr.amplitude_from_coefficients(coeffs, "conjugate")
         rec_norm.compare(psi.norm_sq(), 1.0, name)
         for j, x in enumerate(pair.b_values):
             direct = coeffs.b_profile[j]
             rec.compare(psi.born(x), direct, f"{name}, x={x}")
             rec_conj.compare(psi.born(x), psi_bar.born(x), f"{name}, x={x}")
-    checks.append(rec.result())
-    checks.append(rec_norm.result())
-    checks.append(rec_conj.result())
-
-    rec = _Recorder("complex.born_a", _tol(tol, cr.BORN_TOL))
-    if ds:
-        for name, coeffs, psi in representable:
+        if ds:
             for i, y in enumerate(pair.a_values):
-                rec.compare(
+                rec_a.compare(
                     cr.born_probability(psi, basis.vector(i)),
                     coeffs.a_profile[i],
                     f"{name}, y={y}",
                 )
-        checks.append(rec.result())
-    else:
-        checks.append(
-            rec.result(skip_reason="transition matrix not double stochastic")
-        )
+    checks.append(rec.result())
+    checks.append(rec_norm.result())
+    checks.append(rec_conj.result())
+    checks.append(
+        rec_a.result(None if ds else "transition matrix not double stochastic")
+    )
 
     rec = _Recorder("complex.basis_unitarity", _tol(tol, PREDICATE_TOL))
     rec.expect(
@@ -334,7 +331,7 @@ def _complex_checks(
             ({pair.a_values[0]: 0.3, pair.a_values[1]: 2.7},
              {pair.b_values[0]: -1.4, pair.b_values[1]: 0.9}),
         ]
-        family = [(n, coeffs.context) for n, coeffs, _ in representable]
+        family = [(n, coeffs.context) for n, coeffs in representable]
         family += [
             (f"a-cell {y}", pair.a_partition[i])
             for i, y in enumerate(pair.a_values)
@@ -381,7 +378,7 @@ def _complex_checks(
             )
 
     rec = _Recorder("complex.global_phase_offset", _tol(tol, PREDICATE_TOL))
-    trig_named = {name: coeffs.context for name, coeffs, _ in representable}
+    trig_named = {name: coeffs.context for name, coeffs in representable}
     if len(trig_named) >= 2:
         report = itf.verify_no_global_alpha(space, pair, trig_named)
         if ds:
