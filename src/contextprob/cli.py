@@ -15,6 +15,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -44,9 +45,14 @@ from .verify import run_suite
 
 def _emit(payload, args) -> None:
     if args.format == "json":
-        text = json.dumps(
-            payload, indent=2, sort_keys=True, default=str, allow_nan=False
+        # json.dumps with an indent keeps every chunk alive until it joins
+        # them, several times the size of the text; dumping into a buffer
+        # writes the same text at a fraction of that peak
+        buf = io.StringIO()
+        json.dump(
+            payload, buf, indent=2, sort_keys=True, default=str, allow_nan=False
         )
+        text = buf.getvalue()
     else:
         text = _render_text(payload)
     if args.output:
