@@ -308,7 +308,6 @@ class TestIncompatibility:
         # B_1 = {w1} is contained in A_1 = {w1, w2}
         assert not cp.are_incompatible(space, pair)
 
-
     def test_memo_keeps_pairs_apart(self, skewed):
         # pairs sharing one partition, or both partitions with other values,
         # each get their own answer in whichever order they are asked
@@ -437,7 +436,6 @@ class TestDoubleStochasticity:
     def test_skewed_matrix(self, skewed):
         space, pair = skewed
         assert not cp.is_double_stochastic(cp.transition_matrix(space, pair))
-
 
     def test_flag_and_rows_match_the_entries(self, kq, skewed, ds_skewed):
         for space, pair in ((kq.space, kq.pair), skewed, ds_skewed):
