@@ -3,6 +3,9 @@
 The files under ``tests/data`` were written by ``analyze``, ``represent`` and
 ``verify --suite all`` before the per-context measures were shared between
 layers; a change that claims unchanged output must keep matching them.
+``verify_branches.json`` holds ``run_suite(doc).to_dict()`` of small models
+chosen so that every skip reason of ``verify`` is reached; it was written
+before the checks were folded into one run object.
 Keys, strings, booleans and null must be equal, floats within 1e-12, so the
 guard does not depend on the last bit of a platform's libm.
 """
@@ -14,7 +17,14 @@ from pathlib import Path
 import pytest
 
 from contextprob.cli import main
-from contextprob.models import generate_kq, save_model
+from contextprob.models import (
+    dumps_model,
+    generate_kq,
+    load_model,
+    model_from_dict,
+    save_model,
+)
+from contextprob.verify import run_suite
 
 DATA = Path(__file__).parent / "data"
 FLOAT_TOL = 1e-12
@@ -60,3 +70,47 @@ def test_comparison_rejects_drift():
     with pytest.raises(AssertionError):
         assert_matches({"x": True}, {"x": 1})
     assert_matches({"x": [1.0, None]}, {"x": [1.0 + 1e-14, None]})
+
+
+KQ_POINTS = ["w1", "w2", "w3", "w4"]
+NOT_DS = (0.1, 0.2, 0.3, 0.4)
+
+
+def _four_point(weights, contexts=None):
+    """kq's points, variables and contexts with other weights or contexts."""
+    doc = json.loads(dumps_model(generate_kq(0.125)))
+    doc["points"] = [{"id": p, "p": w} for p, w in zip(KQ_POINTS, weights)]
+    if contexts is not None:
+        doc["contexts"] = contexts
+    return model_from_dict(doc)
+
+
+def branch_models():
+    """name -> model; each comment names the skip reasons it reaches."""
+    return {
+        # "transition matrix not double stochastic"
+        "not_double_stochastic": _four_point(NOT_DS),
+        # every check runs, anchored at a strictly hyperbolic context
+        "double_stochastic_hyperbolic": _four_point((0.075, 0.225, 0.175, 0.525)),
+        # "fewer than two trigonometric contexts", "no hyperbolic contexts
+        # declared", "no strictly hyperbolic anchor declared"
+        "omega_only": _four_point((0.125, 0.375, 0.125, 0.375), {"Omega": KQ_POINTS}),
+        # "no admissible event tuples", "no representable contexts (0 out of
+        # range)", "nothing to compare"
+        "a_cells_only": _four_point(NOT_DS, {"A1": ["w1", "w2"], "A2": ["w3", "w4"]}),
+        # "no representable contexts (2 out of range)"
+        "b_cells_only": _four_point(NOT_DS, {"B1": ["w1", "w4"], "B2": ["w2", "w3"]}),
+        # "no pair of contexts with distinct |lambda|"
+        "one_event_two_names": _four_point(
+            NOT_DS, {"X": ["w1", "w3"], "Y": ["w1", "w3"]}
+        ),
+        # "pair is not dichotomous", complex.suite, hyperbolic suite cut at
+        # hyperbolic.born_b
+        "random_3x3": load_model(DATA / "random_3x3_seed4.model.json"),
+    }
+
+
+def test_verify_branches_match_golden():
+    want = json.loads((DATA / "verify_branches.json").read_text())
+    got = {name: run_suite(doc).to_dict() for name, doc in branch_models().items()}
+    assert_matches(got, want)
