@@ -44,6 +44,7 @@ from .interference import (
     assign_phases,
     classify_context,
     delta,
+    global_alpha_from_coefficients,
     interference_coefficients,
     k_coefficient,
     lambda_coefficient,

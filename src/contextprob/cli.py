@@ -6,10 +6,15 @@ suites with exit code 1 on failure), ``example kq`` (the bundled four-point
 model reproduced against its closed forms), and ``gen random`` (seeded model
 generation).  Exit codes: 0 success, 1 a check failed (verification or
 reproduction failure, or an :class:`InvariantViolation`), 2 load/validation
-failure, 3 input the calculus cannot represent (any other library error,
-such as a degenerate anchor context or a compatible reference pair).  A
-library error that ends a command writes a one-line JSON diagnostic to
-stderr.
+failure (a :class:`ModelValidationError`, an invalid generator argument, or
+an ``OSError`` from reading the model or writing a report, such as a missing
+model file or an output directory that does not exist), 3 input the calculus
+cannot represent (any other library error, such as a degenerate anchor
+context or a compatible reference pair).  An error that ends a command writes
+a one-line JSON diagnostic to stderr, tagged ``"model-validation"`` for a
+validation failure and with the exception's class name otherwise (for a
+missing model file, ``"FileNotFoundError"``); :func:`main` is the one place
+that maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -84,16 +89,6 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
-def _fail_load(exc: Exception) -> int:
-    diag = {"error": "model-validation", "detail": str(exc)}
-    print(json.dumps(diag), file=sys.stderr)
-    return 2
-
-
-def _load(args) -> ModelDocument:
-    return load_model(args.model)
-
-
 def _selected_contexts(doc: ModelDocument, name: str | None):
     if name is None:
         return dict(doc.contexts)
@@ -122,10 +117,7 @@ def _chain_payload(chain) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        doc = _load(args)
-    except (ModelValidationError, OSError) as exc:
-        return _fail_load(exc)
+    doc = load_model(args.model)
     space, pair = doc.space, doc.pair
     out: dict = {"contexts": {}}
     dichotomous = len(pair.a_values) == 2 and len(pair.b_values) == 2
@@ -193,10 +185,7 @@ def _complex_entry(coeffs, branch, basis):
 
 
 def cmd_represent(args) -> int:
-    try:
-        doc = _load(args)
-    except (ModelValidationError, OSError) as exc:
-        return _fail_load(exc)
+    doc = load_model(args.model)
     space, pair = doc.space, doc.pair
     anchor = doc.context(args.anchor) if args.anchor else space.full_event()
     if len(pair.a_values) != 2 or len(pair.b_values) != 2:
@@ -296,10 +285,7 @@ def _matrix_payload(m: np.ndarray):
 
 
 def cmd_verify(args) -> int:
-    try:
-        doc = _load(args)
-    except (ModelValidationError, OSError) as exc:
-        return _fail_load(exc)
+    doc = load_model(args.model)
     report = run_suite(doc, args.suite, tolerance=args.tolerance)
     _emit(report.to_dict(), args)
     return 0 if report.passed else 1
@@ -311,7 +297,7 @@ def cmd_example_kq(args) -> int:
     try:
         doc = generate_kq(q)
     except ContextualProbabilityError as exc:
-        return _fail_load(exc)
+        raise ModelValidationError(str(exc)) from None
     space, pair = doc.space, doc.pair
     rows: list[dict] = []
 
@@ -398,7 +384,7 @@ def cmd_gen_random(args) -> int:
             n_contexts=args.contexts,
         )
     except (ContextualProbabilityError, ValueError) as exc:
-        return _fail_load(exc)
+        raise ModelValidationError(str(exc)) from None
     if args.output:
         save_model(doc, args.output)
     else:
@@ -486,17 +472,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _diagnose(error: str, exc: Exception, code: int) -> int:
+    print(json.dumps({"error": error, "detail": str(exc)}), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ModelValidationError as exc:
-        return _fail_load(exc)
+        return _diagnose("model-validation", exc, 2)
+    except OSError as exc:
+        return _diagnose(type(exc).__name__, exc, 2)
     except ContextualProbabilityError as exc:
-        diag = {"error": type(exc).__name__, "detail": str(exc)}
-        print(json.dumps(diag), file=sys.stderr)
-        return 1 if isinstance(exc, InvariantViolation) else 3
+        code = 1 if isinstance(exc, InvariantViolation) else 3
+        return _diagnose(type(exc).__name__, exc, code)
 
 
 if __name__ == "__main__":

@@ -156,7 +156,6 @@ class HilbertBasis:
     single contexts can still be expanded in it, only the two-sided
     probability rule fails."""
 
-    label: str
     vectors: np.ndarray
     anchor: Event | None
     unitary: bool
@@ -206,8 +205,7 @@ def a_basis_for_context(
             f"column_sum_{j}": float(col_sums[j]) for j in range(len(col_sums))
         }
     return HilbertBasis(
-        label="a", vectors=vectors, anchor=anchor_context, unitary=unitary,
-        witness=witness,
+        vectors=vectors, anchor=anchor_context, unitary=unitary, witness=witness
     )
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DegenerateCell,
@@ -393,25 +393,36 @@ def verify_no_global_alpha(
     contexts: Mapping[str, Event] | Sequence[Event],
     tol: float = 1e-9,
 ) -> GlobalPhaseReport:
+    """Search for an offset alpha shared by the given trigonometric contexts;
+    see :func:`global_alpha_from_coefficients`."""
+    if isinstance(contexts, Mapping):
+        named = list(contexts.items())
+    else:
+        named = [(f"context_{i}", c) for i, c in enumerate(contexts)]
+    return global_alpha_from_coefficients(
+        transition_matrix(space, pair, "b/a"),
+        ((name, interference_coefficients(space, pair, c)) for name, c in named),
+        tol,
+    )
+
+
+def global_alpha_from_coefficients(
+    transition: TransitionMatrix,
+    named: Iterable[tuple[str, InterferenceCoefficients]],
+    tol: float = 1e-9,
+) -> GlobalPhaseReport:
     """Search for an offset alpha with theta(b_2) = theta(b_1) + alpha across
-    all given trigonometric contexts, trying both conjugate branches per
-    context.
+    all given trigonometric contexts, by name, trying both conjugate branches
+    per context; ``transition`` is the pair's "b/a" matrix.
 
     A shared offset across two contexts with distinct |lambda| forces the
     transition matrix to be double stochastic; when the matrix is double
     stochastic the offset pi always works.  Both facts are enforced.
     """
-    if isinstance(contexts, Mapping):
-        named = list(contexts.items())
-    else:
-        named = [(f"context_{i}", c) for i, c in enumerate(contexts)]
-    t = transition_matrix(space, pair, "b/a")
-    ds = is_double_stochastic(t)
-
+    ds = is_double_stochastic(transition)
     per_context: dict[str, tuple[float, ...]] = {}
     lam1_abs: dict[str, float] = {}
-    for name, context in named:
-        coeffs = interference_coefficients(space, pair, context)
+    for name, coeffs in named:
         cls = classify_context(coeffs)
         if cls is ContextClass.MIXED:
             raise MixedContext(f"context {name!r} is mixed")
@@ -429,10 +440,11 @@ def verify_no_global_alpha(
 
     alpha: float | None = None
     witness: tuple[str, str] | None = None
-    if named:
-        first_name = named[0][0]
+    names = list(per_context)
+    if names:
+        first_name = names[0]
         shared = list(per_context[first_name])
-        for name, _ in named[1:]:
+        for name in names[1:]:
             shared = [
                 u
                 for u in shared
@@ -460,7 +472,7 @@ def verify_no_global_alpha(
             "a shared offset across distinct-|lambda| contexts forces double "
             "stochasticity"
         )
-    if ds and named and not found:
+    if ds and names and not found:
         raise InvariantViolation(
             "double stochastic matrices always admit the offset pi"
         )

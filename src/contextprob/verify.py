@@ -5,12 +5,21 @@ contexts and reports a pass/fail/skip status with the worst residual and a
 witness.  Checks whose precondition the model does not meet (for example the
 two-sided probability rule on a non-double-stochastic model) are reported as
 skips with the reason; nothing is dropped silently.
+
+A :func:`run_suite` call is one :class:`_Run`, which keeps the checks in
+report order, applies the tolerance override, and holds the model facts the
+suites share.  A check states its preconditions as ``(condition, reason)``
+pairs when it is created with :meth:`_Run.check`, or with
+:meth:`_Recorder.require` once a count it depends on is known.  The reason of
+the first false one is the check's skip witness, and a check with no false
+precondition that compared nothing is skipped as "nothing to compare".
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,9 +28,10 @@ from . import hyperbolic_repr as hr
 from . import interference as itf
 from . import multivalued as mv
 from .errors import (
-    ContextualProbabilityError,
     DegenerateCell,
     DegenerateContext,
+    HyperbolicContext,
+    MixedContext,
     SplitOutOfRange,
     ZeroConditioningContext,
 )
@@ -38,6 +48,9 @@ from .space import (
 )
 
 SUITES = ("core", "complex", "hyperbolic", "multivalued")
+NOT_DS = "transition matrix not double stochastic"
+COMPLEX_CLASSES = (itf.ContextClass.TRIGONOMETRIC, itf.ContextClass.BOUNDARY)
+HYPERBOLIC_CLASSES = (itf.ContextClass.HYPERBOLIC, itf.ContextClass.BOUNDARY)
 
 
 @dataclass(frozen=True)
@@ -76,19 +89,24 @@ class VerificationReport:
         }
 
 
-def _tol(override: float | None, default: float) -> float:
-    return default if override is None else override
-
-
 class _Recorder:
     """Collects the worst residual over many comparisons for one check."""
 
-    def __init__(self, check_id: str, tol: float):
+    def __init__(self, check_id: str, tol: float, preconditions=()):
         self.id = check_id
         self.tol = tol
+        self.preconditions = list(preconditions)
         self.worst = 0.0
         self.witness: str | None = None
         self.compared = 0
+
+    def require(self, condition, reason: str) -> None:
+        self.preconditions.append((condition, reason))
+
+    @property
+    def runs(self) -> bool:
+        """Whether every precondition so far holds."""
+        return all(condition for condition, _ in self.preconditions)
 
     def compare(self, lhs: float, rhs: float, witness: str) -> None:
         residual = abs(lhs - rhs)
@@ -103,31 +121,71 @@ class _Recorder:
             self.worst = math.inf
             self.witness = witness
 
-    def result(self, skip_reason: str | None = None) -> Check:
-        if skip_reason is not None:
-            return Check(self.id, "skip", witness=skip_reason)
+    def result(self) -> Check:
+        for condition, reason in self.preconditions:
+            if not condition:
+                return Check(self.id, "skip", witness=reason)
         if self.compared == 0:
             return Check(self.id, "skip", witness="nothing to compare")
         status = "pass" if self.worst <= self.tol else "fail"
         return Check(self.id, status, residual=self.worst, witness=self.witness)
 
 
-def _classified_contexts(doc: ModelDocument) -> list:
-    """(name, coefficients, class) for every declared context that is
-    a-nondegenerate, in declaration order; empty unless the pair is
-    dichotomous.  Computed once per :func:`run_suite` call and shared by the
-    suites."""
-    space, pair = doc.space, doc.pair
-    if len(pair.a_values) != 2 or len(pair.b_values) != 2:
-        return []
-    out = []
-    for name, event in doc.contexts.items():
-        try:
-            coeffs = itf.interference_coefficients(space, pair, event)
-        except (DegenerateContext, DegenerateCell, ZeroConditioningContext):
-            continue
-        out.append((name, coeffs, itf.classify_context(coeffs)))
-    return out
+class _Run:
+    """One :func:`run_suite` call: its checks in report order and the model
+    facts the suites share, each computed once.
+
+    ``classified`` holds (name, coefficients, class) for every declared
+    context that is a-nondegenerate, in declaration order; it is empty
+    unless the pair is dichotomous.
+    """
+
+    def __init__(self, doc: ModelDocument, tolerance: float | None):
+        self.doc = doc
+        self.space, self.pair = doc.space, doc.pair
+        self.tolerance = tolerance
+        self.recorders: list[_Recorder] = []
+        pair = self.pair
+        self.dichotomous = len(pair.a_values) == 2 and len(pair.b_values) == 2
+        self.classified = []
+        for name, event in doc.contexts.items() if self.dichotomous else ():
+            try:
+                coeffs = itf.interference_coefficients(self.space, pair, event)
+            except (DegenerateContext, DegenerateCell, ZeroConditioningContext):
+                continue
+            self.classified.append((name, coeffs, itf.classify_context(coeffs)))
+
+    def check(self, check_id: str, tol: float, *preconditions) -> _Recorder:
+        """A new check, last in the report so far; a tolerance override
+        replaces its default ``tol``."""
+        if self.tolerance is not None:
+            tol = self.tolerance
+        rec = _Recorder(check_id, tol, preconditions)
+        self.recorders.append(rec)
+        return rec
+
+    @cached_property
+    def t(self):
+        """The pair's "b/a" transition matrix."""
+        return transition_matrix(self.space, self.pair, "b/a")
+
+    @cached_property
+    def ds(self) -> bool:
+        return is_double_stochastic(self.t)
+
+    @cached_property
+    def both_ds(self) -> bool:
+        """Whether the "a/b" matrix is double stochastic as well."""
+        return is_double_stochastic(transition_matrix(self.space, self.pair, "a/b"))
+
+    @cached_property
+    def b_cells(self) -> list:
+        """(coefficients, class) of each b-cell taken as a context."""
+        out = []
+        for bx in self.pair.b_partition:
+            coeffs = itf.interference_coefficients(self.space, self.pair, bx)
+            out.append((coeffs, itf.classify_context(coeffs)))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -135,25 +193,20 @@ def _classified_contexts(doc: ModelDocument) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _core_checks(
-    doc: ModelDocument, tol: float | None, classified: list
-) -> list[Check]:
-    space, pair = doc.space, doc.pair
-    checks: list[Check] = []
+def _core_checks(run: _Run) -> None:
+    space, pair, contexts = run.space, run.pair, run.doc.contexts
 
-    rec = _Recorder("core.weights_normalized", _tol(tol, IDENTITY_TOL))
+    rec = run.check("core.weights_normalized", IDENTITY_TOL)
     rec.compare(math.fsum(space.weights), 1.0, "weight sum")
-    checks.append(rec.result())
 
-    rec = _Recorder("core.probability_range", _tol(tol, IDENTITY_TOL))
-    for name, event in doc.contexts.items():
+    rec = run.check("core.probability_range", IDENTITY_TOL)
+    for name, event in contexts.items():
         p = space.probability(event)
         rec.expect(0.0 <= p <= 1.0 + IDENTITY_TOL, f"P({name})={p}")
-    checks.append(rec.result())
 
-    rec = _Recorder("core.bayes_consistency", _tol(tol, IDENTITY_TOL))
+    rec = run.check("core.bayes_consistency", IDENTITY_TOL)
     parts = list(pair.a_partition) + list(pair.b_partition)
-    for name, c in doc.contexts.items():
+    for name, c in contexts.items():
         pc = space.probability(c)
         if pc == 0.0:
             continue
@@ -163,10 +216,9 @@ def _core_checks(
                 space.probability(e & c),
                 f"{name}",
             )
-    checks.append(rec.result())
 
-    rec = _Recorder("core.total_probability_identity", _tol(tol, IDENTITY_TOL))
-    for name, c in doc.contexts.items():
+    rec = run.check("core.total_probability_identity", IDENTITY_TOL)
+    for name, c in contexts.items():
         try:
             decomp = classical_total_probability(space, pair, c)
         except (DegenerateCell, DegenerateContext, ZeroConditioningContext):
@@ -177,10 +229,9 @@ def _core_checks(
                 space.conditional(pair.b_partition[j], c),
                 f"{name}, x={x}",
             )
-    checks.append(rec.result())
 
-    rec = _Recorder("core.partition_closure", _tol(tol, IDENTITY_TOL))
-    for name, c in doc.contexts.items():
+    rec = run.check("core.partition_closure", IDENTITY_TOL)
+    for name, c in contexts.items():
         if space.probability(c) == 0.0:
             continue
         rec.compare(
@@ -188,60 +239,42 @@ def _core_checks(
             1.0,
             name,
         )
-    checks.append(rec.result())
 
-    rec = _Recorder("core.partition_structure", _tol(tol, PREDICATE_TOL))
+    rec = run.check("core.partition_structure", PREDICATE_TOL)
     report = check_incompatibility_structure(space, pair)
-    if report.cell_nonempty:
-        rec.expect(report.no_inclusions, "nonempty cells but an inclusion")
-    else:
-        rec.expect(True, "")
-    checks.append(rec.result())
+    rec.expect(
+        not report.cell_nonempty or report.no_inclusions,
+        "nonempty cells but an inclusion",
+    )
 
-    dichotomous = len(pair.a_values) == 2 and len(pair.b_values) == 2
-    rec = _Recorder("core.delta_sum_zero", _tol(tol, PREDICATE_TOL))
-    rec2 = _Recorder("core.lambda_weighted_sum_zero", _tol(tol, PREDICATE_TOL))
-    rec3 = _Recorder("core.reconstruction_identity", _tol(tol, PREDICATE_TOL))
-    rec4 = _Recorder("core.phase_cosine_relation", _tol(tol, PREDICATE_TOL))
-    if dichotomous:
-        t = transition_matrix(space, pair, "b/a")
-        k = itf.k_coefficient(t)
-        rows = t.rows
-        for name, coeffs, cls in classified:
-            rec.compare(math.fsum(coeffs.deltas), 0.0, name)
-            pa = coeffs.a_profile
-            weighted = math.fsum(
-                coeffs.lambdas[j]
-                * math.sqrt(pa[0] * rows[0][j] * pa[1] * rows[1][j])
-                for j in range(2)
-            )
-            rec2.compare(weighted, 0.0, name)
-            if cls is not itf.ContextClass.MIXED:
-                phases = itf.assign_phases(coeffs)
-                recon = itf.reconstruct_probability(coeffs, phases)
-                for j, x in enumerate(pair.b_values):
-                    rec3.compare(recon[x], coeffs.b_profile[j], f"{name}, x={x}")
-            if cls in (itf.ContextClass.TRIGONOMETRIC, itf.ContextClass.BOUNDARY):
-                lam = coeffs.lambdas
-                rec4.compare(lam[1], -k * lam[0], name)
-        checks.append(rec.result())
-        checks.append(rec2.result())
-        checks.append(rec3.result())
-        checks.append(rec4.result())
-        rec5 = _Recorder("core.symmetry_equivalence", _tol(tol, PREDICATE_TOL))
-        is_symmetrically_conditioned(space, pair)  # raises on inconsistency
-        rec5.expect(True, "")
-        checks.append(rec5.result())
-    else:
-        for cid in (
-            "core.delta_sum_zero",
-            "core.lambda_weighted_sum_zero",
-            "core.reconstruction_identity",
-            "core.phase_cosine_relation",
-            "core.symmetry_equivalence",
-        ):
-            checks.append(Check(cid, "skip", witness="pair is not dichotomous"))
-    return checks
+    pre = (run.dichotomous, "pair is not dichotomous")
+    rec = run.check("core.delta_sum_zero", PREDICATE_TOL, pre)
+    rec2 = run.check("core.lambda_weighted_sum_zero", PREDICATE_TOL, pre)
+    rec3 = run.check("core.reconstruction_identity", PREDICATE_TOL, pre)
+    rec4 = run.check("core.phase_cosine_relation", PREDICATE_TOL, pre)
+    rec5 = run.check("core.symmetry_equivalence", PREDICATE_TOL, pre)
+    if not run.dichotomous:
+        return
+    k = itf.k_coefficient(run.t)
+    rows = run.t.rows
+    for name, coeffs, cls in run.classified:
+        rec.compare(math.fsum(coeffs.deltas), 0.0, name)
+        pa = coeffs.a_profile
+        weighted = math.fsum(
+            coeffs.lambdas[j] * math.sqrt(pa[0] * rows[0][j] * pa[1] * rows[1][j])
+            for j in range(2)
+        )
+        rec2.compare(weighted, 0.0, name)
+        if cls is not itf.ContextClass.MIXED:
+            phases = itf.assign_phases(coeffs)
+            recon = itf.reconstruct_probability(coeffs, phases)
+            for j, x in enumerate(pair.b_values):
+                rec3.compare(recon[x], coeffs.b_profile[j], f"{name}, x={x}")
+        if cls in COMPLEX_CLASSES:
+            lam = coeffs.lambdas
+            rec4.compare(lam[1], -k * lam[0], name)
+    is_symmetrically_conditioned(space, pair)  # raises on inconsistency
+    rec5.expect(True, "")
 
 
 # ---------------------------------------------------------------------------
@@ -249,36 +282,29 @@ def _core_checks(
 # ---------------------------------------------------------------------------
 
 
-def _complex_checks(
-    doc: ModelDocument, tol: float | None, classified: list
-) -> list[Check]:
-    space, pair = doc.space, doc.pair
-    checks: list[Check] = []
-    if len(pair.a_values) != 2 or len(pair.b_values) != 2:
-        return [
-            Check("complex.suite", "skip", witness="pair is not dichotomous")
-        ]
-    t = transition_matrix(space, pair, "b/a")
-    ds = is_double_stochastic(t)
+def _complex_checks(run: _Run) -> None:
+    if not run.dichotomous:
+        run.check("complex.suite", PREDICATE_TOL, (False, "pair is not dichotomous"))
+        return
+    space, pair, ds = run.space, run.pair, run.ds
     basis = cr.a_basis_for_context(space, pair, space.full_event())
-
     representable = [
         (name, coeffs)
-        for name, coeffs, cls in classified
-        if cls in (itf.ContextClass.TRIGONOMETRIC, itf.ContextClass.BOUNDARY)
+        for name, coeffs, cls in run.classified
+        if cls in COMPLEX_CLASSES
     ]
+    not_ds = (ds, NOT_DS)
 
-    rec = _Recorder("complex.born_b", _tol(tol, cr.BORN_TOL))
-    rec_norm = _Recorder("complex.normalization", _tol(tol, cr.BORN_TOL))
-    rec_conj = _Recorder("complex.conjugation_symmetry", _tol(tol, IDENTITY_TOL))
-    rec_a = _Recorder("complex.born_a", _tol(tol, cr.BORN_TOL))
+    rec = run.check("complex.born_b", cr.BORN_TOL)
+    rec_norm = run.check("complex.normalization", cr.BORN_TOL)
+    rec_conj = run.check("complex.conjugation_symmetry", IDENTITY_TOL)
+    rec_a = run.check("complex.born_a", cr.BORN_TOL, not_ds)
     for name, coeffs in representable:
         psi = cr.amplitude_from_coefficients(coeffs)
         psi_bar = cr.amplitude_from_coefficients(coeffs, "conjugate")
         rec_norm.compare(psi.norm_sq(), 1.0, name)
         for j, x in enumerate(pair.b_values):
-            direct = coeffs.b_profile[j]
-            rec.compare(psi.born(x), direct, f"{name}, x={x}")
+            rec.compare(psi.born(x), coeffs.b_profile[j], f"{name}, x={x}")
             rec_conj.compare(psi.born(x), psi_bar.born(x), f"{name}, x={x}")
         if ds:
             for i, y in enumerate(pair.a_values):
@@ -287,44 +313,36 @@ def _complex_checks(
                     coeffs.a_profile[i],
                     f"{name}, y={y}",
                 )
-    checks.append(rec.result())
-    checks.append(rec_norm.result())
-    checks.append(rec_conj.result())
-    checks.append(
-        rec_a.result(None if ds else "transition matrix not double stochastic")
-    )
 
-    rec = _Recorder("complex.basis_unitarity", _tol(tol, PREDICATE_TOL))
+    rec = run.check("complex.basis_unitarity", PREDICATE_TOL)
     rec.expect(
         basis.unitary == ds,
         f"unitary={basis.unitary} but double stochastic={ds}",
     )
-    checks.append(rec.result())
 
+    rec_spec = run.check("complex.operator_spectrum", PREDICATE_TOL, not_ds)
+    rec_comm = run.check("complex.noncommutativity", PREDICATE_TOL, not_ds)
+    rec_avg = run.check("complex.average_preservation", cr.AVERAGE_TOL, not_ds)
+    rec_cls = run.check("complex.basic_context_classes", PREDICATE_TOL, not_ds)
     if ds:
-        rec = _Recorder("complex.operator_spectrum", _tol(tol, PREDICATE_TOL))
         a_op = cr.operator_for_variable(pair.a_values, basis)
         eig = sorted(a_op.eigenvalues().tolist())
         for lhs, rhs in zip(eig, sorted(pair.a_values)):
-            rec.compare(lhs, rhs, "a-operator spectrum")
-        checks.append(rec.result())
+            rec_spec.compare(lhs, rhs, "a-operator spectrum")
 
-        rec = _Recorder("complex.noncommutativity", _tol(tol, PREDICATE_TOL))
         b_op = cr.operator_for_b(pair)
         comm = cr.commutator(b_op, a_op)
-        q1q2 = math.sqrt(t.entries[0, 0] * t.entries[0, 1])
+        q1q2 = math.sqrt(run.t.entries[0, 0] * run.t.entries[0, 1])
         bound = (
             abs(pair.a_values[0] - pair.a_values[1])
             * abs(pair.b_values[0] - pair.b_values[1])
             * q1q2
         )
-        rec.expect(
+        rec_comm.expect(
             float(np.max(np.abs(comm))) >= bound - PREDICATE_TOL,
             f"max |[b,a]| = {float(np.max(np.abs(comm)))} < {bound}",
         )
-        checks.append(rec.result())
 
-        rec = _Recorder("complex.average_preservation", _tol(tol, cr.AVERAGE_TOL))
         tables = [
             ({pair.a_values[0]: 1.0, pair.a_values[1]: -1.0},
              {pair.b_values[0]: 1.0, pair.b_values[1]: -1.0}),
@@ -341,70 +359,42 @@ def _complex_checks(
                 report = cr.verify_average_preservation(
                     space, pair, event, f_table, g_table
                 )
-                rec.compare(report.classical, report.quantum, fname)
-        checks.append(rec.result())
+                rec_avg.compare(report.classical, report.quantum, fname)
 
-        rec = _Recorder("complex.basic_context_classes", _tol(tol, PREDICATE_TOL))
-        t_ab = transition_matrix(space, pair, "a/b")
-        both_ds = is_double_stochastic(t_ab)
-        b_classes = []
-        for j, bx in enumerate(pair.b_partition):
-            coeffs = itf.interference_coefficients(space, pair, bx)
-            b_classes.append(itf.classify_context(coeffs))
-        b_trig = all(
-            c in (itf.ContextClass.TRIGONOMETRIC, itf.ContextClass.BOUNDARY)
-            for c in b_classes
-        )
-        rec.expect(
+        both_ds = run.both_ds
+        b_trig = all(cls in COMPLEX_CLASSES for _, cls in run.b_cells)
+        rec_cls.expect(
             b_trig == both_ds,
             f"b-cells trigonometric={b_trig}, both matrices doubly "
             f"stochastic={both_ds}",
         )
         if both_ds:
-            for j, bx in enumerate(pair.b_partition):
-                coeffs = itf.interference_coefficients(space, pair, bx)
-                rec.compare(coeffs.lambdas[j], 1.0, f"lambda(B{j}|B{j})")
-                rec.compare(coeffs.lambdas[1 - j], -1.0, f"lambda(B{1-j}|B{j})")
-        checks.append(rec.result())
-    else:
-        for cid in (
-            "complex.operator_spectrum",
-            "complex.noncommutativity",
-            "complex.average_preservation",
-            "complex.basic_context_classes",
-        ):
-            checks.append(
-                Check(cid, "skip", witness="transition matrix not double stochastic")
-            )
+            for j, (coeffs, _) in enumerate(run.b_cells):
+                rec_cls.compare(coeffs.lambdas[j], 1.0, f"lambda(B{j}|B{j})")
+                rec_cls.compare(coeffs.lambdas[1 - j], -1.0, f"lambda(B{1-j}|B{j})")
 
-    rec = _Recorder("complex.global_phase_offset", _tol(tol, PREDICATE_TOL))
-    trig_named = {name: coeffs.context for name, coeffs in representable}
-    if len(trig_named) >= 2:
-        report = itf.verify_no_global_alpha(space, pair, trig_named)
+    rec = run.check(
+        "complex.global_phase_offset",
+        PREDICATE_TOL,
+        (len(representable) >= 2, "fewer than two trigonometric contexts"),
+    )
+    if rec.runs:
+        report = itf.global_alpha_from_coefficients(run.t, representable)
+        rec.require(
+            ds or report.has_distinct_lambda_pair,
+            "no pair of contexts with distinct |lambda|",
+        )
         if ds:
             rec.expect(
                 report.found and report.alpha is not None
                 and abs(report.alpha - math.pi) <= 1e-9,
                 "double stochastic model must admit the offset pi",
             )
-        elif report.has_distinct_lambda_pair:
+        else:
             rec.expect(
                 not report.found,
                 "shared offset found despite distinct coefficient magnitudes",
             )
-        else:
-            checks.append(
-                rec.result(
-                    skip_reason="no pair of contexts with distinct |lambda|"
-                )
-            )
-            return checks
-        checks.append(rec.result())
-    else:
-        checks.append(
-            rec.result(skip_reason="fewer than two trigonometric contexts")
-        )
-    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -412,14 +402,10 @@ def _complex_checks(
 # ---------------------------------------------------------------------------
 
 
-def _hyperbolic_checks(
-    doc: ModelDocument, tol: float | None, classified: list
-) -> list[Check]:
-    space, pair = doc.space, doc.pair
-    checks: list[Check] = []
+def _hyperbolic_checks(run: _Run) -> None:
     rng = np.random.default_rng(20240817)
 
-    rec = _Recorder("hyperbolic.ring_laws", _tol(tol, 1e-9))
+    rec = run.check("hyperbolic.ring_laws", 1e-9)
     for _ in range(200):
         ax, ay, bx, by, cx, cy = rng.uniform(-10, 10, size=6)
         z1, z2, z3 = (
@@ -439,20 +425,17 @@ def _hyperbolic_checks(
         rhs = z2 * z1
         rec.compare(lhs.x, rhs.x, "commutativity")
         rec.compare(lhs.y, rhs.y, "commutativity")
-    checks.append(rec.result())
 
-    rec = _Recorder("hyperbolic.norm_multiplicative", _tol(tol, 1e-8))
-    rec2 = _Recorder("hyperbolic.positive_cone_closed", _tol(tol, PREDICATE_TOL))
+    rec = run.check("hyperbolic.norm_multiplicative", 1e-8)
+    rec2 = run.check("hyperbolic.positive_cone_closed", PREDICATE_TOL)
     for _ in range(200):
         z1 = HyperbolicNumber(*rng.uniform(-10, 10, size=2))
         z2 = HyperbolicNumber(*rng.uniform(-10, 10, size=2))
         rec.compare((z1 * z2).norm_sq(), z1.norm_sq() * z2.norm_sq(), "product")
         if z1.in_positive_cone() and z2.in_positive_cone():
             rec2.expect((z1 * z2).in_positive_cone(1e-9), "cone closure")
-    checks.append(rec.result())
-    checks.append(rec2.result())
 
-    rec = _Recorder("hyperbolic.polar_roundtrip", _tol(tol, 1e-10))
+    rec = run.check("hyperbolic.polar_roundtrip", 1e-10)
     for _ in range(100):
         x = rng.uniform(0.1, 10.0) * (1 if rng.uniform() < 0.5 else -1)
         y = rng.uniform(-1.0, 1.0) * abs(x) * 0.999
@@ -460,25 +443,27 @@ def _hyperbolic_checks(
         back = polar(z).reconstruct()
         rec.compare(back.x, z.x, "roundtrip x")
         rec.compare(back.y, z.y, "roundtrip y")
-    checks.append(rec.result())
 
-    if len(pair.a_values) != 2 or len(pair.b_values) != 2:
-        checks.append(
-            Check("hyperbolic.born_b", "skip", witness="pair is not dichotomous")
-        )
-        return checks
-
-    t = transition_matrix(space, pair, "b/a")
-    ds = is_double_stochastic(t)
+    if not run.dichotomous:
+        run.check("hyperbolic.born_b", hr.BORN_TOL, (False, "pair is not dichotomous"))
+        return
+    space, pair, ds = run.space, run.pair, run.ds
     hyp = [
         (name, coeffs, hr.hyperbolic_amplitude_from_coefficients(coeffs))
-        for name, coeffs, cls in classified
-        if cls in (itf.ContextClass.HYPERBOLIC, itf.ContextClass.BOUNDARY)
+        for name, coeffs, cls in run.classified
+        if cls in HYPERBOLIC_CLASSES
     ]
+    strict_hyp = [
+        coeffs.context
+        for _, coeffs, _ in hyp
+        if any(abs(l) > 1.0 + 1e-12 for l in coeffs.lambdas)
+    ]
+    no_hyp = (bool(hyp), "no hyperbolic contexts declared")
+    not_ds = (ds, NOT_DS)
 
-    rec = _Recorder("hyperbolic.born_b", _tol(tol, hr.BORN_TOL))
-    rec_eps = _Recorder("hyperbolic.epsilon_sum_zero", _tol(tol, 0.0))
-    rec_rap = _Recorder("hyperbolic.rapidity_equality", _tol(tol, PREDICATE_TOL))
+    rec = run.check("hyperbolic.born_b", hr.BORN_TOL, no_hyp)
+    rec_eps = run.check("hyperbolic.epsilon_sum_zero", 0.0, no_hyp)
+    rec_rap = run.check("hyperbolic.rapidity_equality", PREDICATE_TOL, no_hyp, not_ds)
     for name, coeffs, psi in hyp:
         for j, x in enumerate(pair.b_values):
             rec.compare(psi.born(x), coeffs.b_profile[j], f"{name}, x={x}")
@@ -487,41 +472,15 @@ def _hyperbolic_checks(
             rec_rap.compare(
                 math.cosh(psi.thetas[0]), math.cosh(psi.thetas[1]), name
             )
-    if hyp:
-        checks.append(rec.result())
-        checks.append(rec_eps.result())
-        checks.append(
-            rec_rap.result(
-                None if ds else "transition matrix not double stochastic"
-            )
-        )
-    else:
-        for cid in (
-            "hyperbolic.born_b",
-            "hyperbolic.epsilon_sum_zero",
-            "hyperbolic.rapidity_equality",
-        ):
-            checks.append(
-                Check(cid, "skip", witness="no hyperbolic contexts declared")
-            )
 
-    rec = _Recorder("hyperbolic.basis_unitarity", _tol(tol, hr.GRAM_TOL))
-    strict_hyp = [
-        (name, coeffs.context)
-        for name, coeffs, _ in hyp
-        if any(abs(l) > 1.0 + 1e-12 for l in coeffs.lambdas)
-    ]
-    if not ds:
-        checks.append(
-            rec.result(skip_reason="transition matrix not double stochastic")
-        )
-    elif not strict_hyp:
-        checks.append(
-            rec.result(skip_reason="no strictly hyperbolic anchor declared")
-        )
-    else:
-        name, anchor = strict_hyp[0]
-        basis = hr.hyperbolic_a_basis(space, pair, anchor)
+    rec = run.check(
+        "hyperbolic.basis_unitarity",
+        hr.GRAM_TOL,
+        not_ds,
+        (bool(strict_hyp), "no strictly hyperbolic anchor declared"),
+    )
+    if rec.runs:
+        basis = hr.hyperbolic_a_basis(space, pair, strict_hyp[0])
         for i in range(2):
             for k in range(2):
                 g = hr.hyperbolic_inner_product(
@@ -536,37 +495,22 @@ def _hyperbolic_checks(
                     coeffs.a_profile[i],
                     f"{cname}, y={y}",
                 )
-        checks.append(rec.result())
 
-    rec = _Recorder("hyperbolic.transform_pair_sum", _tol(tol, hr.BORN_TOL))
-    if not ds:
-        checks.append(
-            rec.result(skip_reason="transition matrix not double stochastic")
-        )
-    else:
+    rec = run.check("hyperbolic.transform_pair_sum", hr.BORN_TOL, not_ds, no_hyp)
+    if ds:
         for name, coeffs, psi in hyp:
             out = hr.hyperbolic_interference_transform(
-                coeffs.a_profile, t, psi.thetas[0], psi.epsilons[0]
+                coeffs.a_profile, run.t, psi.thetas[0], psi.epsilons[0]
             )
             for j, x in enumerate(pair.b_values):
                 rec.compare(out[j], coeffs.b_profile[j], f"{name}, x={x}")
-        checks.append(
-            rec.result(None if hyp else "no hyperbolic contexts declared")
-        )
 
-    rec = _Recorder("hyperbolic.basic_contexts_hyperbolic", _tol(tol, PREDICATE_TOL))
-    if not ds:
-        checks.append(
-            rec.result(skip_reason="transition matrix not double stochastic")
-        )
-    else:
-        t_ab = transition_matrix(space, pair, "a/b")
-        both_ds = is_double_stochastic(t_ab)
-        for j, bx in enumerate(pair.b_partition):
-            coeffs = itf.interference_coefficients(space, pair, bx)
-            cls = itf.classify_context(coeffs)
+    rec = run.check("hyperbolic.basic_contexts_hyperbolic", PREDICATE_TOL, not_ds)
+    if ds:
+        both_ds = run.both_ds
+        for j, (coeffs, cls) in enumerate(run.b_cells):
             rec.expect(
-                cls in (itf.ContextClass.HYPERBOLIC, itf.ContextClass.BOUNDARY),
+                cls in HYPERBOLIC_CLASSES,
                 f"b-cell {j} classified {cls.value}",
             )
             if both_ds:
@@ -574,8 +518,6 @@ def _hyperbolic_checks(
                     cls is itf.ContextClass.BOUNDARY,
                     f"b-cell {j} should sit on the boundary, got {cls.value}",
                 )
-        checks.append(rec.result())
-    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -583,19 +525,16 @@ def _hyperbolic_checks(
 # ---------------------------------------------------------------------------
 
 
-def _multivalued_checks(
-    doc: ModelDocument, tol: float | None, classified: list
-) -> list[Check]:
-    space, pair = doc.space, doc.pair
-    checks: list[Check] = []
+def _multivalued_checks(run: _Run) -> None:
+    space, pair, contexts = run.space, run.pair, run.doc.contexts
 
-    rec_f1 = _Recorder("multivalued.union_additivity", _tol(tol, IDENTITY_TOL))
-    rec_f2 = _Recorder("multivalued.conditioned_split", _tol(tol, IDENTITY_TOL))
-    rec_f3 = _Recorder("multivalued.contextual_split", _tol(tol, IDENTITY_TOL))
-    rec_f5 = _Recorder("multivalued.half_eliminated_split", _tol(tol, IDENTITY_TOL))
+    rec_f1 = run.check("multivalued.union_additivity", IDENTITY_TOL)
+    rec_f2 = run.check("multivalued.conditioned_split", IDENTITY_TOL)
+    rec_f3 = run.check("multivalued.contextual_split", IDENTITY_TOL)
+    rec_f5 = run.check("multivalued.half_eliminated_split", IDENTITY_TOL)
     tuples = 0
     m = space._measure
-    for name, c in doc.contexts.items():
+    for name, c in contexts.items():
         pc = space.probability(c)
         if pc == 0.0:
             continue
@@ -608,7 +547,7 @@ def _multivalued_checks(
                             space, bx, d1, d2, c
                         )
                         mu = mv.mu_coefficient(space, bx, d1, d2, c)
-                    except (DegenerateCell, ContextualProbabilityError):
+                    except DegenerateCell:
                         continue
                     tuples += 1
                     rec_f1.compare(split.additivity_lhs, split.additivity_rhs, name)
@@ -624,22 +563,19 @@ def _multivalued_checks(
                         name,
                     )
     for rec in (rec_f1, rec_f2, rec_f3, rec_f5):
-        checks.append(
-            rec.result(None if tuples else "no admissible event tuples")
-        )
+        rec.require(tuples > 0, "no admissible event tuples")
 
-    rec = _Recorder("multivalued.recursion_born", _tol(tol, mv.RECURSION_BORN_TOL))
-    n = len(pair.a_values)
-    coefficients = {name: coeffs for name, coeffs, _ in classified}
+    rec = run.check("multivalued.recursion_born", mv.RECURSION_BORN_TOL)
+    coefficients = {name: coeffs for name, coeffs, _ in run.classified}
     built = 0
     unrepresentable = 0
-    for name, c in doc.contexts.items():
+    for name, c in contexts.items():
         try:
             psi, chain = mv.build_amplitude_nvalued(space, pair, c)
         except SplitOutOfRange:
             unrepresentable += 1
             continue
-        except ContextualProbabilityError:
+        except (DegenerateCell, ZeroConditioningContext):
             continue
         built += 1
         for j, x in enumerate(pair.b_values):
@@ -651,18 +587,13 @@ def _multivalued_checks(
         if name in coefficients:
             try:
                 flat = cr.amplitude_from_coefficients(coefficients[name])
-            except ContextualProbabilityError:
+            except (MixedContext, HyperbolicContext):
                 continue
             for j, x in enumerate(pair.b_values):
                 rec.compare(psi.born(x), flat.born(x), f"{name} vs flat, x={x}")
-    checks.append(
-        rec.result(
-            None
-            if built
-            else f"no representable contexts ({unrepresentable} out of range)"
-        )
+    rec.require(
+        built > 0, f"no representable contexts ({unrepresentable} out of range)"
     )
-    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -674,14 +605,11 @@ def run_suite(
     """Run one named suite (or all of them) against a model."""
     if suite not in SUITES and suite != "all":
         raise ValueError(f"unknown suite {suite!r}")
-    report = VerificationReport()
-    classified = _classified_contexts(doc)
-    for name, checks in (
-        ("core", _core_checks),
-        ("complex", _complex_checks),
-        ("hyperbolic", _hyperbolic_checks),
-        ("multivalued", _multivalued_checks),
+    run = _Run(doc, tolerance)
+    for name, checks in zip(
+        SUITES,
+        (_core_checks, _complex_checks, _hyperbolic_checks, _multivalued_checks),
     ):
         if suite in (name, "all"):
-            report.checks.extend(checks(doc, tolerance, classified))
-    return report
+            checks(run)
+    return VerificationReport([rec.result() for rec in run.recorders])

@@ -261,6 +261,30 @@ class TestProcessContract:
         proc = run_cli("analyze", "/nonexistent/model.json")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["analyze", "MODEL"],
+            ["represent", "MODEL"],
+            ["verify", "MODEL"],
+            ["gen", "random", "--seed", "3", "--points", "6"],
+        ),
+    )
+    def test_unwritable_output_exit_two(self, kq_path, tmp_path, argv):
+        target = tmp_path / "missing" / "out.json"
+        argv = [kq_path if a == "MODEL" else a for a in argv]
+        proc = run_cli(*argv, "--output", str(target))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        diag = json.loads(proc.stderr, parse_constant=reject)
+        assert diag["error"] == "FileNotFoundError"
+        assert str(target) in diag["detail"]
+
 
 @pytest.fixture
 def compatible_path(tmp_path, kq_path):
@@ -304,6 +328,23 @@ class TestErrorContract:
         diag = stderr_diagnostic(capsys)
         assert diag == {
             "error": "PhaseInconsistency", "detail": "phase relation drifted",
+        }
+
+    def test_multivalued_invariant_violation_propagates(
+        self, kq, kq_path, monkeypatch, capsys
+    ):
+        def drifted(*args, **kwargs):
+            raise cp.InvariantViolation("split decomposition identity drifted")
+
+        monkeypatch.setattr(
+            "contextprob.multivalued.contextual_total_probability_split", drifted
+        )
+        with pytest.raises(cp.InvariantViolation):
+            cp.run_suite(kq, "multivalued")
+        assert main(["verify", kq_path, "--suite", "multivalued"]) == 1
+        assert stderr_diagnostic(capsys) == {
+            "error": "InvariantViolation",
+            "detail": "split decomposition identity drifted",
         }
 
     def test_subprocess_has_no_traceback(self, kq_path):

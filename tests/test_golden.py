@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from contextprob.cli import main
+from contextprob.errors import ContextualProbabilityError
 from contextprob.models import (
     dumps_model,
     generate_kq,
@@ -24,6 +25,14 @@ from contextprob.models import (
     model_from_dict,
     save_model,
 )
+from contextprob.interference import (
+    ContextClass,
+    classify_context,
+    global_alpha_from_coefficients,
+    interference_coefficients,
+    verify_no_global_alpha,
+)
+from contextprob.space import transition_matrix
 from contextprob.verify import run_suite
 
 DATA = Path(__file__).parent / "data"
@@ -114,3 +123,25 @@ def test_verify_branches_match_golden():
     want = json.loads((DATA / "verify_branches.json").read_text())
     got = {name: run_suite(doc).to_dict() for name, doc in branch_models().items()}
     assert_matches(got, want)
+
+
+TRIGONOMETRIC = (ContextClass.TRIGONOMETRIC, ContextClass.BOUNDARY)
+
+
+@pytest.mark.parametrize(
+    "doc", [generate_kq(0.125), _four_point(NOT_DS)], ids=["kq", "not_ds"]
+)
+def test_phase_search_on_coefficients_matches_search_on_events(doc):
+    space, pair = doc.space, doc.pair
+    named = {}
+    for name, event in doc.contexts.items():
+        try:
+            coeffs = interference_coefficients(space, pair, event)
+        except ContextualProbabilityError:
+            continue
+        if classify_context(coeffs) in TRIGONOMETRIC:
+            named[name] = coeffs
+    assert len(named) >= 2
+    t = transition_matrix(space, pair, "b/a")
+    want = verify_no_global_alpha(space, pair, {n: c.context for n, c in named.items()})
+    assert global_alpha_from_coefficients(t, named.items()) == want
