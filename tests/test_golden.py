@@ -3,6 +3,9 @@
 The files under ``tests/data`` were written by ``analyze``, ``represent`` and
 ``verify --suite all`` before the per-context measures were shared between
 layers; a change that claims unchanged output must keep matching them.
+``random_3x3_seed4.{analyze,represent}.json`` pin the n-valued split
+recursion of the two report commands on a ternary pair; they were written
+before the recursion read a per-context measure table.
 ``verify_branches.json`` holds ``run_suite(doc).to_dict()`` of small models
 chosen so that every skip reason of ``verify`` is reached; it was written
 before the checks were folded into one run object.
@@ -70,6 +73,16 @@ def test_kq_report_matches_golden(tmp_path, command, extra):
     assert main([command, str(model), *extra, "--output", str(out)]) == 0
     got = json.loads(out.read_text())
     want = json.loads((DATA / f"kq_0.125.{command}.json").read_text())
+    assert_matches(got, want)
+
+
+@pytest.mark.parametrize("command", ["analyze", "represent"])
+def test_nvalued_report_matches_golden(tmp_path, command):
+    out = tmp_path / f"{command}.json"
+    model = DATA / "random_3x3_seed4.model.json"
+    assert main([command, str(model), "--output", str(out)]) == 0
+    got = json.loads(out.read_text())
+    want = json.loads((DATA / f"random_3x3_seed4.{command}.json").read_text())
     assert_matches(got, want)
 
 
