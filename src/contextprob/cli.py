@@ -6,11 +6,12 @@ suites with exit code 1 on failure), ``example kq`` (the bundled four-point
 model reproduced against its closed forms), and ``gen random`` (seeded model
 generation).  Exit codes: 0 success, 1 a check failed (verification or
 reproduction failure, or an :class:`InvariantViolation`), 2 load/validation
-failure (a :class:`ModelValidationError`, an invalid generator argument, or
-an ``OSError`` from reading the model or writing a report, such as a missing
-model file or an output directory that does not exist), 3 input the calculus
-cannot represent (any other library error, such as a degenerate anchor
-context or a compatible reference pair).  An error that ends a command writes
+failure (a :class:`ModelValidationError`, an invalid generator argument, a
+``--tolerance`` that is negative or not finite, or an ``OSError`` from
+reading the model or writing a report, such as a missing model file or an
+output directory that does not exist), 3 input the calculus cannot represent
+(any other library error, such as a degenerate anchor context or a
+compatible reference pair).  An error that ends a command writes
 a one-line JSON diagnostic to stderr, tagged ``"model-validation"`` for a
 validation failure and with the exception's class name otherwise (for a
 missing model file, ``"FileNotFoundError"``); :func:`main` is the one place
@@ -370,7 +371,7 @@ def cmd_example_kq(args) -> int:
     worst = max(r["abs_diff"] for r in rows)
     payload = {"q": q, "gamma": gamma, "rows": rows, "worst_abs_diff": worst}
     _emit(payload, args)
-    return 0 if worst <= (args.tolerance or 1e-9) else 1
+    return 0 if worst <= (1e-9 if args.tolerance is None else args.tolerance) else 1
 
 
 def cmd_gen_random(args) -> int:
@@ -399,7 +400,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--tolerance",
         type=float,
         default=None,
-        help="override the report tolerance (not internal identity checks)",
+        help="override the report tolerance, a finite number >= 0 (not "
+        "internal identity checks)",
     )
 
 
@@ -481,6 +483,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        tolerance = getattr(args, "tolerance", None)
+        if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
+            raise ModelValidationError(
+                f"--tolerance must be finite and nonnegative, got {tolerance!r}"
+            )
         return args.func(args)
     except ModelValidationError as exc:
         return _diagnose("model-validation", exc, 2)

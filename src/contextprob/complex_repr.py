@@ -289,19 +289,24 @@ def _as_table(f, values: Sequence[float]) -> dict[float, float]:
     return {v: float(f[v]) for v in values}
 
 
-def _state_for_context(
+def state_for_context(
     space: FiniteKolmogorovSpace,
     pair: ReferencePair,
     context: Event,
     basis: HilbertBasis,
     convention: str = "principal",
-) -> ComplexAmplitude:
-    """State of a representable context: interference amplitude when the
-    context is a-nondegenerate, basis vector when it is an a-cell."""
+) -> tuple[ComplexAmplitude, tuple[float, ...], tuple[float, ...]]:
+    """State of a representable context with its a- and b-profiles:
+    interference amplitude when the context is a-nondegenerate, basis vector
+    with the cell's indicator and transition row when it is an a-cell."""
     for i, ay in enumerate(pair.a_partition):
         if context.mask == ay.mask:
-            return extend_to_a_contexts(space, pair, basis)[pair.a_values[i]]
-    return build_amplitude(space, pair, context, convention)
+            psi = extend_to_a_contexts(space, pair, basis)[pair.a_values[i]]
+            indicator = tuple(float(k == i) for k in range(len(pair.a_values)))
+            return psi, indicator, transition_matrix(space, pair, "b/a").rows[i]
+    coeffs = interference_coefficients(space, pair, context)
+    psi = amplitude_from_coefficients(coeffs, convention)
+    return psi, coeffs.a_profile, coeffs.b_profile
 
 
 @dataclass(frozen=True)
@@ -321,29 +326,48 @@ def verify_average_preservation(
     convention: str = "principal",
     anchor: Event | None = None,
 ) -> AveragePreservationReport:
-    """Compare the conditional expectation of f(a) + g(b) computed by direct
-    summation with the operator average of f(op_a) + g(op_b)."""
+    """Compare the conditional expectation of f(a) + g(b) with the operator
+    average of f(op_a) + g(op_b); see :func:`average_preservation`."""
     f_table = _as_table(f, pair.a_values)
     g_table = _as_table(g, pair.b_values)
-    pc = space.probability(context)
-    classical = math.fsum(
-        space.weights[i]
-        * (f_table[pair.a.values[i]] + g_table[pair.b.values[i]])
-        for i in context.indices()
-    ) / pc
-
+    f_row = [f_table[y] for y in pair.a_values]
+    g_row = [g_table[x] for x in pair.b_values]
     basis = a_basis_for_context(
         space, pair, anchor if anchor is not None else space.full_event(),
         convention,
     )
-    psi = _state_for_context(space, pair, context, basis, convention)
-    f_op = operator_for_variable([f_table[y] for y in pair.a_values], basis)
-    g_op = HermitianOperator(
-        np.diag([complex(g_table[x]) for x in pair.b_values]), basis="b"
+    psi, a_profile, b_profile = state_for_context(
+        space, pair, context, basis, convention
     )
-    quantum = quantum_average(
-        HermitianOperator(f_op.matrix + g_op.matrix, basis="b"), psi
+    return average_preservation(
+        psi, sum_operator(basis, f_row, g_row), f_row, g_row, a_profile, b_profile
     )
+
+
+def sum_operator(
+    basis: HilbertBasis, f_row: Sequence[float], g_row: Sequence[float]
+) -> HermitianOperator:
+    """f(op_a) + g(op_b) in b-coordinates, from f at each a-value (the
+    eigenvalues of the basis vectors) and g at each b-value."""
+    f_op = operator_for_variable(f_row, basis)
+    g_op = HermitianOperator(np.diag([complex(v) for v in g_row]), basis="b")
+    return HermitianOperator(f_op.matrix + g_op.matrix, basis="b")
+
+
+def average_preservation(
+    psi: ComplexAmplitude,
+    operator: HermitianOperator,
+    f_row: Sequence[float],
+    g_row: Sequence[float],
+    a_profile: Sequence[float],
+    b_profile: Sequence[float],
+) -> AveragePreservationReport:
+    """Compare the conditional expectation of f(a) + g(b), f and g summed
+    against the context's a- and b-profiles, with the average of their
+    :func:`sum_operator` in the context's state ``psi``."""
+    values, profile = (*f_row, *g_row), (*a_profile, *b_profile)
+    classical = math.fsum(v * p for v, p in zip(values, profile))
+    quantum = quantum_average(operator, psi)
     residual = abs(classical - quantum)
     return AveragePreservationReport(
         classical=classical,
@@ -394,7 +418,7 @@ def distribution_mismatch(
         space, pair, anchor if anchor is not None else space.full_event(),
         convention,
     )
-    psi = _state_for_context(space, pair, context, basis, convention)
+    psi = state_for_context(space, pair, context, basis, convention)[0]
     a_op = operator_for_variable(pair.a_values, basis)
     d_op = HermitianOperator(
         a_op.matrix + np.diag(np.asarray(pair.b_values, dtype=complex)), basis="b"

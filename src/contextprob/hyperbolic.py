@@ -69,9 +69,6 @@ class HyperbolicNumber:
     def isclose(self, other: "HyperbolicNumber", tol: float = 1e-12) -> bool:
         return abs(self.x - other.x) <= tol and abs(self.y - other.y) <= tol
 
-    def __str__(self) -> str:
-        return f"{self.x!r} + j*{self.y!r}"
-
 
 ZERO = HyperbolicNumber(0.0, 0.0)
 ONE = HyperbolicNumber(1.0, 0.0)

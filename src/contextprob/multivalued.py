@@ -11,6 +11,12 @@ b-outcome at every level of the recursion.
 
 The recursion consumes a-values in a caller-chosen order (declared order by
 default); different orders give different phases but identical probabilities.
+
+Every number read here is an entry of a context's or the full event's
+:class:`~contextprob.space.MeasureTable`: P(C), P(A_i & C), P(A_i & B_j & C),
+P(A_i), P(A_i & B_j), and the rows P(B_j & A_S & C) of the unions S (a-cell
+pairs and recursion tails), each a measure of its own mask, never a sum of
+cells.  The bodies take these numbers; the event forms read them from masks.
 """
 
 from __future__ import annotations
@@ -30,7 +36,14 @@ from .errors import (
     ZeroConditioningContext,
 )
 from .interference import cis
-from .space import Event, FiniteKolmogorovSpace, IDENTITY_TOL, ReferencePair
+from .space import (
+    Event,
+    FiniteKolmogorovSpace,
+    IDENTITY_TOL,
+    MeasureTable,
+    ReferencePair,
+    measure_table,
+)
 
 RECURSION_BORN_TOL = 1e-9
 
@@ -49,36 +62,56 @@ class SplitDecomposition:
     conditioned_rhs: float
 
 
-def contextual_total_probability_split(
-    space: FiniteKolmogorovSpace, b: Event, d1: Event, d2: Event, c: Event
-) -> SplitDecomposition:
-    """Split P(B(D1 u D2)|C) over two disjoint events with the conditioning
-    on C removed from the transition factors, quantifying the removal by a
-    normalised coefficient.  All three displayed forms are identities."""
+def _event_measures(space: FiniteKolmogorovSpace, b, d1, d2, c) -> tuple:
+    """P(C), P(B & (D1 | D2) & C) and, for D = D1 and D2, the measures
+    (P(B & D), P(D), P(D & C), P(B & D & C)) of two disjoint events."""
     b, d1, d2, c = space._masks(b, d1, d2, c)
     if d1 & d2:
         raise ValueError("the two conditioning events must be disjoint")
     m = space._measure
-    pc = m(c)
+    cells = ((m(b & d), m(d), m(d & c), m(b & d & c)) for d in (d1, d2))
+    return (m(c), m(b & (d1 | d2) & c), *cells)
+
+
+def cell_measures(table: MeasureTable, free: MeasureTable, i: int, j: int):
+    """The measures of :func:`_event_measures` for B = B_j and D = A_i."""
+    return free.cells[i][j], free.a_row[i], table.a_row[i], table.cells[i][j]
+
+
+def contextual_total_probability_split(
+    space: FiniteKolmogorovSpace, b: Event, d1: Event, d2: Event, c: Event
+) -> SplitDecomposition:
+    """Split P(B(D1 u D2)|C) over two disjoint events; see
+    :func:`split_from_measures`."""
+    return split_from_measures(*_event_measures(space, b, d1, d2, c))
+
+
+def split_from_measures(
+    pc: float, union: float, d1: tuple, d2: tuple
+) -> SplitDecomposition:
+    """Split P(B(D1 u D2)|C), from the measures of :func:`_event_measures`,
+    with the conditioning on C removed from the transition factors,
+    quantifying the removal by a normalised coefficient.  All three displayed
+    forms are identities."""
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
-    for name, e in (("D1", d1), ("D2", d2)):
-        if m(b & e) == 0.0:
+    for name, (b_d, _, d_c, _) in (("D1", d1), ("D2", d2)):
+        if b_d == 0.0:
             raise DegenerateCell(f"B meets {name} with probability zero")
-        if m(e & c) == 0.0:
+        if d_c == 0.0:
             raise DegenerateCell(f"{name} meets the context with probability zero")
 
-    lhs = m(b & (d1 | d2) & c) / pc
+    lhs = union / pc
 
-    additivity_rhs = m(b & d1 & c) / pc + m(b & d2 & c) / pc
+    additivity_rhs = d1[3] / pc + d2[3] / pc
     conditioned_rhs = math.fsum(
-        (m(b & e & c) / m(e & c)) * (m(e & c) / pc) for e in (d1, d2)
+        (b_d_c / d_c) * (d_c / pc) for _, _, d_c, b_d_c in (d1, d2)
     )
 
-    p_b_d1 = m(b & d1) / m(d1)
-    p_b_d2 = m(b & d2) / m(d2)
-    p_d1_c = m(d1 & c) / pc
-    p_d2_c = m(d2 & c) / pc
+    p_b_d1 = d1[0] / d1[1]
+    p_b_d2 = d2[0] / d2[1]
+    p_d1_c = d1[2] / pc
+    p_d2_c = d2[2] / pc
     delta = lhs - (p_b_d1 * p_d1_c + p_b_d2 * p_d2_c)
     root = math.sqrt(p_b_d1 * p_d1_c * p_b_d2 * p_d2_c)
     lam = delta / (2.0 * root)
@@ -105,31 +138,36 @@ def contextual_total_probability_split(
 def mu_coefficient(
     space: FiniteKolmogorovSpace, b: Event, d1: Event, d2: Event, c: Event
 ) -> float:
-    """Coefficient of the half-eliminated split, where only the head factor
-    drops its conditioning on C.  The reconstruction it certifies is an
-    identity and is checked before returning."""
-    b, d1, d2, c = space._masks(b, d1, d2, c)
-    if d1 & d2:
-        raise ValueError("the two conditioning events must be disjoint")
-    m = space._measure
-    pc = m(c)
+    """Coefficient of the half-eliminated split; see :func:`mu_from_measures`."""
+    pc, union, first, second = _event_measures(space, b, d1, d2, c)
+    return mu_from_measures(pc, union, first, second[3])[0]
+
+
+def mu_from_measures(
+    pc: float, union: float, d1: tuple, b_d2_c: float
+) -> tuple[float, float, float]:
+    """(mu, head, tail) of the half-eliminated split, where only the head
+    factor drops its conditioning on C, from P(C), P(B & (D1 | D2) & C), the
+    measures of D1 as in :func:`_event_measures` and P(B & D2 & C).  The
+    reconstruction it certifies is an identity and is checked before
+    returning."""
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
-    if m(b & d1) == 0.0:
+    if d1[0] == 0.0:
         raise DegenerateCell("B meets D1 with probability zero")
-    if m(d1 & c) == 0.0:
+    if d1[2] == 0.0:
         raise DegenerateCell("D1 meets the context with probability zero")
-    if m(b & d2 & c) == 0.0:
+    if b_d2_c == 0.0:
         raise DegenerateCell("B, D2 and the context have null intersection")
 
-    lhs = m(b & (d1 | d2) & c) / pc
-    head = (m(b & d1) / m(d1)) * (m(d1 & c) / pc)
-    tail = m(b & d2 & c) / pc
+    lhs = union / pc
+    head = (d1[0] / d1[1]) * (d1[2] / pc)
+    tail = b_d2_c / pc
     root = math.sqrt(head * tail)
     mu = (lhs - head - tail) / (2.0 * root)
     if abs(head + tail + 2.0 * mu * root - lhs) > IDENTITY_TOL:
         raise InvariantViolation("half-eliminated split identity drifted")
-    return mu
+    return mu, head, tail
 
 
 @dataclass(frozen=True)
@@ -167,7 +205,8 @@ def build_amplitude_nvalued(
     ``order`` permutes the a-values consumed by the recursion; ``branch_signs``
     (one per level, +1 or -1) choose the arccos branch at each level.  Raises
     :class:`SplitOutOfRange` as soon as any splitting coefficient leaves
-    [-1, 1]; the recursion offers no fallback for such contexts.
+    [-1, 1]; the recursion offers no fallback for such contexts.  See
+    :func:`amplitude_nvalued_from_tables`.
     """
     n = len(pair.a_values)
     if n < 2:
@@ -180,78 +219,86 @@ def build_amplitude_nvalued(
     )
     if len(signs) != n - 1 or any(s not in (1, -1) for s in signs):
         raise ValueError("one branch sign of +1 or -1 per level is required")
+    table = measure_table(space, pair, context, recursion_tails(order))
+    free = measure_table(space, pair, space.full_event())
+    return amplitude_nvalued_from_tables(pair, context, table, free, order, signs)
 
-    c = space._masks(context, *pair.a_partition, *pair.b_partition)[0]
-    m = space._measure
-    pc = m(c)
+
+def recursion_tails(order: Sequence[int]) -> list[frozenset[int]]:
+    """tails[j] is the union of the a-cells order[j:], at every level j."""
+    return [frozenset(order[j:]) for j in range(len(order) - 1)]
+
+
+def amplitude_nvalued_from_tables(
+    pair: ReferencePair,
+    context: Event,
+    table: MeasureTable,
+    free: MeasureTable,
+    order: tuple[int, ...],
+    signs: tuple[int, ...],
+    last_lams: Sequence[float] | None = None,
+) -> tuple[ComplexAmplitude, SplitChain]:
+    """The recursion of :func:`build_amplitude_nvalued` from the context's
+    table, with the :func:`recursion_tails` of ``order`` as its unions, and
+    the full event's table.  ``last_lams``, if given, holds per b-outcome
+    the coefficient of the split of the last two a-cells of ``order``, as
+    :func:`split_from_measures` computes it from the same tables."""
+    n = len(order)
+    pc = table.pc
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
-
-    cells = [pair.a_partition[i] for i in order]
-    tails: list[Event] = []
-    running = 0
-    for cell in reversed(cells):
-        running |= cell.mask
-        tails.append(Event(running, space.n))
-    tails.reverse()  # tails[j] = union of cells[j:]
-
+    tails = recursion_tails(order)
     levels: dict[float, tuple[SplitLevel, ...]] = {}
     betas: dict[float, tuple[float, ...]] = {}
     components = []
     for jx, x in enumerate(pair.b_values):
-        bx = pair.b_partition[jx]
-        b = bx.mask
+        unions = [table.unions[t][jx] for t in tails]
         head_terms = []
-        for cell in cells:
-            p_cell_c = m(cell.mask & c) / pc
+        for i in order:
+            p_cell_c = table.a_row[i] / pc
             if p_cell_c == 0.0:
                 raise DegenerateCell("context misses a conditioning cell")
-            p_b_cell = m(b & cell.mask) / m(cell.mask)
+            p_b_cell = free.cells[i][jx] / free.a_row[i]
             if p_b_cell == 0.0:
                 raise DegenerateCell("outcome misses a conditioning cell")
             head_terms.append(p_b_cell * p_cell_c)
 
-        # partial states from the innermost split outward
-        partials: list[complex] = [complex(0.0)] * (n - 1)
+        # partial states from the innermost split outward: the last level
+        # splits off the context entirely (lambda), each inner one the head
+        # cell against the tail (mu)
         records: list[SplitLevel] = []
-        lam_split = contextual_total_probability_split(
-            space, bx, cells[n - 2], cells[n - 1], context
-        ).lam
-        if abs(lam_split) > 1.0:
-            raise SplitOutOfRange(n - 2, x, lam_split)
-        theta = signs[n - 2] * math.acos(lam_split)
-        partials[n - 2] = math.sqrt(head_terms[n - 2]) + cis(theta) * math.sqrt(
-            head_terms[n - 1]
-        )
-        records.append(
-            SplitLevel(
-                level=n - 2,
-                coefficient=lam_split,
-                phase=theta,
-                arg=cmath.phase(partials[n - 2]),
-                partial=partials[n - 2],
-                tail_probability=m(b & tails[n - 2].mask & c) / pc,
-            )
-        )
-        for j in range(n - 3, -1, -1):
-            tail_prob = m(b & tails[j + 1].mask & c) / pc
-            if tail_prob == 0.0:
-                raise DegenerateCell("tail of the recursion has probability zero")
-            mu = mu_coefficient(space, bx, cells[j], tails[j + 1], context)
-            if abs(mu) > 1.0:
-                raise SplitOutOfRange(j, x, mu)
-            gamma = signs[j] * math.acos(mu)
-            partials[j] = math.sqrt(head_terms[j]) + cis(gamma) * math.sqrt(
-                tail_prob
-            )
+        for j in range(n - 2, -1, -1):
+            if j == n - 2:
+                tail_prob = head_terms[n - 1]
+                if last_lams is not None:
+                    coeff = last_lams[jx]
+                else:
+                    coeff = split_from_measures(
+                        pc,
+                        unions[j],
+                        cell_measures(table, free, order[j], jx),
+                        cell_measures(table, free, order[j + 1], jx),
+                    ).lam
+            else:
+                tail_prob = unions[j + 1] / pc
+                if tail_prob == 0.0:
+                    raise DegenerateCell("tail of the recursion has probability zero")
+                coeff = mu_from_measures(
+                    pc, unions[j], cell_measures(table, free, order[j], jx),
+                    unions[j + 1],
+                )[0]
+            if abs(coeff) > 1.0:
+                raise SplitOutOfRange(j, x, coeff)
+            phase = signs[j] * math.acos(coeff)
+            partial = math.sqrt(head_terms[j]) + cis(phase) * math.sqrt(tail_prob)
             records.append(
                 SplitLevel(
                     level=j,
-                    coefficient=mu,
-                    phase=gamma,
-                    arg=cmath.phase(partials[j]),
-                    partial=partials[j],
-                    tail_probability=m(b & tails[j].mask & c) / pc,
+                    coefficient=coeff,
+                    phase=phase,
+                    arg=cmath.phase(partial),
+                    partial=partial,
+                    tail_probability=unions[j] / pc,
                 )
             )
         records.reverse()
@@ -265,16 +312,14 @@ def build_amplitude_nvalued(
         # accumulate the phases: beta[0] = 0, then each level contributes its
         # own phase minus the argument of the next partial state
         beta = [0.0] * n
-        args = {rec.level: rec.arg for rec in records}
-        phases_by_level = {rec.level: rec.phase for rec in records}
         for j in range(1, n - 1):
-            beta[j] = beta[j - 1] + phases_by_level[j - 1] - args[j]
-        beta[n - 1] = beta[n - 2] + phases_by_level[n - 2]
+            beta[j] = beta[j - 1] + records[j - 1].phase - records[j].arg
+        beta[n - 1] = beta[n - 2] + records[n - 2].phase
 
         component = sum(
             cis(beta[j]) * math.sqrt(head_terms[j]) for j in range(n)
         )
-        direct = m(b & c) / pc
+        direct = table.b_row[jx] / pc
         if abs(abs(component) ** 2 - direct) > RECURSION_BORN_TOL:
             raise InvariantViolation(
                 "recursive state drifted from the outcome probability"

@@ -17,9 +17,10 @@ pure functions, with one exception: each space memoises, in a private dict
 that takes no part in equality, hashing or printing, three kinds of result:
 the probability of each event mask it has measured, each transition matrix
 it has built, and whether a reference pair is incompatible.  Nothing per
-context is stored there: a context's measures are read once per pass by the
-caller that needs them.  Values can still be shared across threads: a race
-between two threads only computes the same entry twice.
+context is stored there: the caller that needs a context's measures reads
+them once, into a :class:`MeasureTable` it drops when done.  Values can
+still be shared across threads: a race between two threads only computes the
+same entry twice.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -269,12 +270,6 @@ class ReferencePair:
         b_partition = tuple(b.preimage(x, space.n) for x in b_values)
         return cls(a, b, a_values, b_values, a_partition, b_partition)
 
-    def a_index(self, y: float) -> int:
-        try:
-            return self.a_values.index(y)
-        except ValueError:
-            raise KeyError(f"{y!r} is not a value of {self.a.name!r}") from None
-
     def b_index(self, x: float) -> int:
         try:
             return self.b_values.index(x)
@@ -423,36 +418,79 @@ def check_incompatibility_structure(
     return IncompatibilityStructure(cell_nonempty, no_inclusions)
 
 
+class MeasureTable(NamedTuple):
+    """The measures of one context C, each read through ``space._measure``
+    of its own mask: P(C), ``a_row[i]`` = P(A_i & C), ``b_row[j]`` =
+    P(B_j & C), ``cells[i][j]`` = P(A_i & B_j & C), and ``unions[S][j]`` =
+    P(B_j & A_S & C) for the union A_S of the a-cells indexed by the
+    frozenset S.  A union is never a sum of cells, so additivity stays a
+    comparison.  The full event's table holds P(A_i) and P(A_i & B_j)."""
+
+    pc: float
+    a_row: tuple[float, ...]
+    b_row: tuple[float, ...]
+    cells: tuple[tuple[float, ...], ...]
+    unions: dict[frozenset[int], tuple[float, ...]]
+
+
+def measure_table(
+    space: FiniteKolmogorovSpace,
+    pair: ReferencePair,
+    context: Event,
+    unions: Iterable[frozenset[int]] = (),
+) -> MeasureTable:
+    """The :class:`MeasureTable` of one context, with the given unions."""
+    c, *masks = space._masks(context, *pair.a_partition, *pair.b_partition)
+    k = len(pair.a_values)
+    a_masks, b_c = masks[:k], [b & c for b in masks[k:]]
+    m = space._measure
+
+    def row(a_mask: int) -> tuple[float, ...]:
+        return tuple([m(a_mask & b) for b in b_c])
+
+    # the a-cells are disjoint, so the sum of their masks is their union
+    return MeasureTable(
+        m(c),
+        tuple([m(a & c) for a in a_masks]),
+        tuple(map(m, b_c)),
+        tuple(map(row, a_masks)),
+        {s: row(sum(a_masks[i] for i in s)) for s in unions},
+    )
+
+
 def classical_total_probability(
     space: FiniteKolmogorovSpace, pair: ReferencePair, context: Event
 ) -> dict[float, float]:
     """Exact decomposition of each b-outcome probability over the a-partition,
-    conditioning the transition factor on the context as well.
+    conditioning the transition factor on the context as well; see
+    :func:`total_probability_from_table`."""
+    return total_probability_from_table(pair, measure_table(space, pair, context))
 
+
+def total_probability_from_table(
+    pair: ReferencePair, table: MeasureTable
+) -> dict[float, float]:
+    """:func:`classical_total_probability` from the context's measure table.
     This is an identity of the measure; the result is checked against the
-    direct conditional probability before returning.
-    """
-    c = space._masks(context, *pair.a_partition, *pair.b_partition)[0]
-    pc = space._measure(c)
+    direct conditional probability before returning."""
+    pc = table.pc
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
     out: dict[float, float] = {}
-    for j, bx in enumerate(pair.b_partition):
+    for j, x in enumerate(pair.b_values):
         total = 0.0
-        for i, ay in enumerate(pair.a_partition):
-            cell = ay.mask & c
-            p_cell = space._measure(cell)
+        for i, p_cell in enumerate(table.a_row):
             if p_cell == 0.0:
                 raise DegenerateCell(
                     f"cell for a={pair.a_values[i]!r} within the context is null"
                 )
-            total += (p_cell / pc) * (space._measure(bx.mask & cell) / p_cell)
-        direct = space._measure(bx.mask & c) / pc
+            total += (p_cell / pc) * (table.cells[i][j] / p_cell)
+        direct = table.b_row[j] / pc
         if abs(total - direct) > IDENTITY_TOL:
             raise InvariantViolation(
                 "total probability decomposition drifted from the direct value"
             )
-        out[pair.b_values[j]] = total
+        out[x] = total
     return out
 
 

@@ -13,6 +13,11 @@ pairs when it is created with :meth:`_Run.check`, or with
 :meth:`_Recorder.require` once a count it depends on is known.  The reason of
 the first false one is the check's skip witness, and a check with no false
 precondition that compared nothing is skipped as "nothing to compare".
+
+The core and multivalued suites read each declared context through one
+:class:`~contextprob.space.MeasureTable`, built in the loop that uses it:
+P(C), its a-, b- and joint cells, and for the multivalued suite the union
+rows of the a-cell pairs and recursion tails, each a measure of its own mask.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -41,9 +47,10 @@ from .space import (
     IDENTITY_TOL,
     PREDICATE_TOL,
     check_incompatibility_structure,
-    classical_total_probability,
     is_double_stochastic,
     is_symmetrically_conditioned,
+    measure_table,
+    total_probability_from_table,
     transition_matrix,
 )
 
@@ -199,46 +206,26 @@ def _core_checks(run: _Run) -> None:
     rec = run.check("core.weights_normalized", IDENTITY_TOL)
     rec.compare(math.fsum(space.weights), 1.0, "weight sum")
 
-    rec = run.check("core.probability_range", IDENTITY_TOL)
-    for name, event in contexts.items():
-        p = space.probability(event)
-        rec.expect(0.0 <= p <= 1.0 + IDENTITY_TOL, f"P({name})={p}")
-
-    rec = run.check("core.bayes_consistency", IDENTITY_TOL)
-    parts = list(pair.a_partition) + list(pair.b_partition)
+    rec_range = run.check("core.probability_range", IDENTITY_TOL)
+    rec_bayes = run.check("core.bayes_consistency", IDENTITY_TOL)
+    rec_total = run.check("core.total_probability_identity", IDENTITY_TOL)
+    rec_closure = run.check("core.partition_closure", IDENTITY_TOL)
     for name, c in contexts.items():
-        pc = space.probability(c)
+        table = measure_table(space, pair, c)
+        pc = table.pc
+        rec_range.expect(0.0 <= pc <= 1.0 + IDENTITY_TOL, f"P({name})={pc}")
         if pc == 0.0:
             continue
-        for e in parts:
-            rec.compare(
-                space.conditional(e, c) * pc,
-                space.probability(e & c),
-                f"{name}",
-            )
-
-    rec = run.check("core.total_probability_identity", IDENTITY_TOL)
-    for name, c in contexts.items():
+        for p in (*table.a_row, *table.b_row):
+            rec_bayes.compare((p / pc) * pc, p, f"{name}")
         try:
-            decomp = classical_total_probability(space, pair, c)
-        except (DegenerateCell, DegenerateContext, ZeroConditioningContext):
-            continue
-        for j, x in enumerate(pair.b_values):
-            rec.compare(
-                decomp[x],
-                space.conditional(pair.b_partition[j], c),
-                f"{name}, x={x}",
-            )
-
-    rec = run.check("core.partition_closure", IDENTITY_TOL)
-    for name, c in contexts.items():
-        if space.probability(c) == 0.0:
-            continue
-        rec.compare(
-            math.fsum(space.conditional(ay, c) for ay in pair.a_partition),
-            1.0,
-            name,
-        )
+            decomp = total_probability_from_table(pair, table)
+        except DegenerateCell:
+            pass
+        else:
+            for j, x in enumerate(pair.b_values):
+                rec_total.compare(decomp[x], table.b_row[j] / pc, f"{name}, x={x}")
+        rec_closure.compare(math.fsum(p / pc for p in table.a_row), 1.0, name)
 
     rec = run.check("core.partition_structure", PREDICATE_TOL)
     report = check_incompatibility_structure(space, pair)
@@ -299,8 +286,11 @@ def _complex_checks(run: _Run) -> None:
     rec_norm = run.check("complex.normalization", cr.BORN_TOL)
     rec_conj = run.check("complex.conjugation_symmetry", IDENTITY_TOL)
     rec_a = run.check("complex.born_a", cr.BORN_TOL, not_ds)
+    states = []  # (name, state, a-profile, b-profile), kept for averages
     for name, coeffs in representable:
         psi = cr.amplitude_from_coefficients(coeffs)
+        if ds:
+            states.append((name, psi, coeffs.a_profile, coeffs.b_profile))
         psi_bar = cr.amplitude_from_coefficients(coeffs, "conjugate")
         rec_norm.compare(psi.norm_sq(), 1.0, name)
         for j, x in enumerate(pair.b_values):
@@ -343,21 +333,17 @@ def _complex_checks(run: _Run) -> None:
             f"max |[b,a]| = {float(np.max(np.abs(comm)))} < {bound}",
         )
 
-        tables = [
-            ({pair.a_values[0]: 1.0, pair.a_values[1]: -1.0},
-             {pair.b_values[0]: 1.0, pair.b_values[1]: -1.0}),
-            ({pair.a_values[0]: 0.3, pair.a_values[1]: 2.7},
-             {pair.b_values[0]: -1.4, pair.b_values[1]: 0.9}),
+        # f at each a-value, g at each b-value
+        tables = [((1.0, -1.0), (1.0, -1.0)), ((0.3, 2.7), (-1.4, 0.9))]
+        operators = [cr.sum_operator(basis, f, g) for f, g in tables]
+        states += [
+            (f"a-cell {y}", *cr.state_for_context(space, pair, ay, basis))
+            for y, ay in zip(pair.a_values, pair.a_partition)
         ]
-        family = [(n, coeffs.context) for n, coeffs in representable]
-        family += [
-            (f"a-cell {y}", pair.a_partition[i])
-            for i, y in enumerate(pair.a_values)
-        ]
-        for fname, event in family:
-            for f_table, g_table in tables:
-                report = cr.verify_average_preservation(
-                    space, pair, event, f_table, g_table
+        for fname, psi, a_profile, b_profile in states:
+            for (f_row, g_row), op in zip(tables, operators):
+                report = cr.average_preservation(
+                    psi, op, f_row, g_row, a_profile, b_profile
                 )
                 rec_avg.compare(report.classical, report.quantum, fname)
 
@@ -527,41 +513,47 @@ def _hyperbolic_checks(run: _Run) -> None:
 
 def _multivalued_checks(run: _Run) -> None:
     space, pair, contexts = run.space, run.pair, run.doc.contexts
+    free = measure_table(space, pair, space.full_event())
+    n = len(pair.a_values)
+    pairs = list(combinations(range(n), 2))
+    order, signs = tuple(range(n)), (1,) * (n - 1)
+    tails = mv.recursion_tails(order)
 
     rec_f1 = run.check("multivalued.union_additivity", IDENTITY_TOL)
     rec_f2 = run.check("multivalued.conditioned_split", IDENTITY_TOL)
     rec_f3 = run.check("multivalued.contextual_split", IDENTITY_TOL)
     rec_f5 = run.check("multivalued.half_eliminated_split", IDENTITY_TOL)
     tuples = 0
-    m = space._measure
+    unions = {*map(frozenset, pairs), *tails}
+    # per context, the coefficient of the recursion's last split for each
+    # b-outcome, kept when every one of them was computed here
+    last_lams = {}
     for name, c in contexts.items():
-        pc = space.probability(c)
+        table = measure_table(space, pair, c, unions)
+        pc = table.pc
         if pc == 0.0:
             continue
-        for bx in pair.b_partition:
-            for i1 in range(len(pair.a_partition)):
-                for i2 in range(i1 + 1, len(pair.a_partition)):
-                    d1, d2 = pair.a_partition[i1], pair.a_partition[i2]
-                    try:
-                        split = mv.contextual_total_probability_split(
-                            space, bx, d1, d2, c
-                        )
-                        mu = mv.mu_coefficient(space, bx, d1, d2, c)
-                    except DegenerateCell:
-                        continue
-                    tuples += 1
-                    rec_f1.compare(split.additivity_lhs, split.additivity_rhs, name)
-                    rec_f2.compare(split.lhs, split.conditioned_rhs, name)
-                    rec_f3.compare(split.lhs, split.rhs, name)
-                    head = (m(bx.mask & d1.mask) / m(d1.mask)) * (
-                        m(d1.mask & c.mask) / pc
-                    )
-                    tail = m(bx.mask & d2.mask & c.mask) / pc
-                    rec_f5.compare(
-                        head + tail + 2.0 * mu * math.sqrt(head * tail),
-                        split.lhs,
-                        name,
-                    )
+        lams = []
+        for j in range(len(pair.b_values)):
+            for i1, i2 in pairs:
+                union = table.unions[frozenset((i1, i2))][j]
+                first = mv.cell_measures(table, free, i1, j)
+                second = mv.cell_measures(table, free, i2, j)
+                try:
+                    split = mv.split_from_measures(pc, union, first, second)
+                    mu, head, tail = mv.mu_from_measures(pc, union, first, second[3])
+                except DegenerateCell:
+                    continue
+                if (i1, i2) == order[-2:]:
+                    lams.append(split.lam)
+                tuples += 1
+                rec_f1.compare(split.additivity_lhs, split.additivity_rhs, name)
+                rec_f2.compare(split.lhs, split.conditioned_rhs, name)
+                rec_f3.compare(split.lhs, split.rhs, name)
+                half = head + tail + 2.0 * mu * math.sqrt(head * tail)
+                rec_f5.compare(half, split.lhs, name)
+        if len(lams) == len(pair.b_values):
+            last_lams[name] = lams
     for rec in (rec_f1, rec_f2, rec_f3, rec_f5):
         rec.require(tuples > 0, "no admissible event tuples")
 
@@ -570,8 +562,11 @@ def _multivalued_checks(run: _Run) -> None:
     built = 0
     unrepresentable = 0
     for name, c in contexts.items():
+        table = measure_table(space, pair, c, tails)
         try:
-            psi, chain = mv.build_amplitude_nvalued(space, pair, c)
+            psi, chain = mv.amplitude_nvalued_from_tables(
+                pair, c, table, free, order, signs, last_lams.get(name)
+            )
         except SplitOutOfRange:
             unrepresentable += 1
             continue
@@ -579,11 +574,7 @@ def _multivalued_checks(run: _Run) -> None:
             continue
         built += 1
         for j, x in enumerate(pair.b_values):
-            rec.compare(
-                psi.born(x),
-                space.conditional(pair.b_partition[j], c),
-                f"{name}, x={x}",
-            )
+            rec.compare(psi.born(x), table.b_row[j] / table.pc, f"{name}, x={x}")
         if name in coefficients:
             try:
                 flat = cr.amplitude_from_coefficients(coefficients[name])

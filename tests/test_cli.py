@@ -165,6 +165,12 @@ class TestExampleKq:
     def test_bad_q_exits_with_validation_error(self, capsys):
         assert main(["example", "kq", "--q", "0.7"]) == 2
 
+    def test_zero_tolerance_is_a_gate_not_unset(self, capsys):
+        """The closed forms agree to rounding, not exactly, so a zero gate
+        fails the reproduction."""
+        assert main(["example", "kq", "--q", "0.125", "--tolerance", "0"]) == 1
+        assert json.loads(capsys.readouterr().out)["worst_abs_diff"] > 0.0
+
 
 class TestGenRandom:
     def test_writes_model(self, tmp_path):
@@ -308,6 +314,16 @@ class TestErrorContract:
     traceback: 1 for an invariant violation, 3 for input that cannot be
     represented."""
 
+    @pytest.mark.parametrize("tolerance", ("nan", "-1", "inf"))
+    @pytest.mark.parametrize("command", ("verify", "example"))
+    def test_invalid_tolerance_exit_two(self, kq_path, command, tolerance, capsys):
+        argv = [kq_path] if command == "verify" else ["kq", "--q", "0.125"]
+        assert main([command, *argv, "--tolerance", tolerance]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == "model-validation"
+
     def test_degenerate_anchor_exit_three(self, kq_path, capsys):
         assert main(["represent", kq_path, "--anchor", "C12"]) == 3
         diag = stderr_diagnostic(capsys)
@@ -337,7 +353,7 @@ class TestErrorContract:
             raise cp.InvariantViolation("split decomposition identity drifted")
 
         monkeypatch.setattr(
-            "contextprob.multivalued.contextual_total_probability_split", drifted
+            "contextprob.multivalued.split_from_measures", drifted
         )
         with pytest.raises(cp.InvariantViolation):
             cp.run_suite(kq, "multivalued")

@@ -367,6 +367,24 @@ class TestAveragePreservation:
                     continue
                 assert report.residual <= 1e-9
 
+    def test_a_cell_reads_indicator_and_transition_row(self, kq):
+        """On an a-cell the classical side is f(y) plus g against the
+        cell's transition row, and the state is the cell's basis vector."""
+        space, pair = kq.space, kq.pair
+        t = cp.transition_matrix(space, pair, "b/a").rows
+        f, g = {1.0: 0.3, -1.0: 2.7}, {1.0: -1.4, -1.0: 0.9}
+        for i, (y, cell) in enumerate(zip(pair.a_values, pair.a_partition)):
+            report = cp.verify_average_preservation(space, pair, cell, f, g)
+            want = math.fsum([f[y], g[1.0] * t[i][0], g[-1.0] * t[i][1]])
+            assert report.classical == want
+            assert report.residual <= 1e-14
+
+    def test_null_context_is_a_library_error(self, kq):
+        with pytest.raises(cp.ZeroConditioningContext):
+            cp.verify_average_preservation(
+                kq.space, kq.pair, kq.space.empty_event(), lambda y: y, lambda x: x
+            )
+
     def test_symmetrised_product_breaks_preservation(self, kq):
         # the operator map preserves sums f(a) + g(b); the symmetrised
         # product (ab + ba)/2 does not reproduce E(a b | C) in general
