@@ -283,10 +283,9 @@ def quantum_average(op: HermitianOperator, psi: ComplexAmplitude) -> float:
     return value.real
 
 
-def _as_table(f, values: Sequence[float]) -> dict[float, float]:
-    if callable(f):
-        return {v: float(f(v)) for v in values}
-    return {v: float(f[v]) for v in values}
+def _as_row(f, values: Sequence[float]) -> list[float]:
+    """f at each of the values, from a callable or a mapping."""
+    return [float(f(v)) if callable(f) else float(f[v]) for v in values]
 
 
 def state_for_context(
@@ -328,10 +327,7 @@ def verify_average_preservation(
 ) -> AveragePreservationReport:
     """Compare the conditional expectation of f(a) + g(b) with the operator
     average of f(op_a) + g(op_b); see :func:`average_preservation`."""
-    f_table = _as_table(f, pair.a_values)
-    g_table = _as_table(g, pair.b_values)
-    f_row = [f_table[y] for y in pair.a_values]
-    g_row = [g_table[x] for x in pair.b_values]
+    f_row, g_row = _as_row(f, pair.a_values), _as_row(g, pair.b_values)
     basis = a_basis_for_context(
         space, pair, anchor if anchor is not None else space.full_event(),
         convention,

@@ -16,7 +16,8 @@ Every number read here is an entry of a context's or the full event's
 :class:`~contextprob.space.MeasureTable`: P(C), P(A_i & C), P(A_i & B_j & C),
 P(A_i), P(A_i & B_j), and the rows P(B_j & A_S & C) of the unions S (a-cell
 pairs and recursion tails), each a measure of its own mask, never a sum of
-cells.  The bodies take these numbers; the event forms read them from masks.
+cells.  The bodies (``*_from_tables``) take these tables; the event forms
+build them with their own events as the cells.
 """
 
 from __future__ import annotations
@@ -62,67 +63,63 @@ class SplitDecomposition:
     conditioned_rhs: float
 
 
-def _event_measures(space: FiniteKolmogorovSpace, b, d1, d2, c) -> tuple:
-    """P(C), P(B & (D1 | D2) & C) and, for D = D1 and D2, the measures
-    (P(B & D), P(D), P(D & C), P(B & D & C)) of two disjoint events."""
-    b, d1, d2, c = space._masks(b, d1, d2, c)
-    if d1 & d2:
+def _event_tables(
+    space: FiniteKolmogorovSpace, b: Event, d1: Event, d2: Event, c: Event
+) -> tuple[MeasureTable, MeasureTable]:
+    """The tables of C and of the full event over the a-cells (D1, D2) and
+    the one b-cell B, with the unions D1 u D2 and D2."""
+    _, m1, m2, _ = space._masks(b, d1, d2, c)
+    if m1 & m2:
         raise ValueError("the two conditioning events must be disjoint")
-    m = space._measure
-    cells = ((m(b & d), m(d), m(d & c), m(b & d & c)) for d in (d1, d2))
-    return (m(c), m(b & (d1 | d2) & c), *cells)
-
-
-def cell_measures(table: MeasureTable, free: MeasureTable, i: int, j: int):
-    """The measures of :func:`_event_measures` for B = B_j and D = A_i."""
-    return free.cells[i][j], free.a_row[i], table.a_row[i], table.cells[i][j]
+    cells = (d1, d2), (b,)
+    table = measure_table(space, *cells, c, (frozenset((0, 1)), frozenset((1,))))
+    return table, measure_table(space, *cells, space.full_event())
 
 
 def contextual_total_probability_split(
     space: FiniteKolmogorovSpace, b: Event, d1: Event, d2: Event, c: Event
 ) -> SplitDecomposition:
     """Split P(B(D1 u D2)|C) over two disjoint events; see
-    :func:`split_from_measures`."""
-    return split_from_measures(*_event_measures(space, b, d1, d2, c))
+    :func:`split_from_tables`."""
+    return split_from_tables(*_event_tables(space, b, d1, d2, c), 0, 0, 1)
 
 
-def split_from_measures(
-    pc: float, union: float, d1: tuple, d2: tuple
+def split_from_tables(
+    table: MeasureTable, free: MeasureTable, j: int, i1: int, i2: int
 ) -> SplitDecomposition:
-    """Split P(B(D1 u D2)|C), from the measures of :func:`_event_measures`,
-    with the conditioning on C removed from the transition factors,
+    """Split P(B(D1 u D2)|C) for B = B_j, D1 = A_i1 and D2 = A_i2, from the
+    context's table, which holds the union of the two cells, and the full
+    event's, with the conditioning on C removed from the transition factors,
     quantifying the removal by a normalised coefficient.  All three displayed
     forms are identities."""
+    pc = table.pc
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
-    for name, (b_d, _, d_c, _) in (("D1", d1), ("D2", d2)):
-        if b_d == 0.0:
+    for name, i in (("D1", i1), ("D2", i2)):
+        if free.cells[i][j] == 0.0:
             raise DegenerateCell(f"B meets {name} with probability zero")
-        if d_c == 0.0:
+        if table.a_row[i] == 0.0:
             raise DegenerateCell(f"{name} meets the context with probability zero")
 
-    lhs = union / pc
+    lhs = table.unions[frozenset((i1, i2))][j] / pc
 
-    additivity_rhs = d1[3] / pc + d2[3] / pc
+    additivity_rhs = table.cells[i1][j] / pc + table.cells[i2][j] / pc
     conditioned_rhs = math.fsum(
-        (b_d_c / d_c) * (d_c / pc) for _, _, d_c, b_d_c in (d1, d2)
+        (table.cells[i][j] / table.a_row[i]) * (table.a_row[i] / pc)
+        for i in (i1, i2)
     )
 
-    p_b_d1 = d1[0] / d1[1]
-    p_b_d2 = d2[0] / d2[1]
-    p_d1_c = d1[2] / pc
-    p_d2_c = d2[2] / pc
+    p_b_d1 = free.cells[i1][j] / free.a_row[i1]
+    p_b_d2 = free.cells[i2][j] / free.a_row[i2]
+    p_d1_c = table.a_row[i1] / pc
+    p_d2_c = table.a_row[i2] / pc
     delta = lhs - (p_b_d1 * p_d1_c + p_b_d2 * p_d2_c)
     root = math.sqrt(p_b_d1 * p_d1_c * p_b_d2 * p_d2_c)
     lam = delta / (2.0 * root)
     rhs = p_b_d1 * p_d1_c + p_b_d2 * p_d2_c + 2.0 * lam * root
 
-    for lhs_i, rhs_i in (
-        (lhs, rhs),
-        (lhs, additivity_rhs),
-        (lhs, conditioned_rhs),
-    ):
-        if abs(lhs_i - rhs_i) > IDENTITY_TOL:
+    for rhs_i in (rhs, additivity_rhs, conditioned_rhs):
+        if abs(lhs - rhs_i) > IDENTITY_TOL:
             raise InvariantViolation("split decomposition identity drifted")
     return SplitDecomposition(
         lhs=lhs,
@@ -138,31 +135,33 @@ def split_from_measures(
 def mu_coefficient(
     space: FiniteKolmogorovSpace, b: Event, d1: Event, d2: Event, c: Event
 ) -> float:
-    """Coefficient of the half-eliminated split; see :func:`mu_from_measures`."""
-    pc, union, first, second = _event_measures(space, b, d1, d2, c)
-    return mu_from_measures(pc, union, first, second[3])[0]
+    """Coefficient of the half-eliminated split; see :func:`mu_from_tables`."""
+    tables = _event_tables(space, b, d1, d2, c)
+    return mu_from_tables(*tables, 0, 0, frozenset((1,)))[0]
 
 
-def mu_from_measures(
-    pc: float, union: float, d1: tuple, b_d2_c: float
+def mu_from_tables(
+    table: MeasureTable, free: MeasureTable, j: int, i: int, rest: frozenset[int]
 ) -> tuple[float, float, float]:
-    """(mu, head, tail) of the half-eliminated split, where only the head
-    factor drops its conditioning on C, from P(C), P(B & (D1 | D2) & C), the
-    measures of D1 as in :func:`_event_measures` and P(B & D2 & C).  The
+    """(mu, head, tail) of the half-eliminated split of P(B(D1 u D2)|C), where
+    only the head factor drops its conditioning on C, for B = B_j, D1 = A_i
+    and D2 the union of the a-cells ``rest``, from the context's table, which
+    holds the unions ``rest`` and ``rest | {i}``, and the full event's.  The
     reconstruction it certifies is an identity and is checked before
     returning."""
+    pc = table.pc
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
-    if d1[0] == 0.0:
+    if free.cells[i][j] == 0.0:
         raise DegenerateCell("B meets D1 with probability zero")
-    if d1[2] == 0.0:
+    if table.a_row[i] == 0.0:
         raise DegenerateCell("D1 meets the context with probability zero")
-    if b_d2_c == 0.0:
+    if table.unions[rest][j] == 0.0:
         raise DegenerateCell("B, D2 and the context have null intersection")
 
-    lhs = union / pc
-    head = (d1[0] / d1[1]) * (d1[2] / pc)
-    tail = b_d2_c / pc
+    lhs = table.unions[rest | {i}][j] / pc
+    head = (free.cells[i][j] / free.a_row[i]) * (table.a_row[i] / pc)
+    tail = table.unions[rest][j] / pc
     root = math.sqrt(head * tail)
     mu = (lhs - head - tail) / (2.0 * root)
     if abs(head + tail + 2.0 * mu * root - lhs) > IDENTITY_TOL:
@@ -219,8 +218,9 @@ def build_amplitude_nvalued(
     )
     if len(signs) != n - 1 or any(s not in (1, -1) for s in signs):
         raise ValueError("one branch sign of +1 or -1 per level is required")
-    table = measure_table(space, pair, context, recursion_tails(order))
-    free = measure_table(space, pair, space.full_event())
+    cells = pair.a_partition, pair.b_partition
+    table = measure_table(space, *cells, context, recursion_tails(order))
+    free = measure_table(space, *cells, space.full_event())
     return amplitude_nvalued_from_tables(pair, context, table, free, order, signs)
 
 
@@ -236,14 +236,13 @@ def amplitude_nvalued_from_tables(
     free: MeasureTable,
     order: tuple[int, ...],
     signs: tuple[int, ...],
-    last_lams: Sequence[float] | None = None,
 ) -> tuple[ComplexAmplitude, SplitChain]:
     """The recursion of :func:`build_amplitude_nvalued` from the context's
     table, with the :func:`recursion_tails` of ``order`` as its unions, and
-    the full event's table.  ``last_lams``, if given, holds per b-outcome
-    the coefficient of the split of the last two a-cells of ``order``, as
-    :func:`split_from_measures` computes it from the same tables."""
+    the full event's table."""
     n = len(order)
+    if n < 2:
+        raise ValueError("need at least two a-values")
     pc = table.pc
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
@@ -252,7 +251,6 @@ def amplitude_nvalued_from_tables(
     betas: dict[float, tuple[float, ...]] = {}
     components = []
     for jx, x in enumerate(pair.b_values):
-        unions = [table.unions[t][jx] for t in tails]
         head_terms = []
         for i in order:
             p_cell_c = table.a_row[i] / pc
@@ -270,23 +268,12 @@ def amplitude_nvalued_from_tables(
         for j in range(n - 2, -1, -1):
             if j == n - 2:
                 tail_prob = head_terms[n - 1]
-                if last_lams is not None:
-                    coeff = last_lams[jx]
-                else:
-                    coeff = split_from_measures(
-                        pc,
-                        unions[j],
-                        cell_measures(table, free, order[j], jx),
-                        cell_measures(table, free, order[j + 1], jx),
-                    ).lam
+                coeff = split_from_tables(table, free, jx, order[j], order[j + 1]).lam
             else:
-                tail_prob = unions[j + 1] / pc
+                tail_prob = table.unions[tails[j + 1]][jx] / pc
                 if tail_prob == 0.0:
                     raise DegenerateCell("tail of the recursion has probability zero")
-                coeff = mu_from_measures(
-                    pc, unions[j], cell_measures(table, free, order[j], jx),
-                    unions[j + 1],
-                )[0]
+                coeff = mu_from_tables(table, free, jx, order[j], tails[j + 1])[0]
             if abs(coeff) > 1.0:
                 raise SplitOutOfRange(j, x, coeff)
             phase = signs[j] * math.acos(coeff)
@@ -298,7 +285,7 @@ def amplitude_nvalued_from_tables(
                     phase=phase,
                     arg=cmath.phase(partial),
                     partial=partial,
-                    tail_probability=unions[j] / pc,
+                    tail_probability=table.unions[tails[j]][jx] / pc,
                 )
             )
         records.reverse()

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -419,12 +419,13 @@ def check_incompatibility_structure(
 
 
 class MeasureTable(NamedTuple):
-    """The measures of one context C, each read through ``space._measure``
-    of its own mask: P(C), ``a_row[i]`` = P(A_i & C), ``b_row[j]`` =
-    P(B_j & C), ``cells[i][j]`` = P(A_i & B_j & C), and ``unions[S][j]`` =
-    P(B_j & A_S & C) for the union A_S of the a-cells indexed by the
-    frozenset S.  A union is never a sum of cells, so additivity stays a
-    comparison.  The full event's table holds P(A_i) and P(A_i & B_j)."""
+    """The measures of one context C over a-cells A_i and b-cells B_j, each
+    read through ``space._measure`` of its own mask: P(C), ``a_row[i]`` =
+    P(A_i & C), ``b_row[j]`` = P(B_j & C), ``cells[i][j]`` = P(A_i & B_j & C),
+    and ``unions[S][j]`` = P(B_j & A_S & C) for the union A_S of the a-cells
+    indexed by the frozenset S.  A union is never a sum of cells, so
+    additivity stays a comparison.  The full event's table holds P(A_i) and
+    P(A_i & B_j)."""
 
     pc: float
     a_row: tuple[float, ...]
@@ -435,13 +436,15 @@ class MeasureTable(NamedTuple):
 
 def measure_table(
     space: FiniteKolmogorovSpace,
-    pair: ReferencePair,
+    a_cells: Sequence[Event],
+    b_cells: Sequence[Event],
     context: Event,
     unions: Iterable[frozenset[int]] = (),
 ) -> MeasureTable:
-    """The :class:`MeasureTable` of one context, with the given unions."""
-    c, *masks = space._masks(context, *pair.a_partition, *pair.b_partition)
-    k = len(pair.a_values)
+    """The :class:`MeasureTable` of one context, with the given unions of
+    the (disjoint) a-cells."""
+    c, *masks = space._masks(context, *a_cells, *b_cells)
+    k = len(a_cells)
     a_masks, b_c = masks[:k], [b & c for b in masks[k:]]
     m = space._measure
 
@@ -464,7 +467,8 @@ def classical_total_probability(
     """Exact decomposition of each b-outcome probability over the a-partition,
     conditioning the transition factor on the context as well; see
     :func:`total_probability_from_table`."""
-    return total_probability_from_table(pair, measure_table(space, pair, context))
+    table = measure_table(space, pair.a_partition, pair.b_partition, context)
+    return total_probability_from_table(pair, table)
 
 
 def total_probability_from_table(

@@ -17,7 +17,8 @@ precondition that compared nothing is skipped as "nothing to compare".
 The core and multivalued suites read each declared context through one
 :class:`~contextprob.space.MeasureTable`, built in the loop that uses it:
 P(C), its a-, b- and joint cells, and for the multivalued suite the union
-rows of the a-cell pairs and recursion tails, each a measure of its own mask.
+rows of the single a-cells, the a-cell pairs and the recursion tails, each a
+measure of its own mask.
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ def _core_checks(run: _Run) -> None:
     rec_total = run.check("core.total_probability_identity", IDENTITY_TOL)
     rec_closure = run.check("core.partition_closure", IDENTITY_TOL)
     for name, c in contexts.items():
-        table = measure_table(space, pair, c)
+        table = measure_table(space, pair.a_partition, pair.b_partition, c)
         pc = table.pc
         rec_range.expect(0.0 <= pc <= 1.0 + IDENTITY_TOL, f"P({name})={pc}")
         if pc == 0.0:
@@ -513,7 +514,8 @@ def _hyperbolic_checks(run: _Run) -> None:
 
 def _multivalued_checks(run: _Run) -> None:
     space, pair, contexts = run.space, run.pair, run.doc.contexts
-    free = measure_table(space, pair, space.full_event())
+    cells = pair.a_partition, pair.b_partition
+    free = measure_table(space, *cells, space.full_event())
     n = len(pair.a_values)
     pairs = list(combinations(range(n), 2))
     order, signs = tuple(range(n)), (1,) * (n - 1)
@@ -524,36 +526,25 @@ def _multivalued_checks(run: _Run) -> None:
     rec_f3 = run.check("multivalued.contextual_split", IDENTITY_TOL)
     rec_f5 = run.check("multivalued.half_eliminated_split", IDENTITY_TOL)
     tuples = 0
-    unions = {*map(frozenset, pairs), *tails}
-    # per context, the coefficient of the recursion's last split for each
-    # b-outcome, kept when every one of them was computed here
-    last_lams = {}
+    singles = [frozenset((i,)) for i in range(n)]
+    unions = {*map(frozenset, pairs), *singles, *tails}
     for name, c in contexts.items():
-        table = measure_table(space, pair, c, unions)
-        pc = table.pc
-        if pc == 0.0:
+        table = measure_table(space, *cells, c, unions)
+        if table.pc == 0.0:
             continue
-        lams = []
         for j in range(len(pair.b_values)):
             for i1, i2 in pairs:
-                union = table.unions[frozenset((i1, i2))][j]
-                first = mv.cell_measures(table, free, i1, j)
-                second = mv.cell_measures(table, free, i2, j)
                 try:
-                    split = mv.split_from_measures(pc, union, first, second)
-                    mu, head, tail = mv.mu_from_measures(pc, union, first, second[3])
+                    split = mv.split_from_tables(table, free, j, i1, i2)
+                    mu, head, tail = mv.mu_from_tables(table, free, j, i1, singles[i2])
                 except DegenerateCell:
                     continue
-                if (i1, i2) == order[-2:]:
-                    lams.append(split.lam)
                 tuples += 1
                 rec_f1.compare(split.additivity_lhs, split.additivity_rhs, name)
                 rec_f2.compare(split.lhs, split.conditioned_rhs, name)
                 rec_f3.compare(split.lhs, split.rhs, name)
                 half = head + tail + 2.0 * mu * math.sqrt(head * tail)
                 rec_f5.compare(half, split.lhs, name)
-        if len(lams) == len(pair.b_values):
-            last_lams[name] = lams
     for rec in (rec_f1, rec_f2, rec_f3, rec_f5):
         rec.require(tuples > 0, "no admissible event tuples")
 
@@ -562,10 +553,10 @@ def _multivalued_checks(run: _Run) -> None:
     built = 0
     unrepresentable = 0
     for name, c in contexts.items():
-        table = measure_table(space, pair, c, tails)
+        table = measure_table(space, *cells, c, tails)
         try:
             psi, chain = mv.amplitude_nvalued_from_tables(
-                pair, c, table, free, order, signs, last_lams.get(name)
+                pair, c, table, free, order, signs
             )
         except SplitOutOfRange:
             unrepresentable += 1

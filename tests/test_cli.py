@@ -353,7 +353,7 @@ class TestErrorContract:
             raise cp.InvariantViolation("split decomposition identity drifted")
 
         monkeypatch.setattr(
-            "contextprob.multivalued.split_from_measures", drifted
+            "contextprob.multivalued.split_from_tables", drifted
         )
         with pytest.raises(cp.InvariantViolation):
             cp.run_suite(kq, "multivalued")

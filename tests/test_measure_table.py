@@ -9,6 +9,7 @@ returns, or raise the same exception class with the same message.
 """
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -31,12 +32,11 @@ from contextprob.multivalued import (
     SplitLevel,
     amplitude_nvalued_from_tables,
     build_amplitude_nvalued,
-    cell_measures,
     contextual_total_probability_split,
     mu_coefficient,
-    mu_from_measures,
+    mu_from_tables,
     recursion_tails,
-    split_from_measures,
+    split_from_tables,
 )
 from contextprob.space import (
     IDENTITY_TOL,
@@ -267,13 +267,12 @@ def test_split_and_mu_on_partition_cells(model, data):
     assert outcome(split, space, bx, d1, d2, c) == want_split
     assert outcome(mu_coefficient, space, bx, d1, d2, c) == want_mu
 
-    table = measure_table(space, pair, c, [frozenset((i1, i2))])
-    free = measure_table(space, pair, space.full_event())
-    union = table.unions[frozenset((i1, i2))][j]
-    first = cell_measures(table, free, i1, j)
-    second = cell_measures(table, free, i2, j)
-    assert outcome(split_from_measures, table.pc, union, first, second) == want_split
-    got_mu = outcome(mu_from_measures, table.pc, union, first, second[3])
+    cells = pair.a_partition, pair.b_partition
+    rest = frozenset((i2,))
+    table = measure_table(space, *cells, c, [frozenset((i1, i2)), rest])
+    free = measure_table(space, *cells, space.full_event())
+    assert outcome(split_from_tables, table, free, j, i1, i2) == want_split
+    got_mu = outcome(mu_from_tables, table, free, j, i1, rest)
     if got_mu[0] == "return":
         got_mu = ("return", got_mu[1][0])
     assert got_mu == want_mu
@@ -310,23 +309,14 @@ def test_nvalued_recursion(model, data):
     want_default = amplitude_outcome(_ref_nvalued, space, pair, c)
     assert amplitude_outcome(build, space, pair, c) == want_default
 
-    # the body with the last split supplied by the caller, as verify does
-    tails = recursion_tails(order)
-    table = measure_table(space, pair, c, tails)
-    free = measure_table(space, pair, space.full_event())
-    lams = outcome(lambda: [
-        split_from_measures(
-            table.pc, table.unions[tails[-1]][j],
-            cell_measures(table, free, order[-2], j),
-            cell_measures(table, free, order[-1], j),
-        ).lam
-        for j in range(len(pair.b_values))
-    ])
-    if lams[0] == "return":
-        got = amplitude_outcome(
-            amplitude_nvalued_from_tables, pair, c, table, free, order, signs, lams[1]
-        )
-        assert got == want
+    # the body on tables built as verify builds them
+    cells = pair.a_partition, pair.b_partition
+    table = measure_table(space, *cells, c, recursion_tails(order))
+    free = measure_table(space, *cells, space.full_event())
+    got = amplitude_outcome(
+        amplitude_nvalued_from_tables, pair, c, table, free, order, signs
+    )
+    assert got == want
 
 
 @SETTINGS
@@ -335,7 +325,7 @@ def test_classical_total_probability(model):
     space, pair, c = model
     want = outcome(_ref_total_probability, space, pair, c)
     assert outcome(classical_total_probability, space, pair, c) == want
-    table = measure_table(space, pair, c)
+    table = measure_table(space, pair.a_partition, pair.b_partition, c)
     assert outcome(total_probability_from_table, pair, table) == want
 
 
@@ -357,6 +347,22 @@ def test_invalid_arguments_raise_as_before(kq):
     assert outcome(classical_total_probability, space, pair, other) == outcome(
         _ref_total_probability, space, pair, other
     )
+
+    # a single-valued a-variable passes validation; the multivalued suite
+    # raises the recursion's ValueError, also when every context is null
+    for members in (["w1", "w2"], []):
+        one_valued = cp.loads_model(json.dumps({
+            "points": [{"id": w, "p": 0.25} for w in ("w1", "w2", "w3", "w4")],
+            "variables": {
+                "a": {"w1": 1, "w2": 1, "w3": 1, "w4": 1},
+                "b": {"w1": 1, "w2": -1, "w3": -1, "w4": 1},
+            },
+            "reference_pair": ["a", "b"],
+            "contexts": {"C": members},
+        }))
+        assert outcome(run_suite, one_valued, "multivalued") == (
+            "raise", ValueError, "need at least two a-values"
+        )
 
 
 def test_run_suite_measures_each_context_once(kq, monkeypatch):
