@@ -6,6 +6,9 @@ layers; a change that claims unchanged output must keep matching them.
 ``random_3x3_seed4.{analyze,represent}.json`` pin the n-valued split
 recursion of the two report commands on a ternary pair; they were written
 before the recursion read a per-context measure table.
+``{kq_0.125,random_3x3_seed4}.suites.json`` hold ``run_suite(doc, suite)``
+for each suite run alone; they were written before a run held one measure
+table, one coefficient object and one state per context.
 ``verify_branches.json`` holds ``run_suite(doc).to_dict()`` of small models
 chosen so that every skip reason of ``verify`` is reached; it was written
 before the checks were folded into one run object.
@@ -36,7 +39,7 @@ from contextprob.interference import (
     verify_no_global_alpha,
 )
 from contextprob.space import transition_matrix
-from contextprob.verify import run_suite
+from contextprob.verify import SUITES, run_suite
 
 DATA = Path(__file__).parent / "data"
 FLOAT_TOL = 1e-12
@@ -84,6 +87,17 @@ def test_nvalued_report_matches_golden(tmp_path, command):
     got = json.loads(out.read_text())
     want = json.loads((DATA / f"random_3x3_seed4.{command}.json").read_text())
     assert_matches(got, want)
+
+
+@pytest.mark.parametrize("stem", ["kq_0.125", "random_3x3_seed4"])
+@pytest.mark.parametrize("suite", SUITES)
+def test_single_suite_matches_golden(stem, suite):
+    if stem == "kq_0.125":
+        doc = generate_kq(0.125)
+    else:
+        doc = load_model(DATA / f"{stem}.model.json")
+    want = json.loads((DATA / f"{stem}.suites.json").read_text())[suite]
+    assert_matches(run_suite(doc, suite).to_dict(), want)
 
 
 def test_comparison_rejects_drift():
