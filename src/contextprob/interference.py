@@ -23,7 +23,7 @@ All functions are pure; the coefficient objects are immutable snapshots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -108,32 +108,27 @@ class InterferenceCoefficients:
     context's measures every coefficient was derived from, and
     ``transition`` is the pair's "b/a" transition matrix they were combined
     with; phases, states and checks of the same context read these instead
-    of measuring again.
+    of measuring again.  ``deltas``, ``lambdas`` and the context's class are
+    computed once, at construction.
     """
 
-    space: FiniteKolmogorovSpace
     pair: ReferencePair
     context: Event
     outcomes: tuple[OutcomeCoefficients, ...]
     a_profile: tuple[float, ...]
     b_profile: tuple[float, ...]
     transition: TransitionMatrix
+    deltas: tuple[float, ...] = field(init=False)
+    lambdas: tuple[float, ...] = field(init=False)
+    context_class: ContextClass = field(init=False)
 
-    @property
-    def deltas(self) -> tuple[float, ...]:
-        return tuple(o.delta for o in self.outcomes)
-
-    @property
-    def lambdas(self) -> tuple[float, ...]:
-        return tuple(o.lam for o in self.outcomes)
-
-
-def _require_dichotomous(pair: ReferencePair) -> None:
-    if len(pair.a_values) != 2 or len(pair.b_values) != 2:
-        raise ValueError(
-            "interference decomposition is defined for dichotomous pairs; "
-            "use the multivalued splitting for larger value sets"
-        )
+    def __post_init__(self) -> None:
+        # a boundary outcome fits either geometry; the others must agree
+        kinds = {o.tag.value for o in self.outcomes} - {"boundary"}
+        cls = kinds.pop() if len(kinds) == 1 else "mixed" if kinds else "boundary"
+        object.__setattr__(self, "deltas", tuple(o.delta for o in self.outcomes))
+        object.__setattr__(self, "lambdas", tuple(o.lam for o in self.outcomes))
+        object.__setattr__(self, "context_class", ContextClass(cls))
 
 
 def delta(
@@ -157,30 +152,42 @@ def lambda_coefficient(
 def interference_coefficients(
     space: FiniteKolmogorovSpace, pair: ReferencePair, context: Event
 ) -> InterferenceCoefficients:
-    """Compute delta and lambda for every b-outcome of one context.
-
-    The context is measured once: P(C), P(A_i & C) and P(B_j & C) are read
-    from the space's measure of their masks and carried in the result as
-    the conditional profiles.  Raises on null or a-degenerate contexts and
-    on a vanishing normalising root.
-    """
-    _require_dichotomous(pair)
+    """Compute delta and lambda for every b-outcome of one context: P(C),
+    P(A_i & C) and P(B_j & C), each the space's measure of its mask, and the
+    pair's "b/a" transition matrix go to :func:`coefficients_from_measures`.
+    Raises on non-dichotomous or compatible pairs, null or a-degenerate
+    contexts and on a vanishing normalising root."""
+    if len(pair.a_values) != 2 or len(pair.b_values) != 2:
+        raise ValueError(
+            "interference decomposition is defined for dichotomous pairs; "
+            "use the multivalued splitting for larger value sets"
+        )
     if not are_incompatible(space, pair):
         raise DegenerateCell("reference variables must be incompatible")
     mask = space._masks(context)[0]
-    pc = space._measure(mask)
+    m = space._measure
+    return coefficients_from_measures(
+        pair, context, transition_matrix(space, pair, "b/a"), m(mask),
+        [m(ay.mask & mask) for ay in pair.a_partition],
+        [m(bx.mask & mask) for bx in pair.b_partition],
+    )
+
+
+def coefficients_from_measures(
+    pair: ReferencePair, context: Event, transition: TransitionMatrix,
+    pc: float, a_row: Sequence[float], b_row: Sequence[float],
+) -> InterferenceCoefficients:
+    """The coefficients of one context from P(C), ``a_row[i]`` =
+    P(A_i & C), ``b_row[j]`` = P(B_j & C) and the pair's "b/a"
+    ``transition`` matrix.  The caller has checked that the pair is
+    dichotomous and incompatible, once for all its contexts."""
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
-    pa = []
-    for i, ay in enumerate(pair.a_partition):
-        p = space._measure(ay.mask & mask) / pc
-        if p == 0.0:
-            raise DegenerateContext(
-                f"context misses the cell a={pair.a_values[i]!r}"
-            )
-        pa.append(p)
-    pb = [space._measure(bx.mask & mask) / pc for bx in pair.b_partition]
-    transition = transition_matrix(space, pair, "b/a")
+    pa = [p / pc for p in a_row]
+    if 0.0 in pa:
+        y = pair.a_values[pa.index(0.0)]
+        raise DegenerateContext(f"context misses the cell a={y!r}")
+    pb = [p / pc for p in b_row]
     t = transition.rows
     outcomes = []
     for j, x in enumerate(pair.b_values):
@@ -198,7 +205,7 @@ def interference_coefficients(
             tag = OutcomeClass.HYPERBOLIC
         outcomes.append(OutcomeCoefficients(x, d, lam, tag))
     coeffs = InterferenceCoefficients(
-        space, pair, context, tuple(outcomes), tuple(pa), tuple(pb), transition
+        pair, context, tuple(outcomes), tuple(pa), tuple(pb), transition
     )
     if abs(math.fsum(coeffs.deltas)) > PREDICATE_TOL:
         raise InvariantViolation("outcome perturbations must sum to zero")
@@ -206,14 +213,7 @@ def interference_coefficients(
 
 
 def classify_context(coeffs: InterferenceCoefficients) -> ContextClass:
-    tags = [o.tag for o in coeffs.outcomes]
-    if all(t is OutcomeClass.BOUNDARY for t in tags):
-        return ContextClass.BOUNDARY
-    if all(t in (OutcomeClass.TRIGONOMETRIC, OutcomeClass.BOUNDARY) for t in tags):
-        return ContextClass.TRIGONOMETRIC
-    if all(t in (OutcomeClass.HYPERBOLIC, OutcomeClass.BOUNDARY) for t in tags):
-        return ContextClass.HYPERBOLIC
-    return ContextClass.MIXED
+    return coeffs.context_class
 
 
 @dataclass(frozen=True)

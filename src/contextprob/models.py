@@ -6,10 +6,10 @@ contexts (lists of point identifiers), and optionally the pair of variable
 names to use as the reference pair (default: "a" and "b", else the first two
 declared).
 
-The loader rejects nonpositive weights and weight sums outside one part in
-1e9, then renormalises.  Serialisation is canonical: sorted object keys,
-context members in point order, and floats printed with 17 significant
-digits so that load -> serialise -> load is a fixed point.
+The loader rejects nonpositive weights, weight sums outside one part in 1e9
+and one-valued reference variables, then renormalises.  Serialisation is
+canonical: sorted object keys, context members in point order, and floats
+printed with 17 significant digits, so load -> serialise -> load is fixed.
 """
 
 from __future__ import annotations
@@ -153,6 +153,9 @@ def model_from_dict(doc: Mapping) -> ModelDocument:
                 f"reference pair names unknown {name!r}",
             )
         pair_names = (pair_names_raw[0], pair_names_raw[1])
+    for name in pair_names:
+        single = len(set(variables[name].values)) < 2
+        _validate(not single, f"reference variable {name!r} takes a single value")
     return ModelDocument(space, variables, contexts, pair_names)
 
 

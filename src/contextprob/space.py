@@ -17,10 +17,10 @@ pure functions, with one exception: each space memoises, in a private dict
 that takes no part in equality, hashing or printing, three kinds of result:
 the probability of each event mask it has measured, each transition matrix
 it has built, and whether a reference pair is incompatible.  Nothing per
-context is stored there: the caller that needs a context's measures reads
-them once, into a :class:`MeasureTable` it drops when done.  Values can
-still be shared across threads: a race between two threads only computes the
-same entry twice.
+context is stored there: the caller reads a context's measures once, into a
+:class:`MeasureTable`; a ``verify`` run holds one per declared context for
+its duration.  Values can still be shared across threads: a race between
+two threads only computes the same entry twice.
 """
 
 from __future__ import annotations

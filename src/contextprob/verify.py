@@ -14,17 +14,18 @@ pairs when it is created with :meth:`_Run.check`, or with
 the first false one is the check's skip witness, and a check with no false
 precondition that compared nothing is skipped as "nothing to compare".
 
-The core and multivalued suites read each declared context through one
-:class:`~contextprob.space.MeasureTable`, built in the loop that uses it:
-P(C), its a-, b- and joint cells, and for the multivalued suite the union
-rows of the single a-cells, the a-cell pairs and the recursion tails, each a
-measure of its own mask.
+A run reads each declared context once, into one
+:class:`~contextprob.space.MeasureTable` it holds to the end: P(C), its a-,
+b- and joint cells, and the union rows of the single a-cells, the a-cell
+pairs and the recursion tails, each a measure of its own mask.  The
+classification and the core and multivalued suites read these tables, and
+each representable context's principal complex state is built once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -47,6 +48,8 @@ from .models import ModelDocument
 from .space import (
     IDENTITY_TOL,
     PREDICATE_TOL,
+    MeasureTable,
+    are_incompatible,
     check_incompatibility_structure,
     is_double_stochastic,
     is_symmetrically_conditioned,
@@ -74,12 +77,7 @@ class Check:
         residual = self.residual
         if residual is not None and not math.isfinite(residual):
             residual = None
-        return {
-            "id": self.id,
-            "status": self.status,
-            "residual": residual,
-            "witness": self.witness,
-        }
+        return {**asdict(self), "residual": residual}
 
 
 @dataclass
@@ -145,7 +143,7 @@ class _Run:
 
     ``classified`` holds (name, coefficients, class) for every declared
     context that is a-nondegenerate, in declaration order; it is empty
-    unless the pair is dichotomous.
+    unless the pair is dichotomous and incompatible.
     """
 
     def __init__(self, doc: ModelDocument, tolerance: float | None):
@@ -156,12 +154,34 @@ class _Run:
         pair = self.pair
         self.dichotomous = len(pair.a_values) == 2 and len(pair.b_values) == 2
         self.classified = []
-        for name, event in doc.contexts.items() if self.dichotomous else ():
+        self.states: dict[str, cr.ComplexAmplitude] = {}
+        if not (self.dichotomous and are_incompatible(self.space, pair)):
+            return
+        for (name, event), table in zip(doc.contexts.items(), self.tables):
             try:
-                coeffs = itf.interference_coefficients(self.space, pair, event)
+                coeffs = itf.coefficients_from_measures(
+                    pair, event, self.t, table.pc, table.a_row, table.b_row
+                )
             except (DegenerateContext, DegenerateCell, ZeroConditioningContext):
                 continue
-            self.classified.append((name, coeffs, itf.classify_context(coeffs)))
+            self.classified.append((name, coeffs, coeffs.context_class))
+
+    @cached_property
+    def tables(self) -> list[MeasureTable]:
+        """The table of each declared context, in declaration order, with
+        the unions the multivalued suite splits over."""
+        cells = self.pair.a_partition, self.pair.b_partition
+        k = range(len(cells[0]))
+        unions = {*map(frozenset, [*combinations(k, 1), *combinations(k, 2)])}
+        unions.update(mv.recursion_tails(k))
+        contexts = self.doc.contexts.values()
+        return [measure_table(self.space, *cells, c, unions) for c in contexts]
+
+    def psi(self, name: str, coeffs) -> cr.ComplexAmplitude:
+        """The principal complex state of a classified context, built once."""
+        if name not in self.states:
+            self.states[name] = cr.amplitude_from_coefficients(coeffs)
+        return self.states[name]
 
     def check(self, check_id: str, tol: float, *preconditions) -> _Recorder:
         """A new check, last in the report so far; a tolerance override
@@ -187,13 +207,10 @@ class _Run:
         return is_double_stochastic(transition_matrix(self.space, self.pair, "a/b"))
 
     @cached_property
-    def b_cells(self) -> list:
-        """(coefficients, class) of each b-cell taken as a context."""
-        out = []
-        for bx in self.pair.b_partition:
-            coeffs = itf.interference_coefficients(self.space, self.pair, bx)
-            out.append((coeffs, itf.classify_context(coeffs)))
-        return out
+    def b_cells(self) -> list[itf.InterferenceCoefficients]:
+        """The coefficients of each b-cell taken as a context."""
+        space, pair = self.space, self.pair
+        return [itf.interference_coefficients(space, pair, b) for b in pair.b_partition]
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +228,7 @@ def _core_checks(run: _Run) -> None:
     rec_bayes = run.check("core.bayes_consistency", IDENTITY_TOL)
     rec_total = run.check("core.total_probability_identity", IDENTITY_TOL)
     rec_closure = run.check("core.partition_closure", IDENTITY_TOL)
-    for name, c in contexts.items():
-        table = measure_table(space, pair.a_partition, pair.b_partition, c)
+    for name, table in zip(contexts, run.tables):
         pc = table.pc
         rec_range.expect(0.0 <= pc <= 1.0 + IDENTITY_TOL, f"P({name})={pc}")
         if pc == 0.0:
@@ -289,7 +305,7 @@ def _complex_checks(run: _Run) -> None:
     rec_a = run.check("complex.born_a", cr.BORN_TOL, not_ds)
     states = []  # (name, state, a-profile, b-profile), kept for averages
     for name, coeffs in representable:
-        psi = cr.amplitude_from_coefficients(coeffs)
+        psi = run.psi(name, coeffs)
         if ds:
             states.append((name, psi, coeffs.a_profile, coeffs.b_profile))
         psi_bar = cr.amplitude_from_coefficients(coeffs, "conjugate")
@@ -329,9 +345,9 @@ def _complex_checks(run: _Run) -> None:
             * abs(pair.b_values[0] - pair.b_values[1])
             * q1q2
         )
+        largest = float(np.max(np.abs(comm)))
         rec_comm.expect(
-            float(np.max(np.abs(comm))) >= bound - PREDICATE_TOL,
-            f"max |[b,a]| = {float(np.max(np.abs(comm)))} < {bound}",
+            largest >= bound - PREDICATE_TOL, f"max |[b,a]| = {largest} < {bound}"
         )
 
         # f at each a-value, g at each b-value
@@ -349,14 +365,14 @@ def _complex_checks(run: _Run) -> None:
                 rec_avg.compare(report.classical, report.quantum, fname)
 
         both_ds = run.both_ds
-        b_trig = all(cls in COMPLEX_CLASSES for _, cls in run.b_cells)
+        b_trig = all(c.context_class in COMPLEX_CLASSES for c in run.b_cells)
         rec_cls.expect(
             b_trig == both_ds,
             f"b-cells trigonometric={b_trig}, both matrices doubly "
             f"stochastic={both_ds}",
         )
         if both_ds:
-            for j, (coeffs, _) in enumerate(run.b_cells):
+            for j, coeffs in enumerate(run.b_cells):
                 rec_cls.compare(coeffs.lambdas[j], 1.0, f"lambda(B{j}|B{j})")
                 rec_cls.compare(coeffs.lambdas[1 - j], -1.0, f"lambda(B{1-j}|B{j})")
 
@@ -394,24 +410,15 @@ def _hyperbolic_checks(run: _Run) -> None:
 
     rec = run.check("hyperbolic.ring_laws", 1e-9)
     for _ in range(200):
-        ax, ay, bx, by, cx, cy = rng.uniform(-10, 10, size=6)
-        z1, z2, z3 = (
-            HyperbolicNumber(ax, ay),
-            HyperbolicNumber(bx, by),
-            HyperbolicNumber(cx, cy),
-        )
-        lhs = (z1 * z2) * z3
-        rhs = z1 * (z2 * z3)
-        rec.compare(lhs.x, rhs.x, "associativity")
-        rec.compare(lhs.y, rhs.y, "associativity")
-        lhs = z1 * (z2 + z3)
-        rhs = z1 * z2 + z1 * z3
-        rec.compare(lhs.x, rhs.x, "distributivity")
-        rec.compare(lhs.y, rhs.y, "distributivity")
-        lhs = z1 * z2
-        rhs = z2 * z1
-        rec.compare(lhs.x, rhs.x, "commutativity")
-        rec.compare(lhs.y, rhs.y, "commutativity")
+        u = rng.uniform(-10, 10, size=6)
+        z1, z2, z3 = map(HyperbolicNumber, u[0::2], u[1::2])
+        for law, lhs, rhs in (
+            ("associativity", (z1 * z2) * z3, z1 * (z2 * z3)),
+            ("distributivity", z1 * (z2 + z3), z1 * z2 + z1 * z3),
+            ("commutativity", z1 * z2, z2 * z1),
+        ):
+            rec.compare(lhs.x, rhs.x, law)
+            rec.compare(lhs.y, rhs.y, law)
 
     rec = run.check("hyperbolic.norm_multiplicative", 1e-8)
     rec2 = run.check("hyperbolic.positive_cone_closed", PREDICATE_TOL)
@@ -495,7 +502,8 @@ def _hyperbolic_checks(run: _Run) -> None:
     rec = run.check("hyperbolic.basic_contexts_hyperbolic", PREDICATE_TOL, not_ds)
     if ds:
         both_ds = run.both_ds
-        for j, (coeffs, cls) in enumerate(run.b_cells):
+        for j, coeffs in enumerate(run.b_cells):
+            cls = coeffs.context_class
             rec.expect(
                 cls in HYPERBOLIC_CLASSES,
                 f"b-cell {j} classified {cls.value}",
@@ -514,25 +522,21 @@ def _hyperbolic_checks(run: _Run) -> None:
 
 def _multivalued_checks(run: _Run) -> None:
     space, pair, contexts = run.space, run.pair, run.doc.contexts
-    cells = pair.a_partition, pair.b_partition
-    free = measure_table(space, *cells, space.full_event())
+    free = measure_table(space, pair.a_partition, pair.b_partition, space.full_event())
     n = len(pair.a_values)
     pairs = list(combinations(range(n), 2))
     order, signs = tuple(range(n)), (1,) * (n - 1)
-    tails = mv.recursion_tails(order)
+    singles = [frozenset((i,)) for i in range(n)]
+    coefficients = {name: coeffs for name, coeffs, _ in run.classified}
 
     rec_f1 = run.check("multivalued.union_additivity", IDENTITY_TOL)
     rec_f2 = run.check("multivalued.conditioned_split", IDENTITY_TOL)
     rec_f3 = run.check("multivalued.contextual_split", IDENTITY_TOL)
     rec_f5 = run.check("multivalued.half_eliminated_split", IDENTITY_TOL)
-    tuples = 0
-    singles = [frozenset((i,)) for i in range(n)]
-    unions = {*map(frozenset, pairs), *singles, *tails}
-    for name, c in contexts.items():
-        table = measure_table(space, *cells, c, unions)
-        if table.pc == 0.0:
-            continue
-        for j in range(len(pair.b_values)):
+    rec = run.check("multivalued.recursion_born", mv.RECURSION_BORN_TOL)
+    tuples = built = unrepresentable = 0
+    for (name, c), table in zip(contexts.items(), run.tables):
+        for j in range(len(pair.b_values)) if table.pc != 0.0 else ():
             for i1, i2 in pairs:
                 try:
                     split = mv.split_from_tables(table, free, j, i1, i2)
@@ -545,15 +549,6 @@ def _multivalued_checks(run: _Run) -> None:
                 rec_f3.compare(split.lhs, split.rhs, name)
                 half = head + tail + 2.0 * mu * math.sqrt(head * tail)
                 rec_f5.compare(half, split.lhs, name)
-    for rec in (rec_f1, rec_f2, rec_f3, rec_f5):
-        rec.require(tuples > 0, "no admissible event tuples")
-
-    rec = run.check("multivalued.recursion_born", mv.RECURSION_BORN_TOL)
-    coefficients = {name: coeffs for name, coeffs, _ in run.classified}
-    built = 0
-    unrepresentable = 0
-    for name, c in contexts.items():
-        table = measure_table(space, *cells, c, tails)
         try:
             psi, chain = mv.amplitude_nvalued_from_tables(
                 pair, c, table, free, order, signs
@@ -568,11 +563,13 @@ def _multivalued_checks(run: _Run) -> None:
             rec.compare(psi.born(x), table.b_row[j] / table.pc, f"{name}, x={x}")
         if name in coefficients:
             try:
-                flat = cr.amplitude_from_coefficients(coefficients[name])
+                flat = run.psi(name, coefficients[name])
             except (MixedContext, HyperbolicContext):
                 continue
             for j, x in enumerate(pair.b_values):
                 rec.compare(psi.born(x), flat.born(x), f"{name} vs flat, x={x}")
+    for r in (rec_f1, rec_f2, rec_f3, rec_f5):
+        r.require(tuples > 0, "no admissible event tuples")
     rec.require(
         built > 0, f"no representable contexts ({unrepresentable} out of range)"
     )

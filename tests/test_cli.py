@@ -363,6 +363,29 @@ class TestErrorContract:
             "detail": "split decomposition identity drifted",
         }
 
+    @pytest.mark.parametrize("variable", ("a", "b"))
+    @pytest.mark.parametrize(
+        "argv",
+        (["analyze"], ["represent"], ["verify", "--suite", "core"],
+         ["verify", "--suite", "multivalued"], ["verify"]),
+    )
+    def test_one_valued_reference_variable_exit_two(
+        self, tmp_path, kq_path, variable, argv, capsys
+    ):
+        with open(kq_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["variables"][variable] = {p: 1 for p in raw["variables"][variable]}
+        path = tmp_path / "one_valued.json"
+        path.write_text(json.dumps(raw))
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {
+            "error": "model-validation",
+            "detail": f"reference variable {variable!r} takes a single value",
+        }
+
     def test_subprocess_has_no_traceback(self, kq_path):
         proc = run_cli("represent", kq_path, "--anchor", "C12")
         assert proc.returncode == 3

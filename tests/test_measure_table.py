@@ -6,25 +6,34 @@ n-valued recursion and total probability formula read a per-context
 random models of several arities, each body (and each event form, now a
 composition of a body) must return exactly (``==``) what the reference
 returns, or raise the same exception class with the same message.
+``_ref_coefficients`` and ``_ref_classify`` do the same for the
+interference coefficients, now computed by ``coefficients_from_measures``
+from a context's three measures, and for the class they now store.
 """
 
 import cmath
-import json
 import math
+import sys
+from dataclasses import fields, replace
+from itertools import product
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contextprob as cp
+from contextprob import complex_repr as cr
 from contextprob import interference as itf
+from contextprob import space as space_module
 from contextprob.errors import (
     DegenerateCell,
+    DegenerateContext,
     InvariantViolation,
     SplitOutOfRange,
     ZeroConditioningContext,
 )
 from contextprob.interference import cis
+from contextprob.models import ModelDocument
 from contextprob.multivalued import (
     RECURSION_BORN_TOL,
     SplitChain,
@@ -40,10 +49,12 @@ from contextprob.multivalued import (
 )
 from contextprob.space import (
     IDENTITY_TOL,
+    PREDICATE_TOL,
     Event,
     classical_total_probability,
     measure_table,
     total_probability_from_table,
+    transition_matrix,
 )
 from contextprob.verify import run_suite
 
@@ -348,35 +359,216 @@ def test_invalid_arguments_raise_as_before(kq):
         _ref_total_probability, space, pair, other
     )
 
-    # a single-valued a-variable passes validation; the multivalued suite
-    # raises the recursion's ValueError, also when every context is null
+    # the loader rejects a single-valued a-variable; a document built
+    # directly still reaches the multivalued suite, which raises the
+    # recursion's ValueError, also when every context is null
+    space = cp.FiniteKolmogorovSpace(("w1", "w2", "w3", "w4"), (0.25,) * 4)
+    variables = {
+        "a": cp.RandomVariable("a", (1.0,) * 4),
+        "b": cp.RandomVariable("b", (1.0, -1.0, -1.0, 1.0)),
+    }
     for members in (["w1", "w2"], []):
-        one_valued = cp.loads_model(json.dumps({
-            "points": [{"id": w, "p": 0.25} for w in ("w1", "w2", "w3", "w4")],
-            "variables": {
-                "a": {"w1": 1, "w2": 1, "w3": 1, "w4": 1},
-                "b": {"w1": 1, "w2": -1, "w3": -1, "w4": 1},
-            },
-            "reference_pair": ["a", "b"],
-            "contexts": {"C": members},
-        }))
+        contexts = {"C": space.event(members)}
+        one_valued = ModelDocument(space, variables, contexts, ("a", "b"))
         assert outcome(run_suite, one_valued, "multivalued") == (
             "raise", ValueError, "need at least two a-values"
         )
 
 
-def test_run_suite_measures_each_context_once(kq, monkeypatch):
-    """One coefficient computation per declared context (11 on kq), one per
-    b-cell (2) and one for the basis anchor."""
+def count_calls(monkeypatch, module, name) -> list:
+    """Replace ``module.name`` under every name a ``contextprob`` module
+    holds it by; the returned list gets the arguments of each call."""
     calls = []
-    original = itf.interference_coefficients
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args)
         return original(*args, **kwargs)
 
-    for module in ("interference", "complex_repr", "hyperbolic_repr"):
-        monkeypatch.setattr(f"contextprob.{module}.interference_coefficients", counted)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "contextprob":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_run_suite_measures_each_context_once(kq, monkeypatch):
+    """One coefficient computation per declared context (11 on kq), one per
+    b-cell (2) and one for the basis anchor, all through the body; one
+    measure table per declared context and one of the full event; one
+    principal and one conjugate state per representable context (9)."""
+    calls = count_calls(monkeypatch, itf, "coefficients_from_measures")
+    tables = count_calls(monkeypatch, space_module, "measure_table")
+    states = count_calls(monkeypatch, cr, "amplitude_from_coefficients")
     run_suite(kq)
     assert len(kq.contexts) == 11
     assert len(calls) == 14
+    assert len(tables) == 12
+    branches = [args[1] if len(args) > 1 else "principal" for args in states]
+    assert branches.count("principal") == branches.count("conjugate") == 9
+    assert len(branches) == 18
+
+
+def test_pair_facts_are_read_once_per_run(kq, monkeypatch):
+    """Incompatibility and the transition matrices are consulted a fixed
+    number of times per run, and ``_masks`` once more per declared context
+    (its table); eleven more contexts add nothing else."""
+    wider = ModelDocument(
+        kq.space,
+        kq.variables,
+        {**kq.contexts, **{f"{name}'": c for name, c in kq.contexts.items()}},
+        kq.pair_names,
+    )
+    counts = []
+    for doc in (kq, wider):
+        with monkeypatch.context() as m:
+            incompatible = count_calls(m, space_module, "are_incompatible")
+            matrices = count_calls(m, space_module, "transition_matrix")
+            masks = []
+            original = space_module.FiniteKolmogorovSpace._masks
+
+            def counted(self, *events):
+                masks.append(events)
+                return original(self, *events)
+
+            m.setattr(space_module.FiniteKolmogorovSpace, "_masks", counted)
+            run_suite(doc)
+        counts.append((len(incompatible), len(matrices), len(masks)))
+    assert counts[0] == (5, 10, 45)
+    assert counts[1] == (5, 10, 45 + 11)
+
+
+def _ref_classify(outcomes):
+    """``classify_context`` as it was before the class was stored: read
+    from the outcome tags on every call."""
+    tags = [o.tag for o in outcomes]
+    if all(t is itf.OutcomeClass.BOUNDARY for t in tags):
+        return itf.ContextClass.BOUNDARY
+    if all(
+        t in (itf.OutcomeClass.TRIGONOMETRIC, itf.OutcomeClass.BOUNDARY) for t in tags
+    ):
+        return itf.ContextClass.TRIGONOMETRIC
+    if all(t in (itf.OutcomeClass.HYPERBOLIC, itf.OutcomeClass.BOUNDARY) for t in tags):
+        return itf.ContextClass.HYPERBOLIC
+    return itf.ContextClass.MIXED
+
+
+def _ref_coefficients(space, pair, context):
+    """``interference_coefficients`` as it was before it called
+    ``coefficients_from_measures``, returning the field values of its
+    result."""
+    if len(pair.a_values) != 2 or len(pair.b_values) != 2:
+        raise ValueError(
+            "interference decomposition is defined for dichotomous pairs; "
+            "use the multivalued splitting for larger value sets"
+        )
+    if not cp.are_incompatible(space, pair):
+        raise DegenerateCell("reference variables must be incompatible")
+    mask = space._masks(context)[0]
+    pc = space._measure(mask)
+    if pc == 0.0:
+        raise ZeroConditioningContext("context has probability zero")
+    pa = []
+    for i, ay in enumerate(pair.a_partition):
+        p = space._measure(ay.mask & mask) / pc
+        if p == 0.0:
+            raise DegenerateContext(f"context misses the cell a={pair.a_values[i]!r}")
+        pa.append(p)
+    pb = [space._measure(bx.mask & mask) / pc for bx in pair.b_partition]
+    transition = transition_matrix(space, pair, "b/a")
+    t = transition.rows
+    outcomes = []
+    for j, x in enumerate(pair.b_values):
+        classical = math.fsum(pa[i] * t[i][j] for i in range(2))
+        d = pb[j] - classical
+        prod = pa[0] * t[0][j] * pa[1] * t[1][j]
+        if prod <= 0.0:
+            raise DegenerateCell("a probability under the normalising root vanishes")
+        lam = d / (2.0 * math.sqrt(prod))
+        if abs(abs(lam) - 1.0) <= itf.BOUNDARY_TOL:
+            tag = itf.OutcomeClass.BOUNDARY
+        elif abs(lam) < 1.0:
+            tag = itf.OutcomeClass.TRIGONOMETRIC
+        else:
+            tag = itf.OutcomeClass.HYPERBOLIC
+        outcomes.append(itf.OutcomeCoefficients(x, d, lam, tag))
+    deltas = tuple(o.delta for o in outcomes)
+    if abs(math.fsum(deltas)) > PREDICATE_TOL:
+        raise InvariantViolation("outcome perturbations must sum to zero")
+    return {
+        "pair": pair,
+        "context": context,
+        "outcomes": tuple(outcomes),
+        "a_profile": tuple(pa),
+        "b_profile": tuple(pb),
+        "transition": transition,
+        "deltas": deltas,
+        "lambdas": tuple(o.lam for o in outcomes),
+        "context_class": _ref_classify(outcomes),
+    }
+
+
+def _coefficients_from_table(space, pair, context):
+    """The body fed as ``verify`` feeds it: from the context's table."""
+    table = measure_table(space, pair.a_partition, pair.b_partition, context)
+    t = transition_matrix(space, pair, "b/a")
+    return itf.coefficients_from_measures(
+        pair, context, t, table.pc, table.a_row, table.b_row
+    )
+
+
+def coefficient_outcome(fn, *args):
+    """:func:`outcome` of a coefficient computation as its field values."""
+    got = outcome(fn, *args)
+    if got[0] == "raise":
+        return got
+    coeffs = got[1]
+    assert itf.classify_context(coeffs) is coeffs.context_class
+    return ("return", {f.name: getattr(coeffs, f.name) for f in fields(coeffs)})
+
+
+@st.composite
+def dichotomous_models(draw):
+    """A random incompatible dichotomous model and a context mask drawn over
+    its points (empty included)."""
+    doc = cp.generate_random_model(
+        seed=draw(st.integers(0, 10_000)),
+        n_points=4 + draw(st.integers(0, 6)),
+        double_stochastic=draw(st.sampled_from([None, True])),
+        n_contexts=0,
+    )
+    n = doc.space.n
+    return doc.space, doc.pair, Event(draw(st.integers(0, (1 << n) - 1)), n)
+
+
+@SETTINGS
+@given(dichotomous_models())
+def test_coefficient_body_on_tables(model):
+    space, pair, c = model
+    want = outcome(_ref_coefficients, space, pair, c)
+    assert coefficient_outcome(itf.interference_coefficients, space, pair, c) == want
+    assert coefficient_outcome(_coefficients_from_table, space, pair, c) == want
+
+
+def test_coefficient_body_on_cells_and_full_event(kq):
+    space, pair = kq.space, kq.pair
+    for c in (*pair.a_partition, *pair.b_partition, space.full_event()):
+        want = outcome(_ref_coefficients, space, pair, c)
+        assert coefficient_outcome(itf.interference_coefficients, space, pair, c) == want
+        assert coefficient_outcome(_coefficients_from_table, space, pair, c) == want
+
+
+def test_stored_class_matches_tag_classification(kq):
+    """Every combination of outcome tags, on coefficient objects built
+    directly, gets the class the tags gave before."""
+    base = itf.interference_coefficients(kq.space, kq.pair, kq.context("C123"))
+    for tags in product(itf.OutcomeClass, repeat=2):
+        outcomes = tuple(replace(o, tag=t) for o, t in zip(base.outcomes, tags))
+        coeffs = itf.InterferenceCoefficients(
+            base.pair, base.context, outcomes, base.a_profile, base.b_profile,
+            base.transition,
+        )
+        assert itf.classify_context(coeffs) is _ref_classify(outcomes)
+        assert coeffs.deltas == tuple(o.delta for o in outcomes)
+        assert coeffs.lambdas == tuple(o.lam for o in outcomes)
