@@ -7,24 +7,25 @@ model reproduced against its closed forms), and ``gen random`` (seeded model
 generation).  Exit codes: 0 success, 1 a check failed (verification or
 reproduction failure, or an :class:`InvariantViolation`), 2 load/validation
 failure (a :class:`ModelValidationError`, an invalid generator argument, a
-``--tolerance`` that is negative or not finite, or an ``OSError`` from
+``--tolerance`` that is negative or not finite, an ``example kq --gamma``
+other than 1, the magnitude of the model's values, or an ``OSError`` from
 reading the model or writing a report, such as a missing model file or an
 output directory that does not exist), 3 input the calculus cannot represent
 (any other library error, such as a degenerate anchor context or a
-compatible reference pair).  An error that ends a command writes
-a one-line JSON diagnostic to stderr, tagged ``"model-validation"`` for a
-validation failure and with the exception's class name otherwise (for a
-missing model file, ``"FileNotFoundError"``); :func:`main` is the one place
-that maps errors to exit codes.
+compatible reference pair).  An error that ends a command writes a one-line
+JSON diagnostic to stderr, tagged ``"model-validation"`` for a validation
+failure and with the exception's class name otherwise (for a missing model
+file, ``"FileNotFoundError"``); :func:`main` is the one place that maps
+errors to exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -48,24 +49,45 @@ from .models import (
 from .space import transition_matrix
 from .verify import run_suite
 
+_LITERALS = {None: "null", True: "true", False: "false"}
+
 
 def _emit(payload, args) -> None:
-    if args.format == "json":
-        # json.dumps with an indent keeps every chunk alive until it joins
-        # them, several times the size of the text; dumping into a buffer
-        # writes the same text at a fraction of that peak
-        buf = io.StringIO()
-        json.dump(
-            payload, buf, indent=2, sort_keys=True, default=str, allow_nan=False
-        )
-        text = buf.getvalue()
-    else:
-        text = _render_text(payload)
+    # the writer joins each container's items once, so the report's text is
+    # built without a buffer holding every chunk; print adds the newline
+    text = _json_text(payload) if args.format == "json" else _render_text(payload)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            print(text, file=fh)
     else:
         print(text)
+
+
+def _json_text(o, pad: str = "\n") -> str:
+    """``o`` as ``json.dump(o, fp, indent=2, sort_keys=True, default=str,
+    allow_nan=False)`` writes it, for ``str`` dict keys.  json's indented
+    encoder is pure Python; this encodes strings through its C function."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None or o is True or o is False:
+        return _LITERALS[o]
+    if isinstance(o, float):
+        if not math.isfinite(o):
+            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+        return float.__repr__(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, dict):
+        inner = pad + "  "
+        body = f",{inner}".join(
+            [f"{_encode_str(key)}: {_json_text(o[key], inner)}" for key in sorted(o)]
+        )
+        return f"{{{inner}{body}{pad}}}" if o else "{}"
+    if isinstance(o, (list, tuple)):
+        inner = pad + "  "
+        body = f",{inner}".join([_json_text(item, inner) for item in o])
+        return f"[{inner}{body}{pad}]" if o else "[]"
+    return _encode_str(str(o))
 
 
 def _render_text(payload, indent: int = 0) -> str:
@@ -122,6 +144,7 @@ def cmd_analyze(args) -> int:
     space, pair = doc.space, doc.pair
     out: dict = {"contexts": {}}
     dichotomous = len(pair.a_values) == 2 and len(pair.b_values) == 2
+    coefficients = itf.pair_coefficients(space, pair) if dichotomous else None
     for name, event in _selected_contexts(doc, args.context).items():
         if not dichotomous:
             try:
@@ -136,7 +159,7 @@ def cmd_analyze(args) -> int:
                 }
             continue
         try:
-            coeffs = itf.interference_coefficients(space, pair, event)
+            coeffs = coefficients(event)
         except ContextualProbabilityError as exc:
             out["contexts"][name] = {"class": "degenerate", "reason": str(exc)}
             continue
@@ -196,6 +219,7 @@ def cmd_represent(args) -> int:
     out["basis_unitary"] = basis.unitary
     if not basis.unitary:
         out["basis_witness"] = basis.witness
+    coefficients = itf.pair_coefficients(space, pair)
 
     # a shared module basis for the a-side decomposability flags: anchored at
     # the first strictly hyperbolic declared context, when one exists
@@ -203,7 +227,7 @@ def cmd_represent(args) -> int:
     if basis.unitary:
         for event in doc.contexts.values():
             try:
-                coeffs = itf.interference_coefficients(space, pair, event)
+                coeffs = coefficients(event)
             except ContextualProbabilityError:
                 continue
             if itf.classify_context(coeffs) is itf.ContextClass.HYPERBOLIC:
@@ -212,7 +236,7 @@ def cmd_represent(args) -> int:
 
     for name, event in _selected_contexts(doc, args.context).items():
         try:
-            coeffs = itf.interference_coefficients(space, pair, event)
+            coeffs = coefficients(event)
         except ContextualProbabilityError as exc:
             out["complex"][name] = {"skipped": str(exc)}
             out["hyperbolic"][name] = {"skipped": str(exc)}
@@ -295,6 +319,8 @@ def cmd_verify(args) -> int:
 def cmd_example_kq(args) -> int:
     q = args.q
     gamma = args.gamma
+    if gamma != 1.0:
+        raise ModelValidationError(f"--gamma must be 1 for the kq model, got {gamma!r}")
     try:
         doc = generate_kq(q)
     except ContextualProbabilityError as exc:
@@ -446,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     example_sub = p.add_subparsers(dest="example", required=True)
     kq = example_sub.add_parser("kq", help="four-point two-parameter model")
     kq.add_argument("--q", type=float, required=True)
-    kq.add_argument("--gamma", type=float, default=1.0)
+    kq.add_argument("--gamma", type=float, default=1.0, help="only 1 is accepted")
     _add_common(kq)
     kq.set_defaults(func=cmd_example_kq)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     DegenerateCell,
@@ -152,25 +152,41 @@ def lambda_coefficient(
 def interference_coefficients(
     space: FiniteKolmogorovSpace, pair: ReferencePair, context: Event
 ) -> InterferenceCoefficients:
-    """Compute delta and lambda for every b-outcome of one context: P(C),
-    P(A_i & C) and P(B_j & C), each the space's measure of its mask, and the
-    pair's "b/a" transition matrix go to :func:`coefficients_from_measures`.
-    Raises on non-dichotomous or compatible pairs, null or a-degenerate
-    contexts and on a vanishing normalising root."""
+    """Compute delta and lambda for every b-outcome of one context; see
+    :func:`pair_coefficients`."""
+    return pair_coefficients(space, pair)(context)
+
+
+def pair_coefficients(
+    space: FiniteKolmogorovSpace, pair: ReferencePair
+) -> Callable[[Event], InterferenceCoefficients]:
+    """The coefficients of each context under one pair, with the pair checked
+    once: P(C), P(A_i & C) and P(B_j & C), each the space's measure of its
+    mask, and the pair's "b/a" transition matrix go to
+    :func:`coefficients_from_measures`.  Raises on non-dichotomous pairs
+    here, and for each context on a compatible pair, null or a-degenerate
+    contexts and a vanishing normalising root."""
     if len(pair.a_values) != 2 or len(pair.b_values) != 2:
         raise ValueError(
             "interference decomposition is defined for dichotomous pairs; "
             "use the multivalued splitting for larger value sets"
         )
-    if not are_incompatible(space, pair):
-        raise DegenerateCell("reference variables must be incompatible")
-    mask = space._masks(context)[0]
+    incompatible = are_incompatible(space, pair)
+    # an incompatible pair has no null cell, so the matrix cannot raise
+    transition = transition_matrix(space, pair, "b/a") if incompatible else None
     m = space._measure
-    return coefficients_from_measures(
-        pair, context, transition_matrix(space, pair, "b/a"), m(mask),
-        [m(ay.mask & mask) for ay in pair.a_partition],
-        [m(bx.mask & mask) for bx in pair.b_partition],
-    )
+
+    def coefficients(context: Event) -> InterferenceCoefficients:
+        if not incompatible:
+            raise DegenerateCell("reference variables must be incompatible")
+        mask = space._masks(context)[0]
+        return coefficients_from_measures(
+            pair, context, transition, m(mask),
+            [m(ay.mask & mask) for ay in pair.a_partition],
+            [m(bx.mask & mask) for bx in pair.b_partition],
+        )
+
+    return coefficients
 
 
 def coefficients_from_measures(

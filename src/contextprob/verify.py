@@ -16,10 +16,11 @@ precondition that compared nothing is skipped as "nothing to compare".
 
 A run reads each declared context once, into one
 :class:`~contextprob.space.MeasureTable` it holds to the end: P(C), its a-,
-b- and joint cells, and the union rows of the single a-cells, the a-cell
-pairs and the recursion tails, each a measure of its own mask.  The
-classification and the core and multivalued suites read these tables, and
-each representable context's principal complex state is built once.
+b- and joint cells and, when the multivalued suite runs, the union rows of
+the single a-cells, the a-cell pairs and the recursion tails, each a measure
+of its own mask.  The classification and the core and multivalued suites
+read these tables, and each representable context's principal complex state
+is built once.
 """
 
 from __future__ import annotations
@@ -146,10 +147,11 @@ class _Run:
     unless the pair is dichotomous and incompatible.
     """
 
-    def __init__(self, doc: ModelDocument, tolerance: float | None):
+    def __init__(self, doc: ModelDocument, tolerance: float | None, unions: bool):
         self.doc = doc
         self.space, self.pair = doc.space, doc.pair
         self.tolerance = tolerance
+        self.unions = unions
         self.recorders: list[_Recorder] = []
         pair = self.pair
         self.dichotomous = len(pair.a_values) == 2 and len(pair.b_values) == 2
@@ -169,11 +171,13 @@ class _Run:
     @cached_property
     def tables(self) -> list[MeasureTable]:
         """The table of each declared context, in declaration order, with
-        the unions the multivalued suite splits over."""
+        the unions the multivalued suite splits over when it runs."""
         cells = self.pair.a_partition, self.pair.b_partition
         k = range(len(cells[0]))
         unions = {*map(frozenset, [*combinations(k, 1), *combinations(k, 2)])}
         unions.update(mv.recursion_tails(k))
+        if not self.unions:
+            unions = ()
         contexts = self.doc.contexts.values()
         return [measure_table(self.space, *cells, c, unions) for c in contexts]
 
@@ -584,7 +588,7 @@ def run_suite(
     """Run one named suite (or all of them) against a model."""
     if suite not in SUITES and suite != "all":
         raise ValueError(f"unknown suite {suite!r}")
-    run = _Run(doc, tolerance)
+    run = _Run(doc, tolerance, suite in ("multivalued", "all"))
     for name, checks in zip(
         SUITES,
         (_core_checks, _complex_checks, _hyperbolic_checks, _multivalued_checks),

@@ -1,13 +1,23 @@
 import argparse
+import enum
+import io
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contextprob as cp
-from contextprob.cli import main
+from contextprob.cli import _json_text, main
 from contextprob.models import save_model
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -164,6 +174,20 @@ class TestExampleKq:
 
     def test_bad_q_exits_with_validation_error(self, capsys):
         assert main(["example", "kq", "--q", "0.7"]) == 2
+
+    @pytest.mark.parametrize(
+        "gamma", ("0", "0.5", "2", "1e200", "1e308", "inf", "nan", "-1")
+    )
+    def test_gamma_other_than_one_exits_with_validation_error(self, gamma, capsys):
+        """The bundled model's variables take the values +1 and -1, so any
+        other magnitude is refused before anything is computed."""
+        assert main(["example", "kq", "--q", "0.125", "--gamma", gamma]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        diag = json.loads(captured.err)
+        assert diag["error"] == "model-validation"
+        assert diag["detail"].startswith("--gamma must be 1")
 
     def test_zero_tolerance_is_a_gate_not_unset(self, capsys):
         """The closed forms agree to rounding, not exactly, so a zero gate
@@ -413,3 +437,89 @@ class TestStrictJson:
         assert check["status"] == "fail"
         assert check["residual"] is None
         assert check["witness"] == "context S1 has no state"
+
+
+def _json_dump(payload) -> str:
+    """The call the report writer replaces."""
+    buf = io.StringIO()
+    json.dump(payload, buf, indent=2, sort_keys=True, default=str, allow_nan=False)
+    return buf.getvalue()
+
+
+class _Colour(enum.Enum):
+    RED = 1
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class _Tagged(int):
+    """An int whose str is not its digits: json writes ``int.__repr__``."""
+
+    def __str__(self):
+        return "tagged"
+
+    __repr__ = __str__
+
+
+# every code point, lone surrogates and control characters included
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=8) | st.sampled_from(
+    ["", '"', "\\", "\x00\x1f\x7f", "\ud800", "café ☃ \U0001f600", "a\nb\tc"]
+)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308, 1e-7, 1e16])
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+    | _TEXT
+    | st.sampled_from(
+        [_Colour.RED, _Level.HIGH, _Tagged(7), Fraction(1, 3), Fraction(-7)]
+    )
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestReportWriter:
+    """``cli._json_text`` is exactly the text of the json.dump call it
+    replaced, and the reports it writes are json's own indented form."""
+
+    @given(_PAYLOADS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dump(self, payload):
+        assert _json_text(payload) == _json_dump(payload)
+
+    @given(
+        _PAYLOADS,
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.sampled_from(["leaf", "list", "dict"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_non_finite_float_raises_like_json_dump(self, payload, bad, where):
+        payload = {
+            "leaf": bad, "list": [payload, bad], "dict": {"k": payload, "z": bad}
+        }[where]
+        with pytest.raises(ValueError) as want:
+            _json_dump(payload)
+        with pytest.raises(ValueError) as got:
+            _json_text(payload)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("command", ["analyze", "represent", "verify"])
+    @pytest.mark.parametrize("model", ["kq", "random_3x3_seed4"])
+    def test_reports_are_json_indented_form(self, model, command, kq_path, tmp_path):
+        path = kq_path if model == "kq" else str(DATA / f"{model}.model.json")
+        out = tmp_path / "report.json"
+        assert main([command, path, "--output", str(out)]) in (0, 1)
+        text = out.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"

@@ -18,6 +18,7 @@ from dataclasses import fields, replace
 from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +34,8 @@ from contextprob.errors import (
     ZeroConditioningContext,
 )
 from contextprob.interference import cis
-from contextprob.models import ModelDocument
+from contextprob.cli import main
+from contextprob.models import ModelDocument, save_model
 from contextprob.multivalued import (
     RECURSION_BORN_TOL,
     SplitChain,
@@ -437,6 +439,30 @@ def test_pair_facts_are_read_once_per_run(kq, monkeypatch):
         counts.append((len(incompatible), len(matrices), len(masks)))
     assert counts[0] == (5, 10, 45)
     assert counts[1] == (5, 10, 45 + 11)
+
+
+@pytest.mark.parametrize("command, pins", [("analyze", (1, 1)), ("represent", (2, 3))])
+def test_commands_check_the_pair_once(kq, tmp_path, monkeypatch, capsys, command, pins):
+    """``analyze`` and ``represent`` consult incompatibility and the
+    transition matrices a fixed number of times per command; eleven more
+    contexts add nothing."""
+    wider = ModelDocument(
+        kq.space,
+        kq.variables,
+        {**kq.contexts, **{f"{name}'": c for name, c in kq.contexts.items()}},
+        kq.pair_names,
+    )
+    counts = []
+    for i, doc in enumerate((kq, wider)):
+        path = tmp_path / f"model{i}.json"
+        save_model(doc, path)
+        with monkeypatch.context() as m:
+            incompatible = count_calls(m, space_module, "are_incompatible")
+            matrices = count_calls(m, space_module, "transition_matrix")
+            assert main([command, str(path)]) == 0
+        counts.append((len(incompatible), len(matrices)))
+    capsys.readouterr()
+    assert counts == [pins, pins]
 
 
 def _ref_classify(outcomes):
