@@ -47,6 +47,7 @@ from .models import (
     save_model,
 )
 from .space import transition_matrix
+from .tolerances import KQ_EXAMPLE_TOL
 from .verify import run_suite
 
 _LITERALS = {None: "null", True: "true", False: "false"}
@@ -395,9 +396,9 @@ def cmd_example_kq(args) -> int:
     row("commutator [b,a]_12", closed_offdiag, float(comm[0, 1].real))
 
     worst = max(r["abs_diff"] for r in rows)
-    payload = {"q": q, "gamma": gamma, "rows": rows, "worst_abs_diff": worst}
-    _emit(payload, args)
-    return 0 if worst <= (1e-9 if args.tolerance is None else args.tolerance) else 1
+    _emit({"q": q, "gamma": gamma, "rows": rows, "worst_abs_diff": worst}, args)
+    tol = KQ_EXAMPLE_TOL if args.tolerance is None else args.tolerance
+    return 0 if worst <= tol else 1
 
 
 def cmd_gen_random(args) -> int:

@@ -42,14 +42,10 @@ from .interference import (
 from .space import (
     Event,
     FiniteKolmogorovSpace,
-    PREDICATE_TOL,
     ReferencePair,
     transition_matrix,
 )
-
-BORN_TOL = 1e-10
-HERMITIAN_TOL = 1e-12
-AVERAGE_TOL = 1e-9
+from .tolerances import AVERAGE_TOL, BORN_TOL, HERMITIAN_TOL, IMAGE_TOL, PREDICATE_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,7 +456,6 @@ def image_of_context_family(
     pair: ReferencePair,
     contexts: Mapping[str, Event],
     anchor: Event | None = None,
-    tol: float = 1e-10,
 ) -> ImageReport:
     """Represent every representable context of the family and deduplicate
     the resulting states."""
@@ -477,7 +472,7 @@ def image_of_context_family(
 
     def register(vec: np.ndarray) -> int:
         for idx, s in enumerate(states):
-            if np.max(np.abs(s - vec)) <= tol:
+            if np.max(np.abs(s - vec)) <= IMAGE_TOL:
                 return idx
         states.append(vec)
         return len(states) - 1
@@ -510,11 +505,7 @@ def image_of_context_family(
             excluded[name] = "hyperbolic context"
             assignment[name] = None
             continue
-        pc = space.probability(context)
-        key = tuple(
-            round(space.probability(e & context) / pc, 9)
-            for e in (*pair.a_partition, *pair.b_partition)
-        )
+        key = tuple(round(p, 9) for p in (*coeffs.a_profile, *coeffs.b_profile))
         members = group_members.setdefault(key, [])
         if len(members) == 0:
             branch = "principal"
@@ -524,7 +515,7 @@ def image_of_context_family(
             branch = "principal"
             collisions.append((name, members[0]))
         members.append(name)
-        psi = build_amplitude(space, pair, context, branch)
+        psi = amplitude_from_coefficients(coeffs, branch)
         assignment[name] = register(np.array(psi.components))
 
     return ImageReport(

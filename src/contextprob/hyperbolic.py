@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NotInPositiveCone, RapidityOverflow
+from .tolerances import ISCLOSE_TOL
 
 # cosh overflows double precision shortly above this rapidity
 MAX_RAPIDITY = 700.0
@@ -66,7 +67,7 @@ class HyperbolicNumber:
     def in_positive_cone(self, tol: float = 0.0) -> bool:
         return self.norm_sq() >= -tol
 
-    def isclose(self, other: "HyperbolicNumber", tol: float = 1e-12) -> bool:
+    def isclose(self, other: "HyperbolicNumber", tol: float = ISCLOSE_TOL) -> bool:
         return abs(self.x - other.x) <= tol and abs(self.y - other.y) <= tol
 
 

@@ -39,15 +39,12 @@ from .interference import (
 from .space import (
     Event,
     FiniteKolmogorovSpace,
-    IDENTITY_TOL,
     ReferencePair,
     TransitionMatrix,
     is_double_stochastic,
     transition_matrix,
 )
-
-BORN_TOL = 1e-10
-GRAM_TOL = 1e-10
+from .tolerances import BORN_TOL, DECOMPOSABLE_TOL, GRAM_TOL, IDENTITY_TOL
 
 
 @dataclass(frozen=True)
@@ -199,13 +196,11 @@ def hyperbolic_a_basis(
     return basis
 
 
-def check_decomposability(
-    psi_coords: Sequence[HyperbolicNumber], tol: float = 1e-12
-) -> bool:
+def check_decomposability(psi_coords: Sequence[HyperbolicNumber]) -> bool:
     """True iff every coordinate lies in the positive cone; a failure means
     the probabilistic reading of the coordinates is refused, not that the
     vector is invalid."""
-    return all(c.norm_sq() >= -tol for c in psi_coords)
+    return all(c.norm_sq() >= -DECOMPOSABLE_TOL for c in psi_coords)
 
 
 def expand_in_basis(

@@ -40,16 +40,20 @@ from .errors import (
 from .space import (
     Event,
     FiniteKolmogorovSpace,
-    PREDICATE_TOL,
     ReferencePair,
     TransitionMatrix,
     are_incompatible,
     is_double_stochastic,
     transition_matrix,
 )
-
-BOUNDARY_TOL = 1e-12   # ||lambda| - 1| below this counts as the boundary
-PHASE_GUARD_TOL = 1e-8  # violation of a guaranteed phase relation -> bug
+from .tolerances import (
+    BOUNDARY_TOL,
+    DISTINCT_LAMBDA_TOL,
+    OFFSET_TOL,
+    PHASE_GUARD_TOL,
+    PHASE_SNAP_TOL,
+    PREDICATE_TOL,
+)
 
 TWO_PI = 2.0 * math.pi
 _QUARTER_PI = math.pi / 2.0
@@ -62,7 +66,7 @@ def cis(theta: float) -> complex:
     amplitudes (phases 0, pi/2, pi, 3pi/2) come out without rounding fuzz.
     """
     k = round(theta / _QUARTER_PI)
-    if abs(theta - k * _QUARTER_PI) < 1e-15:
+    if abs(theta - k * _QUARTER_PI) < PHASE_SNAP_TOL:
         return (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)[k % 4]
     return complex(math.cos(theta), math.sin(theta))
 
@@ -371,19 +375,9 @@ def k_coefficient(m: TransitionMatrix) -> float:
 
     Equals one exactly when the matrix is double stochastic; the two
     conditions are algebraically equivalent, so disagreement signals a bug.
+    Computed once per matrix (:attr:`TransitionMatrix.cosine_ratio`).
     """
-    if m.entries.shape != (2, 2):
-        raise ValueError("cosine ratio is defined for 2x2 matrices")
-    p = m.rows
-    if min(p[0] + p[1]) <= 0.0:
-        raise DegenerateCell("all transition entries must be positive")
-    k = math.sqrt((p[0][0] * p[1][0]) / (p[0][1] * p[1][1]))
-    ds = is_double_stochastic(m)
-    if ds != (abs(k - 1.0) <= 1e-8):
-        raise InvariantViolation(
-            "unit cosine ratio and double stochasticity must coincide"
-        )
-    return k
+    return m.cosine_ratio
 
 
 @dataclass(frozen=True)
@@ -398,16 +392,15 @@ class GlobalPhaseReport:
     has_distinct_lambda_pair: bool
 
 
-def _circular_close(u: float, v: float, tol: float) -> bool:
+def _circular_close(u: float, v: float) -> bool:
     d = math.fmod(abs(u - v), TWO_PI)
-    return d <= tol or TWO_PI - d <= tol
+    return d <= OFFSET_TOL or TWO_PI - d <= OFFSET_TOL
 
 
 def verify_no_global_alpha(
     space: FiniteKolmogorovSpace,
     pair: ReferencePair,
     contexts: Mapping[str, Event] | Sequence[Event],
-    tol: float = 1e-9,
 ) -> GlobalPhaseReport:
     """Search for an offset alpha shared by the given trigonometric contexts;
     see :func:`global_alpha_from_coefficients`."""
@@ -418,14 +411,12 @@ def verify_no_global_alpha(
     return global_alpha_from_coefficients(
         transition_matrix(space, pair, "b/a"),
         ((name, interference_coefficients(space, pair, c)) for name, c in named),
-        tol,
     )
 
 
 def global_alpha_from_coefficients(
     transition: TransitionMatrix,
     named: Iterable[tuple[str, InterferenceCoefficients]],
-    tol: float = 1e-9,
 ) -> GlobalPhaseReport:
     """Search for an offset alpha with theta(b_2) = theta(b_1) + alpha across
     all given trigonometric contexts, by name, trying both conjugate branches
@@ -449,7 +440,7 @@ def global_alpha_from_coefficients(
         candidates = []
         for u in (t2 - t1, t2 + t1, -t2 - t1, -t2 + t1):
             u = math.fmod(math.fmod(u, TWO_PI) + TWO_PI, TWO_PI)
-            if not any(_circular_close(u, v, tol) for v in candidates):
+            if not any(_circular_close(u, v) for v in candidates):
                 candidates.append(u)
         per_context[name] = tuple(candidates)
         lam1_abs[name] = abs(coeffs.lambdas[0])
@@ -464,7 +455,7 @@ def global_alpha_from_coefficients(
             shared = [
                 u
                 for u in shared
-                if any(_circular_close(u, v, tol) for v in per_context[name])
+                if any(_circular_close(u, v) for v in per_context[name])
             ]
             if not shared:
                 witness = (first_name, name)
@@ -472,7 +463,7 @@ def global_alpha_from_coefficients(
         if shared:
             # prefer the pi offset when available; it is the canonical choice
             for u in shared:
-                if _circular_close(u, math.pi, tol):
+                if _circular_close(u, math.pi):
                     alpha = math.pi
                     break
             else:
@@ -481,7 +472,7 @@ def global_alpha_from_coefficients(
     # fl(max - min) bounds fl(|a - b|) for every pair, so this is the
     # all-pairs test in linear time
     mags = lam1_abs.values()
-    has_distinct = bool(mags) and max(mags) - min(mags) > 1e-8
+    has_distinct = bool(mags) and max(mags) - min(mags) > DISTINCT_LAMBDA_TOL
     found = alpha is not None
     if found and has_distinct and not ds:
         raise InvariantViolation(

@@ -36,9 +36,7 @@ from .space import (
     is_double_stochastic,
     transition_matrix,
 )
-
-SUM_GATE = 1e-9      # accepted deviation of the declared weight sum from one
-RENORM_SKIP = 1e-13  # below this the weights are already canonical; keep them
+from .tolerances import CELL_MASS_FLOOR, POINT_WEIGHT_FLOOR, RENORM_SKIP, SUM_GATE
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,6 +263,8 @@ def generate_random_model(
     ``incompatible`` keeps every joint cell of the two partitions populated.
     """
     ka, kb = value_arities
+    if min(ka, kb) < 2:
+        raise ValueError("each reference variable needs at least two values")
     if n_points < ka * kb:
         raise ValueError("need at least one point per joint cell")
     if not incompatible and n_points < max(ka, kb):
@@ -278,7 +278,7 @@ def generate_random_model(
             cell_mass = row_mass[:, None] * t
         else:
             cell_mass = rng.dirichlet(np.ones(ka * kb) * 2.0).reshape(ka, kb)
-        if np.min(cell_mass) < 1e-4:
+        if np.min(cell_mass) < CELL_MASS_FLOOR:
             continue
 
         # one point per cell in (a, b)-major order fixes the value ordering,
@@ -298,7 +298,7 @@ def generate_random_model(
             for pid, frac in zip(point_ids, parts):
                 weights[pid] = mass * frac
         weights = weights / weights.sum()
-        if np.min(weights) <= 1e-9:
+        if np.min(weights) <= POINT_WEIGHT_FLOOR:
             continue
 
         points = tuple(f"w{i + 1}" for i in range(len(cell_of_point)))

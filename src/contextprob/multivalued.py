@@ -40,13 +40,11 @@ from .interference import cis
 from .space import (
     Event,
     FiniteKolmogorovSpace,
-    IDENTITY_TOL,
     MeasureTable,
     ReferencePair,
     measure_table,
 )
-
-RECURSION_BORN_TOL = 1e-9
+from .tolerances import IDENTITY_TOL, RECURSION_BORN_TOL
 
 
 @dataclass(frozen=True)

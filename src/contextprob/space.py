@@ -19,14 +19,16 @@ the probability of each event mask it has measured, each transition matrix
 it has built, and whether a reference pair is incompatible.  Nothing per
 context is stored there: the caller reads a context's measures once, into a
 :class:`MeasureTable`; a ``verify`` run holds one per declared context for
-its duration.  Values can still be shared across threads: a race between
-two threads only computes the same entry twice.
+its duration.  A transition matrix likewise keeps its cosine ratio once
+computed.  Values can still be shared across threads: a race between two
+threads only computes the same entry twice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -37,10 +39,7 @@ from .errors import (
     InvariantViolation,
     ZeroConditioningContext,
 )
-
-WEIGHT_TOL = 1e-12      # point weights must sum to one within this
-IDENTITY_TOL = 1e-12    # residue allowed on exact algebraic identities
-PREDICATE_TOL = 1e-10   # structural predicates (double stochasticity, symmetry)
+from .tolerances import IDENTITY_TOL, PREDICATE_TOL, UNIT_COSINE_RATIO_TOL, WEIGHT_TOL
 
 # maps the digits of bin(mask) to 0/1 bytes, the selectors of compress()
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
@@ -287,6 +286,8 @@ class TransitionMatrix:
     ``rows`` holds the entries as Python floats, for the per-context
     arithmetic; ``double_stochastic`` is :func:`is_double_stochastic` at its
     default tolerance.  Both are computed once, at construction.
+    ``cosine_ratio`` is computed on first use; a raise is not kept, so every
+    use on a matrix that has none raises.
     """
 
     entries: np.ndarray
@@ -308,6 +309,22 @@ class TransitionMatrix:
         object.__setattr__(
             self, "double_stochastic", _columns_sum_to_one(self.entries, PREDICATE_TOL)
         )
+
+    @cached_property
+    def cosine_ratio(self) -> float:
+        """sqrt(p11 p21 / (p12 p22)) of a 2x2 matrix, the k of
+        :func:`contextprob.interference.k_coefficient`."""
+        if self.entries.shape != (2, 2):
+            raise ValueError("cosine ratio is defined for 2x2 matrices")
+        p = self.rows
+        if min(p[0] + p[1]) <= 0.0:
+            raise DegenerateCell("all transition entries must be positive")
+        k = math.sqrt((p[0][0] * p[1][0]) / (p[0][1] * p[1][1]))
+        if self.double_stochastic != (abs(k - 1.0) <= UNIT_COSINE_RATIO_TOL):
+            raise InvariantViolation(
+                "unit cosine ratio and double stochasticity must coincide"
+            )
+        return k
 
 
 def transition_matrix(
@@ -525,7 +542,7 @@ def is_double_stochastic(m: TransitionMatrix, tol: float = PREDICATE_TOL) -> boo
 
 
 def is_symmetrically_conditioned(
-    space: FiniteKolmogorovSpace, pair: ReferencePair, tol: float = PREDICATE_TOL
+    space: FiniteKolmogorovSpace, pair: ReferencePair
 ) -> bool:
     """True iff conditioning either way gives the same transition probabilities.
 
@@ -538,13 +555,13 @@ def is_symmetrically_conditioned(
     m_ab = transition_matrix(space, pair, "a/b")
     if m_ba.entries.shape[0] != m_ba.entries.shape[1]:
         raise ValueError("symmetric conditioning needs equal value-set sizes")
-    symmetric = bool(np.max(np.abs(m_ba.entries - m_ab.entries.T)) <= tol)
+    symmetric = bool(np.max(np.abs(m_ba.entries - m_ab.entries.T)) <= PREDICATE_TOL)
     # the three readings coincide only for incompatible pairs: a perfectly
     # correlated pair has identity transition matrices but free marginals
     if len(pair.a_values) == 2 and are_incompatible(space, pair):
-        both_ds = is_double_stochastic(m_ba, tol) and is_double_stochastic(m_ab, tol)
+        both_ds = m_ba.double_stochastic and m_ab.double_stochastic
         uniform = all(
-            abs(space.probability(e) - 0.5) <= tol
+            abs(space.probability(e) - 0.5) <= PREDICATE_TOL
             for e in (*pair.a_partition, *pair.b_partition)
         )
         if not (symmetric == both_ds == uniform):

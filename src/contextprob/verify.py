@@ -47,8 +47,6 @@ from .errors import (
 from .hyperbolic import HyperbolicNumber, polar
 from .models import ModelDocument
 from .space import (
-    IDENTITY_TOL,
-    PREDICATE_TOL,
     MeasureTable,
     are_incompatible,
     check_incompatibility_structure,
@@ -57,6 +55,20 @@ from .space import (
     measure_table,
     total_probability_from_table,
     transition_matrix,
+)
+from .tolerances import (
+    AVERAGE_TOL,
+    BORN_TOL,
+    BOUNDARY_TOL,
+    CONE_CLOSURE_TOL,
+    GRAM_TOL,
+    IDENTITY_TOL,
+    NORM_PRODUCT_TOL,
+    OFFSET_TOL,
+    POLAR_ROUNDTRIP_TOL,
+    PREDICATE_TOL,
+    RECURSION_BORN_TOL,
+    RING_LAW_TOL,
 )
 
 SUITES = ("core", "complex", "hyperbolic", "multivalued")
@@ -303,10 +315,10 @@ def _complex_checks(run: _Run) -> None:
     ]
     not_ds = (ds, NOT_DS)
 
-    rec = run.check("complex.born_b", cr.BORN_TOL)
-    rec_norm = run.check("complex.normalization", cr.BORN_TOL)
+    rec = run.check("complex.born_b", BORN_TOL)
+    rec_norm = run.check("complex.normalization", BORN_TOL)
     rec_conj = run.check("complex.conjugation_symmetry", IDENTITY_TOL)
-    rec_a = run.check("complex.born_a", cr.BORN_TOL, not_ds)
+    rec_a = run.check("complex.born_a", BORN_TOL, not_ds)
     states = []  # (name, state, a-profile, b-profile), kept for averages
     for name, coeffs in representable:
         psi = run.psi(name, coeffs)
@@ -333,7 +345,7 @@ def _complex_checks(run: _Run) -> None:
 
     rec_spec = run.check("complex.operator_spectrum", PREDICATE_TOL, not_ds)
     rec_comm = run.check("complex.noncommutativity", PREDICATE_TOL, not_ds)
-    rec_avg = run.check("complex.average_preservation", cr.AVERAGE_TOL, not_ds)
+    rec_avg = run.check("complex.average_preservation", AVERAGE_TOL, not_ds)
     rec_cls = run.check("complex.basic_context_classes", PREDICATE_TOL, not_ds)
     if ds:
         a_op = cr.operator_for_variable(pair.a_values, basis)
@@ -394,7 +406,7 @@ def _complex_checks(run: _Run) -> None:
         if ds:
             rec.expect(
                 report.found and report.alpha is not None
-                and abs(report.alpha - math.pi) <= 1e-9,
+                and abs(report.alpha - math.pi) <= OFFSET_TOL,
                 "double stochastic model must admit the offset pi",
             )
         else:
@@ -412,7 +424,7 @@ def _complex_checks(run: _Run) -> None:
 def _hyperbolic_checks(run: _Run) -> None:
     rng = np.random.default_rng(20240817)
 
-    rec = run.check("hyperbolic.ring_laws", 1e-9)
+    rec = run.check("hyperbolic.ring_laws", RING_LAW_TOL)
     for _ in range(200):
         u = rng.uniform(-10, 10, size=6)
         z1, z2, z3 = map(HyperbolicNumber, u[0::2], u[1::2])
@@ -424,16 +436,16 @@ def _hyperbolic_checks(run: _Run) -> None:
             rec.compare(lhs.x, rhs.x, law)
             rec.compare(lhs.y, rhs.y, law)
 
-    rec = run.check("hyperbolic.norm_multiplicative", 1e-8)
+    rec = run.check("hyperbolic.norm_multiplicative", NORM_PRODUCT_TOL)
     rec2 = run.check("hyperbolic.positive_cone_closed", PREDICATE_TOL)
     for _ in range(200):
         z1 = HyperbolicNumber(*rng.uniform(-10, 10, size=2))
         z2 = HyperbolicNumber(*rng.uniform(-10, 10, size=2))
         rec.compare((z1 * z2).norm_sq(), z1.norm_sq() * z2.norm_sq(), "product")
         if z1.in_positive_cone() and z2.in_positive_cone():
-            rec2.expect((z1 * z2).in_positive_cone(1e-9), "cone closure")
+            rec2.expect((z1 * z2).in_positive_cone(CONE_CLOSURE_TOL), "cone closure")
 
-    rec = run.check("hyperbolic.polar_roundtrip", 1e-10)
+    rec = run.check("hyperbolic.polar_roundtrip", POLAR_ROUNDTRIP_TOL)
     for _ in range(100):
         x = rng.uniform(0.1, 10.0) * (1 if rng.uniform() < 0.5 else -1)
         y = rng.uniform(-1.0, 1.0) * abs(x) * 0.999
@@ -443,7 +455,7 @@ def _hyperbolic_checks(run: _Run) -> None:
         rec.compare(back.y, z.y, "roundtrip y")
 
     if not run.dichotomous:
-        run.check("hyperbolic.born_b", hr.BORN_TOL, (False, "pair is not dichotomous"))
+        run.check("hyperbolic.born_b", BORN_TOL, (False, "pair is not dichotomous"))
         return
     space, pair, ds = run.space, run.pair, run.ds
     hyp = [
@@ -454,12 +466,12 @@ def _hyperbolic_checks(run: _Run) -> None:
     strict_hyp = [
         coeffs.context
         for _, coeffs, _ in hyp
-        if any(abs(l) > 1.0 + 1e-12 for l in coeffs.lambdas)
+        if any(abs(l) > 1.0 + BOUNDARY_TOL for l in coeffs.lambdas)
     ]
     no_hyp = (bool(hyp), "no hyperbolic contexts declared")
     not_ds = (ds, NOT_DS)
 
-    rec = run.check("hyperbolic.born_b", hr.BORN_TOL, no_hyp)
+    rec = run.check("hyperbolic.born_b", BORN_TOL, no_hyp)
     rec_eps = run.check("hyperbolic.epsilon_sum_zero", 0.0, no_hyp)
     rec_rap = run.check("hyperbolic.rapidity_equality", PREDICATE_TOL, no_hyp, not_ds)
     for name, coeffs, psi in hyp:
@@ -473,7 +485,7 @@ def _hyperbolic_checks(run: _Run) -> None:
 
     rec = run.check(
         "hyperbolic.basis_unitarity",
-        hr.GRAM_TOL,
+        GRAM_TOL,
         not_ds,
         (bool(strict_hyp), "no strictly hyperbolic anchor declared"),
     )
@@ -494,7 +506,7 @@ def _hyperbolic_checks(run: _Run) -> None:
                     f"{cname}, y={y}",
                 )
 
-    rec = run.check("hyperbolic.transform_pair_sum", hr.BORN_TOL, not_ds, no_hyp)
+    rec = run.check("hyperbolic.transform_pair_sum", BORN_TOL, not_ds, no_hyp)
     if ds:
         for name, coeffs, psi in hyp:
             out = hr.hyperbolic_interference_transform(
@@ -537,7 +549,7 @@ def _multivalued_checks(run: _Run) -> None:
     rec_f2 = run.check("multivalued.conditioned_split", IDENTITY_TOL)
     rec_f3 = run.check("multivalued.contextual_split", IDENTITY_TOL)
     rec_f5 = run.check("multivalued.half_eliminated_split", IDENTITY_TOL)
-    rec = run.check("multivalued.recursion_born", mv.RECURSION_BORN_TOL)
+    rec = run.check("multivalued.recursion_born", RECURSION_BORN_TOL)
     tuples = built = unrepresentable = 0
     for (name, c), table in zip(contexts.items(), run.tables):
         for j in range(len(pair.b_values)) if table.pc != 0.0 else ():

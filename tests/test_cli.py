@@ -226,6 +226,19 @@ class TestGenRandom:
         assert diag["error"] == "model-validation"
         assert "joint cell" in diag["detail"]
 
+    @pytest.mark.parametrize("arity", ("0", "1"))
+    @pytest.mark.parametrize("side", ("a", "b"))
+    def test_arity_below_two_is_a_diagnostic(self, side, arity, capsys):
+        argv = ["gen", "random", "--seed", "3", "--points", "12"]
+        assert main([*argv, f"--arity-{side}", arity]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {
+            "error": "model-validation",
+            "detail": "each reference variable needs at least two values",
+        }
+
     def test_generated_model_verifies(self, tmp_path):
         out = tmp_path / "model.json"
         assert main(

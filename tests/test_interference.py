@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contextprob as cp
+from contextprob.cli import main
+from contextprob.models import save_model
 
 
 def brute_delta(space, pair, context, j):
@@ -322,6 +325,38 @@ class TestKCoefficient:
             np.array([[0.3, 0.7], [0.7, 0.3]]), "b/a", (1.0, -1.0), (1.0, -1.0)
         )
         assert cp.k_coefficient(m) == pytest.approx(1.0, abs=1e-14)
+
+    def test_computed_once_per_analyze(self, tmp_path, monkeypatch, capsys):
+        """``analyze`` of a model that is not double stochastic computes the
+        pair's cosine ratio once, however many contexts take phases."""
+        doc = cp.generate_random_model(5, 12, double_stochastic=False, n_contexts=12)
+        path = tmp_path / "model.json"
+        save_model(doc, path)
+        prop = cp.TransitionMatrix.__dict__["cosine_ratio"]
+        original, calls = prop.func, []
+
+        def counted(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(prop, "func", counted)
+        assert main(["analyze", str(path)]) == 0
+        classes = [
+            c["class"] for c in json.loads(capsys.readouterr().out)["contexts"].values()
+        ]
+        assert len([c for c in classes if c not in ("mixed", "degenerate")]) >= 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "entries, error",
+        [([[1.0, 0.0], [0.5, 0.5]], cp.DegenerateCell), ([[0.5, 0.5, 0.0]] * 3, ValueError)],
+    )
+    def test_a_raise_is_not_kept(self, entries, error):
+        values = tuple(float(v) for v in range(len(entries)))
+        m = cp.TransitionMatrix(np.array(entries), "b/a", values, values)
+        for _ in range(2):
+            with pytest.raises(error):
+                cp.k_coefficient(m)
 
     def test_cosine_ratio_relation(self, skewed):
         # cos theta(b2) = -k cos theta(b1) across trigonometric contexts
