@@ -27,8 +27,6 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 
-import numpy as np
-
 from . import complex_repr as cr
 from . import hyperbolic_repr as hr
 from . import interference as itf
@@ -304,7 +302,7 @@ def _represent_nvalued(doc, args) -> int:
     return 0
 
 
-def _matrix_payload(m: np.ndarray):
+def _matrix_payload(m):
     return [
         [{"re": float(v.real), "im": float(v.imag)} for v in row] for row in m
     ]
@@ -340,8 +338,8 @@ def cmd_example_kq(args) -> int:
         )
 
     t = transition_matrix(space, pair, "b/a")
-    row("p(b1|a1)", 2 * q, float(t.entries[0, 0]))
-    row("p(b2|a1)", 1 - 2 * q, float(t.entries[0, 1]))
+    row("p(b1|a1)", 2 * q, t.rows[0][0])
+    row("p(b2|a1)", 1 - 2 * q, t.rows[0][1])
     for i, e in enumerate(pair.a_partition):
         row(f"P(A{i + 1})", 0.5, space.probability(e))
 
@@ -393,7 +391,7 @@ def cmd_example_kq(args) -> int:
         * (pair.b_values[0] - pair.b_values[1])
         * q1q2
     )
-    row("commutator [b,a]_12", closed_offdiag, float(comm[0, 1].real))
+    row("commutator [b,a]_12", closed_offdiag, comm[0][1].real)
 
     worst = max(r["abs_diff"] for r in rows)
     _emit({"q": q, "gamma": gamma, "rows": rows, "worst_abs_diff": worst}, args)

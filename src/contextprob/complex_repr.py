@@ -11,6 +11,13 @@ even though joint-distribution information is not.
 
 Inner products conjugate the second argument.  Every context admits exactly
 two conjugate state vectors; the ``branch`` tag records which one was built.
+
+States, basis vectors and operator matrices are tuples (of rows) of Python
+complexes, computed with plain 2x2 (and diagonal k x k) arithmetic.  numpy
+is imported inside the four functions that need it: an eigen-decomposition
+(:meth:`HermitianOperator.eigenvalues`, :func:`distribution_mismatch`), and
+:meth:`ComplexAmplitude.norm_sq` and :func:`quantum_average`, whose array
+modulus and dot product ``verify`` reports to the last bit.
 """
 
 from __future__ import annotations
@@ -18,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .errors import (
     BasisMismatch,
@@ -43,6 +48,7 @@ from .space import (
     Event,
     FiniteKolmogorovSpace,
     ReferencePair,
+    column_sums,
     transition_matrix,
 )
 from .tolerances import AVERAGE_TOL, BORN_TOL, HERMITIAN_TOL, IMAGE_TOL, PREDICATE_TOL
@@ -52,13 +58,10 @@ from .tolerances import AVERAGE_TOL, BORN_TOL, HERMITIAN_TOL, IMAGE_TOL, PREDICA
 class ComplexAmplitude:
     """State vector over the b-outcomes representing one context."""
 
-    components: np.ndarray
+    components: tuple[complex, ...]
     b_values: tuple[float, ...]
     context: Event | None
     branch: str
-
-    def __post_init__(self) -> None:
-        self.components.setflags(write=False)
 
     def component(self, x: float) -> complex:
         return complex(self.components[self.b_values.index(x)])
@@ -67,44 +70,47 @@ class ComplexAmplitude:
         return float(abs(self.components[self.b_values.index(x)]) ** 2)
 
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.components) ** 2))
+        import numpy as np
+
+        return float(np.sum(np.abs(np.array(self.components)) ** 2))
 
     def conjugate(self) -> "ComplexAmplitude":
         other = "conjugate" if self.branch == "principal" else "principal"
         return ComplexAmplitude(
-            np.conj(self.components), self.b_values, self.context, other
+            _conj(self.components), self.b_values, self.context, other
         )
 
 
-def inner_product(u: np.ndarray, v: np.ndarray) -> complex:
+def _conj(v: Sequence[complex]) -> tuple[complex, ...]:
+    return tuple([c.conjugate() for c in v])
+
+
+def inner_product(u: Sequence[complex], v: Sequence[complex]) -> complex:
     """Standard inner product, conjugating the second argument."""
-    return complex(np.sum(np.asarray(u) * np.conj(np.asarray(v))))
+    return sum([a * b.conjugate() for a, b in zip(u, v)], 0j)
 
 
 def born_probability(psi, basis_vector) -> float:
     """Squared modulus of the inner product with a basis vector."""
-    u = psi.components if isinstance(psi, ComplexAmplitude) else np.asarray(psi)
+    u = psi.components if isinstance(psi, ComplexAmplitude) else psi
     v = (
         basis_vector.components
         if isinstance(basis_vector, ComplexAmplitude)
-        else np.asarray(basis_vector)
+        else basis_vector
     )
-    return float(abs(inner_product(u, v)) ** 2)
+    return abs(inner_product(u, v)) ** 2
 
 
 def _amplitude_from_phases(
     coeffs: InterferenceCoefficients, phases: PhaseAssignment
-) -> np.ndarray:
+) -> tuple[complex, complex]:
     pa = coeffs.a_profile
     t = coeffs.transition.rows
-    return np.array(
-        [
-            math.sqrt(pa[0] * t[0][j])
-            + cis(phases.thetas[j]) * math.sqrt(pa[1] * t[1][j])
-            for j in range(2)
-        ],
-        dtype=complex,
-    )
+    return tuple([
+        math.sqrt(pa[0] * t[0][j])
+        + cis(phases.thetas[j]) * math.sqrt(pa[1] * t[1][j])
+        for j in range(2)
+    ])
 
 
 def amplitude_from_coefficients(
@@ -152,15 +158,12 @@ class HilbertBasis:
     single contexts can still be expanded in it, only the two-sided
     probability rule fails."""
 
-    vectors: np.ndarray
+    vectors: tuple[tuple[complex, ...], ...]
     anchor: Event | None
     unitary: bool
     witness: dict[str, float] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        self.vectors.setflags(write=False)
-
-    def vector(self, index: int) -> np.ndarray:
+    def vector(self, index: int) -> tuple[complex, ...]:
         return self.vectors[index]
 
 
@@ -185,21 +188,18 @@ def a_basis_for_context(
         raise HyperbolicContext("anchor context is hyperbolic")
     phases = assign_phases(coeffs, convention, mode="trigonometric")
     t = transition_matrix(space, pair, "b/a")
-    u = np.sqrt(t.entries)
-    e1 = np.array([u[0, 0], u[0, 1]], dtype=complex)
-    e2 = np.array(
-        [cis(phases.thetas[0]) * u[1, 0], cis(phases.thetas[1]) * u[1, 1]],
-        dtype=complex,
-    )
-    vectors = np.vstack([e1, e2])
-    gram = vectors @ vectors.conj().T
-    unitary = bool(np.max(np.abs(gram - np.eye(2))) <= PREDICATE_TOL)
+    u = [[math.sqrt(p) for p in row] for row in t.rows]
+    e1 = (complex(u[0][0]), complex(u[0][1]))
+    e2 = (cis(phases.thetas[0]) * u[1][0], cis(phases.thetas[1]) * u[1][1])
+    vectors = (e1, e2)
+    unitary = max(
+        abs(inner_product(v, w) - float(i == k))
+        for i, v in enumerate(vectors)
+        for k, w in enumerate(vectors)
+    ) <= PREDICATE_TOL
     witness: dict[str, float] = {}
     if not unitary:
-        col_sums = t.entries.sum(axis=0)
-        witness = {
-            f"column_sum_{j}": float(col_sums[j]) for j in range(len(col_sums))
-        }
+        witness = {f"column_sum_{j}": s for j, s in enumerate(column_sums(t))}
     return HilbertBasis(
         vectors=vectors, anchor=anchor_context, unitary=unitary, witness=witness
     )
@@ -213,7 +213,7 @@ def extend_to_a_contexts(
     out: dict[float, ComplexAmplitude] = {}
     for i, y in enumerate(pair.a_values):
         out[y] = ComplexAmplitude(
-            np.array(a_basis.vectors[i], dtype=complex),
+            a_basis.vectors[i],
             pair.b_values,
             pair.a_partition[i],
             "basis",
@@ -223,18 +223,29 @@ def extend_to_a_contexts(
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Self-adjoint matrix in a named basis."""
+    """Self-adjoint matrix in a named basis, as a tuple of rows; the
+    constructor accepts any nested sequence of numbers."""
 
-    matrix: np.ndarray
+    matrix: tuple[tuple[complex, ...], ...]
     basis: str
 
     def __post_init__(self) -> None:
-        self.matrix.setflags(write=False)
-        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > HERMITIAN_TOL:
-            raise InvariantViolation("operator is not self-adjoint")
+        m = tuple(tuple(map(complex, row)) for row in self.matrix)
+        object.__setattr__(self, "matrix", m)
+        deviation = max(
+            abs(v - w.conjugate()) for row, col in zip(m, zip(*m))
+            for v, w in zip(row, col)
+        )
+        if deviation > HERMITIAN_TOL:
+            raise InvariantViolation(
+                f"operator is not self-adjoint (worst deviation {deviation!r}, "
+                f"tolerance {HERMITIAN_TOL!r})"
+            )
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+    def eigenvalues(self) -> tuple[float, ...]:
+        import numpy as np
+
+        return tuple(np.linalg.eigvalsh(np.array(self.matrix)).tolist())
 
 
 def operator_for_variable(
@@ -247,33 +258,52 @@ def operator_for_variable(
             "operator construction needs an orthonormal basis; the change "
             f"matrix is not unitary ({basis.witness})"
         )
-    if len(values) != basis.vectors.shape[0]:
+    if len(values) != len(basis.vectors):
         raise ValueError("one eigenvalue per basis vector is required")
-    k = basis.vectors.shape[1]
-    matrix = np.zeros((k, k), dtype=complex)
+    k = len(basis.vectors[0])
+    matrix = [[0j] * k for _ in range(k)]
     for value, vec in zip(values, basis.vectors):
-        matrix += value * np.outer(vec, np.conj(vec))
+        bar = _conj(vec)
+        for i in range(k):
+            for j in range(k):
+                matrix[i][j] += value * (vec[i] * bar[j])
     return HermitianOperator(matrix, basis="b")
 
 
-def operator_for_b(pair: ReferencePair) -> HermitianOperator:
-    return HermitianOperator(
-        np.diag(np.asarray(pair.b_values, dtype=complex)), basis="b"
+def _diagonal(values: Sequence[float]) -> tuple[tuple[complex, ...], ...]:
+    k = len(values)
+    return tuple(
+        tuple(complex(v) if i == j else 0j for j in range(k))
+        for i, v in enumerate(values)
     )
 
 
-def commutator(op_a: HermitianOperator, op_b: HermitianOperator) -> np.ndarray:
+def operator_for_b(pair: ReferencePair) -> HermitianOperator:
+    return HermitianOperator(_diagonal(pair.b_values), basis="b")
+
+
+def _matmul(a, b) -> list[list[complex]]:
+    return [[sum([x * y for x, y in zip(row, col)]) for col in zip(*b)] for row in a]
+
+
+def commutator(
+    op_a: HermitianOperator, op_b: HermitianOperator
+) -> tuple[tuple[complex, ...], ...]:
     """AB - BA.  Nonzero for incompatible dichotomous reference pairs with a
     double stochastic transition matrix."""
     if op_a.basis != op_b.basis:
         raise BasisMismatch("operators live in different bases")
-    return op_a.matrix @ op_b.matrix - op_b.matrix @ op_a.matrix
+    ab, ba = _matmul(op_a.matrix, op_b.matrix), _matmul(op_b.matrix, op_a.matrix)
+    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(ab, ba))
 
 
 def quantum_average(op: HermitianOperator, psi: ComplexAmplitude) -> float:
     """Expectation of a self-adjoint operator in a state; the imaginary
     residue must vanish to rounding."""
-    value = complex(np.vdot(psi.components, op.matrix @ psi.components))
+    import numpy as np
+
+    c = np.array(psi.components)
+    value = complex(np.vdot(c, np.array(op.matrix) @ c))
     if abs(value.imag) > BORN_TOL:
         raise InvariantViolation(f"average has imaginary residue {value.imag!r}")
     return value.real
@@ -342,8 +372,11 @@ def sum_operator(
     """f(op_a) + g(op_b) in b-coordinates, from f at each a-value (the
     eigenvalues of the basis vectors) and g at each b-value."""
     f_op = operator_for_variable(f_row, basis)
-    g_op = HermitianOperator(np.diag([complex(v) for v in g_row]), basis="b")
-    return HermitianOperator(f_op.matrix + g_op.matrix, basis="b")
+    return HermitianOperator(_add(f_op.matrix, _diagonal(g_row)), basis="b")
+
+
+def _add(a, b) -> tuple[tuple[complex, ...], ...]:
+    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
 
 
 def average_preservation(
@@ -396,6 +429,8 @@ def distribution_mismatch(
     averages coincide; the distributions in general do not, which is the
     point of the report.
     """
+    import numpy as np
+
     expected = {gamma, -gamma}
     if set(pair.a_values) != expected or set(pair.b_values) != expected:
         raise ValueError("both variables must take values +gamma and -gamma")
@@ -412,12 +447,10 @@ def distribution_mismatch(
     )
     psi = state_for_context(space, pair, context, basis, convention)[0]
     a_op = operator_for_variable(pair.a_values, basis)
-    d_op = HermitianOperator(
-        a_op.matrix + np.diag(np.asarray(pair.b_values, dtype=complex)), basis="b"
-    )
-    eigvals, eigvecs = np.linalg.eigh(d_op.matrix)
+    d_op = HermitianOperator(_add(a_op.matrix, _diagonal(pair.b_values)), basis="b")
+    eigvals, eigvecs = np.linalg.eigh(np.array(d_op.matrix))
     quantum_dist = {
-        float(eigvals[k]): born_probability(psi, eigvecs[:, k])
+        float(eigvals[k]): born_probability(psi, eigvecs[:, k].tolist())
         for k in range(len(eigvals))
     }
     quantum_avg = quantum_average(d_op, psi)
@@ -444,7 +477,7 @@ class ImageReport:
     representatives and any further ones collide with the first.
     """
 
-    states: tuple[np.ndarray, ...]
+    states: tuple[tuple[complex, ...], ...]
     assignment: dict[str, int | None]
     excluded: dict[str, str]
     collisions: tuple[tuple[str, str], ...]
@@ -464,15 +497,15 @@ def image_of_context_family(
     )
     a_states = extend_to_a_contexts(space, pair, basis)
 
-    states: list[np.ndarray] = []
+    states: list[tuple[complex, ...]] = []
     assignment: dict[str, int | None] = {}
     excluded: dict[str, str] = {}
     collisions: list[tuple[str, str]] = []
     group_members: dict[tuple, list[str]] = {}
 
-    def register(vec: np.ndarray) -> int:
+    def register(vec: tuple[complex, ...]) -> int:
         for idx, s in enumerate(states):
-            if np.max(np.abs(s - vec)) <= IMAGE_TOL:
+            if max(abs(x - y) for x, y in zip(s, vec)) <= IMAGE_TOL:
                 return idx
         states.append(vec)
         return len(states) - 1
@@ -487,8 +520,7 @@ def image_of_context_family(
             None,
         )
         if cell_index is not None:
-            vec = np.array(a_states[pair.a_values[cell_index]].components)
-            assignment[name] = register(vec)
+            assignment[name] = register(a_states[pair.a_values[cell_index]].components)
             continue
         try:
             coeffs = interference_coefficients(space, pair, context)
@@ -516,7 +548,7 @@ def image_of_context_family(
             collisions.append((name, members[0]))
         members.append(name)
         psi = amplitude_from_coefficients(coeffs, branch)
-        assignment[name] = register(np.array(psi.components))
+        assignment[name] = register(psi.components)
 
     return ImageReport(
         states=tuple(states),

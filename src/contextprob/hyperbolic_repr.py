@@ -41,6 +41,7 @@ from .space import (
     FiniteKolmogorovSpace,
     ReferencePair,
     TransitionMatrix,
+    column_sums,
     is_double_stochastic,
     transition_matrix,
 )
@@ -170,13 +171,12 @@ def hyperbolic_a_basis(
     """
     t = transition_matrix(space, pair, "b/a")
     if not is_double_stochastic(t):
-        col_sums = t.entries.sum(axis=0)
         raise NonUnitaryBasis(
             "transition matrix is not double stochastic "
-            f"(column sums {col_sums.tolist()})"
+            f"(column sums {column_sums(t)})"
         )
     amp = build_hyperbolic_amplitude(space, pair, anchor)
-    u = [[math.sqrt(t.entries[i, j]) for j in range(2)] for i in range(2)]
+    u = [[math.sqrt(p) for p in row] for row in t.rows]
     e1 = (HyperbolicNumber(u[0][0], 0.0), HyperbolicNumber(u[0][1], 0.0))
     e2 = (
         (amp.epsilons[0] * u[1][0]) * exp_j(amp.thetas[0]),
@@ -233,13 +233,13 @@ def hyperbolic_interference_transform(
         raise NonUnitaryBasis(
             "the paired-sign transform needs a double stochastic transition"
         )
-    p = transition.entries
-    if len(p_a) != p.shape[0]:
+    p = transition.rows
+    if len(p_a) != len(p):
         raise ValueError("one probability per a-outcome is required")
     values = []
     for j, sign in ((0, eps), (1, -eps)):
-        base = math.fsum(p_a[i] * p[i, j] for i in range(p.shape[0]))
-        cross = math.sqrt(math.prod(p_a[i] * p[i, j] for i in range(p.shape[0])))
+        base = math.fsum(p_a[i] * p[i][j] for i in range(len(p)))
+        cross = math.sqrt(math.prod(p_a[i] * p[i][j] for i in range(len(p))))
         values.append(base + 2.0 * sign * math.cosh(theta) * cross)
     total = math.fsum(values)
     if abs(total - 1.0) > IDENTITY_TOL:

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .errors import (
     ConstraintUnsatisfiable,
     ModelValidationError,
@@ -234,9 +232,12 @@ def generate_kq(q: float) -> ModelDocument:
     return ModelDocument(space, variables, contexts, ("a", "b"))
 
 
-def _doubly_stochastic_matrix(rng: np.random.Generator, k: int) -> np.ndarray:
+def _doubly_stochastic_matrix(rng, k: int):
     """Random doubly stochastic matrix with strictly positive entries, as a
-    convex combination of permutation matrices plus a uniform floor."""
+    convex combination of permutation matrices plus a uniform floor; ``rng``
+    is a ``numpy.random.Generator``."""
+    import numpy as np
+
     perms = [rng.permutation(k) for _ in range(k * k)]
     coeff = rng.dirichlet(np.ones(len(perms)))
     m = np.zeros((k, k))
@@ -269,6 +270,10 @@ def generate_random_model(
         raise ValueError("need at least one point per joint cell")
     if not incompatible and n_points < max(ka, kb):
         raise ValueError("too few points for the requested arities")
+    if n_contexts < 0:
+        raise ValueError(f"the context count must be nonnegative, got {n_contexts}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
 
     for _ in range(max_retries):

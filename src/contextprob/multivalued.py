@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .complex_repr import ComplexAmplitude
 from .errors import (
     DegenerateCell,
@@ -313,11 +311,6 @@ def amplitude_nvalued_from_tables(
         levels[x] = tuple(records)
         betas[x] = tuple(beta)
 
-    psi = ComplexAmplitude(
-        np.array(components, dtype=complex),
-        pair.b_values,
-        context,
-        branch="split",
-    )
+    psi = ComplexAmplitude(tuple(components), pair.b_values, context, branch="split")
     chain = SplitChain(order=order, levels=levels, betas=betas)
     return psi, chain

@@ -32,8 +32,6 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import (
     DegenerateCell,
     InvariantViolation,
@@ -283,40 +281,41 @@ class TransitionMatrix:
     ``direction == "b/a"`` means entry (i, j) is the probability of the j-th
     b-outcome conditioned on the i-th a-outcome; rows sum to one.
 
-    ``rows`` holds the entries as Python floats, for the per-context
-    arithmetic; ``double_stochastic`` is :func:`is_double_stochastic` at its
-    default tolerance.  Both are computed once, at construction.
-    ``cosine_ratio`` is computed on first use; a raise is not kept, so every
-    use on a matrix that has none raises.
+    ``rows`` holds the entries as a tuple of rows of Python floats; the
+    constructor accepts any nested sequence of numbers.  ``double_stochastic``
+    is :func:`is_double_stochastic` at its default tolerance.  Both are
+    computed once, at construction.  ``cosine_ratio`` is computed on first
+    use; a raise is not kept, so every use on a matrix that has none raises.
     """
 
-    entries: np.ndarray
+    rows: tuple[tuple[float, ...], ...]
     direction: str
     row_values: tuple[float, ...]
     col_values: tuple[float, ...]
-    rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False)
     double_stochastic: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.direction not in ("b/a", "a/b"):
             raise ValueError(f"unknown direction {self.direction!r}")
-        self.entries.setflags(write=False)
-        row_sums = self.entries.sum(axis=1)
-        if np.max(np.abs(row_sums - 1.0)) > IDENTITY_TOL:
-            raise InvariantViolation("transition matrix rows do not sum to one")
-        rows = tuple(tuple(row) for row in self.entries.tolist())
+        rows = tuple(tuple(map(float, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
+        deviation = max(abs(sum(row) - 1.0) for row in rows)
+        if deviation > IDENTITY_TOL:
+            raise InvariantViolation(
+                "transition matrix rows do not sum to one (worst deviation "
+                f"{deviation!r}, tolerance {IDENTITY_TOL!r})"
+            )
         object.__setattr__(
-            self, "double_stochastic", _columns_sum_to_one(self.entries, PREDICATE_TOL)
+            self, "double_stochastic", _columns_sum_to_one(self, PREDICATE_TOL)
         )
 
     @cached_property
     def cosine_ratio(self) -> float:
         """sqrt(p11 p21 / (p12 p22)) of a 2x2 matrix, the k of
         :func:`contextprob.interference.k_coefficient`."""
-        if self.entries.shape != (2, 2):
-            raise ValueError("cosine ratio is defined for 2x2 matrices")
         p = self.rows
+        if len(p) != 2 or len(p[0]) != 2:
+            raise ValueError("cosine ratio is defined for 2x2 matrices")
         if min(p[0] + p[1]) <= 0.0:
             raise DegenerateCell("all transition entries must be positive")
         k = math.sqrt((p[0][0] * p[1][0]) / (p[0][1] * p[1][1]))
@@ -351,15 +350,14 @@ def transition_matrix(
     matrix = space._memo.get(key)
     if matrix is not None:
         return matrix
-    entries = np.empty((len(rows), len(cols)))
+    entries = []
     for i, row in enumerate(row_masks):
         p_row = space._measure(row)
         if p_row == 0.0:
             raise DegenerateCell(
                 f"conditioning cell {row_values[i]!r} has probability zero"
             )
-        for j, col in enumerate(col_masks):
-            entries[i, j] = space._measure(row & col) / p_row
+        entries.append([space._measure(row & col) / p_row for col in col_masks])
     matrix = TransitionMatrix(entries, direction, row_values, col_values)
     space._memo[key] = matrix
     return matrix
@@ -527,18 +525,22 @@ def dispersion(
     return math.fsum(space.weights[i] * (v.values[i] - mean) ** 2 for i in idx) / pc
 
 
-def _columns_sum_to_one(entries: np.ndarray, tol: float) -> bool:
-    if entries.shape[0] != entries.shape[1]:
+def column_sums(m: TransitionMatrix) -> list[float]:
+    """The sum of each column of ``m``, each summed in row order."""
+    return [sum(col) for col in zip(*m.rows)]
+
+
+def _columns_sum_to_one(m: TransitionMatrix, tol: float) -> bool:
+    if len(m.rows) != len(m.rows[0]):
         return False
-    col_sums = entries.sum(axis=0)
-    return bool(np.max(np.abs(col_sums - 1.0)) <= tol)
+    return max(abs(s - 1.0) for s in column_sums(m)) <= tol
 
 
 def is_double_stochastic(m: TransitionMatrix, tol: float = PREDICATE_TOL) -> bool:
     """True iff every column also sums to one (rows always do)."""
     if tol == PREDICATE_TOL:
         return m.double_stochastic
-    return _columns_sum_to_one(m.entries, tol)
+    return _columns_sum_to_one(m, tol)
 
 
 def is_symmetrically_conditioned(
@@ -553,9 +555,12 @@ def is_symmetrically_conditioned(
     """
     m_ba = transition_matrix(space, pair, "b/a")
     m_ab = transition_matrix(space, pair, "a/b")
-    if m_ba.entries.shape[0] != m_ba.entries.shape[1]:
+    if len(m_ba.rows) != len(m_ba.rows[0]):
         raise ValueError("symmetric conditioning needs equal value-set sizes")
-    symmetric = bool(np.max(np.abs(m_ba.entries - m_ab.entries.T)) <= PREDICATE_TOL)
+    symmetric = max(
+        abs(p - q) for row, col in zip(m_ba.rows, zip(*m_ab.rows))
+        for p, q in zip(row, col)
+    ) <= PREDICATE_TOL
     # the three readings coincide only for incompatible pairs: a perfectly
     # correlated pair has identity transition matrices but free marginals
     if len(pair.a_values) == 2 and are_incompatible(space, pair):

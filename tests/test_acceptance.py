@@ -307,7 +307,7 @@ def test_criterion_07_noncommutativity():
         space, pair = doc.space, doc.pair
         basis = cp.a_basis_for_context(space, pair, space.full_event())
         a_op = cp.operator_for_variable(pair.a_values, basis)
-        comm = cp.commutator(cp.operator_for_b(pair), a_op)
+        comm = np.asarray(cp.commutator(cp.operator_for_b(pair), a_op))
         q1q2 = math.sqrt(2 * q) * math.sqrt(1 - 2 * q)
         closed = (
             (pair.a_values[0] - pair.a_values[1])

@@ -239,6 +239,23 @@ class TestGenRandom:
             "detail": "each reference variable needs at least two values",
         }
 
+    @pytest.mark.parametrize("count", ("-1", "-5"))
+    def test_negative_context_count_is_a_diagnostic(self, count, capsys):
+        argv = ["gen", "random", "--seed", "3", "--points", "12"]
+        assert main([*argv, "--contexts", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {
+            "error": "model-validation",
+            "detail": f"the context count must be nonnegative, got {count}",
+        }
+
+    def test_zero_contexts_declares_only_the_full_event(self, capsys):
+        argv = ["gen", "random", "--seed", "3", "--points", "12", "--contexts", "0"]
+        assert main(argv) == 0
+        assert list(cp.loads_model(capsys.readouterr().out).contexts) == ["Omega"]
+
     def test_generated_model_verifies(self, tmp_path):
         out = tmp_path / "model.json"
         assert main(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import contextprob as cp
+from contextprob.tolerances import HERMITIAN_TOL
 
 Q_GRID = (0.05, 0.125, 0.25, 0.4)
 
@@ -186,7 +187,7 @@ class TestABasis:
             basis = cp.a_basis_for_context(
                 doc.space, doc.pair, doc.space.full_event()
             )
-            v = basis.vectors
+            v = np.asarray(basis.vectors)
             np.testing.assert_allclose(
                 v @ v.conj().T, np.eye(2), atol=1e-10
             )
@@ -257,18 +258,26 @@ class TestOperators:
             doc.space, doc.pair, doc.space.full_event()
         )
         op = cp.operator_for_variable((gamma, -gamma), basis)
-        assert op.matrix[0, 0] == pytest.approx(gamma * (4 * q - 1), abs=1e-14)
-        assert op.matrix[1, 1] == pytest.approx(-gamma * (4 * q - 1), abs=1e-14)
-        assert op.matrix[0, 1] == pytest.approx(
+        assert op.matrix[0][0] == pytest.approx(gamma * (4 * q - 1), abs=1e-14)
+        assert op.matrix[1][1] == pytest.approx(-gamma * (4 * q - 1), abs=1e-14)
+        assert op.matrix[0][1] == pytest.approx(
             2 * gamma * math.sqrt(2 * q * (1 - 2 * q)), abs=1e-14
         )
-        assert op.matrix[0, 1].imag == pytest.approx(0.0, abs=1e-15)
+        assert op.matrix[0][1].imag == pytest.approx(0.0, abs=1e-15)
 
     def test_eigenvalues_recover_value_set(self, kq):
         basis = cp.a_basis_for_context(kq.space, kq.pair, kq.space.full_event())
         op = cp.operator_for_variable(kq.pair.a_values, basis)
         np.testing.assert_allclose(
             sorted(op.eigenvalues()), [-1.0, 1.0], atol=1e-10
+        )
+
+    def test_not_self_adjoint_reports_the_deviation(self):
+        with pytest.raises(cp.InvariantViolation) as info:
+            cp.HermitianOperator([[1.0, 2.0], [3.0, -1.0]], basis="b")
+        assert str(info.value) == (
+            "operator is not self-adjoint (worst deviation 1.0, tolerance "
+            f"{HERMITIAN_TOL!r})"
         )
 
     def test_non_unitary_basis_rejected(self, skewed):
@@ -291,7 +300,7 @@ class TestCommutator:
         )
         a_op = cp.operator_for_variable(doc.pair.a_values, basis)
         b_op = cp.operator_for_b(doc.pair)
-        comm = cp.commutator(b_op, a_op)
+        comm = np.asarray(cp.commutator(b_op, a_op))
         q1q2 = math.sqrt(2 * q * (1 - 2 * q))
         # the off-diagonal magnitude is |a1-a2| |b1-b2| q1 q2 and never zero
         assert comm[0, 1] == pytest.approx(4 * q1q2, abs=1e-12)
@@ -394,7 +403,8 @@ class TestAveragePreservation:
         a_op = cp.operator_for_variable(pair.a_values, basis)
         b_op = cp.operator_for_b(pair)
         sym = cp.HermitianOperator(
-            (a_op.matrix @ b_op.matrix + b_op.matrix @ a_op.matrix) / 2.0,
+            (np.asarray(a_op.matrix) @ np.asarray(b_op.matrix)
+             + np.asarray(b_op.matrix) @ np.asarray(a_op.matrix)) / 2.0,
             basis="b",
         )
         psi = cp.build_amplitude(space, pair, ctx)

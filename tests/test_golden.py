@@ -9,6 +9,9 @@ before the recursion read a per-context measure table.
 ``{kq_0.125,random_3x3_seed4}.suites.json`` hold ``run_suite(doc, suite)``
 for each suite run alone; they were written before a run held one measure
 table, one coefficient object and one state per context.
+``random_ds_seed7.model.json`` pins the seeded stream of the dichotomous
+double stochastic generator, as ``random_3x3_seed4.model.json`` does for a
+ternary pair.
 ``verify_branches.json`` holds ``run_suite(doc).to_dict()`` of small models
 chosen so that every skip reason of ``verify`` is reached; it was written
 before the checks were folded into one run object.
@@ -18,10 +21,14 @@ guard does not depend on the last bit of a platform's libm.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import contextprob
 from contextprob.cli import main
 from contextprob.errors import ContextualProbabilityError
 from contextprob.models import (
@@ -98,6 +105,47 @@ def test_single_suite_matches_golden(stem, suite):
         doc = load_model(DATA / f"{stem}.model.json")
     want = json.loads((DATA / f"{stem}.suites.json").read_text())[suite]
     assert_matches(run_suite(doc, suite).to_dict(), want)
+
+
+NUMPY_BLOCKED = """
+import json, sys
+sys.modules["numpy"] = None  # any numpy import now raises ImportError
+import contextprob
+from contextprob.cli import main
+assert {m: v for m, v in sys.modules.items() if m.split(".")[0] == "numpy"} == {
+    "numpy": None
+}
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_report_commands_run_without_numpy(tmp_path):
+    """analyze, represent and the core and multivalued suites of verify
+    import no numpy, and still match the goldens."""
+    kq = tmp_path / "kq.json"
+    save_model(generate_kq(0.125), kq)
+    models = {"kq_0.125": kq, "random_3x3_seed4": DATA / "random_3x3_seed4.model.json"}
+    cases = []  # (argv, golden file, key in it or None)
+    for stem, model in models.items():
+        for command in ("analyze", "represent"):
+            cases.append(([command, str(model)], f"{stem}.{command}.json", None))
+        for suite in ("core", "multivalued"):
+            argv = ["verify", str(model), "--suite", suite]
+            cases.append((argv, f"{stem}.suites.json", suite))
+    outs = [tmp_path / f"report{i}.json" for i in range(len(cases))]
+    argvs = [[*argv, "--output", str(out)] for (argv, _, _), out in zip(cases, outs)]
+    src = str(Path(contextprob.__file__).parent.parent)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_BLOCKED, json.dumps(argvs)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0] * len(argvs)
+    for (_, golden, suite), out in zip(cases, outs):
+        want = json.loads((DATA / golden).read_text())
+        assert_matches(json.loads(out.read_text()), want[suite] if suite else want)
 
 
 def test_comparison_rejects_drift():

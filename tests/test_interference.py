@@ -280,7 +280,7 @@ class TestSumRules:
                 total = math.fsum(
                     coeffs.lambdas[j]
                     * math.sqrt(
-                        pa[0] * t.entries[0, j] * pa[1] * t.entries[1, j]
+                        pa[0] * t.rows[0][j] * pa[1] * t.rows[1][j]
                     )
                     for j in range(2)
                 )

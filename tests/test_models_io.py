@@ -1,11 +1,15 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import contextprob as cp
+from contextprob.cli import main
 from contextprob.models import dumps_model, loads_model, model_from_dict
+
+DATA = Path(__file__).parent / "data"
 
 
 def minimal_doc(weights=(0.125, 0.375, 0.125, 0.375)):
@@ -147,7 +151,7 @@ class TestKqGenerator:
     def test_transition_matrix(self, kq):
         t = cp.transition_matrix(kq.space, kq.pair)
         np.testing.assert_allclose(
-            t.entries, [[0.25, 0.75], [0.75, 0.25]], atol=1e-15
+            np.asarray(t.rows), [[0.25, 0.75], [0.75, 0.25]], atol=1e-15
         )
 
     def test_context_catalogue(self, kq):
@@ -166,6 +170,31 @@ class TestRandomGenerator:
         d1 = cp.generate_random_model(seed=42, n_points=6)
         d2 = cp.generate_random_model(seed=42, n_points=6)
         assert dumps_model(d1) == dumps_model(d2)
+
+    @pytest.mark.parametrize(
+        "stem, kwargs, argv",
+        [
+            (
+                "random_3x3_seed4",
+                dict(seed=4, n_points=9, value_arities=(3, 3), n_contexts=6),
+                ["--seed", "4", "--points", "9", "--arity-a", "3",
+                 "--arity-b", "3", "--contexts", "6"],
+            ),
+            (
+                "random_ds_seed7",
+                dict(seed=7, n_points=8, double_stochastic=True, n_contexts=5),
+                ["--seed", "7", "--points", "8", "--double-stochastic",
+                 "--contexts", "5"],
+            ),
+        ],
+    )
+    def test_stream_matches_committed_model(self, stem, kwargs, argv, capsys):
+        # the committed files were written by earlier versions of the
+        # generator, so its seeded stream is pinned across versions
+        want = (DATA / f"{stem}.model.json").read_text()
+        assert dumps_model(cp.generate_random_model(**kwargs)) == want
+        assert main(["gen", "random", *argv]) == 0
+        assert capsys.readouterr().out == want
 
     def test_different_seeds_differ(self):
         d1 = cp.generate_random_model(seed=1, n_points=6)

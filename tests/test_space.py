@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import contextprob as cp
 from contextprob.models import model_from_dict
 from contextprob.space import Event
+from contextprob.tolerances import IDENTITY_TOL
 
 
 def spread_space(n: int) -> cp.FiniteKolmogorovSpace:
@@ -204,7 +205,7 @@ class TestTransitionMatrix:
     def test_kq_closed_form(self, kq):
         t = cp.transition_matrix(kq.space, kq.pair)
         np.testing.assert_allclose(
-            t.entries, [[0.25, 0.75], [0.75, 0.25]], atol=1e-15
+            np.asarray(t.rows), [[0.25, 0.75], [0.75, 0.25]], atol=1e-15
         )
 
     def test_identical_variables_give_identity(self):
@@ -212,13 +213,13 @@ class TestTransitionMatrix:
         v = cp.RandomVariable("v", (1.0, -1.0))
         pair = cp.ReferencePair.from_variables(space, v, v)
         t = cp.transition_matrix(space, pair)
-        np.testing.assert_allclose(t.entries, np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(np.asarray(t.rows), np.eye(2), atol=1e-15)
 
     def test_skewed_model(self, skewed):
         space, pair = skewed
         t = cp.transition_matrix(space, pair)
         np.testing.assert_allclose(
-            t.entries,
+            np.asarray(t.rows),
             [[1.0 / 3.0, 2.0 / 3.0], [4.0 / 7.0, 3.0 / 7.0]],
             atol=1e-15,
         )
@@ -227,7 +228,7 @@ class TestTransitionMatrix:
         space, pair = skewed
         for direction in ("b/a", "a/b"):
             t = cp.transition_matrix(space, pair, direction)
-            np.testing.assert_allclose(t.entries.sum(axis=1), 1.0, atol=1e-14)
+            np.testing.assert_allclose(np.asarray(t.rows).sum(axis=1), 1.0, atol=1e-14)
 
     def test_memoised_per_space_and_direction(self, skewed):
         space, pair = skewed
@@ -248,7 +249,7 @@ class TestTransitionMatrix:
         for direction in ("b/a", "a/b"):
             t = cp.transition_matrix(space, pair, direction)
             t2 = cp.transition_matrix(space, relabelled, direction)
-            np.testing.assert_array_equal(t.entries, t2.entries)
+            np.testing.assert_array_equal(np.asarray(t.rows), np.asarray(t2.rows))
         t2 = cp.transition_matrix(space, relabelled)
         assert t2.row_values == (5.0, 1.0)
         assert t2.col_values == (-1.0, 1.0)
@@ -256,6 +257,15 @@ class TestTransitionMatrix:
         assert t2.row_values == (-1.0, 1.0)
         assert t2.col_values == (5.0, 1.0)
         assert cp.transition_matrix(space, pair).row_values == (1.0, -1.0)
+
+    def test_rows_off_one_report_the_deviation(self):
+        with pytest.raises(cp.InvariantViolation) as info:
+            cp.TransitionMatrix([[0.5, 0.6], [0.5, 0.5]], "b/a", (1.0, -1.0), (1.0, -1.0))
+        deviation = abs(0.5 + 0.6 - 1.0)
+        assert str(info.value) == (
+            "transition matrix rows do not sum to one (worst deviation "
+            f"{deviation!r}, tolerance {IDENTITY_TOL!r})"
+        )
 
     def test_null_conditioning_cell_raises_every_call(self):
         space = cp.FiniteKolmogorovSpace(("w1", "w2"), (0.3, 0.7))
@@ -271,7 +281,7 @@ class TestTransitionMatrix:
         # the failing direction leaves the other one untouched
         t = cp.transition_matrix(space, pair, "a/b")
         np.testing.assert_array_equal(
-            t.entries, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+            np.asarray(t.rows), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
         )
 
 
@@ -441,8 +451,8 @@ class TestDoubleStochasticity:
         for space, pair in ((kq.space, kq.pair), skewed, ds_skewed):
             for direction in ("b/a", "a/b"):
                 t = cp.transition_matrix(space, pair, direction)
-                assert t.rows == tuple(tuple(r) for r in t.entries.tolist())
-                col_dev = np.max(np.abs(t.entries.sum(axis=0) - 1.0))
+                assert t.rows == tuple(tuple(r) for r in np.asarray(t.rows).tolist())
+                col_dev = np.max(np.abs(np.asarray(t.rows).sum(axis=0) - 1.0))
                 assert cp.is_double_stochastic(t) is bool(col_dev <= 1e-10)
                 assert cp.is_double_stochastic(t, tol=1.0) is True
 
