@@ -96,6 +96,21 @@ class ContextClass(str, Enum):
     MIXED = "mixed"
 
 
+# the class of a context by the set of its outcome tags: a boundary outcome
+# fits either geometry, so a class holds with or without one
+_T, _H = OutcomeClass.TRIGONOMETRIC, OutcomeClass.HYPERBOLIC
+_CLASS_OF_TAGS = {
+    frozenset(kinds | boundary): cls
+    for kinds, cls in (
+        ({_T}, ContextClass.TRIGONOMETRIC),
+        ({_H}, ContextClass.HYPERBOLIC),
+        ({_T, _H}, ContextClass.MIXED),
+        (set(), ContextClass.BOUNDARY),
+    )
+    for boundary in (set(), {OutcomeClass.BOUNDARY})
+}
+
+
 @dataclass(frozen=True, slots=True)
 class OutcomeCoefficients:
     value: float
@@ -127,12 +142,10 @@ class InterferenceCoefficients:
     context_class: ContextClass = field(init=False)
 
     def __post_init__(self) -> None:
-        # a boundary outcome fits either geometry; the others must agree
-        kinds = {o.tag.value for o in self.outcomes} - {"boundary"}
-        cls = kinds.pop() if len(kinds) == 1 else "mixed" if kinds else "boundary"
+        cls = _CLASS_OF_TAGS[frozenset({o.tag for o in self.outcomes})]
         object.__setattr__(self, "deltas", tuple(o.delta for o in self.outcomes))
         object.__setattr__(self, "lambdas", tuple(o.lam for o in self.outcomes))
-        object.__setattr__(self, "context_class", ContextClass(cls))
+        object.__setattr__(self, "context_class", cls)
 
 
 def delta(

@@ -17,7 +17,9 @@ Every number read here is an entry of a context's or the full event's
 P(A_i), P(A_i & B_j), and the rows P(B_j & A_S & C) of the unions S (a-cell
 pairs and recursion tails), each a measure of its own mask, never a sum of
 cells.  The bodies (``*_from_tables``) take these tables; the event forms
-build them with their own events as the cells.
+build them with their own events as the cells.  The recursion body takes its
+last-level lambdas from its caller, who has computed that split already:
+``verify`` from its split loop, :func:`build_amplitude_nvalued` itself.
 """
 
 from __future__ import annotations
@@ -217,7 +219,13 @@ def build_amplitude_nvalued(
     cells = pair.a_partition, pair.b_partition
     table = measure_table(space, *cells, context, recursion_tails(order))
     free = measure_table(space, *cells, space.full_event())
-    return amplitude_nvalued_from_tables(pair, context, table, free, order, signs)
+    lams = []
+    for j in range(len(pair.b_values)):
+        try:
+            lams.append(split_from_tables(table, free, j, *order[-2:]).lam)
+        except DegenerateCell:  # the body raises its own, before reading it
+            lams.append(None)
+    return amplitude_nvalued_from_tables(pair, context, table, free, order, signs, lams)
 
 
 def recursion_tails(order: Sequence[int]) -> list[frozenset[int]]:
@@ -232,10 +240,13 @@ def amplitude_nvalued_from_tables(
     free: MeasureTable,
     order: tuple[int, ...],
     signs: tuple[int, ...],
+    lams: Sequence[float | None],
 ) -> tuple[ComplexAmplitude, SplitChain]:
     """The recursion of :func:`build_amplitude_nvalued` from the context's
-    table, with the :func:`recursion_tails` of ``order`` as its unions, and
-    the full event's table."""
+    table, with the :func:`recursion_tails` of ``order`` as its unions, the
+    full event's table, and ``lams[j]``, the lambda of the last-level split
+    of b-cell j over the a-cells (order[-2], order[-1]), None where that
+    split is degenerate."""
     n = len(order)
     if n < 2:
         raise ValueError("need at least two a-values")
@@ -264,7 +275,7 @@ def amplitude_nvalued_from_tables(
         for j in range(n - 2, -1, -1):
             if j == n - 2:
                 tail_prob = head_terms[n - 1]
-                coeff = split_from_tables(table, free, jx, order[j], order[j + 1]).lam
+                coeff = lams[jx]
             else:
                 tail_prob = table.unions[tails[j + 1]][jx] / pc
                 if tail_prob == 0.0:

@@ -12,7 +12,10 @@ suites share.  A check states its preconditions as ``(condition, reason)``
 pairs when it is created with :meth:`_Run.check`, or with
 :meth:`_Recorder.require` once a count it depends on is known.  The reason of
 the first false one is the check's skip witness, and a check with no false
-precondition that compared nothing is skipped as "nothing to compare".
+precondition that compared nothing is skipped as "nothing to compare".  A
+check that runs reports its worst residual, and its witness is that of the
+first comparison with that residual: a format string and its arguments,
+formatted only when its comparison becomes the worst.
 
 A run reads each declared context once, into one
 :class:`~contextprob.space.MeasureTable` it holds to the end: P(C), its a-,
@@ -125,18 +128,20 @@ class _Recorder:
         """Whether every precondition so far holds."""
         return all(condition for condition, _ in self.preconditions)
 
-    def compare(self, lhs: float, rhs: float, witness: str) -> None:
+    def compare(self, lhs: float, rhs: float, witness: str, *args) -> None:
+        """The witness is ``witness.format(*args)``, or ``witness`` itself
+        without ``args``, formatted only if this comparison is the worst."""
         residual = abs(lhs - rhs)
         self.compared += 1
         if residual > self.worst:
             self.worst = residual
-            self.witness = witness
+            self.witness = witness.format(*args) if args else witness
 
-    def expect(self, condition: bool, witness: str) -> None:
+    def expect(self, condition: bool, witness: str, *args) -> None:
         self.compared += 1
         if not condition and not math.isinf(self.worst):
             self.worst = math.inf
-            self.witness = witness
+            self.witness = witness.format(*args) if args else witness
 
     def result(self) -> Check:
         for condition, reason in self.preconditions:
@@ -244,18 +249,18 @@ def _core_checks(run: _Run) -> None:
     rec_closure = run.check("core.partition_closure", IDENTITY_TOL)
     for name, table in zip(contexts, run.tables):
         pc = table.pc
-        rec_range.expect(0.0 <= pc <= 1.0 + IDENTITY_TOL, f"P({name})={pc}")
+        rec_range.expect(0.0 <= pc <= 1.0 + IDENTITY_TOL, "P({})={}", name, pc)
         if pc == 0.0:
             continue
         for p in (*table.a_row, *table.b_row):
-            rec_bayes.compare((p / pc) * pc, p, f"{name}")
+            rec_bayes.compare((p / pc) * pc, p, name)
         try:
             decomp = total_probability_from_table(pair, table)
         except DegenerateCell:
             pass
         else:
             for j, x in enumerate(pair.b_values):
-                rec_total.compare(decomp[x], table.b_row[j] / pc, f"{name}, x={x}")
+                rec_total.compare(decomp[x], table.b_row[j] / pc, "{}, x={}", name, x)
         rec_closure.compare(math.fsum(p / pc for p in table.a_row), 1.0, name)
 
     rec = run.check("core.partition_structure", PREDICATE_TOL)
@@ -287,7 +292,7 @@ def _core_checks(run: _Run) -> None:
             phases = itf.assign_phases(coeffs)
             recon = itf.reconstruct_probability(coeffs, phases)
             for j, x in enumerate(pair.b_values):
-                rec3.compare(recon[x], coeffs.b_profile[j], f"{name}, x={x}")
+                rec3.compare(recon[x], coeffs.b_profile[j], "{}, x={}", name, x)
         if cls in COMPLEX_CLASSES:
             lam = coeffs.lambdas
             rec4.compare(lam[1], -k * lam[0], name)
@@ -325,20 +330,18 @@ def _complex_checks(run: _Run) -> None:
         psi_bar = cr.amplitude_from_coefficients(coeffs, "conjugate")
         rec_norm.compare(psi.norm_sq(), 1.0, name)
         for j, x in enumerate(pair.b_values):
-            rec.compare(psi.born(x), coeffs.b_profile[j], f"{name}, x={x}")
-            rec_conj.compare(psi.born(x), psi_bar.born(x), f"{name}, x={x}")
+            rec.compare(psi.born(x), coeffs.b_profile[j], "{}, x={}", name, x)
+            rec_conj.compare(psi.born(x), psi_bar.born(x), "{}, x={}", name, x)
         if ds:
             for i, y in enumerate(pair.a_values):
                 rec_a.compare(
                     cr.born_probability(psi, basis.vector(i)),
-                    coeffs.a_profile[i],
-                    f"{name}, y={y}",
+                    coeffs.a_profile[i], "{}, y={}", name, y,
                 )
 
     rec = run.check("complex.basis_unitarity", PREDICATE_TOL)
     rec.expect(
-        basis.unitary == ds,
-        f"unitary={basis.unitary} but double stochastic={ds}",
+        basis.unitary == ds, "unitary={} but double stochastic={}", basis.unitary, ds
     )
 
     rec_spec = run.check("complex.operator_spectrum", PREDICATE_TOL, not_ds)
@@ -361,7 +364,7 @@ def _complex_checks(run: _Run) -> None:
         )
         largest = max(abs(v) for row in comm for v in row)
         rec_comm.expect(
-            largest >= bound - PREDICATE_TOL, f"max |[b,a]| = {largest} < {bound}"
+            largest >= bound - PREDICATE_TOL, "max |[b,a]| = {} < {}", largest, bound
         )
 
         # f at each a-value, g at each b-value
@@ -382,13 +385,14 @@ def _complex_checks(run: _Run) -> None:
         b_trig = all(c.context_class in COMPLEX_CLASSES for c in run.b_cells)
         rec_cls.expect(
             b_trig == both_ds,
-            f"b-cells trigonometric={b_trig}, both matrices doubly "
-            f"stochastic={both_ds}",
+            "b-cells trigonometric={}, both matrices doubly stochastic={}",
+            b_trig, both_ds,
         )
         if both_ds:
             for j, coeffs in enumerate(run.b_cells):
-                rec_cls.compare(coeffs.lambdas[j], 1.0, f"lambda(B{j}|B{j})")
-                rec_cls.compare(coeffs.lambdas[1 - j], -1.0, f"lambda(B{1-j}|B{j})")
+                lam = coeffs.lambdas
+                rec_cls.compare(lam[j], 1.0, "lambda(B{0}|B{0})", j)
+                rec_cls.compare(lam[1 - j], -1.0, "lambda(B{}|B{})", 1 - j, j)
 
     rec = run.check(
         "complex.global_phase_offset",
@@ -476,7 +480,7 @@ def _hyperbolic_checks(run: _Run) -> None:
     rec_rap = run.check("hyperbolic.rapidity_equality", PREDICATE_TOL, no_hyp, not_ds)
     for name, coeffs, psi in hyp:
         for j, x in enumerate(pair.b_values):
-            rec.compare(psi.born(x), coeffs.b_profile[j], f"{name}, x={x}")
+            rec.compare(psi.born(x), coeffs.b_profile[j], "{}, x={}", name, x)
         rec_eps.compare(float(sum(psi.epsilons)), 0.0, name)
         if ds:
             rec_rap.compare(
@@ -496,14 +500,13 @@ def _hyperbolic_checks(run: _Run) -> None:
                 g = hr.hyperbolic_inner_product(
                     basis.vectors[i], basis.vectors[k]
                 )
-                rec.compare(g.x, 1.0 if i == k else 0.0, f"gram[{i}][{k}].x")
-                rec.compare(g.y, 0.0, f"gram[{i}][{k}].y")
+                rec.compare(g.x, 1.0 if i == k else 0.0, "gram[{}][{}].x", i, k)
+                rec.compare(g.y, 0.0, "gram[{}][{}].y", i, k)
         for cname, coeffs, psi in hyp:
             for i, y in enumerate(pair.a_values):
                 rec.compare(
                     hr.hyperbolic_born(psi.components, basis.vectors[i]),
-                    coeffs.a_profile[i],
-                    f"{cname}, y={y}",
+                    coeffs.a_profile[i], "{}, y={}", cname, y,
                 )
 
     rec = run.check("hyperbolic.transform_pair_sum", BORN_TOL, not_ds, no_hyp)
@@ -513,7 +516,7 @@ def _hyperbolic_checks(run: _Run) -> None:
                 coeffs.a_profile, run.t, psi.thetas[0], psi.epsilons[0]
             )
             for j, x in enumerate(pair.b_values):
-                rec.compare(out[j], coeffs.b_profile[j], f"{name}, x={x}")
+                rec.compare(out[j], coeffs.b_profile[j], "{}, x={}", name, x)
 
     rec = run.check("hyperbolic.basic_contexts_hyperbolic", PREDICATE_TOL, not_ds)
     if ds:
@@ -521,13 +524,12 @@ def _hyperbolic_checks(run: _Run) -> None:
         for j, coeffs in enumerate(run.b_cells):
             cls = coeffs.context_class
             rec.expect(
-                cls in HYPERBOLIC_CLASSES,
-                f"b-cell {j} classified {cls.value}",
+                cls in HYPERBOLIC_CLASSES, "b-cell {} classified {}", j, cls.value
             )
             if both_ds:
                 rec.expect(
                     cls is itf.ContextClass.BOUNDARY,
-                    f"b-cell {j} should sit on the boundary, got {cls.value}",
+                    "b-cell {} should sit on the boundary, got {}", j, cls.value,
                 )
 
 
@@ -542,6 +544,7 @@ def _multivalued_checks(run: _Run) -> None:
     n = len(pair.a_values)
     pairs = list(combinations(range(n), 2))
     order, signs = tuple(range(n)), (1,) * (n - 1)
+    last = order[-2:]  # the a-cells of the recursion's last-level split
     singles = [frozenset((i,)) for i in range(n)]
     coefficients = {name: coeffs for name, coeffs, _ in run.classified}
 
@@ -552,10 +555,13 @@ def _multivalued_checks(run: _Run) -> None:
     rec = run.check("multivalued.recursion_born", RECURSION_BORN_TOL)
     tuples = built = unrepresentable = 0
     for (name, c), table in zip(contexts.items(), run.tables):
-        for j in range(len(pair.b_values)) if table.pc != 0.0 else ():
+        lams = [None] * len(pair.b_values)
+        for j in range(len(lams)) if table.pc != 0.0 else ():
             for i1, i2 in pairs:
                 try:
                     split = mv.split_from_tables(table, free, j, i1, i2)
+                    if (i1, i2) == last:
+                        lams[j] = split.lam
                     mu, head, tail = mv.mu_from_tables(table, free, j, i1, singles[i2])
                 except DegenerateCell:
                     continue
@@ -567,7 +573,7 @@ def _multivalued_checks(run: _Run) -> None:
                 rec_f5.compare(half, split.lhs, name)
         try:
             psi, chain = mv.amplitude_nvalued_from_tables(
-                pair, c, table, free, order, signs
+                pair, c, table, free, order, signs, lams
             )
         except SplitOutOfRange:
             unrepresentable += 1
@@ -576,14 +582,14 @@ def _multivalued_checks(run: _Run) -> None:
             continue
         built += 1
         for j, x in enumerate(pair.b_values):
-            rec.compare(psi.born(x), table.b_row[j] / table.pc, f"{name}, x={x}")
+            rec.compare(psi.born(x), table.b_row[j] / table.pc, "{}, x={}", name, x)
         if name in coefficients:
             try:
                 flat = run.psi(name, coefficients[name])
             except (MixedContext, HyperbolicContext):
                 continue
             for j, x in enumerate(pair.b_values):
-                rec.compare(psi.born(x), flat.born(x), f"{name} vs flat, x={x}")
+                rec.compare(psi.born(x), flat.born(x), "{} vs flat, x={}", name, x)
     for r in (rec_f1, rec_f2, rec_f3, rec_f5):
         r.require(tuples > 0, "no admissible event tuples")
     rec.require(

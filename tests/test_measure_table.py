@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 import contextprob as cp
 from contextprob import complex_repr as cr
 from contextprob import interference as itf
+from contextprob import multivalued as mv
 from contextprob import space as space_module
 from contextprob.errors import (
     DegenerateCell,
@@ -322,12 +323,19 @@ def test_nvalued_recursion(model, data):
     want_default = amplitude_outcome(_ref_nvalued, space, pair, c)
     assert amplitude_outcome(build, space, pair, c) == want_default
 
-    # the body on tables built as verify builds them
+    # the body on tables built as verify builds them, with the last-level
+    # lambdas of verify's split loop: None where that split raises
     cells = pair.a_partition, pair.b_partition
     table = measure_table(space, *cells, c, recursion_tails(order))
     free = measure_table(space, *cells, space.full_event())
+    lams = []
+    for j in range(len(pair.b_values)):
+        try:
+            lams.append(split_from_tables(table, free, j, *order[-2:]).lam)
+        except (DegenerateCell, ZeroConditioningContext):
+            lams.append(None)
     got = amplitude_outcome(
-        amplitude_nvalued_from_tables, pair, c, table, free, order, signs
+        amplitude_nvalued_from_tables, pair, c, table, free, order, signs, lams
     )
     assert got == want
 
@@ -410,6 +418,17 @@ def test_run_suite_measures_each_context_once(kq, monkeypatch):
     branches = [args[1] if len(args) > 1 else "principal" for args in states]
     assert branches.count("principal") == branches.count("conjugate") == 9
     assert len(branches) == 18
+
+
+def test_run_suite_splits_each_context_once(kq, monkeypatch):
+    """One split per context with P(C) > 0, b-cell and a-pair (on kq 11,
+    2 and 1): the recursion takes its last-level lambdas from the split
+    loop instead of splitting again."""
+    splits = count_calls(monkeypatch, mv, "split_from_tables")
+    run_suite(kq, "all")
+    positive = [c for c in kq.contexts.values() if kq.space.probability(c) > 0.0]
+    assert len(positive) == 11
+    assert len(splits) == len(positive) * 2 * 1
 
 
 def test_pair_facts_are_read_once_per_run(kq, monkeypatch):
