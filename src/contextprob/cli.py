@@ -418,16 +418,19 @@ def cmd_gen_random(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, tolerance: bool) -> None:
+    """The output flags, and ``--tolerance`` for the commands that gate on
+    a report tolerance."""
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--output", default=None, help="write the report here")
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="override the report tolerance, a finite number >= 0 (not "
-        "internal identity checks)",
-    )
+    if tolerance:
+        parser.add_argument(
+            "--tolerance",
+            type=float,
+            default=None,
+            help="override the report tolerance, a finite number >= 0 (not "
+            "internal identity checks)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--branch", choices=("principal", "conjugate"), default="principal"
     )
-    _add_common(p)
+    _add_common(p, tolerance=False)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("represent", help="state vectors and operators")
@@ -454,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--branch", choices=("principal", "conjugate"), default="principal"
     )
     p.add_argument("--anchor", default=None, help="anchor context name")
-    _add_common(p)
+    _add_common(p, tolerance=False)
     p.set_defaults(func=cmd_represent)
 
     p = sub.add_parser("verify", help="run named verification checks")
@@ -464,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("core", "complex", "hyperbolic", "multivalued", "all"),
         default="all",
     )
-    _add_common(p)
+    _add_common(p, tolerance=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("example", help="bundled models reproduced end to end")
@@ -472,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     kq = example_sub.add_parser("kq", help="four-point two-parameter model")
     kq.add_argument("--q", type=float, required=True)
     kq.add_argument("--gamma", type=float, default=1.0, help="only 1 is accepted")
-    _add_common(kq)
+    _add_common(kq, tolerance=True)
     kq.set_defaults(func=cmd_example_kq)
 
     p = sub.add_parser("gen", help="model generators")

@@ -43,6 +43,7 @@ from .interference import (
     cis,
     classify_context,
     interference_coefficients,
+    pair_coefficients,
 )
 from .space import (
     Event,
@@ -187,7 +188,7 @@ def a_basis_for_context(
     if cls is ContextClass.HYPERBOLIC:
         raise HyperbolicContext("anchor context is hyperbolic")
     phases = assign_phases(coeffs, convention, mode="trigonometric")
-    t = transition_matrix(space, pair, "b/a")
+    t = coeffs.transition
     u = [[math.sqrt(p) for p in row] for row in t.rows]
     e1 = (complex(u[0][0]), complex(u[0][1]))
     e2 = (cis(phases.thetas[0]) * u[1][0], cis(phases.thetas[1]) * u[1][1])
@@ -496,6 +497,7 @@ def image_of_context_family(
         space, pair, anchor if anchor is not None else space.full_event()
     )
     a_states = extend_to_a_contexts(space, pair, basis)
+    coefficients = pair_coefficients(space, pair)
 
     states: list[tuple[complex, ...]] = []
     assignment: dict[str, int | None] = {}
@@ -523,7 +525,7 @@ def image_of_context_family(
             assignment[name] = register(a_states[pair.a_values[cell_index]].components)
             continue
         try:
-            coeffs = interference_coefficients(space, pair, context)
+            coeffs = coefficients(context)
         except DegenerateContext:
             excluded[name] = "a-degenerate context (not an a-cell)"
             assignment[name] = None

@@ -421,9 +421,10 @@ def verify_no_global_alpha(
         named = list(contexts.items())
     else:
         named = [(f"context_{i}", c) for i, c in enumerate(contexts)]
+    coefficients = pair_coefficients(space, pair)
     return global_alpha_from_coefficients(
         transition_matrix(space, pair, "b/a"),
-        ((name, interference_coefficients(space, pair, c)) for name, c in named),
+        ((name, coefficients(c)) for name, c in named),
     )
 
 

@@ -6,10 +6,11 @@ contexts (lists of point identifiers), and optionally the pair of variable
 names to use as the reference pair (default: "a" and "b", else the first two
 declared).
 
-The loader rejects nonpositive weights, weight sums outside one part in 1e9
-and one-valued reference variables, then renormalises.  Serialisation is
-canonical: sorted object keys, context members in point order, and floats
-printed with 17 significant digits, so load -> serialise -> load is fixed.
+The loader rejects nonpositive weights, weight sums outside one part in 1e9,
+variable values that are not JSON numbers and one-valued reference
+variables, then renormalises.  Serialisation is canonical: sorted object
+keys, context members in point order, and floats printed with 17
+significant digits, so load -> serialise -> load is fixed.
 """
 
 from __future__ import annotations
@@ -109,6 +110,12 @@ def model_from_dict(doc: Mapping) -> ModelDocument:
     variables: dict[str, RandomVariable] = {}
     for name, mapping in variables_raw.items():
         _validate(isinstance(mapping, Mapping), f"variable {name!r} must be an object")
+        for point, value in mapping.items():
+            # float() would parse "1.0" and take true as 1
+            _validate(
+                not isinstance(value, (str, bool)) and value is not None,
+                f"value of variable {name!r} at {point!r} must be a number",
+            )
         try:
             variables[name] = RandomVariable.from_mapping(space, name, mapping)
         except (ValueError, TypeError) as exc:

@@ -13,15 +13,17 @@ divides by cell probabilities, and null atoms add nothing but spurious
 degeneracy.
 
 Values in this module are immutable after construction and operations are
-pure functions, with one exception: each space memoises, in a private dict
-that takes no part in equality, hashing or printing, three kinds of result:
-the probability of each event mask it has measured, each transition matrix
-it has built, and whether a reference pair is incompatible.  Nothing per
-context is stored there: the caller reads a context's measures once, into a
-:class:`MeasureTable`; a ``verify`` run holds one per declared context for
-its duration.  A transition matrix likewise keeps its cosine ratio once
-computed.  Values can still be shared across threads: a race between two
-threads only computes the same entry twice.
+pure functions, with one exception: the space memoises event probabilities,
+one per event mask it has measured, in a private dict that takes no part in
+equality, hashing or printing.  The facts of a reference pair (its
+transition matrices, its incompatibility) are computed on every call: code
+that holds a pair computes them once, and a loop over contexts builds
+:func:`contextprob.interference.pair_coefficients` once and calls it per
+context.  Nothing per context is stored either: the caller reads a
+context's measures once, into a :class:`MeasureTable`; a ``verify`` run
+holds one per declared context for its duration.  A transition matrix keeps
+its cosine ratio once computed.  Values can still be shared across threads:
+a race between two threads only computes the same entry twice.
 """
 
 from __future__ import annotations
@@ -103,9 +105,8 @@ class Event:
 class FiniteKolmogorovSpace:
     """Ordered sample points with strictly positive weights summing to one.
 
-    ``_memo`` maps an event mask to its probability, a transition-matrix key
-    to its matrix and an incompatibility key to its truth value; only results
-    are stored, never failures.
+    ``_memo`` maps an event mask to its probability; :meth:`_measure` is
+    its only reader and writer.
     """
 
     points: tuple[str, ...]
@@ -173,8 +174,7 @@ class FiniteKolmogorovSpace:
         computed once per distinct event."""
         if e.size != len(self.points):
             raise ValueError("event does not belong to this space")
-        p = self._memo.get(e.mask)
-        return self._measure(e.mask) if p is None else p
+        return self._measure(e.mask)
 
     def _masks(self, *events: Event) -> list[int]:
         """The masks of the given events; raises unless all belong here."""
@@ -274,7 +274,7 @@ class ReferencePair:
             raise KeyError(f"{x!r} is not a value of {self.b.name!r}") from None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TransitionMatrix:
     """Matrix of transition probabilities between the two partitions.
 
@@ -283,8 +283,9 @@ class TransitionMatrix:
 
     ``rows`` holds the entries as a tuple of rows of Python floats; the
     constructor accepts any nested sequence of numbers.  ``double_stochastic``
-    is :func:`is_double_stochastic` at its default tolerance.  Both are
-    computed once, at construction.  ``cosine_ratio`` is computed on first
+    is true iff the matrix is square and every column also sums to one
+    within ``PREDICATE_TOL``.  Both are computed once, at construction, and
+    matrices compare by value.  ``cosine_ratio`` is computed on first
     use; a raise is not kept, so every use on a matrix that has none raises.
     """
 
@@ -305,8 +306,10 @@ class TransitionMatrix:
                 "transition matrix rows do not sum to one (worst deviation "
                 f"{deviation!r}, tolerance {IDENTITY_TOL!r})"
             )
+        square = len(rows) == len(rows[0])
+        col_deviation = max(abs(s - 1.0) for s in column_sums(self))
         object.__setattr__(
-            self, "double_stochastic", _columns_sum_to_one(self, PREDICATE_TOL)
+            self, "double_stochastic", square and col_deviation <= PREDICATE_TOL
         )
 
     @cached_property
@@ -331,11 +334,7 @@ def transition_matrix(
 ) -> TransitionMatrix:
     """Transition probabilities of one reference variable conditioned on the
     other; raises :class:`DegenerateCell` if a conditioning cell is null.
-
-    The matrix is context independent while the callers ask for it per
-    context, so it is memoised in the space, keyed by the direction and the
-    values and masks of both partitions.
-    """
+    The matrix is context independent: compute it once per pair."""
     if direction == "b/a":
         rows, cols = pair.a_partition, pair.b_partition
         row_values, col_values = pair.a_values, pair.b_values
@@ -344,12 +343,8 @@ def transition_matrix(
         row_values, col_values = pair.b_values, pair.a_values
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    row_masks = tuple(space._masks(*rows))
-    col_masks = tuple(space._masks(*cols))
-    key = (direction, row_values, col_values, row_masks, col_masks)
-    matrix = space._memo.get(key)
-    if matrix is not None:
-        return matrix
+    row_masks = space._masks(*rows)
+    col_masks = space._masks(*cols)
     entries = []
     for i, row in enumerate(row_masks):
         p_row = space._measure(row)
@@ -358,9 +353,7 @@ def transition_matrix(
                 f"conditioning cell {row_values[i]!r} has probability zero"
             )
         entries.append([space._measure(row & col) / p_row for col in col_masks])
-    matrix = TransitionMatrix(entries, direction, row_values, col_values)
-    space._memo[key] = matrix
-    return matrix
+    return TransitionMatrix(entries, direction, row_values, col_values)
 
 
 def is_nondegenerate(
@@ -377,21 +370,11 @@ def is_nondegenerate(
 
 
 def are_incompatible(space: FiniteKolmogorovSpace, pair: ReferencePair) -> bool:
-    """True iff every joint cell of the two partitions has positive probability.
-
-    Context independent, so memoised in the space, keyed by the masks of
-    both partitions.
-    """
-    a_masks = tuple(space._masks(*pair.a_partition))
-    b_masks = tuple(space._masks(*pair.b_partition))
-    key = ("incompatible", a_masks, b_masks)
-    result = space._memo.get(key)
-    if result is None:
-        result = all(
-            space._measure(ay & bx) != 0.0 for ay in a_masks for bx in b_masks
-        )
-        space._memo[key] = result
-    return result
+    """True iff every joint cell of the two partitions has positive
+    probability.  Context independent: compute it once per pair."""
+    a_masks = space._masks(*pair.a_partition)
+    b_masks = space._masks(*pair.b_partition)
+    return all(space._measure(ay & bx) != 0.0 for ay in a_masks for bx in b_masks)
 
 
 @dataclass(frozen=True)
@@ -530,17 +513,10 @@ def column_sums(m: TransitionMatrix) -> list[float]:
     return [sum(col) for col in zip(*m.rows)]
 
 
-def _columns_sum_to_one(m: TransitionMatrix, tol: float) -> bool:
-    if len(m.rows) != len(m.rows[0]):
-        return False
-    return max(abs(s - 1.0) for s in column_sums(m)) <= tol
-
-
-def is_double_stochastic(m: TransitionMatrix, tol: float = PREDICATE_TOL) -> bool:
-    """True iff every column also sums to one (rows always do)."""
-    if tol == PREDICATE_TOL:
-        return m.double_stochastic
-    return _columns_sum_to_one(m, tol)
+def is_double_stochastic(m: TransitionMatrix) -> bool:
+    """True iff every column also sums to one (rows always do); see
+    :attr:`TransitionMatrix.double_stochastic`."""
+    return m.double_stochastic
 
 
 def is_symmetrically_conditioned(

@@ -228,8 +228,8 @@ class _Run:
     @cached_property
     def b_cells(self) -> list[itf.InterferenceCoefficients]:
         """The coefficients of each b-cell taken as a context."""
-        space, pair = self.space, self.pair
-        return [itf.interference_coefficients(space, pair, b) for b in pair.b_partition]
+        coefficients = itf.pair_coefficients(self.space, self.pair)
+        return list(map(coefficients, self.pair.b_partition))
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,31 @@ class TestErrorContract:
         assert captured.err.count("\n") == 1
         assert json.loads(captured.err)["error"] == "model-validation"
 
+    @pytest.mark.parametrize("command", ("analyze", "represent"))
+    def test_tolerance_rejected_where_no_report_gates(self, kq_path, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, kq_path, "--tolerance", "1e-30"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --tolerance 1e-30" in captured.err
+
+    @pytest.mark.parametrize("value", ("1.0", True, None))
+    def test_non_number_variable_value_exit_two(self, tmp_path, kq_path, value, capsys):
+        with open(kq_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["variables"]["a"]["w3"] = value
+        path = tmp_path / "text_value.json"
+        path.write_text(json.dumps(raw))
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {
+            "error": "model-validation",
+            "detail": "value of variable 'a' at 'w3' must be a number",
+        }
+
     def test_degenerate_anchor_exit_three(self, kq_path, capsys):
         assert main(["represent", kq_path, "--anchor", "C12"]) == 3
         diag = stderr_diagnostic(capsys)

@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import fields, replace
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from contextprob.errors import (
 )
 from contextprob.interference import cis
 from contextprob.cli import main
-from contextprob.models import ModelDocument, save_model
+from contextprob.models import ModelDocument, load_model, save_model
 from contextprob.multivalued import (
     RECURSION_BORN_TOL,
     SplitChain,
@@ -432,7 +433,7 @@ def test_run_suite_splits_each_context_once(kq, monkeypatch):
 
 
 def test_pair_facts_are_read_once_per_run(kq, monkeypatch):
-    """Incompatibility and the transition matrices are consulted a fixed
+    """Incompatibility and the transition matrices are computed a fixed
     number of times per run, and ``_masks`` once more per declared context
     (its table); eleven more contexts add nothing else."""
     wider = ModelDocument(
@@ -456,13 +457,13 @@ def test_pair_facts_are_read_once_per_run(kq, monkeypatch):
             m.setattr(space_module.FiniteKolmogorovSpace, "_masks", counted)
             run_suite(doc)
         counts.append((len(incompatible), len(matrices), len(masks)))
-    assert counts[0] == (5, 10, 45)
-    assert counts[1] == (5, 10, 45 + 11)
+    assert counts[0] == (4, 8, 39)
+    assert counts[1] == (4, 8, 39 + 11)
 
 
-@pytest.mark.parametrize("command, pins", [("analyze", (1, 1)), ("represent", (2, 3))])
+@pytest.mark.parametrize("command, pins", [("analyze", (1, 1)), ("represent", (2, 2))])
 def test_commands_check_the_pair_once(kq, tmp_path, monkeypatch, capsys, command, pins):
-    """``analyze`` and ``represent`` consult incompatibility and the
+    """``analyze`` and ``represent`` compute incompatibility and the
     transition matrices a fixed number of times per command; eleven more
     contexts add nothing."""
     wider = ModelDocument(
@@ -482,6 +483,20 @@ def test_commands_check_the_pair_once(kq, tmp_path, monkeypatch, capsys, command
         counts.append((len(incompatible), len(matrices)))
     capsys.readouterr()
     assert counts == [pins, pins]
+
+
+def test_space_memoises_event_probabilities_only(kq):
+    """After a full run and direct calls for the pair's facts, every key of
+    the space's memo is an event mask: transition matrices and
+    incompatibility are computed, never stored."""
+    ternary = load_model(Path(__file__).parent / "data" / "random_3x3_seed4.model.json")
+    for doc in (kq, ternary):
+        run_suite(doc, "all")
+        for direction in ("b/a", "a/b"):
+            transition_matrix(doc.space, doc.pair, direction)
+        space_module.are_incompatible(doc.space, doc.pair)
+        memo = doc.space._memo
+        assert memo and all(type(key) is int for key in memo)
 
 
 def _ref_classify(outcomes):
