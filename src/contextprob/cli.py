@@ -76,15 +76,42 @@ def _json_text(o, pad: str = "\n") -> str:
         return float.__repr__(o)
     if isinstance(o, int):
         return int.__repr__(o)
+    # containers encode a finite float, a str and None inline, not by a call
+    # each; subclasses and every other value go through the call.  No name
+    # keeps an item's text, and the items go before their joined body is
+    # copied into the result, so at most two copies of a text are alive.
     if isinstance(o, dict):
         inner = pad + "  "
-        body = f",{inner}".join(
-            [f"{_encode_str(key)}: {_json_text(o[key], inner)}" for key in sorted(o)]
-        )
+        parts = []
+        for key in sorted(o):
+            v, key = o[key], _encode_str(key)
+            t = type(v)
+            if t is float and math.isfinite(v):
+                parts.append(f"{key}: {float.__repr__(v)}")
+            elif t is str:
+                parts.append(f"{key}: {_encode_str(v)}")
+            elif v is None:
+                parts.append(f"{key}: null")
+            else:
+                parts.append(f"{key}: {_json_text(v, inner)}")
+        body = f",{inner}".join(parts)
+        del parts
         return f"{{{inner}{body}{pad}}}" if o else "{}"
     if isinstance(o, (list, tuple)):
         inner = pad + "  "
-        body = f",{inner}".join([_json_text(item, inner) for item in o])
+        parts = []
+        for v in o:
+            t = type(v)
+            if t is float and math.isfinite(v):
+                parts.append(float.__repr__(v))
+            elif t is str:
+                parts.append(_encode_str(v))
+            elif v is None:
+                parts.append("null")
+            else:
+                parts.append(_json_text(v, inner))
+        body = f",{inner}".join(parts)
+        del parts
         return f"[{inner}{body}{pad}]" if o else "[]"
     return _encode_str(str(o))
 

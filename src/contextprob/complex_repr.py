@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     BasisMismatch,
@@ -55,8 +55,7 @@ from .space import (
 from .tolerances import AVERAGE_TOL, BORN_TOL, HERMITIAN_TOL, IMAGE_TOL, PREDICATE_TOL
 
 
-@dataclass(frozen=True, eq=False)
-class ComplexAmplitude:
+class ComplexAmplitude(NamedTuple):
     """State vector over the b-outcomes representing one context."""
 
     components: tuple[complex, ...]
@@ -105,13 +104,12 @@ def born_probability(psi, basis_vector) -> float:
 def _amplitude_from_phases(
     coeffs: InterferenceCoefficients, phases: PhaseAssignment
 ) -> tuple[complex, complex]:
-    pa = coeffs.a_profile
-    t = coeffs.transition.rows
-    return tuple([
-        math.sqrt(pa[0] * t[0][j])
-        + cis(phases.thetas[j]) * math.sqrt(pa[1] * t[1][j])
-        for j in range(2)
-    ])
+    (a0, a1), ((t00, t01), (t10, t11)) = coeffs.a_profile, coeffs.transition.rows
+    theta0, theta1 = phases.thetas
+    return (
+        math.sqrt(a0 * t00) + cis(theta0) * math.sqrt(a1 * t10),
+        math.sqrt(a0 * t01) + cis(theta1) * math.sqrt(a1 * t11),
+    )
 
 
 def amplitude_from_coefficients(
@@ -121,7 +119,7 @@ def amplitude_from_coefficients(
     context from its interference coefficients.  The squared moduli must
     reproduce the context's conditional b-probabilities; a violation
     indicates an upstream bug."""
-    cls = classify_context(coeffs)
+    cls = coeffs.context_class
     if cls is ContextClass.MIXED:
         raise MixedContext("mixed contexts have no complex representation")
     if cls is ContextClass.HYPERBOLIC:
@@ -130,13 +128,13 @@ def amplitude_from_coefficients(
             "hyperbolic representation instead"
         )
     phases = assign_phases(coeffs, convention, mode="trigonometric")
-    components = _amplitude_from_phases(coeffs, phases)
-    b_values = coeffs.pair.b_values
-    psi = ComplexAmplitude(components, b_values, coeffs.context, convention)
-    for j, x in enumerate(b_values):
-        if abs(psi.born(x) - coeffs.b_profile[j]) > BORN_TOL:
-            raise PhaseInconsistency("squared modulus drifted from the probability")
-    return psi
+    components = c0, c1 = _amplitude_from_phases(coeffs, phases)
+    b0, b1 = coeffs.b_profile
+    if abs(abs(c0) ** 2 - b0) > BORN_TOL or abs(abs(c1) ** 2 - b1) > BORN_TOL:
+        raise PhaseInconsistency("squared modulus drifted from the probability")
+    return ComplexAmplitude(
+        components, coeffs.pair.b_values, coeffs.context, convention
+    )
 
 
 def build_amplitude(

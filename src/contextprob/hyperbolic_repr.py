@@ -33,7 +33,6 @@ from .interference import (
     ContextClass,
     InterferenceCoefficients,
     assign_phases,
-    classify_context,
     interference_coefficients,
 )
 from .space import (
@@ -102,7 +101,7 @@ def hyperbolic_amplitude_from_coefficients(
     outcomes when the transition matrix is double stochastic), and the signed
     squared norms must reproduce the context's conditional b-probabilities.
     """
-    cls = classify_context(coeffs)
+    cls = coeffs.context_class
     if cls is ContextClass.MIXED:
         raise MixedContext("mixed contexts have no hyperbolic representation")
     if cls is ContextClass.TRIGONOMETRIC:
@@ -112,29 +111,17 @@ def hyperbolic_amplitude_from_coefficients(
         )
     phases = assign_phases(coeffs, mode="hyperbolic")
     assert phases.epsilons is not None
-    pa = coeffs.a_profile
-    t = coeffs.transition.rows
-    components = []
-    for j in range(2):
-        first = HyperbolicNumber(math.sqrt(pa[0] * t[0][j]), 0.0)
-        second = (
-            phases.epsilons[j] * math.sqrt(pa[1] * t[1][j])
-        ) * exp_j(phases.thetas[j])
-        components.append(first + second)
-    b_values = coeffs.pair.b_values
-    psi = HyperbolicAmplitude(
-        components=tuple(components),
-        epsilons=phases.epsilons,
-        thetas=phases.thetas,
-        b_values=b_values,
-        context=coeffs.context,
+    (a0, a1), ((t00, t01), (t10, t11)) = coeffs.a_profile, coeffs.transition.rows
+    (e0, e1), (theta0, theta1) = phases.epsilons, phases.thetas
+    r0, r1 = e0 * math.sqrt(a1 * t10), e1 * math.sqrt(a1 * t11)
+    c0 = HyperbolicNumber(math.sqrt(a0 * t00), 0.0) + r0 * exp_j(theta0)
+    c1 = HyperbolicNumber(math.sqrt(a0 * t01), 0.0) + r1 * exp_j(theta1)
+    b0, b1 = coeffs.b_profile
+    if abs(c0.norm_sq() - b0) > BORN_TOL or abs(c1.norm_sq() - b1) > BORN_TOL:
+        raise PhaseInconsistency("signed squared norm drifted from the probability")
+    return HyperbolicAmplitude(
+        (c0, c1), phases.epsilons, phases.thetas, coeffs.pair.b_values, coeffs.context
     )
-    for j, x in enumerate(b_values):
-        if abs(psi.born(x) - coeffs.b_profile[j]) > BORN_TOL:
-            raise PhaseInconsistency(
-                "signed squared norm drifted from the probability"
-            )
-    return psi
 
 
 def build_hyperbolic_amplitude(

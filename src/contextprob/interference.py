@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DegenerateCell,
@@ -216,41 +216,48 @@ def coefficients_from_measures(
     dichotomous and incompatible, once for all its contexts."""
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
-    pa = [p / pc for p in a_row]
+    pa = a_row[0] / pc, a_row[1] / pc
     if 0.0 in pa:
         y = pair.a_values[pa.index(0.0)]
         raise DegenerateContext(f"context misses the cell a={y!r}")
-    pb = [p / pc for p in b_row]
-    t = transition.rows
-    outcomes = []
-    for j, x in enumerate(pair.b_values):
-        classical = math.fsum(pa[i] * t[i][j] for i in range(2))
-        d = pb[j] - classical
-        prod = pa[0] * t[0][j] * pa[1] * t[1][j]
-        if prod <= 0.0:
-            raise DegenerateCell("a probability under the normalising root vanishes")
-        lam = d / (2.0 * math.sqrt(prod))
-        if abs(abs(lam) - 1.0) <= BOUNDARY_TOL:
-            tag = OutcomeClass.BOUNDARY
-        elif abs(lam) < 1.0:
-            tag = OutcomeClass.TRIGONOMETRIC
-        else:
-            tag = OutcomeClass.HYPERBOLIC
-        outcomes.append(OutcomeCoefficients(x, d, lam, tag))
+    pb = b_row[0] / pc, b_row[1] / pc
+    (a0, a1), ((t00, t01), (t10, t11)) = pa, transition.rows
+    # two nonnegative terms: their IEEE sum is the fsum
+    d0 = pb[0] - (a0 * t00 + a1 * t10)
+    d1 = pb[1] - (a0 * t01 + a1 * t11)
+    prod0 = a0 * t00 * a1 * t10
+    if prod0 <= 0.0:
+        raise DegenerateCell("a probability under the normalising root vanishes")
+    lam0 = d0 / (2.0 * math.sqrt(prod0))
+    prod1 = a0 * t01 * a1 * t11
+    if prod1 <= 0.0:
+        raise DegenerateCell("a probability under the normalising root vanishes")
+    lam1 = d1 / (2.0 * math.sqrt(prod1))
+    x0, x1 = pair.b_values
     coeffs = InterferenceCoefficients(
-        pair, context, tuple(outcomes), tuple(pa), tuple(pb), transition
+        pair, context,
+        (OutcomeCoefficients(x0, d0, lam0, _outcome_tag(lam0)),
+         OutcomeCoefficients(x1, d1, lam1, _outcome_tag(lam1))),
+        pa, pb, transition,
     )
-    if abs(math.fsum(coeffs.deltas)) > PREDICATE_TOL:
+    if abs(d0 + d1) > PREDICATE_TOL:
         raise InvariantViolation("outcome perturbations must sum to zero")
     return coeffs
+
+
+def _outcome_tag(lam: float) -> OutcomeClass:
+    if abs(abs(lam) - 1.0) <= BOUNDARY_TOL:
+        return OutcomeClass.BOUNDARY
+    if abs(lam) < 1.0:
+        return OutcomeClass.TRIGONOMETRIC
+    return OutcomeClass.HYPERBOLIC
 
 
 def classify_context(coeffs: InterferenceCoefficients) -> ContextClass:
     return coeffs.context_class
 
 
-@dataclass(frozen=True)
-class PhaseAssignment:
+class PhaseAssignment(NamedTuple):
     """Phases attached to the interference coefficients of one context.
 
     ``kind`` is "trigonometric" (thetas are angles in [0, 2pi), cosines equal
@@ -284,7 +291,7 @@ def assign_phases(
     """
     if convention not in ("principal", "conjugate"):
         raise ValueError(f"unknown phase convention {convention!r}")
-    cls = classify_context(coeffs)
+    cls = coeffs.context_class
     if cls is ContextClass.MIXED:
         raise MixedContext("mixed contexts admit no single-geometry phases")
     if mode == "auto":
@@ -297,37 +304,31 @@ def assign_phases(
         raise ValueError(f"unknown phase mode {mode!r}")
 
     t = coeffs.transition
-    ds = is_double_stochastic(t)
-    lambdas = coeffs.lambdas
+    ds = t.double_stochastic
+    lam0, lam1 = coeffs.lambdas
 
     if kind == "trigonometric":
         if cls is ContextClass.HYPERBOLIC:
             raise HyperbolicContext(
                 "hyperbolic context cannot take cosine phases"
             )
-        lam = [_snap_lambda(v) for v in lambdas]
+        theta1 = math.acos(_snap_lambda(lam0))
         if ds:
-            theta1 = math.acos(lam[0])
             if convention == "conjugate":
                 theta1 = math.fmod(TWO_PI - theta1, TWO_PI)
             theta2 = math.fmod(theta1 + math.pi, TWO_PI)
-            if abs(math.cos(theta2) - lam[1]) > PHASE_GUARD_TOL:
+            if abs(math.cos(theta2) - _snap_lambda(lam1)) > PHASE_GUARD_TOL:
                 raise PhaseInconsistency(
                     "pi-shifted phase fails to reproduce the second coefficient"
                 )
-            thetas = (theta1, theta2)
         else:
-            raw = [math.acos(v) for v in lam]
+            theta2 = math.acos(_snap_lambda(lam1))
             if convention == "conjugate":
-                raw = [math.fmod(TWO_PI - v, TWO_PI) for v in raw]
-            thetas = tuple(raw)
+                theta1 = math.fmod(TWO_PI - theta1, TWO_PI)
+                theta2 = math.fmod(TWO_PI - theta2, TWO_PI)
         return PhaseAssignment(
-            kind="trigonometric",
-            b_values=coeffs.pair.b_values,
-            thetas=tuple(thetas),
-            branch=convention,
-            double_stochastic=ds,
-            k=None if ds else k_coefficient(t),
+            "trigonometric", coeffs.pair.b_values, (theta1, theta2), convention,
+            None, ds, None if ds else t.cosine_ratio,
         )
 
     # hyperbolic rapidities: nonnegative, with the sign carried by epsilons
@@ -335,27 +336,24 @@ def assign_phases(
         raise TrigonometricContext(
             "trigonometric context cannot take cosh rapidities"
         )
-    mags = [max(1.0, abs(v)) for v in lambdas]
+    m0, m1 = max(1.0, abs(lam0)), max(1.0, abs(lam1))
     if ds:
-        common = math.acosh(math.fsum(mags) / len(mags))
-        if any(abs(math.cosh(common) - m) > PHASE_GUARD_TOL for m in mags):
+        common = math.acosh((m0 + m1) / 2)
+        c = math.cosh(common)
+        if abs(c - m0) > PHASE_GUARD_TOL or abs(c - m1) > PHASE_GUARD_TOL:
             raise PhaseInconsistency(
                 "double stochasticity must equalise the two rapidities"
             )
-        thetas = tuple(common for _ in mags)
+        thetas = (common, common)
     else:
-        thetas = tuple(math.acosh(m) for m in mags)
-    epsilons = tuple(1 if o.delta > 0 else -1 for o in coeffs.outcomes)
-    if sum(epsilons) != 0:
+        thetas = (math.acosh(m0), math.acosh(m1))
+    d0, d1 = coeffs.deltas
+    epsilons = (1 if d0 > 0 else -1, 1 if d1 > 0 else -1)
+    if epsilons[0] == epsilons[1]:
         raise PhaseInconsistency("hyperbolic signs must sum to zero")
     return PhaseAssignment(
-        kind="hyperbolic",
-        b_values=coeffs.pair.b_values,
-        thetas=thetas,
-        branch=convention,
-        epsilons=epsilons,
-        double_stochastic=ds,
-        k=None if ds else k_coefficient(t),
+        "hyperbolic", coeffs.pair.b_values, thetas, convention,
+        epsilons, ds, None if ds else t.cosine_ratio,
     )
 
 
@@ -368,19 +366,20 @@ def reconstruct_probability(
     The result is an identity: it must reproduce the direct conditional
     probability of every b-outcome.
     """
-    pa = coeffs.a_profile
-    t = coeffs.transition.rows
-    out: dict[float, float] = {}
-    for j, x in enumerate(coeffs.pair.b_values):
-        classical = math.fsum(pa[i] * t[i][j] for i in range(2))
-        cross = math.sqrt(pa[0] * t[0][j] * pa[1] * t[1][j])
-        if phases.kind == "trigonometric":
-            factor = math.cos(phases.thetas[j])
-        else:
-            assert phases.epsilons is not None
-            factor = phases.epsilons[j] * math.cosh(phases.thetas[j])
-        out[x] = classical + 2.0 * factor * cross
-    return out
+    (a0, a1), ((t00, t01), (t10, t11)) = coeffs.a_profile, coeffs.transition.rows
+    theta0, theta1 = phases.thetas
+    if phases.kind == "trigonometric":
+        f0, f1 = math.cos(theta0), math.cos(theta1)
+    else:
+        assert phases.epsilons is not None
+        f0 = phases.epsilons[0] * math.cosh(theta0)
+        f1 = phases.epsilons[1] * math.cosh(theta1)
+    x0, x1 = coeffs.pair.b_values
+    # two nonnegative terms: their IEEE sum is the fsum
+    return {
+        x0: (a0 * t00 + a1 * t10) + 2.0 * f0 * math.sqrt(a0 * t00 * a1 * t10),
+        x1: (a0 * t01 + a1 * t11) + 2.0 * f1 * math.sqrt(a0 * t01 * a1 * t11),
+    }
 
 
 def k_coefficient(m: TransitionMatrix) -> float:

@@ -18,8 +18,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from .errors import (
     ConstraintUnsatisfiable,

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .complex_repr import ComplexAmplitude
 from .errors import (
@@ -47,8 +46,7 @@ from .space import (
 from .tolerances import IDENTITY_TOL, RECURSION_BORN_TOL
 
 
-@dataclass(frozen=True)
-class SplitDecomposition:
+class SplitDecomposition(NamedTuple):
     """Both sides of the contextual split of P(B(D1 u D2)|C), its
     coefficient, and the two supporting identities."""
 
@@ -93,40 +91,39 @@ def split_from_tables(
     pc = table.pc
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
-    for name, i in (("D1", i1), ("D2", i2)):
-        if free.cells[i][j] == 0.0:
-            raise DegenerateCell(f"B meets {name} with probability zero")
-        if table.a_row[i] == 0.0:
-            raise DegenerateCell(f"{name} meets the context with probability zero")
+    cells, a_row, free_cells = table.cells, table.a_row, free.cells
+    if (b_d1 := free_cells[i1][j]) == 0.0:
+        raise DegenerateCell("B meets D1 with probability zero")
+    if (d1_c := a_row[i1]) == 0.0:
+        raise DegenerateCell("D1 meets the context with probability zero")
+    if (b_d2 := free_cells[i2][j]) == 0.0:
+        raise DegenerateCell("B meets D2 with probability zero")
+    if (d2_c := a_row[i2]) == 0.0:
+        raise DegenerateCell("D2 meets the context with probability zero")
 
     lhs = table.unions[frozenset((i1, i2))][j] / pc
+    b_d1_c, b_d2_c = cells[i1][j], cells[i2][j]
+    additivity_rhs = b_d1_c / pc + b_d2_c / pc
+    # two nonnegative terms: their IEEE sum is the fsum
+    conditioned_rhs = (b_d1_c / d1_c) * (d1_c / pc) + (b_d2_c / d2_c) * (d2_c / pc)
 
-    additivity_rhs = table.cells[i1][j] / pc + table.cells[i2][j] / pc
-    conditioned_rhs = math.fsum(
-        (table.cells[i][j] / table.a_row[i]) * (table.a_row[i] / pc)
-        for i in (i1, i2)
-    )
-
-    p_b_d1 = free.cells[i1][j] / free.a_row[i1]
-    p_b_d2 = free.cells[i2][j] / free.a_row[i2]
-    p_d1_c = table.a_row[i1] / pc
-    p_d2_c = table.a_row[i2] / pc
+    p_b_d1 = b_d1 / free.a_row[i1]
+    p_b_d2 = b_d2 / free.a_row[i2]
+    p_d1_c = d1_c / pc
+    p_d2_c = d2_c / pc
     delta = lhs - (p_b_d1 * p_d1_c + p_b_d2 * p_d2_c)
     root = math.sqrt(p_b_d1 * p_d1_c * p_b_d2 * p_d2_c)
     lam = delta / (2.0 * root)
     rhs = p_b_d1 * p_d1_c + p_b_d2 * p_d2_c + 2.0 * lam * root
 
-    for rhs_i in (rhs, additivity_rhs, conditioned_rhs):
-        if abs(lhs - rhs_i) > IDENTITY_TOL:
-            raise InvariantViolation("split decomposition identity drifted")
+    if (
+        abs(lhs - rhs) > IDENTITY_TOL
+        or abs(lhs - additivity_rhs) > IDENTITY_TOL
+        or abs(lhs - conditioned_rhs) > IDENTITY_TOL
+    ):
+        raise InvariantViolation("split decomposition identity drifted")
     return SplitDecomposition(
-        lhs=lhs,
-        rhs=rhs,
-        lam=lam,
-        delta=delta,
-        additivity_lhs=lhs,
-        additivity_rhs=additivity_rhs,
-        conditioned_rhs=conditioned_rhs,
+        lhs, rhs, lam, delta, lhs, additivity_rhs, conditioned_rhs
     )
 
 
@@ -150,16 +147,16 @@ def mu_from_tables(
     pc = table.pc
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
-    if free.cells[i][j] == 0.0:
+    if (b_d1 := free.cells[i][j]) == 0.0:
         raise DegenerateCell("B meets D1 with probability zero")
-    if table.a_row[i] == 0.0:
+    if (d1_c := table.a_row[i]) == 0.0:
         raise DegenerateCell("D1 meets the context with probability zero")
-    if table.unions[rest][j] == 0.0:
+    if (b_d2_c := table.unions[rest][j]) == 0.0:
         raise DegenerateCell("B, D2 and the context have null intersection")
 
     lhs = table.unions[rest | {i}][j] / pc
-    head = (free.cells[i][j] / free.a_row[i]) * (table.a_row[i] / pc)
-    tail = table.unions[rest][j] / pc
+    head = (b_d1 / free.a_row[i]) * (d1_c / pc)
+    tail = b_d2_c / pc
     root = math.sqrt(head * tail)
     mu = (lhs - head - tail) / (2.0 * root)
     if abs(head + tail + 2.0 * mu * root - lhs) > IDENTITY_TOL:
@@ -167,8 +164,7 @@ def mu_from_tables(
     return mu, head, tail
 
 
-@dataclass(frozen=True)
-class SplitLevel:
+class SplitLevel(NamedTuple):
     """One level of the recursion for one b-outcome."""
 
     level: int
@@ -179,8 +175,7 @@ class SplitLevel:
     tail_probability: float  # |partial|^2 target
 
 
-@dataclass(frozen=True)
-class SplitChain:
+class SplitChain(NamedTuple):
     """Full audit trail of the recursion: per b-outcome the level records,
     plus the accumulated phases beta in recursion order."""
 
@@ -254,19 +249,22 @@ def amplitude_nvalued_from_tables(
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
     tails = recursion_tails(order)
+    unions, a_row = table.unions, table.a_row
+    free_cells, free_a = free.cells, free.a_row
     levels: dict[float, tuple[SplitLevel, ...]] = {}
     betas: dict[float, tuple[float, ...]] = {}
     components = []
     for jx, x in enumerate(pair.b_values):
         head_terms = []
         for i in order:
-            p_cell_c = table.a_row[i] / pc
+            p_cell_c = a_row[i] / pc
             if p_cell_c == 0.0:
                 raise DegenerateCell("context misses a conditioning cell")
-            p_b_cell = free.cells[i][jx] / free.a_row[i]
+            p_b_cell = free_cells[i][jx] / free_a[i]
             if p_b_cell == 0.0:
                 raise DegenerateCell("outcome misses a conditioning cell")
             head_terms.append(p_b_cell * p_cell_c)
+        roots = [math.sqrt(h) for h in head_terms]
 
         # partial states from the innermost split outward: the last level
         # splits off the context entirely (lambda), each inner one the head
@@ -277,24 +275,18 @@ def amplitude_nvalued_from_tables(
                 tail_prob = head_terms[n - 1]
                 coeff = lams[jx]
             else:
-                tail_prob = table.unions[tails[j + 1]][jx] / pc
+                tail_prob = unions[tails[j + 1]][jx] / pc
                 if tail_prob == 0.0:
                     raise DegenerateCell("tail of the recursion has probability zero")
                 coeff = mu_from_tables(table, free, jx, order[j], tails[j + 1])[0]
             if abs(coeff) > 1.0:
                 raise SplitOutOfRange(j, x, coeff)
             phase = signs[j] * math.acos(coeff)
-            partial = math.sqrt(head_terms[j]) + cis(phase) * math.sqrt(tail_prob)
-            records.append(
-                SplitLevel(
-                    level=j,
-                    coefficient=coeff,
-                    phase=phase,
-                    arg=cmath.phase(partial),
-                    partial=partial,
-                    tail_probability=table.unions[tails[j]][jx] / pc,
-                )
-            )
+            partial = roots[j] + cis(phase) * math.sqrt(tail_prob)
+            records.append(SplitLevel(
+                j, coeff, phase, cmath.phase(partial), partial,
+                unions[tails[j]][jx] / pc,
+            ))
         records.reverse()
 
         for rec in records:
@@ -310,11 +302,8 @@ def amplitude_nvalued_from_tables(
             beta[j] = beta[j - 1] + records[j - 1].phase - records[j].arg
         beta[n - 1] = beta[n - 2] + records[n - 2].phase
 
-        component = sum(
-            cis(beta[j]) * math.sqrt(head_terms[j]) for j in range(n)
-        )
-        direct = table.b_row[jx] / pc
-        if abs(abs(component) ** 2 - direct) > RECURSION_BORN_TOL:
+        component = sum([cis(b) * r for b, r in zip(beta, roots)])
+        if abs(abs(component) ** 2 - table.b_row[jx] / pc) > RECURSION_BORN_TOL:
             raise InvariantViolation(
                 "recursive state drifted from the outcome probability"
             )
@@ -322,6 +311,7 @@ def amplitude_nvalued_from_tables(
         levels[x] = tuple(records)
         betas[x] = tuple(beta)
 
-    psi = ComplexAmplitude(tuple(components), pair.b_values, context, branch="split")
-    chain = SplitChain(order=order, levels=levels, betas=betas)
-    return psi, chain
+    return (
+        ComplexAmplitude(tuple(components), pair.b_values, context, "split"),
+        SplitChain(order, levels, betas),
+    )

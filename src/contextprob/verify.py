@@ -23,7 +23,10 @@ b- and joint cells and, when the multivalued suite runs, the union rows of
 the single a-cells, the a-cell pairs and the recursion tails, each a measure
 of its own mask.  The classification and the core and multivalued suites
 read these tables, and each representable context's principal complex state
-is built once.
+is built once.  A run of the complex or hyperbolic suite alone, which reads
+no joint cell, builds no table: it classifies each context from P(C),
+P(A_i & C) and P(B_j & C) through
+:func:`~contextprob.interference.pair_coefficients`.
 """
 
 from __future__ import annotations
@@ -162,11 +165,11 @@ class _Run:
     unless the pair is dichotomous and incompatible.
     """
 
-    def __init__(self, doc: ModelDocument, tolerance: float | None, unions: bool):
+    def __init__(self, doc: ModelDocument, tolerance: float | None, suite: str):
         self.doc = doc
         self.space, self.pair = doc.space, doc.pair
         self.tolerance = tolerance
-        self.unions = unions
+        self.unions = suite in ("multivalued", "all")
         self.recorders: list[_Recorder] = []
         pair = self.pair
         self.dichotomous = len(pair.a_values) == 2 and len(pair.b_values) == 2
@@ -174,11 +177,20 @@ class _Run:
         self.states: dict[str, cr.ComplexAmplitude] = {}
         if not (self.dichotomous and are_incompatible(self.space, pair)):
             return
-        for (name, event), table in zip(doc.contexts.items(), self.tables):
+        contexts = doc.contexts.items()
+        if suite in ("complex", "hyperbolic"):
+            # neither suite reads a joint cell, so no table is measured
+            of_context = itf.pair_coefficients(self.space, pair)
+            calls = ((name, of_context, (event,)) for name, event in contexts)
+        else:
+            calls = (
+                (name, itf.coefficients_from_measures,
+                 (pair, event, self.t, table.pc, table.a_row, table.b_row))
+                for (name, event), table in zip(contexts, self.tables)
+            )
+        for name, coefficients, args in calls:
             try:
-                coeffs = itf.coefficients_from_measures(
-                    pair, event, self.t, table.pc, table.a_row, table.b_row
-                )
+                coeffs = coefficients(*args)
             except (DegenerateContext, DegenerateCell, ZeroConditioningContext):
                 continue
             self.classified.append((name, coeffs, coeffs.context_class))
@@ -279,13 +291,14 @@ def _core_checks(run: _Run) -> None:
     if not run.dichotomous:
         return
     k = itf.k_coefficient(run.t)
-    rows = run.t.rows
+    (t00, t01), (t10, t11) = run.t.rows
     for name, coeffs, cls in run.classified:
-        rec.compare(math.fsum(coeffs.deltas), 0.0, name)
-        pa = coeffs.a_profile
-        weighted = math.fsum(
-            coeffs.lambdas[j] * math.sqrt(pa[0] * rows[0][j] * pa[1] * rows[1][j])
-            for j in range(2)
+        # each sum is compared with zero, so the sign of a zero cannot reach
+        # the residual, and the IEEE sum of two terms is their fsum otherwise
+        rec.compare(coeffs.deltas[0] + coeffs.deltas[1], 0.0, name)
+        (a0, a1), (lam0, lam1) = coeffs.a_profile, coeffs.lambdas
+        weighted = lam0 * math.sqrt(a0 * t00 * a1 * t10) + lam1 * math.sqrt(
+            a0 * t01 * a1 * t11
         )
         rec2.compare(weighted, 0.0, name)
         if cls is not itf.ContextClass.MIXED:
@@ -606,7 +619,7 @@ def run_suite(
     """Run one named suite (or all of them) against a model."""
     if suite not in SUITES and suite != "all":
         raise ValueError(f"unknown suite {suite!r}")
-    run = _Run(doc, tolerance, suite in ("multivalued", "all"))
+    run = _Run(doc, tolerance, suite)
     for name, checks in zip(
         SUITES,
         (_core_checks, _complex_checks, _hyperbolic_checks, _multivalued_checks),

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -569,6 +570,27 @@ class TestReportWriter:
             _json_text(payload)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
+
+    def test_at_most_two_copies_of_the_text_alive(self):
+        """The writer's peak stays near the two copies that joining a body
+        and wrapping it take, as an analyze report of thousands of contexts
+        has; a third copy of the text is a regression in peak memory."""
+        payload = {
+            "contexts": {
+                f"C{i}": {
+                    "class": "trigonometric",
+                    "outcomes": {"1.0": {"lambda": i / 7, "theta": None}},
+                }
+                for i in range(3000)
+            }
+        }
+        tracemalloc.start()
+        try:
+            text = _json_text(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(text)
 
     @pytest.mark.parametrize("command", ["analyze", "represent", "verify"])
     @pytest.mark.parametrize("model", ["kq", "random_3x3_seed4"])

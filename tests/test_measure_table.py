@@ -461,6 +461,19 @@ def test_pair_facts_are_read_once_per_run(kq, monkeypatch):
     assert counts[1] == (4, 8, 39 + 11)
 
 
+@pytest.mark.parametrize("suite", ["core", "complex", "hyperbolic", "multivalued", "all"])
+def test_tables_are_built_only_where_joint_cells_are_read(kq, monkeypatch, suite):
+    """The complex and hyperbolic suites read no joint cell: run alone, they
+    classify each context through ``pair_coefficients`` and build no table.
+    The other runs build one per declared context, and the multivalued suite
+    one more for the full event."""
+    tables = count_calls(monkeypatch, space_module, "measure_table")
+    run_suite(kq, suite)
+    n = len(kq.contexts)
+    want = {"core": n, "complex": 0, "hyperbolic": 0, "multivalued": n + 1}
+    assert len(tables) == want.get(suite, n + 1)
+
+
 @pytest.mark.parametrize("command, pins", [("analyze", (1, 1)), ("represent", (2, 2))])
 def test_commands_check_the_pair_once(kq, tmp_path, monkeypatch, capsys, command, pins):
     """``analyze`` and ``represent`` compute incompatibility and the
