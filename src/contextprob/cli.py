@@ -535,8 +535,10 @@ def _diagnose(error: str, exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # an argparse parser holds reference cycles: dropped here, the collector
+    # frees it during the command instead of after it, when its blocks would
+    # pin memory that the command freed
+    args = build_parser().parse_args(argv)
     try:
         tolerance = getattr(args, "tolerance", None)
         if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):

@@ -268,12 +268,14 @@ def generate_random_model(
 
     ``double_stochastic`` constrains the transition matrix conditioned on the
     first variable: True forces it, False forbids it, None leaves it free.
-    ``incompatible`` keeps every joint cell of the two partitions populated.
+    ``incompatible`` keeps every joint cell of the two partitions populated;
+    without it a joint cell holds only the points sprinkled into it, so it
+    may be empty and the pair compatible.
     """
     ka, kb = value_arities
     if min(ka, kb) < 2:
         raise ValueError("each reference variable needs at least two values")
-    if n_points < ka * kb:
+    if incompatible and n_points < ka * kb:
         raise ValueError("need at least one point per joint cell")
     if not incompatible and n_points < max(ka, kb):
         raise ValueError("too few points for the requested arities")
@@ -293,10 +295,16 @@ def generate_random_model(
         if np.min(cell_mass) < CELL_MASS_FLOOR:
             continue
 
-        # one point per cell in (a, b)-major order fixes the value ordering,
-        # extra points are sprinkled over the cells afterwards
-        cell_of_point = [(y, x) for y in range(ka) for x in range(kb)]
-        for _ in range(n_points - ka * kb):
+        # seeded points in (a, b)-major order fix the value ordering: one
+        # per joint cell, or without incompatibility one per value along
+        # the diagonal; extra points are sprinkled over the cells afterwards
+        if incompatible:
+            cell_of_point = [(y, x) for y in range(ka) for x in range(kb)]
+        else:
+            cell_of_point = [
+                (min(k, ka - 1), min(k, kb - 1)) for k in range(max(ka, kb))
+            ]
+        for _ in range(n_points - len(cell_of_point)):
             cell_of_point.append(
                 (int(rng.integers(ka)), int(rng.integers(kb)))
             )

@@ -24,14 +24,24 @@ context's measures once, into a :class:`MeasureTable`; a ``verify`` run
 holds one per declared context for its duration.  A transition matrix keeps
 its cosine ratio once computed.  Values can still be shared across threads:
 a race between two threads only computes the same entry twice.
+
+Next to the memo the space holds byte tables derived from its weights,
+built at the first miss.  Each weight is an exact integer number of units
+of 1/scale: a float weight is a binary fraction, so its denominator is a
+power of two and the largest denominator is such a scale.  Each byte of the
+point order has a table of the 256 exact unit sums of its 8 points, and a
+miss adds one entry per byte of the mask and divides by the scale.  The
+integer sum is exact and int / int is correctly rounded, as ``math.fsum``
+is, so every probability is the float that ``fsum`` of the member weights
+gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import compress
+from functools import cached_property, reduce
+from operator import getitem, or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -40,9 +50,6 @@ from .errors import (
     ZeroConditioningContext,
 )
 from .tolerances import IDENTITY_TOL, PREDICATE_TOL, UNIT_COSINE_RATIO_TOL, WEIGHT_TOL
-
-# maps the digits of bin(mask) to 0/1 bytes, the selectors of compress()
-_BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -105,16 +112,16 @@ class Event:
 class FiniteKolmogorovSpace:
     """Ordered sample points with strictly positive weights summing to one.
 
-    ``_memo`` maps an event mask to its probability; :meth:`_measure` is
-    its only reader and writer.
+    ``_bits`` maps each point to its bit, ``1 << index``, so an event's
+    mask is one pass of ``|`` over its members.  ``_memo`` maps an event
+    mask to its probability; :meth:`_measure` is its only reader and
+    writer, and computes a miss from :attr:`_byte_tables`, which are built
+    from the weights at the first miss and kept for the space's life.
     """
 
     points: tuple[str, ...]
     weights: tuple[float, ...]
-    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
-    _reversed_weights: tuple[float, ...] = field(
-        init=False, repr=False, compare=False
-    )
+    _bits: dict[str, int] = field(init=False, repr=False, compare=False)
     _memo: dict = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
@@ -122,8 +129,8 @@ class FiniteKolmogorovSpace:
     def __post_init__(self) -> None:
         if len(self.points) != len(self.weights):
             raise ValueError("points and weights must have equal length")
-        positions = {p: i for i, p in enumerate(self.points)}
-        if len(positions) != len(self.points):
+        bits = {p: 1 << i for i, p in enumerate(self.points)}
+        if len(bits) != len(self.points):
             raise ValueError("point identifiers must be unique")
         if not self.points:
             raise ValueError("sample space must be nonempty")
@@ -133,8 +140,7 @@ class FiniteKolmogorovSpace:
         total = math.fsum(self.weights)
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1")
-        object.__setattr__(self, "_positions", positions)
-        object.__setattr__(self, "_reversed_weights", self.weights[::-1])
+        object.__setattr__(self, "_bits", bits)
 
     @property
     def n(self) -> int:
@@ -142,14 +148,16 @@ class FiniteKolmogorovSpace:
 
     def index(self, point: str) -> int:
         try:
-            return self._positions[point]
+            return self._bits[point].bit_length() - 1
         except KeyError:
             raise KeyError(f"unknown point {point!r}") from None
 
     def event(self, members: Iterable[str]) -> Event:
-        mask = 0
-        for point in members:
-            mask |= 1 << self.index(point)
+        """The event of the named points; a repeated name adds nothing."""
+        try:
+            mask = reduce(or_, map(self._bits.__getitem__, members), 0)
+        except KeyError as exc:
+            raise KeyError(f"unknown point {exc.args[0]!r}") from None
         return Event(mask, self.n)
 
     def event_from_indices(self, indices: Iterable[int]) -> Event:
@@ -182,14 +190,32 @@ class FiniteKolmogorovSpace:
             raise ValueError("event does not belong to this space")
         return [e.mask for e in events]
 
+    @cached_property
+    def _byte_tables(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(scale, tables)``: each weight is an exact integer number of
+        units of 1/``scale``, the largest denominator of the weights (a
+        power of two, so every weight is a whole number of units), and
+        ``tables[k][b]`` is the sum of the units of the points of byte ``k``
+        of a mask whose bits are those of ``b``."""
+        ratios = [w.as_integer_ratio() for w in self.weights]
+        scale = max(den for _, den in ratios)
+        units = [num * (scale // den) for num, den in ratios]
+        tables = []
+        for start in range(0, len(units), 8):
+            table = [0]
+            for u in units[start:start + 8]:
+                table += [t + u for t in table]
+            tables.append(tuple(table))
+        return scale, tuple(tables)
+
     def _measure(self, mask: int) -> float:
         p = self._memo.get(mask)
         if p is None:
-            # bin() lists bit 0 last, so its digits select from the weights
-            # in reverse point order
-            bits = bin(mask)[2:].encode().translate(_BIT_SELECTORS)
-            p = math.fsum(compress(self._reversed_weights[-len(bits):], bits))
-            self._memo[mask] = p
+            # the integer sum is exact and int / int is correctly rounded,
+            # so p is the float that fsum of the member weights gives
+            scale, tables = self._byte_tables
+            units = map(getitem, tables, mask.to_bytes(len(tables), "little"))
+            p = self._memo[mask] = sum(units) / scale
         return p
 
     def conditional(self, b: Event, c: Event) -> float:
@@ -214,7 +240,7 @@ class RandomVariable:
         missing = [p for p in space.points if p not in mapping]
         if missing:
             raise ValueError(f"variable {name!r} misses points {missing}")
-        extra = [p for p in mapping if p not in space._positions]
+        extra = [p for p in mapping if p not in space._bits]
         if extra:
             raise ValueError(f"variable {name!r} names unknown points {extra}")
         values = tuple(float(mapping[p]) for p in space.points)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -241,6 +242,54 @@ class TestRandomGenerator:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             cp.generate_random_model(seed=0, n_points=3)
+
+    @pytest.mark.parametrize(
+        "argv, digests",
+        [
+            (["--points", "6"],
+             ["aa27f336479ec148", "209e58dcb274a124", "26ab36cfc823f6d3",
+              "1cec3fc8746aa7e6", "b64018dd98fe5185", "471e7f284cddaaf0"]),
+            (["--points", "9", "--arity-a", "3", "--arity-b", "3"],
+             ["54ae6c55bebeba99", "0e617db1bf84677b", "fc68ff84a71e762b",
+              "d3ce47f400f51d1c", "e60bd8de442d768f", "908d886088957300"]),
+            (["--points", "5", "--double-stochastic"],
+             ["0533334f231fc9ee", "a9e0ca7775eb874e", "0dcab1d354a14203",
+              "da8887bcfa6ea8c9", "97d088d763e5ee85", "3b0b95e99e483232"]),
+        ],
+    )
+    def test_incompatible_stream_pinned(self, argv, digests, capsys):
+        # sha256 prefixes of the models that seeds 0-5 gave before the
+        # compatible mode seeded its own points
+        for seed, want in enumerate(digests):
+            assert main(["gen", "random", "--seed", str(seed), *argv]) == 0
+            out = capsys.readouterr().out.encode()
+            assert hashlib.sha256(out).hexdigest()[:16] == want
+
+    def test_compatible_mode_builds_compatible_pairs(self):
+        compatible = []
+        for seed in range(51):
+            doc = cp.generate_random_model(
+                seed=seed, n_points=6, incompatible=False
+            )
+            assert doc.pair.a_values == doc.pair.b_values == (1.0, -1.0)
+            if cp.are_incompatible(doc.space, doc.pair) is False:
+                compatible.append(seed)
+        assert compatible
+
+    @pytest.mark.parametrize("arities", [(2, 2), (2, 3), (3, 2), (4, 3)])
+    def test_compatible_mode_needs_a_point_per_value_only(self, arities):
+        n = max(arities)
+        doc = cp.generate_random_model(
+            seed=0, n_points=n, value_arities=arities, incompatible=False
+        )
+        assert doc.space.n == n
+        assert (len(doc.pair.a_values), len(doc.pair.b_values)) == arities
+        assert doc.pair.a_values == tuple(np.linspace(1.0, -1.0, arities[0]))
+        assert doc.pair.b_values == tuple(np.linspace(1.0, -1.0, arities[1]))
+        with pytest.raises(ValueError, match="too few points"):
+            cp.generate_random_model(
+                seed=0, n_points=n - 1, value_arities=arities, incompatible=False
+            )
 
     def test_retry_budget_exhaustion(self):
         with pytest.raises(cp.ConstraintUnsatisfiable):

@@ -24,13 +24,29 @@ def spread_space(n: int) -> cp.FiniteKolmogorovSpace:
     )
 
 
-# shared across examples, so later examples also hit memoised events
-SPREAD_SPACES = {n: spread_space(n) for n in (1, 7, 64, 1500)}
+def wide_space(n: int) -> cp.FiniteKolmogorovSpace:
+    """Seeded space with one subnormal weight (5e-324), weights from 1e-300
+    up, and two near 0.5, so that the byte tables of the measure hold
+    integers of over a thousand bits; shuffled so that the tiny weights fall
+    in different bytes at each size."""
+    rng = random.Random(n)
+    tiny = [10.0 ** -rng.randrange(1, 301) * rng.random() for _ in range(n - 4)]
+    raw = [5e-324, 1e-300, 0.5, *tiny]
+    raw.append(1.0 - math.fsum(raw))
+    rng.shuffle(raw)
+    return cp.FiniteKolmogorovSpace(tuple(f"w{i}" for i in range(n)), tuple(raw))
+
+
+# shared across examples, so later examples also hit memoised events; the
+# sizes straddle the byte boundaries of the measure's tables
+SPREAD_SPACES = {n: spread_space(n) for n in (1, 7, 8, 9, 15, 16, 17, 64, 1500)}
+WIDE_SPACES = {n: wide_space(n) for n in (8, 9, 15, 16, 17)}
+ALL_SPACES = [*SPREAD_SPACES.values(), *WIDE_SPACES.values()]
 
 
 @st.composite
 def space_and_mask(draw):
-    space = SPREAD_SPACES[draw(st.sampled_from(sorted(SPREAD_SPACES)))]
+    space = draw(st.sampled_from(ALL_SPACES))
     full = (1 << space.n) - 1
     mask = draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
     return space, mask
@@ -127,6 +143,20 @@ class TestMemoisedMeasure:
                 space.weights
             )
 
+    @pytest.mark.parametrize("n", sorted(WIDE_SPACES))
+    def test_wide_weights_are_exact(self, n):
+        space = wide_space(n)
+        assert min(space.weights) == 5e-324
+        assert max(space.weights) <= 0.5
+        full = (1 << n) - 1
+        rng = random.Random(n)
+        masks = [0, full, *(rng.getrandbits(n) for _ in range(200))]
+        masks += [1 << i for i in range(n)] + [full ^ 1 << i for i in range(n)]
+        for mask in masks:
+            assert space.probability(Event(mask, n)) == member_fsum(space, mask)
+        for i, w in enumerate(space.weights):
+            assert space.probability(Event(1 << i, n)) == w
+
     def test_event_of_another_space_rejected(self, kq):
         kq.space.probability(kq.space.full_event())
         with pytest.raises(ValueError):
@@ -169,6 +199,29 @@ class TestPointLookup:
         with pytest.raises(
             cp.ModelValidationError,
             match=re.escape("context 'C' references unknown point 'w9'"),
+        ):
+            model_from_dict(raw)
+
+    def test_loader_contexts(self):
+        raw = {
+            "points": [{"id": f"w{i}", "p": 0.125} for i in range(1, 9)],
+            "variables": {
+                "a": {f"w{i}": float(i % 2) for i in range(1, 9)},
+                "b": {f"w{i}": float(i < 5) for i in range(1, 9)},
+            },
+            # a repeated member merges into one bit
+            "contexts": {"C": ["w8", "w2", "w8", "w2", "w1"], "E": []},
+        }
+        doc = model_from_dict(raw)
+        assert doc.contexts["C"] == Event(0b10000011, 8)
+        assert doc.contexts["E"] == Event(0, 8)
+        assert [doc.space.index(f"w{i}") for i in range(1, 9)] == list(range(8))
+        with pytest.raises(KeyError, match=re.escape("unknown point 'w0'")):
+            doc.space.event(["w1", "w0", "w2"])
+        raw["contexts"]["D"] = ["w1", "w1", "w10"]
+        with pytest.raises(
+            cp.ModelValidationError,
+            match=re.escape("context 'D' references unknown point 'w10'"),
         ):
             model_from_dict(raw)
 
