@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import complex_repr as cr
@@ -44,7 +45,7 @@ from .models import (
     load_model,
     save_model,
 )
-from .space import transition_matrix
+from .space import pair_tables, transition_matrix
 from .tolerances import KQ_EXAMPLE_TOL
 from .verify import run_suite
 
@@ -305,6 +306,7 @@ def cmd_represent(args) -> int:
 def _represent_nvalued(doc, args) -> int:
     """Split-recursion report for pairs with more than two values."""
     space, pair = doc.space, doc.pair
+    tables = pair_tables(space, pair)
     out: dict = {"complex": {}, "operators": {}}
     for name, event in _selected_contexts(doc, args.context).items():
         try:
@@ -312,8 +314,10 @@ def _represent_nvalued(doc, args) -> int:
         except ContextualProbabilityError as exc:
             out["complex"][name] = {"skipped": str(exc)}
             continue
+        # built, so P(C) > 0: P(B_j & C) / P(C) is the conditional probability
+        table = tables.table(event)
         born = max(
-            abs(psi.born(x) - space.conditional(pair.b_partition[j], event))
+            abs(psi.born(x) - table.b_row[j] / table.pc)
             for j, x in enumerate(pair.b_values)
         )
         out["complex"][name] = {
@@ -534,11 +538,16 @@ def _diagnose(error: str, exc: Exception, code: int) -> int:
     return code
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    # an argparse parser holds reference cycles: dropped here, the collector
-    # frees it during the command instead of after it, when its blocks would
-    # pin memory that the command freed
-    args = build_parser().parse_args(argv)
+    # one parser per process: parsing keeps no state in it, and a parser
+    # that lives as long as the process leaves no reference cycles behind
+    # for the collector after a command
+    args = _parser().parse_args(argv)
     try:
         tolerance = getattr(args, "tolerance", None)
         if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):

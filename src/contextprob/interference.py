@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import getitem
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -44,6 +45,7 @@ from .space import (
     TransitionMatrix,
     are_incompatible,
     is_double_stochastic,
+    pair_tables,
     transition_matrix,
 )
 from .tolerances import (
@@ -178,11 +180,11 @@ def pair_coefficients(
     space: FiniteKolmogorovSpace, pair: ReferencePair
 ) -> Callable[[Event], InterferenceCoefficients]:
     """The coefficients of each context under one pair, with the pair checked
-    once: P(C), P(A_i & C) and P(B_j & C), each the space's measure of its
-    mask, and the pair's "b/a" transition matrix go to
-    :func:`coefficients_from_measures`.  Raises on non-dichotomous pairs
-    here, and for each context on a compatible pair, null or a-degenerate
-    contexts and a vanishing normalising root."""
+    once: P(C), P(A_i & C) and P(B_j & C), read from one pass over the
+    pair's :func:`~contextprob.space.pair_tables`, and the pair's "b/a"
+    transition matrix go to :func:`coefficients_from_measures`.  Raises on
+    non-dichotomous pairs here, and for each context on a compatible pair,
+    null or a-degenerate contexts and a vanishing normalising root."""
     if len(pair.a_values) != 2 or len(pair.b_values) != 2:
         raise ValueError(
             "interference decomposition is defined for dichotomous pairs; "
@@ -191,16 +193,24 @@ def pair_coefficients(
     incompatible = are_incompatible(space, pair)
     # an incompatible pair has no null cell, so the matrix cannot raise
     transition = transition_matrix(space, pair, "b/a") if incompatible else None
-    m = space._measure
+    tables = pair_tables(space, pair)
+    byte_tables, scale, size = tables.tables, tables.scale, tables.size
+    nbytes, w1 = len(byte_tables), tables.width
+    w2, w3, field_mask = 2 * w1, 3 * w1, (1 << w1) - 1
 
     def coefficients(context: Event) -> InterferenceCoefficients:
         if not incompatible:
             raise DegenerateCell("reference variables must be incompatible")
-        mask = space._masks(context)[0]
+        if context.size != size:
+            raise ValueError("event does not belong to this space")
+        # the four fields of the cells (0, 0), (0, 1), (1, 0) and (1, 1)
+        packed = sum(map(getitem, byte_tables, context.mask.to_bytes(nbytes, "little")))
+        u00, u01 = packed & field_mask, (packed >> w1) & field_mask
+        u10, u11 = (packed >> w2) & field_mask, packed >> w3
         return coefficients_from_measures(
-            pair, context, transition, m(mask),
-            [m(ay.mask & mask) for ay in pair.a_partition],
-            [m(bx.mask & mask) for bx in pair.b_partition],
+            pair, context, transition, (u00 + u01 + u10 + u11) / scale,
+            ((u00 + u01) / scale, (u10 + u11) / scale),
+            ((u00 + u10) / scale, (u01 + u11) / scale),
         )
 
     return coefficients

@@ -61,9 +61,11 @@ class ModelDocument:
             raise ModelValidationError(f"unknown context {name!r}") from None
 
 
-def _validate(cond: bool, message: str) -> None:
+def _validate(cond: bool, message: str, *args) -> None:
+    """Raise unless ``cond``, with ``message.format(*args)``, or ``message``
+    itself without ``args``: formatted only on failure."""
     if not cond:
-        raise ModelValidationError(message)
+        raise ModelValidationError(message.format(*args) if args else message)
 
 
 def model_from_dict(doc: Mapping) -> ModelDocument:
@@ -86,17 +88,17 @@ def model_from_dict(doc: Mapping) -> ModelDocument:
         _validate(isinstance(pid, str), "point ids must be strings")
         _validate(
             isinstance(w, (int, float)) and not isinstance(w, bool),
-            f"weight of {pid!r} must be a number",
+            "weight of {!r} must be a number", pid,
         )
-        _validate(float(w) > 0.0, f"weight of {pid!r} must be positive")
-        _validate(pid not in seen, f"duplicate point id {pid!r}")
+        _validate(float(w) > 0.0, "weight of {!r} must be positive", pid)
+        _validate(pid not in seen, "duplicate point id {!r}", pid)
         seen.add(pid)
         ids.append(pid)
         weights.append(float(w))
     total = math.fsum(weights)
     _validate(
         abs(total - 1.0) <= SUM_GATE,
-        f"weights sum to {total!r}, outside the accepted gate around 1",
+        "weights sum to {!r}, outside the accepted gate around 1", total,
     )
     if abs(total - 1.0) > RENORM_SKIP:
         weights = [w / total for w in weights]
@@ -109,12 +111,12 @@ def model_from_dict(doc: Mapping) -> ModelDocument:
     )
     variables: dict[str, RandomVariable] = {}
     for name, mapping in variables_raw.items():
-        _validate(isinstance(mapping, Mapping), f"variable {name!r} must be an object")
+        _validate(isinstance(mapping, Mapping), "variable {!r} must be an object", name)
         for point, value in mapping.items():
             # float() would parse "1.0" and take true as 1
             _validate(
                 not isinstance(value, (str, bool)) and value is not None,
-                f"value of variable {name!r} at {point!r} must be a number",
+                "value of variable {!r} at {!r} must be a number", name, point,
             )
         try:
             variables[name] = RandomVariable.from_mapping(space, name, mapping)
@@ -127,7 +129,7 @@ def model_from_dict(doc: Mapping) -> ModelDocument:
     for name, members in contexts_raw.items():
         _validate(
             isinstance(members, Sequence) and not isinstance(members, str),
-            f"context {name!r} must be an array of point ids",
+            "context {!r} must be an array of point ids", name,
         )
         try:
             contexts[name] = space.event(members)
@@ -153,12 +155,12 @@ def model_from_dict(doc: Mapping) -> ModelDocument:
         for name in pair_names_raw:
             _validate(
                 isinstance(name, str) and name in variables,
-                f"reference pair names unknown {name!r}",
+                "reference pair names unknown {!r}", name,
             )
         pair_names = (pair_names_raw[0], pair_names_raw[1])
     for name in pair_names:
         single = len(set(variables[name].values)) < 2
-        _validate(not single, f"reference variable {name!r} takes a single value")
+        _validate(not single, "reference variable {!r} takes a single value", name)
     return ModelDocument(space, variables, contexts, pair_names)
 
 

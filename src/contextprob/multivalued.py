@@ -15,9 +15,11 @@ default); different orders give different phases but identical probabilities.
 Every number read here is an entry of a context's or the full event's
 :class:`~contextprob.space.MeasureTable`: P(C), P(A_i & C), P(A_i & B_j & C),
 P(A_i), P(A_i & B_j), and the rows P(B_j & A_S & C) of the unions S (a-cell
-pairs and recursion tails), each a measure of its own mask, never a sum of
-cells.  The bodies (``*_from_tables``) take these tables; the event forms
-build them with their own events as the cells.  The recursion body takes its
+pairs and recursion tails), each the correctly rounded sum of its points'
+weights, never a float sum of cells.  The bodies (``*_from_tables``) take
+these tables; :func:`build_amplitude_nvalued` reads them from the pair's
+:func:`~contextprob.space.pair_tables`, and the split and mu event forms
+measure them with their own events as the cells.  The recursion body takes its
 last-level lambdas from its caller, who has computed that split already:
 ``verify`` from its split loop, :func:`build_amplitude_nvalued` itself.
 """
@@ -42,6 +44,7 @@ from .space import (
     MeasureTable,
     ReferencePair,
     measure_table,
+    pair_tables,
 )
 from .tolerances import IDENTITY_TOL, RECURSION_BORN_TOL
 
@@ -211,9 +214,8 @@ def build_amplitude_nvalued(
     )
     if len(signs) != n - 1 or any(s not in (1, -1) for s in signs):
         raise ValueError("one branch sign of +1 or -1 per level is required")
-    cells = pair.a_partition, pair.b_partition
-    table = measure_table(space, *cells, context, recursion_tails(order))
-    free = measure_table(space, *cells, space.full_event())
+    tables = pair_tables(space, pair)
+    table, free = tables.table(context, recursion_tails(order)), tables.free
     lams = []
     for j in range(len(pair.b_values)):
         try:

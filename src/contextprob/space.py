@@ -13,27 +13,35 @@ divides by cell probabilities, and null atoms add nothing but spurious
 degeneracy.
 
 Values in this module are immutable after construction and operations are
-pure functions, with one exception: the space memoises event probabilities,
-one per event mask it has measured, in a private dict that takes no part in
-equality, hashing or printing.  The facts of a reference pair (its
-transition matrices, its incompatibility) are computed on every call: code
-that holds a pair computes them once, and a loop over contexts builds
-:func:`contextprob.interference.pair_coefficients` once and calls it per
-context.  Nothing per context is stored either: the caller reads a
-context's measures once, into a :class:`MeasureTable`; a ``verify`` run
-holds one per declared context for its duration.  A transition matrix keeps
-its cosine ratio once computed.  Values can still be shared across threads:
-a race between two threads only computes the same entry twice.
+pure functions, with one exception: the space caches, in private dicts that
+take no part in equality, hashing or printing, two things derived from its
+weights.  The memo holds one probability per event mask it has measured.
+Next to it, :func:`pair_tables` keeps one :class:`PairTables` per pair of
+partitions, keyed by their masks, so a fresh :class:`ReferencePair` over the
+same partitions, and either direction of the pair, reuse it.  The facts of
+a reference pair (its transition matrices, its incompatibility) are
+computed on every call, from the full event's cells in its pair tables.
+Nothing per context is stored: the caller reads a context's measures once,
+into a :class:`MeasureTable`; a ``verify`` run holds one per declared
+context for its duration.  A transition matrix keeps its cosine ratio once
+computed.  Values can still be shared across threads: a race between two
+threads only computes the same entry twice.
 
-Next to the memo the space holds byte tables derived from its weights,
-built at the first miss.  Each weight is an exact integer number of units
-of 1/scale: a float weight is a binary fraction, so its denominator is a
-power of two and the largest denominator is such a scale.  Each byte of the
-point order has a table of the 256 exact unit sums of its 8 points, and a
-miss adds one entry per byte of the mask and divides by the scale.  The
-integer sum is exact and int / int is correctly rounded, as ``math.fsum``
-is, so every probability is the float that ``fsum`` of the member weights
-gives.
+Both caches rest on exact integer weights.  Each weight is an exact integer
+number of units of 1/scale: a float weight is a binary fraction, so its
+denominator is a power of two and the largest denominator is such a scale.
+Pair tables give each joint cell A_i & B_j a field of ``width`` bits in one
+integer, ``width`` the bit length of the total units, and shift each
+point's units into its cell's field; each byte of the point order has a
+table of the 256 packed sums of the subsets of its 8 points.  One context
+then costs one added entry per byte of its mask, and each field of the sum
+is the exact unit sum of one cell within the context.  No field's sum can
+exceed the total, which fits its width, so a sum never carries into the
+next field.  The memo's misses read the one-cell case of the same tables.
+Every probability, of an event or of a union of cells, is an exact integer
+sum divided by the scale, and int / int is correctly rounded, as
+``math.fsum`` is: so it is the float that ``fsum`` of the member weights
+gives, whichever table it is read from.
 """
 
 from __future__ import annotations
@@ -115,14 +123,20 @@ class FiniteKolmogorovSpace:
     ``_bits`` maps each point to its bit, ``1 << index``, so an event's
     mask is one pass of ``|`` over its members.  ``_memo`` maps an event
     mask to its probability; :meth:`_measure` is its only reader and
-    writer, and computes a miss from :attr:`_byte_tables`, which are built
-    from the weights at the first miss and kept for the space's life.
+    writer, and computes a miss from :attr:`_byte_tables`, the one-cell
+    :class:`PairTables` of the space, built at the first miss.  ``_pairs``
+    maps the masks of two partitions to their :class:`PairTables`;
+    :func:`pair_tables` is its only reader and writer.  Both are kept for
+    the space's life.
     """
 
     points: tuple[str, ...]
     weights: tuple[float, ...]
     _bits: dict[str, int] = field(init=False, repr=False, compare=False)
     _memo: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    _pairs: dict = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -191,31 +205,28 @@ class FiniteKolmogorovSpace:
         return [e.mask for e in events]
 
     @cached_property
-    def _byte_tables(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """``(scale, tables)``: each weight is an exact integer number of
-        units of 1/``scale``, the largest denominator of the weights (a
-        power of two, so every weight is a whole number of units), and
-        ``tables[k][b]`` is the sum of the units of the points of byte ``k``
-        of a mask whose bits are those of ``b``."""
+    def _units(self) -> tuple[int, tuple[int, ...]]:
+        """``(scale, units)``: each weight is ``units[k]`` / ``scale``
+        exactly, ``scale`` the largest denominator of the weights (a power
+        of two, so every weight is a whole number of units)."""
         ratios = [w.as_integer_ratio() for w in self.weights]
         scale = max(den for _, den in ratios)
-        units = [num * (scale // den) for num, den in ratios]
-        tables = []
-        for start in range(0, len(units), 8):
-            table = [0]
-            for u in units[start:start + 8]:
-                table += [t + u for t in table]
-            tables.append(tuple(table))
-        return scale, tuple(tables)
+        return scale, tuple(num * (scale // den) for num, den in ratios)
+
+    @cached_property
+    def _byte_tables(self) -> "PairTables":
+        full = (1 << self.n) - 1
+        return PairTables(self, (full,), (full,))
 
     def _measure(self, mask: int) -> float:
         p = self._memo.get(mask)
         if p is None:
             # the integer sum is exact and int / int is correctly rounded,
             # so p is the float that fsum of the member weights gives
-            scale, tables = self._byte_tables
+            one = self._byte_tables
+            tables = one.tables
             units = map(getitem, tables, mask.to_bytes(len(tables), "little"))
-            p = self._memo[mask] = sum(units) / scale
+            p = self._memo[mask] = sum(units) / one.scale
         return p
 
     def conditional(self, b: Event, c: Event) -> float:
@@ -359,26 +370,27 @@ def transition_matrix(
     space: FiniteKolmogorovSpace, pair: ReferencePair, direction: str = "b/a"
 ) -> TransitionMatrix:
     """Transition probabilities of one reference variable conditioned on the
-    other; raises :class:`DegenerateCell` if a conditioning cell is null.
-    The matrix is context independent: compute it once per pair."""
+    other, from the full event's cells in the pair's :func:`pair_tables`;
+    raises :class:`DegenerateCell` if a conditioning cell is null.  The
+    matrix is context independent: compute it once per pair."""
     if direction == "b/a":
-        rows, cols = pair.a_partition, pair.b_partition
         row_values, col_values = pair.a_values, pair.b_values
     elif direction == "a/b":
-        rows, cols = pair.b_partition, pair.a_partition
         row_values, col_values = pair.b_values, pair.a_values
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    row_masks = space._masks(*rows)
-    col_masks = space._masks(*cols)
+    tables = pair_tables(space, pair)
+    scale, rows = tables.scale, tables.cell_units
+    if direction == "a/b":
+        rows = tuple(zip(*rows))
     entries = []
-    for i, row in enumerate(row_masks):
-        p_row = space._measure(row)
+    for i, row in enumerate(rows):
+        p_row = sum(row) / scale
         if p_row == 0.0:
             raise DegenerateCell(
                 f"conditioning cell {row_values[i]!r} has probability zero"
             )
-        entries.append([space._measure(row & col) / p_row for col in col_masks])
+        entries.append([u / scale / p_row for u in row])
     return TransitionMatrix(entries, direction, row_values, col_values)
 
 
@@ -398,9 +410,8 @@ def is_nondegenerate(
 def are_incompatible(space: FiniteKolmogorovSpace, pair: ReferencePair) -> bool:
     """True iff every joint cell of the two partitions has positive
     probability.  Context independent: compute it once per pair."""
-    a_masks = space._masks(*pair.a_partition)
-    b_masks = space._masks(*pair.b_partition)
-    return all(space._measure(ay & bx) != 0.0 for ay in a_masks for bx in b_masks)
+    # a cell of u > 0 units has probability u / scale >= 2**-1074 > 0
+    return all(map(all, pair_tables(space, pair).cell_units))
 
 
 @dataclass(frozen=True)
@@ -443,13 +454,14 @@ def check_incompatibility_structure(
 
 
 class MeasureTable(NamedTuple):
-    """The measures of one context C over a-cells A_i and b-cells B_j, each
-    read through ``space._measure`` of its own mask: P(C), ``a_row[i]`` =
-    P(A_i & C), ``b_row[j]`` = P(B_j & C), ``cells[i][j]`` = P(A_i & B_j & C),
-    and ``unions[S][j]`` = P(B_j & A_S & C) for the union A_S of the a-cells
-    indexed by the frozenset S.  A union is never a sum of cells, so
-    additivity stays a comparison.  The full event's table holds P(A_i) and
-    P(A_i & B_j)."""
+    """The measures of one context C over a-cells A_i and b-cells B_j:
+    P(C), ``a_row[i]`` = P(A_i & C), ``b_row[j]`` = P(B_j & C),
+    ``cells[i][j]`` = P(A_i & B_j & C), and ``unions[S][j]`` =
+    P(B_j & A_S & C) for the union A_S of the a-cells indexed by the
+    frozenset S.  Each is the correctly rounded sum of its points' weights,
+    from :meth:`PairTables.table` or :func:`measure_table` alike, so a union
+    is never a float sum of cells and additivity stays a comparison.  The
+    full event's table holds P(A_i) and P(A_i & B_j)."""
 
     pc: float
     a_row: tuple[float, ...]
@@ -465,8 +477,11 @@ def measure_table(
     context: Event,
     unions: Iterable[frozenset[int]] = (),
 ) -> MeasureTable:
-    """The :class:`MeasureTable` of one context, with the given unions of
-    the (disjoint) a-cells."""
+    """The :class:`MeasureTable` of one context over arbitrary cells, with
+    the given unions of the (disjoint) a-cells, each entry through
+    ``space._measure`` of its own mask.  The cells need not cover the
+    space; a loop over the contexts of a reference pair reads its
+    :func:`pair_tables` instead."""
     c, *masks = space._masks(context, *a_cells, *b_cells)
     k = len(a_cells)
     a_masks, b_c = masks[:k], [b & c for b in masks[k:]]
@@ -483,6 +498,111 @@ def measure_table(
         tuple(map(row, a_masks)),
         {s: row(sum(a_masks[i] for i in s)) for s in unions},
     )
+
+
+class PairTables:
+    """Packed subset sums of the joint cells A_i & B_j of two partitions of
+    a space, each a mask; see the module docstring.
+
+    ``tables[k][b]`` is the sum, over the points of byte ``k`` whose bits
+    are set in ``b``, of each point's units shifted into the field
+    ``f = i * kb + j`` of its cell (i, j), the bits from ``f * width`` up
+    to ``(f + 1) * width``.  ``cell_units[i][j]`` is the full event's units
+    in A_i & B_j.
+    :meth:`table` reads one context's :class:`MeasureTable` from one pass
+    over the tables, and :attr:`free` is the full event's, built once.
+    """
+
+    def __init__(
+        self, space: FiniteKolmogorovSpace, a_masks: Sequence[int],
+        b_masks: Sequence[int],
+    ):
+        n, (scale, units) = space.n, space._units
+        full = (1 << n) - 1
+        # disjoint masks are those whose sum is their union
+        if any(sum(m) != full or reduce(or_, m) != full for m in (a_masks, b_masks)):
+            raise ValueError("the cells of a pair must partition the space")
+        width = sum(units).bit_length()
+        self.size, self.scale, self.width = n, scale, width
+        self.kb = kb = len(b_masks)
+        self.all_a = frozenset(range(len(a_masks)))
+        cells = [a & b for a in a_masks for b in b_masks]
+        self.field_mask = (1 << width) - 1
+        self.shifts = tuple(range(0, len(cells) * width, width))
+        self.row_starts = tuple(range(0, len(cells), kb))
+        packed = [0] * n
+        for cell, shift in zip(cells, self.shifts):
+            for k in Event(cell, n).indices():
+                packed[k] = units[k] << shift
+        tables = []
+        for start in range(0, n, 8):
+            # the doubling T[m | 2^k] = T[m] + u_k over the byte's points
+            table = [0]
+            for u in packed[start:start + 8]:
+                table += [t + u for t in table]
+            tables.append(tuple(table))
+        self.tables = tuple(tables)
+        self.cell_units = tuple(map(tuple, self._rows(sum(packed))))
+
+    def _rows(self, packed: int) -> list[list[int]]:
+        """The units of each cell in a packed sum, row by row."""
+        field_mask, kb = self.field_mask, self.kb
+        units = [(packed >> shift) & field_mask for shift in self.shifts]
+        return [units[f:f + kb] for f in self.row_starts]
+
+    def table(
+        self, context: Event, unions: Iterable[frozenset[int]] = ()
+    ) -> MeasureTable:
+        """The :class:`MeasureTable` of one context, with the given unions
+        of the a-cells; it equals :func:`measure_table` over the pair's
+        partitions.  The union of one a-cell is that cell's row, and the
+        union of all of them is ``b_row``."""
+        if context.size != self.size:
+            raise ValueError("event does not belong to this space")
+        tables, scale = self.tables, self.scale
+        rows = self._rows(
+            sum(map(getitem, tables, context.mask.to_bytes(len(tables), "little")))
+        )
+        cells = tuple([tuple([u / scale for u in row]) for row in rows])
+        b_units = [sum(col) for col in zip(*rows)]
+        b_row = tuple([u / scale for u in b_units])
+        union_rows = {}
+        for s in unions:
+            if len(s) == 1:
+                union_rows[s] = cells[next(iter(s))]
+            elif s == self.all_a:
+                union_rows[s] = b_row
+            else:
+                union_rows[s] = tuple(
+                    [sum([rows[i][j] for i in s]) / scale for j in range(self.kb)]
+                )
+        return MeasureTable(
+            sum(b_units) / scale,
+            tuple([sum(row) / scale for row in rows]),
+            b_row,
+            cells,
+            union_rows,
+        )
+
+    @cached_property
+    def free(self) -> MeasureTable:
+        """The full event's table, without unions."""
+        return self.table(Event((1 << self.size) - 1, self.size))
+
+
+def pair_tables(space: FiniteKolmogorovSpace, pair: ReferencePair) -> PairTables:
+    """The :class:`PairTables` of the pair's two partitions, built at the
+    first call on the space and kept for its life; pairs over the same
+    partitions share them."""
+    key = (
+        tuple([e.mask for e in pair.a_partition]),
+        tuple([e.mask for e in pair.b_partition]),
+    )
+    tables = space._pairs.get(key)
+    if tables is None:
+        space._masks(*pair.a_partition, *pair.b_partition)
+        tables = space._pairs[key] = PairTables(space, *key)
+    return tables
 
 
 def classical_total_probability(
@@ -567,9 +687,11 @@ def is_symmetrically_conditioned(
     # correlated pair has identity transition matrices but free marginals
     if len(pair.a_values) == 2 and are_incompatible(space, pair):
         both_ds = m_ba.double_stochastic and m_ab.double_stochastic
+        tables = pair_tables(space, pair)
+        rows, scale = tables.cell_units, tables.scale
         uniform = all(
-            abs(space.probability(e) - 0.5) <= PREDICATE_TOL
-            for e in (*pair.a_partition, *pair.b_partition)
+            abs(sum(units) / scale - 0.5) <= PREDICATE_TOL
+            for units in (*rows, *zip(*rows))
         )
         if not (symmetric == both_ds == uniform):
             raise InvariantViolation(

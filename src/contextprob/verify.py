@@ -20,13 +20,13 @@ formatted only when its comparison becomes the worst.
 A run reads each declared context once, into one
 :class:`~contextprob.space.MeasureTable` it holds to the end: P(C), its a-,
 b- and joint cells and, when the multivalued suite runs, the union rows of
-the single a-cells, the a-cell pairs and the recursion tails, each a measure
-of its own mask.  The classification and the core and multivalued suites
-read these tables, and each representable context's principal complex state
-is built once.  A run of the complex or hyperbolic suite alone, which reads
-no joint cell, builds no table: it classifies each context from P(C),
-P(A_i & C) and P(B_j & C) through
-:func:`~contextprob.interference.pair_coefficients`.
+the single a-cells, the a-cell pairs and the recursion tails, all from one
+pass over the pair's :func:`~contextprob.space.pair_tables`.  The
+classification and the core and multivalued suites read these tables, and
+each representable context's principal complex state is built once.  A run
+of the complex or hyperbolic suite alone, which reads no joint cell, builds
+no table: it classifies each context from P(C), P(A_i & C) and P(B_j & C)
+through :func:`~contextprob.interference.pair_coefficients`.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .space import (
     check_incompatibility_structure,
     is_double_stochastic,
     is_symmetrically_conditioned,
-    measure_table,
+    pair_tables,
     total_probability_from_table,
     transition_matrix,
 )
@@ -199,14 +199,13 @@ class _Run:
     def tables(self) -> list[MeasureTable]:
         """The table of each declared context, in declaration order, with
         the unions the multivalued suite splits over when it runs."""
-        cells = self.pair.a_partition, self.pair.b_partition
-        k = range(len(cells[0]))
+        k = range(len(self.pair.a_values))
         unions = {*map(frozenset, [*combinations(k, 1), *combinations(k, 2)])}
         unions.update(mv.recursion_tails(k))
         if not self.unions:
             unions = ()
-        contexts = self.doc.contexts.values()
-        return [measure_table(self.space, *cells, c, unions) for c in contexts]
+        tables = pair_tables(self.space, self.pair)
+        return [tables.table(c, unions) for c in self.doc.contexts.values()]
 
     def psi(self, name: str, coeffs) -> cr.ComplexAmplitude:
         """The principal complex state of a classified context, built once."""
@@ -558,7 +557,7 @@ def _hyperbolic_checks(run: _Run) -> None:
 
 def _multivalued_checks(run: _Run) -> None:
     space, pair, contexts = run.space, run.pair, run.doc.contexts
-    free = measure_table(space, pair.a_partition, pair.b_partition, space.full_event())
+    free = pair_tables(space, pair).free
     n = len(pair.a_values)
     pairs = list(combinations(range(n), 2))
     order, signs = tuple(range(n)), (1,) * (n - 1)

@@ -1,5 +1,6 @@
 import argparse
 import enum
+import gc
 import io
 import json
 import math
@@ -345,6 +346,42 @@ class TestProcessContract:
         diag = json.loads(proc.stderr, parse_constant=reject)
         assert diag["error"] == "FileNotFoundError"
         assert str(target) in diag["detail"]
+
+
+class TestParserReuse:
+    """One argparse parser serves every in-process call."""
+
+    def test_commands_leave_no_argparse_garbage(self, kq_path, tmp_path, capsys):
+        """Building a parser leaves formatter cycles behind, so the first
+        call may; the commands after it leave none."""
+        out = str(tmp_path / "report.json")
+        assert main(["analyze", kq_path, "--output", out]) == 0
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for command in ("analyze", "verify"):
+                assert main([command, kq_path, "--output", out]) == 0
+            gc.collect()
+            left = [o for o in gc.garbage if type(o).__module__ == "argparse"]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert left == []
+
+    def test_usage_error_after_a_command(self, kq_path, tmp_path, capsys):
+        out = str(tmp_path / "report.json")
+        for _ in range(2):
+            assert main(["analyze", kq_path, "--output", out]) == 0
+            with pytest.raises(SystemExit) as info:
+                main(["analyze", kq_path, "--no-such-flag"])
+            assert info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("usage: contextprob ")
+            assert "unrecognized arguments: --no-such-flag" in captured.err
+        assert main(["analyze", kq_path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["contexts"]) == 11
 
 
 @pytest.fixture

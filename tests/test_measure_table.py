@@ -13,9 +13,10 @@ from a context's three measures, and for the class they now store.
 
 import cmath
 import math
+import random
 import sys
 from dataclasses import fields, replace
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -404,18 +405,35 @@ def count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+def count_method(monkeypatch, cls, name) -> list:
+    """Replace the method ``cls.name``; the returned list gets the
+    arguments, without ``self``, of each call."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 def test_run_suite_measures_each_context_once(kq, monkeypatch):
     """One coefficient computation per declared context (11 on kq), one per
     b-cell (2) and one for the basis anchor, all through the body; one
-    measure table per declared context and one of the full event; one
+    table read from the pair tables per declared context and one of the
+    full event, and none through the per-mask ``measure_table``; one
     principal and one conjugate state per representable context (9)."""
     calls = count_calls(monkeypatch, itf, "coefficients_from_measures")
-    tables = count_calls(monkeypatch, space_module, "measure_table")
+    tables = count_method(monkeypatch, space_module.PairTables, "table")
+    per_mask = count_calls(monkeypatch, space_module, "measure_table")
     states = count_calls(monkeypatch, cr, "amplitude_from_coefficients")
     run_suite(kq)
     assert len(kq.contexts) == 11
     assert len(calls) == 14
     assert len(tables) == 12
+    assert per_mask == []
     branches = [args[1] if len(args) > 1 else "principal" for args in states]
     assert branches.count("principal") == branches.count("conjugate") == 9
     assert len(branches) == 18
@@ -434,8 +452,9 @@ def test_run_suite_splits_each_context_once(kq, monkeypatch):
 
 def test_pair_facts_are_read_once_per_run(kq, monkeypatch):
     """Incompatibility and the transition matrices are computed a fixed
-    number of times per run, and ``_masks`` once more per declared context
-    (its table); eleven more contexts add nothing else."""
+    number of times per run, the pair tables are built once, and one more
+    table is read from them per declared context; eleven more contexts add
+    nothing else."""
     wider = ModelDocument(
         kq.space,
         kq.variables,
@@ -444,21 +463,16 @@ def test_pair_facts_are_read_once_per_run(kq, monkeypatch):
     )
     counts = []
     for doc in (kq, wider):
+        doc.space._pairs.clear()
         with monkeypatch.context() as m:
             incompatible = count_calls(m, space_module, "are_incompatible")
             matrices = count_calls(m, space_module, "transition_matrix")
-            masks = []
-            original = space_module.FiniteKolmogorovSpace._masks
-
-            def counted(self, *events):
-                masks.append(events)
-                return original(self, *events)
-
-            m.setattr(space_module.FiniteKolmogorovSpace, "_masks", counted)
+            builds = count_method(m, space_module.PairTables, "__init__")
+            tables = count_method(m, space_module.PairTables, "table")
             run_suite(doc)
-        counts.append((len(incompatible), len(matrices), len(masks)))
-    assert counts[0] == (4, 8, 39)
-    assert counts[1] == (4, 8, 39 + 11)
+        counts.append((len(incompatible), len(matrices), len(builds), len(tables)))
+    assert counts[0] == (4, 8, 1, 12)
+    assert counts[1] == (4, 8, 1, 12 + 11)
 
 
 @pytest.mark.parametrize("suite", ["core", "complex", "hyperbolic", "multivalued", "all"])
@@ -467,7 +481,7 @@ def test_tables_are_built_only_where_joint_cells_are_read(kq, monkeypatch, suite
     classify each context through ``pair_coefficients`` and build no table.
     The other runs build one per declared context, and the multivalued suite
     one more for the full event."""
-    tables = count_calls(monkeypatch, space_module, "measure_table")
+    tables = count_method(monkeypatch, space_module.PairTables, "table")
     run_suite(kq, suite)
     n = len(kq.contexts)
     want = {"core": n, "complex": 0, "hyperbolic": 0, "multivalued": n + 1}
@@ -499,17 +513,56 @@ def test_commands_check_the_pair_once(kq, tmp_path, monkeypatch, capsys, command
 
 
 def test_space_memoises_event_probabilities_only(kq):
-    """After a full run and direct calls for the pair's facts, every key of
-    the space's memo is an event mask: transition matrices and
-    incompatibility are computed, never stored."""
+    """After a full run and direct calls for the pair's facts, the space's
+    memo holds event masks only, and its pair tables one entry, keyed by
+    the masks of the pair's partitions: transition matrices and
+    incompatibility are computed, never stored.  The run reads its
+    measures from the pair tables, so the memo is filled here by
+    measuring each context."""
     ternary = load_model(Path(__file__).parent / "data" / "random_3x3_seed4.model.json")
     for doc in (kq, ternary):
         run_suite(doc, "all")
         for direction in ("b/a", "a/b"):
             transition_matrix(doc.space, doc.pair, direction)
         space_module.are_incompatible(doc.space, doc.pair)
+        for c in doc.contexts.values():
+            doc.space.probability(c)
         memo = doc.space._memo
         assert memo and all(type(key) is int for key in memo)
+        key = tuple(
+            tuple(e.mask for e in cells)
+            for cells in (doc.pair.a_partition, doc.pair.b_partition)
+        )
+        assert list(doc.space._pairs) == [key]
+        assert type(doc.space._pairs[key]) is space_module.PairTables
+
+
+@pytest.mark.parametrize("command", ["analyze", "represent", "verify"])
+def test_dichotomous_commands_build_pair_tables_once(
+    kq, tmp_path, monkeypatch, capsys, command
+):
+    """A dichotomous command builds the pair tables once and the one-cell
+    tables of the memo never, and measures nothing through the memo, with
+    kq's 11 contexts declared once or twice."""
+    wider = ModelDocument(
+        kq.space,
+        kq.variables,
+        {**kq.contexts, **{f"{name}'": c for name, c in kq.contexts.items()}},
+        kq.pair_names,
+    )
+    counts = []
+    for i, doc in enumerate((kq, wider)):
+        path = tmp_path / f"model{i}.json"
+        save_model(doc, path)
+        with monkeypatch.context() as m:
+            builds = count_method(m, space_module.PairTables, "__init__")
+            misses = count_method(m, space_module.FiniteKolmogorovSpace, "_measure")
+            argv = [command, str(path)] + (["--suite", "all"] * (command == "verify"))
+            assert main(argv) == 0
+        shapes = [(len(a_masks), len(b_masks)) for _, a_masks, b_masks in builds]
+        counts.append((shapes, len(misses)))
+    capsys.readouterr()
+    assert counts == [([(2, 2)], 0), ([(2, 2)], 0)]
 
 
 def _ref_classify(outcomes):
@@ -645,3 +698,142 @@ def test_stored_class_matches_tag_classification(kq):
         assert itf.classify_context(coeffs) is _ref_classify(outcomes)
         assert coeffs.deltas == tuple(o.delta for o in outcomes)
         assert coeffs.lambdas == tuple(o.lam for o in outcomes)
+
+
+# ---------------------------------------------------------------------------
+# pair tables against the per-mask measure table
+# ---------------------------------------------------------------------------
+
+PAIR_SHAPES = [(2, 2), (3, 3), (4, 3)]
+
+
+def pair_space(n, seed, low=1e-300, subnormal=True):
+    """Seeded space of n points: one of weight 0.6, so the cell that holds
+    it has more than half the mass, one subnormal weight (5e-324) unless
+    ``subnormal`` is false, and the rest log-uniform from ``low`` to 0.5,
+    scaled down to at most 0.35 in all; shuffled, so that the extremes
+    fall in different bytes at each size."""
+    rng = random.Random(seed)
+    heavy = [0.6, 5e-324] if subnormal else [0.6]
+    heavy = heavy[:max(n - 1, 0)]
+    rest = [10.0 ** rng.uniform(math.log10(low), math.log10(0.5))
+            for _ in range(n - 1 - len(heavy))]
+    if math.fsum(rest) > 0.35:
+        rest = [w * 0.35 / math.fsum(rest) for w in rest]
+    raw = [*heavy, *rest]
+    raw.append(1.0 - math.fsum(raw))
+    rng.shuffle(raw)
+    return cp.FiniteKolmogorovSpace(tuple(f"w{i}" for i in range(n)), tuple(raw))
+
+
+def labelled_pair(space, labels, ka, kb):
+    """The pair whose a-cell i and b-cell j hold the points labelled (i, j);
+    a cell may be empty."""
+    a_masks, b_masks = [0] * ka, [0] * kb
+    for k, (i, j) in enumerate(labels):
+        a_masks[i] |= 1 << k
+        b_masks[j] |= 1 << k
+    return cp.ReferencePair(
+        cp.RandomVariable("a", tuple(float(i) for i, _ in labels)),
+        cp.RandomVariable("b", tuple(float(j) for _, j in labels)),
+        tuple(map(float, range(ka))),
+        tuple(map(float, range(kb))),
+        tuple(Event(m, space.n) for m in a_masks),
+        tuple(Event(m, space.n) for m in b_masks),
+    )
+
+
+def pair_unions(ka, order):
+    """The single a-cells, the pairs of them and the recursion tails."""
+    k = range(ka)
+    singles_and_pairs = [*combinations(k, 1), *combinations(k, 2)]
+    return {*map(frozenset, singles_and_pairs), *recursion_tails(order)}
+
+
+# shared across examples, so later examples also hit built pair tables; the
+# sizes straddle the byte boundaries of the tables
+PAIR_SPACES = [pair_space(n, n) for n in (1, 7, 8, 9, 15, 16, 17)]
+
+
+@st.composite
+def labelled_pairs(draw):
+    """A space, a pair of shape (2, 2), (3, 3) or (4, 3) over it, an
+    empty, full or random context, and a recursion order."""
+    space = draw(st.sampled_from(PAIR_SPACES))
+    ka, kb = draw(st.sampled_from(PAIR_SHAPES))
+    label = st.tuples(st.integers(0, ka - 1), st.integers(0, kb - 1))
+    labels = draw(st.lists(label, min_size=space.n, max_size=space.n))
+    full = (1 << space.n) - 1
+    mask = draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
+    order = draw(st.permutations(range(ka)))
+    return space, labelled_pair(space, labels, ka, kb), Event(mask, space.n), order
+
+
+def _ref_transition(space, pair, direction):
+    """``transition_matrix`` as it was before it read the pair tables: each
+    entry measured from the masks of its cells."""
+    rows, cols = pair.a_partition, pair.b_partition
+    row_values, col_values = pair.a_values, pair.b_values
+    if direction == "a/b":
+        rows, cols = cols, rows
+        row_values, col_values = col_values, row_values
+    entries = []
+    for i, row in enumerate(rows):
+        p_row = space.probability(row)
+        if p_row == 0.0:
+            raise DegenerateCell(
+                f"conditioning cell {row_values[i]!r} has probability zero"
+            )
+        entries.append([space.probability(row & col) / p_row for col in cols])
+    return space_module.TransitionMatrix(entries, direction, row_values, col_values)
+
+
+@SETTINGS
+@given(labelled_pairs())
+def test_pair_table_equals_measure_table(case):
+    space, pair, c, order = case
+    cells = pair.a_partition, pair.b_partition
+    unions = pair_unions(len(pair.a_values), order)
+    tables = space_module.pair_tables(space, pair)
+    assert tables.table(c, unions) == measure_table(space, *cells, c, unions)
+    assert tables.table(c) == measure_table(space, *cells, c)
+    assert tables.free == measure_table(space, *cells, space.full_event())
+    # a fresh pair over the same partitions, with other values, shares them
+    fresh = replace(pair, a_values=tuple(-v for v in pair.a_values))
+    assert space_module.pair_tables(space, fresh) is tables
+    for direction in ("b/a", "a/b"):
+        want = outcome(_ref_transition, space, pair, direction)
+        assert outcome(transition_matrix, space, pair, direction) == want
+    cell_masses = [space.probability(a & b) for a in cells[0] for b in cells[1]]
+    assert cp.are_incompatible(space, pair) is (0.0 not in cell_masses)
+
+
+@pytest.mark.parametrize("ka, kb", PAIR_SHAPES)
+def test_pair_table_on_1024_points(ka, kb):
+    """1,024 points with weights over nine orders of magnitude and one of
+    0.6 (no subnormal weight: its scale would make every field over a
+    thousand bits wide)."""
+    space = pair_space(1024, 1024, low=1e-9, subnormal=False)
+    rng = random.Random(ka * 10 + kb)
+    labels = [(rng.randrange(ka), rng.randrange(kb)) for _ in range(space.n)]
+    pair = labelled_pair(space, labels, ka, kb)
+    cells = pair.a_partition, pair.b_partition
+    unions = pair_unions(ka, range(ka))
+    tables = space_module.pair_tables(space, pair)
+    full = (1 << space.n) - 1
+    for mask in [0, full, *(rng.getrandbits(space.n) for _ in range(40))]:
+        c = Event(mask, space.n)
+        assert tables.table(c, unions) == measure_table(space, *cells, c, unions)
+
+
+def test_pair_tables_need_a_partition(kq):
+    """Pair tables read a context as a sum over cells, so cells that overlap
+    or miss a point are refused, on either side of the pair."""
+    space, pair = kq.space, kq.pair
+    a0, a1 = pair.a_partition
+    for cells in ((a0, a0 | a1), (a0,), (a0, a0, a1)):
+        for side in ("a_partition", "b_partition"):
+            with pytest.raises(ValueError, match="must partition the space"):
+                space_module.pair_tables(space, replace(pair, **{side: cells}))
+    with pytest.raises(ValueError, match="does not belong"):
+        space_module.pair_tables(space, pair).table(Event(1, 5))
