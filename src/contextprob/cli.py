@@ -45,7 +45,7 @@ from .models import (
     load_model,
     save_model,
 )
-from .space import pair_tables, transition_matrix
+from .space import transition_matrix
 from .tolerances import KQ_EXAMPLE_TOL
 from .verify import run_suite
 
@@ -306,7 +306,6 @@ def cmd_represent(args) -> int:
 def _represent_nvalued(doc, args) -> int:
     """Split-recursion report for pairs with more than two values."""
     space, pair = doc.space, doc.pair
-    tables = pair_tables(space, pair)
     out: dict = {"complex": {}, "operators": {}}
     for name, event in _selected_contexts(doc, args.context).items():
         try:
@@ -314,11 +313,11 @@ def _represent_nvalued(doc, args) -> int:
         except ContextualProbabilityError as exc:
             out["complex"][name] = {"skipped": str(exc)}
             continue
-        # built, so P(C) > 0: P(B_j & C) / P(C) is the conditional probability
-        table = tables.table(event)
+        # the first level's tail is the union of every a-cell, so its
+        # target is P(B_j & C) / P(C), the conditional probability
         born = max(
-            abs(psi.born(x) - table.b_row[j] / table.pc)
-            for j, x in enumerate(pair.b_values)
+            abs(psi.born(x) - chain.levels[x][0].tail_probability)
+            for x in pair.b_values
         )
         out["complex"][name] = {
             "amplitude": {

@@ -23,7 +23,6 @@ modulus and dot product ``verify`` reports to the last bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -45,6 +44,7 @@ from .interference import (
     interference_coefficients,
     pair_coefficients,
 )
+from .records import Record
 from .space import (
     Event,
     FiniteKolmogorovSpace,
@@ -150,17 +150,18 @@ def build_amplitude(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class HilbertBasis:
+class HilbertBasis(NamedTuple):
     """Basis vectors (rows, in b-coordinates) with the change matrix and a
     unitarity report.  A non-unitary basis is reported, not rejected:
     single contexts can still be expanded in it, only the two-sided
-    probability rule fails."""
+    probability rule fails.  Bases compare by identity."""
 
     vectors: tuple[tuple[complex, ...], ...]
     anchor: Event | None
     unitary: bool
-    witness: dict[str, float] = field(default_factory=dict)
+    witness: dict[str, float]
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     def vector(self, index: int) -> tuple[complex, ...]:
         return self.vectors[index]
@@ -220,17 +221,15 @@ def extend_to_a_contexts(
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianOperator:
+class HermitianOperator(Record):
     """Self-adjoint matrix in a named basis, as a tuple of rows; the
-    constructor accepts any nested sequence of numbers."""
+    constructor accepts any nested sequence of numbers.  Operators compare
+    by identity."""
 
-    matrix: tuple[tuple[complex, ...], ...]
-    basis: str
+    __slots__ = _fields = ("matrix", "basis")
 
-    def __post_init__(self) -> None:
-        m = tuple(tuple(map(complex, row)) for row in self.matrix)
-        object.__setattr__(self, "matrix", m)
+    def __init__(self, matrix, basis: str):
+        m = tuple(tuple(map(complex, row)) for row in matrix)
         deviation = max(
             abs(v - w.conjugate()) for row, col in zip(m, zip(*m))
             for v, w in zip(row, col)
@@ -240,6 +239,8 @@ class HermitianOperator:
                 f"operator is not self-adjoint (worst deviation {deviation!r}, "
                 f"tolerance {HERMITIAN_TOL!r})"
             )
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "basis", basis)
 
     def eigenvalues(self) -> tuple[float, ...]:
         import numpy as np
@@ -333,8 +334,7 @@ def state_for_context(
     return psi, coeffs.a_profile, coeffs.b_profile
 
 
-@dataclass(frozen=True)
-class AveragePreservationReport:
+class AveragePreservationReport(NamedTuple):
     classical: float
     quantum: float
     residual: float
@@ -401,8 +401,7 @@ def average_preservation(
     )
 
 
-@dataclass(frozen=True)
-class DistributionMismatchReport:
+class DistributionMismatchReport(NamedTuple):
     """Distributions of the sum variable: pointwise classical versus
     spectral, together with their (equal) averages."""
 
@@ -467,8 +466,7 @@ def distribution_mismatch(
     )
 
 
-@dataclass(frozen=True)
-class ImageReport:
+class ImageReport(NamedTuple):
     """Deduplicated image of a context family on the unit sphere.
 
     Contexts sharing both outcome distributions are indistinguishable up to

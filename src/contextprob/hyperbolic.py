@@ -10,21 +10,26 @@ closed under multiplication and its interior {|z|^2 > 0} is a group.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import NotInPositiveCone, RapidityOverflow
+from .records import Record
 from .tolerances import ISCLOSE_TOL
 
 # cosh overflows double precision shortly above this rapidity
 MAX_RAPIDITY = 700.0
 
 
-@dataclass(frozen=True)
-class HyperbolicNumber:
-    """x + j*y with j*j = 1."""
+class HyperbolicNumber(Record):
+    """x + j*y with j*j = 1; equal and hashed by value."""
 
-    x: float
-    y: float
+    __slots__ = _fields = ("x", "y")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, x: float, y: float):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def __add__(self, other: "HyperbolicNumber") -> "HyperbolicNumber":
         return HyperbolicNumber(self.x + other.x, self.y + other.y)
@@ -83,8 +88,7 @@ def exp_j(theta: float) -> HyperbolicNumber:
     return HyperbolicNumber(math.cosh(theta), math.sinh(theta))
 
 
-@dataclass(frozen=True)
-class HyperbolicPolar:
+class HyperbolicPolar(NamedTuple):
     """sign * modulus * exp_j(theta); valid only on the open positive cone."""
 
     sign: int

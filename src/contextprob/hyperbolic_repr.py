@@ -17,8 +17,7 @@ therefore reports, not exceptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     InvariantViolation,
@@ -47,8 +46,7 @@ from .space import (
 from .tolerances import BORN_TOL, DECOMPOSABLE_TOL, GRAM_TOL, IDENTITY_TOL
 
 
-@dataclass(frozen=True)
-class HyperbolicAmplitude:
+class HyperbolicAmplitude(NamedTuple):
     """State vector over the b-outcomes with hyperbolic components."""
 
     components: tuple[HyperbolicNumber, ...]
@@ -134,8 +132,7 @@ def build_hyperbolic_amplitude(
     )
 
 
-@dataclass(frozen=True)
-class GModuleBasis:
+class GModuleBasis(NamedTuple):
     """Orthonormal basis of the two-dimensional hyperbolic module, with the
     change matrix whose columns are the basis vectors in b-coordinates."""
 

@@ -23,7 +23,6 @@ All functions are pure; the coefficient objects are immutable snapshots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import getitem
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -38,6 +37,7 @@ from .errors import (
     TrigonometricContext,
     ZeroConditioningContext,
 )
+from .records import Record
 from .space import (
     Event,
     FiniteKolmogorovSpace,
@@ -113,16 +113,14 @@ _CLASS_OF_TAGS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class OutcomeCoefficients:
+class OutcomeCoefficients(NamedTuple):
     value: float
     delta: float
     lam: float
     tag: OutcomeClass
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class InterferenceCoefficients:
+class InterferenceCoefficients(Record):
     """Per-outcome interference data for one context under one pair.
 
     ``a_profile[i]`` is P(a=y_i|C) and ``b_profile[j]`` is P(b=x_j|C), the
@@ -130,24 +128,30 @@ class InterferenceCoefficients:
     ``transition`` is the pair's "b/a" transition matrix they were combined
     with; phases, states and checks of the same context read these instead
     of measuring again.  ``deltas``, ``lambdas`` and the context's class are
-    computed once, at construction.
+    computed once, at construction.  Coefficients compare by identity.
     """
 
-    pair: ReferencePair
-    context: Event
-    outcomes: tuple[OutcomeCoefficients, ...]
-    a_profile: tuple[float, ...]
-    b_profile: tuple[float, ...]
-    transition: TransitionMatrix
-    deltas: tuple[float, ...] = field(init=False)
-    lambdas: tuple[float, ...] = field(init=False)
-    context_class: ContextClass = field(init=False)
+    __slots__ = _fields = (
+        "pair", "context", "outcomes", "a_profile", "b_profile", "transition",
+        "deltas", "lambdas", "context_class",
+    )
 
-    def __post_init__(self) -> None:
-        cls = _CLASS_OF_TAGS[frozenset({o.tag for o in self.outcomes})]
-        object.__setattr__(self, "deltas", tuple(o.delta for o in self.outcomes))
-        object.__setattr__(self, "lambdas", tuple(o.lam for o in self.outcomes))
-        object.__setattr__(self, "context_class", cls)
+    def __init__(
+        self,
+        pair: ReferencePair,
+        context: Event,
+        outcomes: tuple[OutcomeCoefficients, ...],
+        a_profile: tuple[float, ...],
+        b_profile: tuple[float, ...],
+        transition: TransitionMatrix,
+    ):
+        cls = _CLASS_OF_TAGS[frozenset({o.tag for o in outcomes})]
+        fields = (
+            pair, context, outcomes, a_profile, b_profile, transition,
+            tuple(o.delta for o in outcomes), tuple(o.lam for o in outcomes), cls,
+        )
+        for name, value in zip(self._fields, fields):
+            object.__setattr__(self, name, value)
 
 
 def delta(
@@ -402,8 +406,7 @@ def k_coefficient(m: TransitionMatrix) -> float:
     return m.cosine_ratio
 
 
-@dataclass(frozen=True)
-class GlobalPhaseReport:
+class GlobalPhaseReport(NamedTuple):
     """Outcome of searching for one phase offset shared by all contexts."""
 
     found: bool

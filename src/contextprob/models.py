@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     ConstraintUnsatisfiable,
@@ -38,14 +38,16 @@ from .space import (
 from .tolerances import CELL_MASS_FLOOR, POINT_WEIGHT_FLOOR, RENORM_SKIP, SUM_GATE
 
 
-@dataclass(frozen=True, eq=False)
-class ModelDocument:
-    """A validated model: space, variables, contexts, and reference pair."""
+class ModelDocument(NamedTuple):
+    """A validated model: space, variables, contexts, and reference pair.
+    Documents compare by identity."""
 
     space: FiniteKolmogorovSpace
     variables: dict[str, RandomVariable]
     contexts: dict[str, Event]
     pair_names: tuple[str, str]
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def pair(self) -> ReferencePair:

@@ -47,9 +47,8 @@ gives, whichever table it is read from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import getitem, or_
+from operator import attrgetter, getitem, or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -57,23 +56,26 @@ from .errors import (
     InvariantViolation,
     ZeroConditioningContext,
 )
+from .records import Record
 from .tolerances import IDENTITY_TOL, PREDICATE_TOL, UNIT_COSINE_RATIO_TOL, WEIGHT_TOL
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(Record):
     """A subset of sample points, stored as a bitmask over the point ordering.
 
     ``size`` is the number of points in the ambient space; bit ``i`` set means
-    point ``i`` belongs to the event.  Set operations are exact.
+    point ``i`` belongs to the event.  Set operations are exact, and events
+    compare and hash by value.
     """
 
-    mask: int
-    size: int
+    __slots__ = _fields = ("mask", "size")
+    _key = attrgetter(*_fields)
 
-    def __post_init__(self) -> None:
-        if self.mask < 0 or self.mask >> self.size:
+    def __init__(self, mask: int, size: int):
+        if mask < 0 or mask >> size:
             raise ValueError("event mask lies outside the sample space")
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "size", size)
 
     def _check(self, other: "Event") -> None:
         if self.size != other.size:
@@ -116,9 +118,9 @@ class Event:
             mask ^= low
 
 
-@dataclass(frozen=True)
-class FiniteKolmogorovSpace:
-    """Ordered sample points with strictly positive weights summing to one.
+class FiniteKolmogorovSpace(Record):
+    """Ordered sample points with strictly positive weights summing to one;
+    spaces compare, hash and print by their points and weights.
 
     ``_bits`` maps each point to its bit, ``1 << index``, so an event's
     mask is one pass of ``|`` over its members.  ``_memo`` maps an event
@@ -130,31 +132,26 @@ class FiniteKolmogorovSpace:
     the space's life.
     """
 
-    points: tuple[str, ...]
-    weights: tuple[float, ...]
-    _bits: dict[str, int] = field(init=False, repr=False, compare=False)
-    _memo: dict = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    _pairs: dict = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    _fields = ("points", "weights")
+    _key = attrgetter(*_fields)
 
-    def __post_init__(self) -> None:
-        if len(self.points) != len(self.weights):
+    def __init__(self, points: tuple[str, ...], weights: tuple[float, ...]):
+        if len(points) != len(weights):
             raise ValueError("points and weights must have equal length")
-        bits = {p: 1 << i for i, p in enumerate(self.points)}
-        if len(bits) != len(self.points):
+        bits = {p: 1 << i for i, p in enumerate(points)}
+        if len(bits) != len(points):
             raise ValueError("point identifiers must be unique")
-        if not self.points:
+        if not points:
             raise ValueError("sample space must be nonempty")
-        for p, w in zip(self.points, self.weights):
+        for p, w in zip(points, weights):
             if not (w > 0.0):
                 raise ValueError(f"point {p!r} has nonpositive weight {w!r}")
-        total = math.fsum(self.weights)
+        total = math.fsum(weights)
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1")
-        object.__setattr__(self, "_bits", bits)
+        self.__dict__.update(
+            points=points, weights=weights, _bits=bits, _memo={}, _pairs={}
+        )
 
     @property
     def n(self) -> int:
@@ -237,8 +234,7 @@ class FiniteKolmogorovSpace:
         return self.probability(b & c) / pc
 
 
-@dataclass(frozen=True)
-class RandomVariable:
+class RandomVariable(NamedTuple):
     """A total real-valued map on the sample points (aligned to point order)."""
 
     name: str
@@ -276,8 +272,7 @@ class RandomVariable:
         return Event(mask, size)
 
 
-@dataclass(frozen=True)
-class ReferencePair:
+class ReferencePair(NamedTuple):
     """Two random variables with their value sets and induced partitions.
 
     Value sets are ordered by first occurrence over the point ordering; the
@@ -311,8 +306,7 @@ class ReferencePair:
             raise KeyError(f"{x!r} is not a value of {self.b.name!r}") from None
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(Record):
     """Matrix of transition probabilities between the two partitions.
 
     ``direction == "b/a"`` means entry (i, j) is the probability of the j-th
@@ -322,21 +316,25 @@ class TransitionMatrix:
     constructor accepts any nested sequence of numbers.  ``double_stochastic``
     is true iff the matrix is square and every column also sums to one
     within ``PREDICATE_TOL``.  Both are computed once, at construction, and
-    matrices compare by value.  ``cosine_ratio`` is computed on first
-    use; a raise is not kept, so every use on a matrix that has none raises.
+    matrices compare and hash by value.  ``cosine_ratio`` is computed on
+    first use; a raise is not kept, so every use on a matrix that has none
+    raises.
     """
 
-    rows: tuple[tuple[float, ...], ...]
-    direction: str
-    row_values: tuple[float, ...]
-    col_values: tuple[float, ...]
-    double_stochastic: bool = field(init=False, repr=False)
+    _fields = ("rows", "direction", "row_values", "col_values")
+    _key = attrgetter(*_fields, "double_stochastic")
 
-    def __post_init__(self) -> None:
-        if self.direction not in ("b/a", "a/b"):
-            raise ValueError(f"unknown direction {self.direction!r}")
-        rows = tuple(tuple(map(float, row)) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(
+        self, rows, direction: str, row_values: tuple[float, ...],
+        col_values: tuple[float, ...],
+    ):
+        if direction not in ("b/a", "a/b"):
+            raise ValueError(f"unknown direction {direction!r}")
+        rows = tuple(tuple(map(float, row)) for row in rows)
+        self.__dict__.update(
+            rows=rows, direction=direction, row_values=row_values,
+            col_values=col_values,
+        )
         deviation = max(abs(sum(row) - 1.0) for row in rows)
         if deviation > IDENTITY_TOL:
             raise InvariantViolation(
@@ -345,8 +343,8 @@ class TransitionMatrix:
             )
         square = len(rows) == len(rows[0])
         col_deviation = max(abs(s - 1.0) for s in column_sums(self))
-        object.__setattr__(
-            self, "double_stochastic", square and col_deviation <= PREDICATE_TOL
+        self.__dict__["double_stochastic"] = (
+            square and col_deviation <= PREDICATE_TOL
         )
 
     @cached_property
@@ -414,8 +412,7 @@ def are_incompatible(space: FiniteKolmogorovSpace, pair: ReferencePair) -> bool:
     return all(map(all, pair_tables(space, pair).cell_units))
 
 
-@dataclass(frozen=True)
-class IncompatibilityStructure:
+class IncompatibilityStructure(NamedTuple):
     cell_nonempty: bool
     no_inclusions: bool
 

@@ -32,9 +32,9 @@ through :func:`~contextprob.interference.pair_coefficients`.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from . import complex_repr as cr
 from . import hyperbolic_repr as hr
@@ -81,8 +81,7 @@ COMPLEX_CLASSES = (itf.ContextClass.TRIGONOMETRIC, itf.ContextClass.BOUNDARY)
 HYPERBOLIC_CLASSES = (itf.ContextClass.HYPERBOLIC, itf.ContextClass.BOUNDARY)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     id: str
     status: str  # "pass" | "fail" | "skip"
     residual: float | None = None
@@ -94,12 +93,11 @@ class Check:
         residual = self.residual
         if residual is not None and not math.isfinite(residual):
             residual = None
-        return {**asdict(self), "residual": residual}
+        return {**self._asdict(), "residual": residual}
 
 
-@dataclass
-class VerificationReport:
-    checks: list[Check] = field(default_factory=list)
+class VerificationReport(NamedTuple):
+    checks: list[Check]
 
     @property
     def passed(self) -> bool:

@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -20,6 +21,7 @@ from contextprob.cli import _json_text, main
 from contextprob.models import save_model
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parents[1] / "src"
 
 
 @pytest.fixture
@@ -346,6 +348,25 @@ class TestProcessContract:
         diag = json.loads(proc.stderr, parse_constant=reject)
         assert diag["error"] == "FileNotFoundError"
         assert str(target) in diag["detail"]
+
+
+class TestStartup:
+    def test_cli_import_loads_no_code_generation_modules(self):
+        """A fresh ``import contextprob.cli`` loads neither numpy nor
+        ``dataclasses`` and the modules it imports to generate code."""
+        code = (
+            "import sys; before = set(sys.modules); import contextprob.cli; "
+            "print(*sorted(set(sys.modules) - before))"
+        )
+        path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        )
+        loaded = set(proc.stdout.split())
+        assert "contextprob.cli" in loaded
+        unwanted = {"dataclasses", "inspect", "ast", "dis", "tokenize", "numpy"}
+        assert not loaded & unwanted
 
 
 class TestParserReuse:

@@ -15,7 +15,6 @@ import cmath
 import math
 import random
 import sys
-from dataclasses import fields, replace
 from itertools import combinations, product
 from pathlib import Path
 
@@ -651,7 +650,7 @@ def coefficient_outcome(fn, *args):
         return got
     coeffs = got[1]
     assert itf.classify_context(coeffs) is coeffs.context_class
-    return ("return", {f.name: getattr(coeffs, f.name) for f in fields(coeffs)})
+    return ("return", {f: getattr(coeffs, f) for f in coeffs._fields})
 
 
 @st.composite
@@ -690,7 +689,7 @@ def test_stored_class_matches_tag_classification(kq):
     directly, gets the class the tags gave before."""
     base = itf.interference_coefficients(kq.space, kq.pair, kq.context("C123"))
     for tags in product(itf.OutcomeClass, repeat=2):
-        outcomes = tuple(replace(o, tag=t) for o, t in zip(base.outcomes, tags))
+        outcomes = tuple(o._replace(tag=t) for o, t in zip(base.outcomes, tags))
         coeffs = itf.InterferenceCoefficients(
             base.pair, base.context, outcomes, base.a_profile, base.b_profile,
             base.transition,
@@ -799,7 +798,7 @@ def test_pair_table_equals_measure_table(case):
     assert tables.table(c) == measure_table(space, *cells, c)
     assert tables.free == measure_table(space, *cells, space.full_event())
     # a fresh pair over the same partitions, with other values, shares them
-    fresh = replace(pair, a_values=tuple(-v for v in pair.a_values))
+    fresh = pair._replace(a_values=tuple(-v for v in pair.a_values))
     assert space_module.pair_tables(space, fresh) is tables
     for direction in ("b/a", "a/b"):
         want = outcome(_ref_transition, space, pair, direction)
@@ -834,6 +833,6 @@ def test_pair_tables_need_a_partition(kq):
     for cells in ((a0, a0 | a1), (a0,), (a0, a0, a1)):
         for side in ("a_partition", "b_partition"):
             with pytest.raises(ValueError, match="must partition the space"):
-                space_module.pair_tables(space, replace(pair, **{side: cells}))
+                space_module.pair_tables(space, pair._replace(**{side: cells}))
     with pytest.raises(ValueError, match="does not belong"):
         space_module.pair_tables(space, pair).table(Event(1, 5))

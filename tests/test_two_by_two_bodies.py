@@ -9,12 +9,15 @@ each returns the field values of its record as a plain tuple.  On random
 models, double stochastic or not, and on kq (whose C14 and C23 sit on the
 boundary), each current body must return the same field values, equal by
 ``==`` and by ``repr`` (which tells -0.0 from 0.0), or raise the same
-exception class with the same message.  The records that became
-``NamedTuple``s must stay read-only.
+exception class with the same message.  The records, ``NamedTuple``s and
+slotted classes alike, must stay read-only, and compare by value or by
+identity as their frozen dataclasses did.
 """
 
 import cmath
+import copy
 import math
+import pickle
 from itertools import combinations, permutations
 
 import pytest
@@ -37,7 +40,7 @@ from contextprob.errors import (
     TrigonometricContext,
     ZeroConditioningContext,
 )
-from contextprob.hyperbolic import HyperbolicNumber, exp_j
+from contextprob.hyperbolic import HyperbolicNumber, exp_j, polar
 from contextprob.interference import TWO_PI, ContextClass, _snap_lambda, cis
 from contextprob.space import Event, is_double_stochastic, measure_table
 from contextprob.tolerances import (
@@ -438,11 +441,13 @@ def test_split_mu_and_recursion(model):
     )
 
 
-def _records(kq):
+def _records(kq, ds_skewed):
     space, pair = kq.space, kq.pair
     coeffs = itf.interference_coefficients(space, pair, kq.context("C24"))
     psi, chain = mv.build_amplitude_nvalued(space, pair, kq.context("C24"))
     b, d1, d2 = pair.b_partition[0], *pair.a_partition
+    ds_space, ds_pair = ds_skewed
+    report = cp.run_suite(kq, "core")
     return {
         "PhaseAssignment": itf.assign_phases(coeffs),
         "ComplexAmplitude": cr.amplitude_from_coefficients(coeffs),
@@ -451,21 +456,110 @@ def _records(kq):
         ),
         "SplitLevel": chain.levels[pair.b_values[0]][0],
         "SplitChain": chain,
+        "OutcomeCoefficients": coeffs.outcomes[0],
+        "GlobalPhaseReport": itf.verify_no_global_alpha(
+            space, pair, [kq.context("C123"), kq.context("C234")]
+        ),
+        "IncompatibilityStructure": cp.check_incompatibility_structure(space, pair),
+        "RandomVariable": pair.a,
+        "ReferencePair": pair,
+        "HyperbolicPolar": polar(HyperbolicNumber(2.0, 1.0)),
+        "HyperbolicAmplitude": cp.build_hyperbolic_amplitude(
+            ds_space, ds_pair, ds_pair.b_partition[0]
+        ),
+        "GModuleBasis": cp.hyperbolic_a_basis(ds_space, ds_pair, ds_pair.b_partition[0]),
+        "AveragePreservationReport": cp.verify_average_preservation(
+            space, pair, kq.context("C234"), lambda y: y, lambda x: x
+        ),
+        "DistributionMismatchReport": cp.distribution_mismatch(
+            space, pair, kq.context("C234"), 1.0
+        ),
+        "ImageReport": cp.image_of_context_family(space, pair, kq.contexts),
+        "Check": report.checks[0],
+        "VerificationReport": report,
+        "HilbertBasis": cr.a_basis_for_context(space, pair, space.full_event()),
+        "ModelDocument": kq,
+        "Event": kq.context("C24"),
+        "HyperbolicNumber": HyperbolicNumber(2.0, 1.0),
+        "InterferenceCoefficients": coeffs,
+        "HermitianOperator": cr.operator_for_b(pair),
+        "FiniteKolmogorovSpace": space,
+        "TransitionMatrix": coeffs.transition,
     }
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "PhaseAssignment", "ComplexAmplitude", "SplitDecomposition", "SplitLevel",
-        "SplitChain",
-    ],
-)
-def test_tuple_records_are_read_only(kq, name):
-    record = _records(kq)[name]
+TUPLE_RECORDS = [
+    "PhaseAssignment", "ComplexAmplitude", "SplitDecomposition", "SplitLevel",
+    "SplitChain", "OutcomeCoefficients", "GlobalPhaseReport",
+    "IncompatibilityStructure", "RandomVariable", "ReferencePair",
+    "HyperbolicPolar", "HyperbolicAmplitude", "GModuleBasis",
+    "AveragePreservationReport", "DistributionMismatchReport", "ImageReport",
+    "Check", "VerificationReport", "HilbertBasis", "ModelDocument",
+]
+SLOTTED_RECORDS = [
+    "Event", "HyperbolicNumber", "InterferenceCoefficients", "HermitianOperator",
+    "FiniteKolmogorovSpace", "TransitionMatrix",
+]
+
+
+@pytest.mark.parametrize("name", TUPLE_RECORDS + SLOTTED_RECORDS)
+def test_tuple_records_are_read_only(kq, ds_skewed, name):
+    record = _records(kq, ds_skewed)[name]
     assert type(record).__name__ == name
+    assert isinstance(record, tuple) is (name in TUPLE_RECORDS)
     for field in record._fields:
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
         record.extra = 1
+    if name in SLOTTED_RECORDS:
+        with pytest.raises(AttributeError):
+            delattr(record, record._fields[0])
+        fields = ", ".join(f"{f}={getattr(record, f)!r}" for f in record._fields)
+        assert repr(record) == f"{name}({fields})"
+
+
+def _value_pairs(kq):
+    """Two separately built records of each class that compares by value,
+    and one that differs from the first in one field."""
+    space, pair = kq.space, kq.pair
+    t = cp.transition_matrix(space, pair, "b/a")
+    return [
+        (Event(5, 4), Event(5, 4), Event(5, 5)),
+        (HyperbolicNumber(1.5, -2.0), HyperbolicNumber(1.5, -2.0),
+         HyperbolicNumber(1.5, 2.0)),
+        (t, cp.TransitionMatrix([list(r) for r in t.rows], "b/a", t.row_values, t.col_values),
+         cp.TransitionMatrix(t.rows, "b/a", t.row_values, t.row_values[::-1])),
+        (space, cp.FiniteKolmogorovSpace(space.points, space.weights),
+         cp.FiniteKolmogorovSpace(space.points[::-1], space.weights)),
+    ]
+
+
+def test_value_records_equal_and_hash_by_value(kq):
+    assert not hasattr(Event(5, 4), "__dict__")
+    assert not hasattr(HyperbolicNumber(0.0, 1.0), "__dict__")
+    for first, twin, other in _value_pairs(kq):
+        assert first is not twin
+        assert first == twin and not first != twin
+        assert hash(first) == hash(twin)
+        assert first != other and not first == other
+        assert first != tuple(getattr(first, f) for f in first._fields)
+        for copied in (copy.deepcopy(first), pickle.loads(pickle.dumps(first))):
+            assert copied == first and hash(copied) == hash(first)
+
+
+def test_identity_records_equal_only_themselves(kq):
+    """Records with dict fields, or derived ones, compare by identity, as
+    their dataclasses did with ``eq=False``; each is still hashable."""
+    space, pair = kq.space, kq.pair
+    twins = [
+        lambda: itf.interference_coefficients(space, pair, kq.context("C24")),
+        lambda: cr.operator_for_b(pair),
+        lambda: cr.a_basis_for_context(space, pair, space.full_event()),
+        lambda: cp.loads_model(cp.dumps_model(kq)),
+    ]
+    for build in twins:
+        first, twin = build(), build()
+        assert first == first and not first != first
+        assert first != twin and not first == twin
+        assert {first: 1}[first] == 1
