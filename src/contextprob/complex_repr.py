@@ -13,11 +13,13 @@ Inner products conjugate the second argument.  Every context admits exactly
 two conjugate state vectors; the ``branch`` tag records which one was built.
 
 States, basis vectors and operator matrices are tuples (of rows) of Python
-complexes, computed with plain 2x2 (and diagonal k x k) arithmetic.  numpy
-is imported inside the four functions that need it: an eigen-decomposition
-(:meth:`HermitianOperator.eigenvalues`, :func:`distribution_mismatch`), and
-:meth:`ComplexAmplitude.norm_sq` and :func:`quantum_average`, whose array
-modulus and dot product ``verify`` reports to the last bit.
+complexes, computed with plain 2x2 (and diagonal k x k) arithmetic.  The
+reference pair is dichotomous, so states have two components and operators
+are 2x2: :meth:`HermitianOperator.eigenvalues` takes the closed form, and
+:meth:`ComplexAmplitude.norm_sq` and :func:`quantum_average` are plain sums.
+numpy is imported only inside :func:`distribution_mismatch`, for its
+eigenvectors, and by :meth:`~HermitianOperator.eigenvalues` of an operator
+that is not 2x2, which no command builds.
 """
 
 from __future__ import annotations
@@ -70,9 +72,8 @@ class ComplexAmplitude(NamedTuple):
         return float(abs(self.components[self.b_values.index(x)]) ** 2)
 
     def norm_sq(self) -> float:
-        import numpy as np
-
-        return float(np.sum(np.abs(np.array(self.components)) ** 2))
+        """The :meth:`born` terms, summed left to right."""
+        return float(sum([abs(c) ** 2 for c in self.components]))
 
     def conjugate(self) -> "ComplexAmplitude":
         other = "conjugate" if self.branch == "principal" else "principal"
@@ -243,9 +244,17 @@ class HermitianOperator(Record):
         object.__setattr__(self, "basis", basis)
 
     def eigenvalues(self) -> tuple[float, ...]:
+        """Eigenvalues in ascending order.  A 2x2 operator takes the closed
+        form mid -/+ hypot((a - d) / 2, |c|) of its real diagonal a, d and
+        lower off-diagonal c; other sizes call numpy's ``eigvalsh``."""
+        m = self.matrix
+        if len(m) == 2:
+            a, d = m[0][0].real, m[1][1].real
+            mid, r = (a + d) / 2, math.hypot((a - d) / 2, abs(m[1][0]))
+            return (mid - r, mid + r)
         import numpy as np
 
-        return tuple(np.linalg.eigvalsh(np.array(self.matrix)).tolist())
+        return tuple(np.linalg.eigvalsh(np.array(m)).tolist())
 
 
 def operator_for_variable(
@@ -299,11 +308,14 @@ def commutator(
 
 def quantum_average(op: HermitianOperator, psi: ComplexAmplitude) -> float:
     """Expectation of a self-adjoint operator in a state; the imaginary
-    residue must vanish to rounding."""
-    import numpy as np
-
-    c = np.array(psi.components)
-    value = complex(np.vdot(c, np.array(op.matrix) @ c))
+    residue must vanish to rounding.  The state's dimension must match the
+    operator's."""
+    c, m = psi.components, op.matrix
+    if len(m) != len(c) or any(len(row) != len(c) for row in m):
+        raise ValueError(
+            f"operator of size {len(m)} cannot act on a state of {len(c)} components"
+        )
+    value = inner_product([sum([v * y for v, y in zip(row, c)]) for row in m], c)
     if abs(value.imag) > BORN_TOL:
         raise InvariantViolation(f"average has imaginary residue {value.imag!r}")
     return value.real

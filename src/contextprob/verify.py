@@ -434,17 +434,17 @@ def _complex_checks(run: _Run) -> None:
 
 
 def _hyperbolic_checks(run: _Run) -> None:
-    import numpy as np
+    import random
 
-    # three draws of the stream that one call per number would make
-    rng = np.random.default_rng(20240817)
-    triples = rng.uniform(-10, 10, size=(200, 6)).tolist()
-    pairs = rng.uniform(-10, 10, size=(200, 4)).tolist()
-    polar_draws = rng.random((100, 3)).tolist()
+    # one seeded stream: 200 triples, then 200 pairs, then 100 polar draws
+    rng = random.Random(20240817)
+
+    def draw() -> HyperbolicNumber:
+        return HyperbolicNumber(rng.uniform(-10, 10), rng.uniform(-10, 10))
 
     rec = run.check("hyperbolic.ring_laws", RING_LAW_TOL)
-    for u in triples:
-        z1, z2, z3 = map(HyperbolicNumber, u[0::2], u[1::2])
+    for _ in range(200):
+        z1, z2, z3 = draw(), draw(), draw()
         for law, lhs, rhs in (
             ("associativity", (z1 * z2) * z3, z1 * (z2 * z3)),
             ("distributivity", z1 * (z2 + z3), z1 * z2 + z1 * z3),
@@ -455,19 +455,16 @@ def _hyperbolic_checks(run: _Run) -> None:
 
     rec = run.check("hyperbolic.norm_multiplicative", NORM_PRODUCT_TOL)
     rec2 = run.check("hyperbolic.positive_cone_closed", PREDICATE_TOL)
-    for x1, y1, x2, y2 in pairs:
-        z1 = HyperbolicNumber(x1, y1)
-        z2 = HyperbolicNumber(x2, y2)
+    for _ in range(200):
+        z1, z2 = draw(), draw()
         rec.compare((z1 * z2).norm_sq(), z1.norm_sq() * z2.norm_sq(), "product")
         if z1.in_positive_cone() and z2.in_positive_cone():
             rec2.expect((z1 * z2).in_positive_cone(CONE_CLOSURE_TOL), "cone closure")
 
     rec = run.check("hyperbolic.polar_roundtrip", POLAR_ROUNDTRIP_TOL)
-    for u_x, u_sign, u_y in polar_draws:
-        # uniform(low, high) draws low + (high - low) * u: here from
-        # (0.1, 10.0) and (-1.0, 1.0)
-        x = (0.1 + 9.9 * u_x) * (1 if u_sign < 0.5 else -1)
-        y = (-1.0 + 2.0 * u_y) * abs(x) * 0.999
+    for _ in range(100):
+        x = rng.uniform(0.1, 10.0) * (1 if rng.random() < 0.5 else -1)
+        y = rng.uniform(-1.0, 1.0) * abs(x) * 0.999
         z = HyperbolicNumber(x, y)
         back = polar(z).reconstruct()
         rec.compare(back.x, z.x, "roundtrip x")

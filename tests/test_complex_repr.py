@@ -333,6 +333,92 @@ class TestQuantumAverage:
         assert cp.quantum_average(b_op, psi) == pytest.approx(closed, abs=1e-10)
         assert cp.quantum_average(a_op, psi) == pytest.approx(closed, abs=1e-10)
 
+    @pytest.mark.parametrize("k_op, k_psi", [(2, 3), (3, 2), (2, 1)])
+    def test_dimension_mismatch_raises(self, k_op, k_psi):
+        op = cp.HermitianOperator(np.eye(k_op, dtype=complex), basis="b")
+        psi = _state([1.0] * k_psi)
+        with pytest.raises(ValueError, match="cannot act on a state"):
+            cp.quantum_average(op, psi)
+
+
+EPS = np.finfo(float).eps
+ULPS = 8  # a few roundings of the operands' magnitude
+
+
+def _state(components) -> cp.ComplexAmplitude:
+    components = tuple(map(complex, components))
+    b_values = tuple(float(j) for j in range(len(components)))
+    return cp.ComplexAmplitude(components, b_values, None, "principal")
+
+
+def _hermitian(a: float, d: float, c: complex) -> list[list[complex]]:
+    """[[a, conj(c)], [c, d]]: real diagonal, lower off-diagonal c."""
+    return [[complex(a), complex(c).conjugate()], [complex(c), complex(d)]]
+
+
+def _random_hermitians(seed: int, count: int = 200):
+    rng = np.random.default_rng(seed)
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(count):
+            a, d, x, y = scale * rng.uniform(-1, 1, size=4)
+            yield _hermitian(a, d, complex(x, y))
+            yield _hermitian(a, d, x)  # purely real
+            yield _hermitian(a, d, 0.0)  # diagonal
+            yield _hermitian(a, a, 0.0)  # degenerate
+
+
+def _random_states(seed: int, k: int, count: int = 300, scales=(1e-3, 1.0, 1e3)):
+    rng = np.random.default_rng(seed)
+    for scale in scales:
+        for _ in range(count):
+            re, im = scale * rng.uniform(-1, 1, size=(2, k))
+            yield _state(re + 1j * im)
+            yield _state(re)  # purely real
+
+
+class TestClosedFormKernelsAgainstNumpy:
+    """The plain-Python kernels agree with numpy to a few ulps of the
+    operands' magnitude."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_two_by_two_eigenvalues_match_eigvalsh(self, seed):
+        for matrix in _random_hermitians(seed):
+            got = cp.HermitianOperator(matrix, basis="b").eigenvalues()
+            want = np.linalg.eigvalsh(np.array(matrix))
+            magnitude = max(abs(v) for row in matrix for v in row)
+            assert got[0] <= got[1]
+            np.testing.assert_allclose(got, want, rtol=0, atol=ULPS * EPS * magnitude)
+
+    def test_degenerate_and_diagonal_eigenvalues_are_exact(self):
+        op = cp.HermitianOperator(_hermitian(0.3, 0.3, 0.0), basis="b")
+        assert op.eigenvalues() == (0.3, 0.3)
+        op = cp.HermitianOperator(_hermitian(2.0, -1.0, 0.0), basis="b")
+        assert op.eigenvalues() == (-1.0, 2.0)
+
+    def test_other_sizes_keep_eigvalsh(self):
+        matrix = np.diag([3.0, -2.0, 0.5]).astype(complex)
+        matrix[0, 2], matrix[2, 0] = 1j, -1j
+        op = cp.HermitianOperator(matrix, basis="b")
+        assert op.eigenvalues() == tuple(np.linalg.eigvalsh(matrix).tolist())
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_norm_sq_matches_numpy(self, k):
+        for psi in _random_states(10 + k, k):
+            want = float(np.sum(np.abs(np.array(psi.components)) ** 2))
+            assert psi.norm_sq() == pytest.approx(want, rel=ULPS * EPS, abs=0)
+            assert psi.norm_sq() == sum(psi.born(x) for x in psi.b_values)
+
+    @pytest.mark.parametrize("seed", [20, 21])
+    def test_quantum_average_matches_vdot(self, seed):
+        # states of order 1, as the imaginary-residue guard is absolute
+        states = _random_states(seed, 2, count=240, scales=(1.0,))
+        for psi, matrix in zip(states, _random_hermitians(seed, count=40)):
+            c, m = np.array(psi.components), np.array(matrix)
+            want = np.vdot(c, m @ c).real
+            magnitude = np.abs(m).max() * np.sum(np.abs(c)) ** 2
+            got = cp.quantum_average(cp.HermitianOperator(matrix, basis="b"), psi)
+            assert got == pytest.approx(want, rel=0, abs=ULPS * EPS * magnitude)
+
 
 class TestAveragePreservation:
     def test_identity_functions(self, kq):

@@ -120,8 +120,11 @@ print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
 
 
 def test_report_commands_run_without_numpy(tmp_path):
-    """analyze, represent and the core and multivalued suites of verify
-    import no numpy, and still match the goldens."""
+    """analyze, represent and every suite of verify import no numpy, and
+    still match the goldens.  ``verify --suite all`` runs on kq(1/8), on the
+    ternary pair and on the double stochastic ``random_ds_seed7``, where
+    every check passes: its operator spectrum, average preservation,
+    normalization and the seeded algebra draws all run without numpy."""
     kq = tmp_path / "kq.json"
     save_model(generate_kq(0.125), kq)
     models = {"kq_0.125": kq, "random_3x3_seed4": DATA / "random_3x3_seed4.model.json"}
@@ -129,9 +132,14 @@ def test_report_commands_run_without_numpy(tmp_path):
     for stem, model in models.items():
         for command in ("analyze", "represent"):
             cases.append(([command, str(model)], f"{stem}.{command}.json", None))
-        for suite in ("core", "multivalued"):
+        for suite in SUITES:
             argv = ["verify", str(model), "--suite", suite]
             cases.append((argv, f"{stem}.suites.json", suite))
+    cases.append((["verify", str(kq), "--suite", "all"], "kq_0.125.verify.json", None))
+    argv = ["verify", str(models["random_3x3_seed4"]), "--suite", "all"]
+    cases.append((argv, "verify_branches.json", "random_3x3"))
+    ds_model = DATA / "random_ds_seed7.model.json"
+    cases.append((["verify", str(ds_model), "--suite", "all"], None, None))
     outs = [tmp_path / f"report{i}.json" for i in range(len(cases))]
     argvs = [[*argv, "--output", str(out)] for (argv, _, _), out in zip(cases, outs)]
     src = str(Path(contextprob.__file__).parent.parent)
@@ -143,9 +151,15 @@ def test_report_commands_run_without_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0] * len(argvs)
-    for (_, golden, suite), out in zip(cases, outs):
-        want = json.loads((DATA / golden).read_text())
-        assert_matches(json.loads(out.read_text()), want[suite] if suite else want)
+    for (_, golden, key), out in zip(cases, outs):
+        got = json.loads(out.read_text())
+        if golden is None:  # random_ds_seed7: no golden, every check runs
+            want = run_suite(load_model(ds_model)).to_dict()
+            assert {c["status"] for c in got["checks"]} == {"pass"}
+        else:
+            want = json.loads((DATA / golden).read_text())
+            want = want[key] if key else want
+        assert_matches(got, want)
 
 
 def test_comparison_rejects_drift():
