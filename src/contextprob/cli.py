@@ -45,7 +45,7 @@ from .models import (
     load_model,
     save_model,
 )
-from .space import transition_matrix
+from .space import pair_tables, transition_matrix
 from .tolerances import KQ_EXAMPLE_TOL
 from .verify import run_suite
 
@@ -370,8 +370,8 @@ def cmd_example_kq(args) -> int:
     t = transition_matrix(space, pair, "b/a")
     row("p(b1|a1)", 2 * q, t.rows[0][0])
     row("p(b2|a1)", 1 - 2 * q, t.rows[0][1])
-    for i, e in enumerate(pair.a_partition):
-        row(f"P(A{i + 1})", 0.5, space.probability(e))
+    for i, p_a in enumerate(pair_tables(space, pair).free.a_row):
+        row(f"P(A{i + 1})", 0.5, p_a)
 
     lam_forms = {
         "C123": -math.sqrt(1 - 2 * q) / 2,

@@ -52,6 +52,7 @@ from .space import (
     FiniteKolmogorovSpace,
     ReferencePair,
     column_sums,
+    pair_tables,
     transition_matrix,
 )
 from .tolerances import AVERAGE_TOL, BORN_TOL, HERMITIAN_TOL, IMAGE_TOL, PREDICATE_TOL
@@ -445,7 +446,7 @@ def distribution_mismatch(
     if set(pair.a_values) != expected or set(pair.b_values) != expected:
         raise ValueError("both variables must take values +gamma and -gamma")
 
-    pc = space.probability(context)
+    pc = pair_tables(space, pair).table(context).pc
     classical_dist = {v: 0.0 for v in (-2.0 * gamma, 0.0, 2.0 * gamma)}
     for i in context.indices():
         classical_dist[pair.a.values[i] + pair.b.values[i]] += space.weights[i] / pc

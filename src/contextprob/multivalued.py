@@ -19,9 +19,11 @@ pairs and recursion tails), each the correctly rounded sum of its points'
 weights, never a float sum of cells.  The bodies (``*_from_tables``) take
 these tables; :func:`build_amplitude_nvalued` reads them from the pair's
 :func:`~contextprob.space.pair_tables`, and the split and mu event forms
-measure them with their own events as the cells.  The recursion body takes its
-last-level lambdas from its caller, who has computed that split already:
-``verify`` from its split loop, :func:`build_amplitude_nvalued` itself.
+from the :func:`~contextprob.space.partition_tables` of their own events'
+partitions, completed by complements: (D1, D2, the rest) x (B, not B).  The
+recursion body takes its last-level lambdas from its caller, who has
+computed that split already: ``verify`` from its split loop,
+:func:`build_amplitude_nvalued` itself.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ from .space import (
     FiniteKolmogorovSpace,
     MeasureTable,
     ReferencePair,
-    measure_table,
     pair_tables,
+    partition_tables,
 )
 from .tolerances import IDENTITY_TOL, RECURSION_BORN_TOL
 
@@ -65,14 +67,15 @@ class SplitDecomposition(NamedTuple):
 def _event_tables(
     space: FiniteKolmogorovSpace, b: Event, d1: Event, d2: Event, c: Event
 ) -> tuple[MeasureTable, MeasureTable]:
-    """The tables of C and of the full event over the a-cells (D1, D2) and
-    the one b-cell B, with the unions D1 u D2 and D2."""
+    """The tables of C, with the unions D1 u D2 and D2, and of the full
+    event over the partitions completed by complements: the a-cells (D1,
+    D2, the rest) and the b-cells (B, not B)."""
     _, m1, m2, _ = space._masks(b, d1, d2, c)
     if m1 & m2:
         raise ValueError("the two conditioning events must be disjoint")
-    cells = (d1, d2), (b,)
-    table = measure_table(space, *cells, c, (frozenset((0, 1)), frozenset((1,))))
-    return table, measure_table(space, *cells, space.full_event())
+    a_cells = d1, d2, (d1 | d2).complement()
+    tables = partition_tables(space, a_cells, (b, b.complement()))
+    return tables.table(c, (frozenset((0, 1)), frozenset((1,)))), tables.free
 
 
 def contextual_total_probability_split(

@@ -13,21 +13,21 @@ divides by cell probabilities, and null atoms add nothing but spurious
 degeneracy.
 
 Values in this module are immutable after construction and operations are
-pure functions, with one exception: the space caches, in private dicts that
-take no part in equality, hashing or printing, two things derived from its
-weights.  The memo holds one probability per event mask it has measured.
-Next to it, :func:`pair_tables` keeps one :class:`PairTables` per pair of
+pure functions, with one exception: the space caches, in private attributes
+that take no part in equality, hashing or printing, tables derived from its
+weights.  :func:`partition_tables` keeps one :class:`PairTables` per pair of
 partitions, keyed by their masks, so a fresh :class:`ReferencePair` over the
-same partitions, and either direction of the pair, reuse it.  The facts of
-a reference pair (its transition matrices, its incompatibility) are
-computed on every call, from the full event's cells in its pair tables.
-Nothing per context is stored: the caller reads a context's measures once,
-into a :class:`MeasureTable`; a ``verify`` run holds one per declared
-context for its duration.  A transition matrix keeps its cosine ratio once
-computed.  Values can still be shared across threads: a race between two
-threads only computes the same entry twice.
+same partitions, either direction of the pair, and a loop of the multivalued
+event forms over one (B, D1, D2) reuse it.  The facts of a reference pair
+(its transition matrices, its incompatibility) are computed on every call,
+from the full event's cells in its pair tables.  Nothing per context or per
+event is stored: the caller reads a context's measures once, into a
+:class:`MeasureTable`; a ``verify`` run holds one per declared context for
+its duration.  A transition matrix keeps its cosine ratio once computed.
+Values can still be shared across threads: a race between two threads only
+computes the same entry twice.
 
-Both caches rest on exact integer weights.  Each weight is an exact integer
+Every table rests on exact integer weights.  Each weight is an exact integer
 number of units of 1/scale: a float weight is a binary fraction, so its
 denominator is a power of two and the largest denominator is such a scale.
 Pair tables give each joint cell A_i & B_j a field of ``width`` bits in one
@@ -37,11 +37,11 @@ table of the 256 packed sums of the subsets of its 8 points.  One context
 then costs one added entry per byte of its mask, and each field of the sum
 is the exact unit sum of one cell within the context.  No field's sum can
 exceed the total, which fits its width, so a sum never carries into the
-next field.  The memo's misses read the one-cell case of the same tables.
-Every probability, of an event or of a union of cells, is an exact integer
-sum divided by the scale, and int / int is correctly rounded, as
-``math.fsum`` is: so it is the float that ``fsum`` of the member weights
-gives, whichever table it is read from.
+next field.  An event measured on its own reads the one-cell tables of the
+space, the one-field case of the same tables.  Every probability, of an
+event or of a union of cells, is an exact integer sum divided by the scale,
+and int / int is correctly rounded, as ``math.fsum`` is: so it is the float
+that ``fsum`` of the member weights gives, whichever table it is read from.
 """
 
 from __future__ import annotations
@@ -123,13 +123,11 @@ class FiniteKolmogorovSpace(Record):
     spaces compare, hash and print by their points and weights.
 
     ``_bits`` maps each point to its bit, ``1 << index``, so an event's
-    mask is one pass of ``|`` over its members.  ``_memo`` maps an event
-    mask to its probability; :meth:`_measure` is its only reader and
-    writer, and computes a miss from :attr:`_byte_tables`, the one-cell
-    :class:`PairTables` of the space, built at the first miss.  ``_pairs``
-    maps the masks of two partitions to their :class:`PairTables`;
-    :func:`pair_tables` is its only reader and writer.  Both are kept for
-    the space's life.
+    mask is one pass of ``|`` over its members.  :attr:`_byte_tables` is
+    the one-cell :class:`PairTables` of the space, built at the first
+    :meth:`probability` call.  ``_pairs`` maps the masks of two partitions
+    to their :class:`PairTables`; :func:`partition_tables` is its only
+    reader and writer.  Both are kept for the space's life.
     """
 
     _fields = ("points", "weights")
@@ -150,7 +148,7 @@ class FiniteKolmogorovSpace(Record):
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1")
         self.__dict__.update(
-            points=points, weights=weights, _bits=bits, _memo={}, _pairs={}
+            points=points, weights=weights, _bits=bits, _pairs={}
         )
 
     @property
@@ -190,10 +188,11 @@ class FiniteKolmogorovSpace(Record):
 
     def probability(self, e: Event) -> float:
         """Measure of an event: the correctly rounded sum of its point weights,
-        computed once per distinct event."""
+        read from the one-cell :attr:`_byte_tables`."""
         if e.size != len(self.points):
             raise ValueError("event does not belong to this space")
-        return self._measure(e.mask)
+        one = self._byte_tables
+        return one.units(e.mask) / one.scale
 
     def _masks(self, *events: Event) -> list[int]:
         """The masks of the given events; raises unless all belong here."""
@@ -214,17 +213,6 @@ class FiniteKolmogorovSpace(Record):
     def _byte_tables(self) -> "PairTables":
         full = (1 << self.n) - 1
         return PairTables(self, (full,), (full,))
-
-    def _measure(self, mask: int) -> float:
-        p = self._memo.get(mask)
-        if p is None:
-            # the integer sum is exact and int / int is correctly rounded,
-            # so p is the float that fsum of the member weights gives
-            one = self._byte_tables
-            tables = one.tables
-            units = map(getitem, tables, mask.to_bytes(len(tables), "little"))
-            p = self._memo[mask] = sum(units) / one.scale
-        return p
 
     def conditional(self, b: Event, c: Event) -> float:
         """Conditional probability of ``b`` given the context ``c``."""
@@ -456,45 +444,15 @@ class MeasureTable(NamedTuple):
     ``cells[i][j]`` = P(A_i & B_j & C), and ``unions[S][j]`` =
     P(B_j & A_S & C) for the union A_S of the a-cells indexed by the
     frozenset S.  Each is the correctly rounded sum of its points' weights,
-    from :meth:`PairTables.table` or :func:`measure_table` alike, so a union
-    is never a float sum of cells and additivity stays a comparison.  The
-    full event's table holds P(A_i) and P(A_i & B_j)."""
+    read by :meth:`PairTables.table` from exact unit sums, so a union is
+    never a float sum of cells and additivity stays a comparison.  The full
+    event's table holds P(A_i) and P(A_i & B_j)."""
 
     pc: float
     a_row: tuple[float, ...]
     b_row: tuple[float, ...]
     cells: tuple[tuple[float, ...], ...]
     unions: dict[frozenset[int], tuple[float, ...]]
-
-
-def measure_table(
-    space: FiniteKolmogorovSpace,
-    a_cells: Sequence[Event],
-    b_cells: Sequence[Event],
-    context: Event,
-    unions: Iterable[frozenset[int]] = (),
-) -> MeasureTable:
-    """The :class:`MeasureTable` of one context over arbitrary cells, with
-    the given unions of the (disjoint) a-cells, each entry through
-    ``space._measure`` of its own mask.  The cells need not cover the
-    space; a loop over the contexts of a reference pair reads its
-    :func:`pair_tables` instead."""
-    c, *masks = space._masks(context, *a_cells, *b_cells)
-    k = len(a_cells)
-    a_masks, b_c = masks[:k], [b & c for b in masks[k:]]
-    m = space._measure
-
-    def row(a_mask: int) -> tuple[float, ...]:
-        return tuple([m(a_mask & b) for b in b_c])
-
-    # the a-cells are disjoint, so the sum of their masks is their union
-    return MeasureTable(
-        m(c),
-        tuple([m(a & c) for a in a_masks]),
-        tuple(map(m, b_c)),
-        tuple(map(row, a_masks)),
-        {s: row(sum(a_masks[i] for i in s)) for s in unions},
-    )
 
 
 class PairTables:
@@ -541,6 +499,11 @@ class PairTables:
         self.tables = tuple(tables)
         self.cell_units = tuple(map(tuple, self._rows(sum(packed))))
 
+    def units(self, mask: int) -> int:
+        """The packed sum of the event ``mask``: one entry per byte of it."""
+        tables = self.tables
+        return sum(map(getitem, tables, mask.to_bytes(len(tables), "little")))
+
     def _rows(self, packed: int) -> list[list[int]]:
         """The units of each cell in a packed sum, row by row."""
         field_mask, kb = self.field_mask, self.kb
@@ -551,15 +514,12 @@ class PairTables:
         self, context: Event, unions: Iterable[frozenset[int]] = ()
     ) -> MeasureTable:
         """The :class:`MeasureTable` of one context, with the given unions
-        of the a-cells; it equals :func:`measure_table` over the pair's
-        partitions.  The union of one a-cell is that cell's row, and the
+        of the a-cells.  The union of one a-cell is that cell's row, and the
         union of all of them is ``b_row``."""
         if context.size != self.size:
             raise ValueError("event does not belong to this space")
-        tables, scale = self.tables, self.scale
-        rows = self._rows(
-            sum(map(getitem, tables, context.mask.to_bytes(len(tables), "little")))
-        )
+        scale = self.scale
+        rows = self._rows(self.units(context.mask))
         cells = tuple([tuple([u / scale for u in row]) for row in rows])
         b_units = [sum(col) for col in zip(*rows)]
         b_row = tuple([u / scale for u in b_units])
@@ -588,16 +548,22 @@ class PairTables:
 
 
 def pair_tables(space: FiniteKolmogorovSpace, pair: ReferencePair) -> PairTables:
-    """The :class:`PairTables` of the pair's two partitions, built at the
-    first call on the space and kept for its life; pairs over the same
-    partitions share them."""
-    key = (
-        tuple([e.mask for e in pair.a_partition]),
-        tuple([e.mask for e in pair.b_partition]),
-    )
+    """The :func:`partition_tables` of the pair's two partitions; pairs over
+    the same partitions share them."""
+    return partition_tables(space, pair.a_partition, pair.b_partition)
+
+
+def partition_tables(
+    space: FiniteKolmogorovSpace, a_cells: Sequence[Event],
+    b_cells: Sequence[Event],
+) -> PairTables:
+    """The :class:`PairTables` of two partitions of the space, keyed by the
+    masks of their cells, built at the first call on the space and kept for
+    its life."""
+    key = tuple([e.mask for e in a_cells]), tuple([e.mask for e in b_cells])
     tables = space._pairs.get(key)
     if tables is None:
-        space._masks(*pair.a_partition, *pair.b_partition)
+        space._masks(*a_cells, *b_cells)
         tables = space._pairs[key] = PairTables(space, *key)
     return tables
 
@@ -608,7 +574,7 @@ def classical_total_probability(
     """Exact decomposition of each b-outcome probability over the a-partition,
     conditioning the transition factor on the context as well; see
     :func:`total_probability_from_table`."""
-    table = measure_table(space, pair.a_partition, pair.b_partition, context)
+    table = pair_tables(space, pair).table(context)
     return total_probability_from_table(pair, table)
 
 

@@ -1,6 +1,11 @@
+import math
+from functools import reduce
+from operator import or_
+
 import pytest
 
 import contextprob as cp
+from contextprob.space import MeasureTable
 
 
 @pytest.fixture
@@ -29,3 +34,33 @@ def ds_skewed():
     """Double stochastic transition matrix but nonuniform marginals, so the
     b-cells are strictly hyperbolic contexts."""
     return make_pair_model((0.075, 0.225, 0.175, 0.525))
+
+
+def member_fsum(space: cp.FiniteKolmogorovSpace, mask: int) -> float:
+    """The measure of the event ``mask``: ``math.fsum`` of its members'
+    weights."""
+    return math.fsum(w for i, w in enumerate(space.weights) if mask >> i & 1)
+
+
+def fsum_table(space, a_cells, b_cells, context, unions=()) -> MeasureTable:
+    """The :class:`MeasureTable` of one context over the given cells, with
+    the given unions of the (disjoint) a-cells, each entry the
+    :func:`member_fsum` of its own mask: a reference that shares no code
+    with the pair tables.  The cells need not cover the space."""
+    c = context.mask
+    a_masks = [a.mask for a in a_cells]
+    b_c = [b.mask & c for b in b_cells]
+
+    def m(mask: int) -> float:
+        return member_fsum(space, mask)
+
+    def row(a_mask: int) -> tuple[float, ...]:
+        return tuple(m(a_mask & b) for b in b_c)
+
+    return MeasureTable(
+        m(c),
+        tuple(m(a & c) for a in a_masks),
+        tuple(map(m, b_c)),
+        tuple(map(row, a_masks)),
+        {s: row(reduce(or_, (a_masks[i] for i in s), 0)) for s in unions},
+    )

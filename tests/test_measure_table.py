@@ -1,20 +1,26 @@
-"""The measure-table bodies against the event forms they replaced.
+"""The measure-table bodies against the event forms they replaced, and the
+pair tables against a reference measure.
 
 ``_ref_*`` below are the event forms as they were before the split, mu,
 n-valued recursion and total probability formula read a per-context
-:class:`MeasureTable`: they measure every quantity from event masks.  On
-random models of several arities, each body (and each event form, now a
-composition of a body) must return exactly (``==``) what the reference
-returns, or raise the same exception class with the same message.
-``_ref_coefficients`` and ``_ref_classify`` do the same for the
-interference coefficients, now computed by ``coefficients_from_measures``
-from a context's three measures, and for the class they now store.
+:class:`MeasureTable`: they measure every quantity from event masks, each
+as ``math.fsum`` of its members' weights (``member_fsum``), which shares no
+code with the pair tables.  On random models of several arities, each body
+(and each event form, now a composition of a body over the pair tables)
+must return exactly (``==``) what the reference returns, or raise the same
+exception class with the same message.  ``_ref_coefficients`` and
+``_ref_classify`` do the same for the interference coefficients, now
+computed by ``coefficients_from_measures`` from a context's three measures,
+and for the class they now store.  The bodies are fed tables from
+``fsum_table``, the reference :class:`MeasureTable` that measures each
+entry the same way, and the pair tables must equal it entry for entry.
 """
 
 import cmath
 import math
 import random
 import sys
+from functools import partial
 from itertools import combinations, product
 from pathlib import Path
 
@@ -24,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contextprob as cp
+from conftest import fsum_table, member_fsum
 from contextprob import complex_repr as cr
 from contextprob import interference as itf
 from contextprob import multivalued as mv
@@ -56,7 +63,6 @@ from contextprob.space import (
     PREDICATE_TOL,
     Event,
     classical_total_probability,
-    measure_table,
     total_probability_from_table,
     transition_matrix,
 )
@@ -67,7 +73,7 @@ def _ref_split(space, b, d1, d2, c):
     b, d1, d2, c = space._masks(b, d1, d2, c)
     if d1 & d2:
         raise ValueError("the two conditioning events must be disjoint")
-    m = space._measure
+    m = partial(member_fsum, space)
     pc = m(c)
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
@@ -101,7 +107,7 @@ def _ref_mu(space, b, d1, d2, c):
     b, d1, d2, c = space._masks(b, d1, d2, c)
     if d1 & d2:
         raise ValueError("the two conditioning events must be disjoint")
-    m = space._measure
+    m = partial(member_fsum, space)
     pc = m(c)
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
@@ -132,7 +138,7 @@ def _ref_nvalued(space, pair, context, order=None, branch_signs=None):
     if len(signs) != n - 1 or any(s not in (1, -1) for s in signs):
         raise ValueError("one branch sign of +1 or -1 per level is required")
     c = space._masks(context, *pair.a_partition, *pair.b_partition)[0]
-    m = space._measure
+    m = partial(member_fsum, space)
     pc = m(c)
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
@@ -208,7 +214,8 @@ def _ref_nvalued(space, pair, context, order=None, branch_signs=None):
 
 def _ref_total_probability(space, pair, context):
     c = space._masks(context, *pair.a_partition, *pair.b_partition)[0]
-    pc = space._measure(c)
+    m = partial(member_fsum, space)
+    pc = m(c)
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
     out = {}
@@ -216,13 +223,13 @@ def _ref_total_probability(space, pair, context):
         total = 0.0
         for i, ay in enumerate(pair.a_partition):
             cell = ay.mask & c
-            p_cell = space._measure(cell)
+            p_cell = m(cell)
             if p_cell == 0.0:
                 raise DegenerateCell(
                     f"cell for a={pair.a_values[i]!r} within the context is null"
                 )
-            total += (p_cell / pc) * (space._measure(bx.mask & cell) / p_cell)
-        direct = space._measure(bx.mask & c) / pc
+            total += (p_cell / pc) * (m(bx.mask & cell) / p_cell)
+        direct = m(bx.mask & c) / pc
         if abs(total - direct) > IDENTITY_TOL:
             raise InvariantViolation(
                 "total probability decomposition drifted from the direct value"
@@ -284,8 +291,8 @@ def test_split_and_mu_on_partition_cells(model, data):
 
     cells = pair.a_partition, pair.b_partition
     rest = frozenset((i2,))
-    table = measure_table(space, *cells, c, [frozenset((i1, i2)), rest])
-    free = measure_table(space, *cells, space.full_event())
+    table = fsum_table(space, *cells, c, [frozenset((i1, i2)), rest])
+    free = fsum_table(space, *cells, space.full_event())
     assert outcome(split_from_tables, table, free, j, i1, i2) == want_split
     got_mu = outcome(mu_from_tables, table, free, j, i1, rest)
     if got_mu[0] == "return":
@@ -327,8 +334,8 @@ def test_nvalued_recursion(model, data):
     # the body on tables built as verify builds them, with the last-level
     # lambdas of verify's split loop: None where that split raises
     cells = pair.a_partition, pair.b_partition
-    table = measure_table(space, *cells, c, recursion_tails(order))
-    free = measure_table(space, *cells, space.full_event())
+    table = fsum_table(space, *cells, c, recursion_tails(order))
+    free = fsum_table(space, *cells, space.full_event())
     lams = []
     for j in range(len(pair.b_values)):
         try:
@@ -347,7 +354,7 @@ def test_classical_total_probability(model):
     space, pair, c = model
     want = outcome(_ref_total_probability, space, pair, c)
     assert outcome(classical_total_probability, space, pair, c) == want
-    table = measure_table(space, pair.a_partition, pair.b_partition, c)
+    table = fsum_table(space, pair.a_partition, pair.b_partition, c)
     assert outcome(total_probability_from_table, pair, table) == want
 
 
@@ -386,6 +393,96 @@ def test_invalid_arguments_raise_as_before(kq):
         )
 
 
+EVENT_FORMS = (
+    (contextual_total_probability_split, _ref_split),
+    (mu_coefficient, _ref_mu),
+)
+
+
+def ternary_model(seed):
+    """A random 40-point model with a 3x3 pair."""
+    doc = cp.generate_random_model(
+        seed=seed, n_points=40, value_arities=(3, 3), n_contexts=0
+    )
+    return doc.space, doc.pair
+
+
+def random_contexts(space, count, seed=0):
+    """The empty and the full event and ``count`` random masks."""
+    rng = random.Random(seed)
+    masks = [0, (1 << space.n) - 1, *(rng.getrandbits(space.n) for _ in range(count))]
+    return [Event(mask, space.n) for mask in masks]
+
+
+def test_event_forms_on_edge_partitions():
+    """The event forms complete their events to the partitions (D1, D2, the
+    rest) x (B, not B); where D1 u D2 is the whole space the rest is empty,
+    and where B is the whole space or empty one b-cell is.  Every context
+    gives what the fsum reference gives, and each case returns somewhere."""
+    space, pair = ternary_model(3)
+    a0, a1, a2 = pair.a_partition
+    b0 = pair.b_partition[0]
+    full, empty = space.full_event(), space.empty_event()
+    cases = {
+        "no rest": (b0, a0, a1 | a2),
+        "B is the space": (full, a0, a1),
+        "B is the space, no rest": (full, a0 | a1, a2),
+        "B is empty": (empty, a0, a1),
+        "D2 is empty": (b0, full, empty),
+    }
+    for name, (b, d1, d2) in cases.items():
+        kinds = set()
+        for c in random_contexts(space, 30):
+            for fn, ref in EVENT_FORMS:
+                want = outcome(ref, space, b, d1, d2, c)
+                assert outcome(fn, space, b, d1, d2, c) == want, name
+                kinds.add(want[0])
+        assert ("return" in kinds) is not name.endswith("empty"), name
+    assert outcome(contextual_total_probability_split, space, empty, a0, a1, full) == (
+        "raise", DegenerateCell, "B meets D1 with probability zero"
+    )
+
+
+def test_event_forms_name_a_foreign_event_before_an_overlap(kq):
+    """An event of another space raises first, then overlapping D1 and D2,
+    each with its own message."""
+    space = kq.space
+    a0, a1 = kq.pair.a_partition
+    b0 = kq.pair.b_partition[0]
+    c = kq.context("C123")
+    foreign = Event(1, 5)
+    overlap = a0 | (a1 & b0)
+    not_here = ("raise", ValueError, "event does not belong to this space")
+    for fn, ref in EVENT_FORMS:
+        assert outcome(fn, space, b0, a0, overlap, c) == (
+            "raise", ValueError, "the two conditioning events must be disjoint"
+        )
+        for args in (
+            (foreign, a0, a1, c),
+            (b0, foreign, a1, c),
+            (b0, a0, foreign, c),
+            (b0, a0, a1, foreign),
+            (b0, a0, overlap, foreign),
+        ):
+            assert outcome(fn, space, *args) == not_here
+            assert outcome(ref, space, *args) == not_here
+
+
+def test_event_form_loop_builds_one_pair_table(monkeypatch):
+    """A loop of event-form calls over many contexts with one (B, D1, D2)
+    builds the tables of its completed partitions once, and every call
+    reads them."""
+    space, pair = ternary_model(5)
+    a0, a1, a2 = pair.a_partition
+    b, d1, d2 = pair.b_partition[1], a2, a0
+    builds = count_method(monkeypatch, space_module.PairTables, "__init__")
+    for c in random_contexts(space, 50, seed=1):
+        for fn, ref in EVENT_FORMS:
+            assert outcome(fn, space, b, d1, d2, c) == outcome(ref, space, b, d1, d2, c)
+    a_masks, b_masks = (d1.mask, d2.mask, a1.mask), (b.mask, b.complement().mask)
+    assert builds == [(space, a_masks, b_masks)]
+
+
 def count_calls(monkeypatch, module, name) -> list:
     """Replace ``module.name`` under every name a ``contextprob`` module
     holds it by; the returned list gets the arguments of each call."""
@@ -422,17 +519,15 @@ def test_run_suite_measures_each_context_once(kq, monkeypatch):
     """One coefficient computation per declared context (11 on kq), one per
     b-cell (2) and one for the basis anchor, all through the body; one
     table read from the pair tables per declared context and one of the
-    full event, and none through the per-mask ``measure_table``; one
-    principal and one conjugate state per representable context (9)."""
+    full event; one principal and one conjugate state per representable
+    context (9)."""
     calls = count_calls(monkeypatch, itf, "coefficients_from_measures")
     tables = count_method(monkeypatch, space_module.PairTables, "table")
-    per_mask = count_calls(monkeypatch, space_module, "measure_table")
     states = count_calls(monkeypatch, cr, "amplitude_from_coefficients")
     run_suite(kq)
     assert len(kq.contexts) == 11
     assert len(calls) == 14
     assert len(tables) == 12
-    assert per_mask == []
     branches = [args[1] if len(args) > 1 else "principal" for args in states]
     assert branches.count("principal") == branches.count("conjugate") == 9
     assert len(branches) == 18
@@ -511,23 +606,19 @@ def test_commands_check_the_pair_once(kq, tmp_path, monkeypatch, capsys, command
     assert counts == [pins, pins]
 
 
-def test_space_memoises_event_probabilities_only(kq):
-    """After a full run and direct calls for the pair's facts, the space's
-    memo holds event masks only, and its pair tables one entry, keyed by
-    the masks of the pair's partitions: transition matrices and
-    incompatibility are computed, never stored.  The run reads its
-    measures from the pair tables, so the memo is filled here by
-    measuring each context."""
+def test_space_caches_only_the_pair_tables(kq):
+    """After a full run and direct calls for the pair's facts, the space
+    holds one entry of pair tables, keyed by the masks of the pair's
+    partitions, and no one-cell tables: transition matrices and
+    incompatibility are computed, never stored, and nothing is kept per
+    context or per event."""
     ternary = load_model(Path(__file__).parent / "data" / "random_3x3_seed4.model.json")
     for doc in (kq, ternary):
         run_suite(doc, "all")
         for direction in ("b/a", "a/b"):
             transition_matrix(doc.space, doc.pair, direction)
         space_module.are_incompatible(doc.space, doc.pair)
-        for c in doc.contexts.values():
-            doc.space.probability(c)
-        memo = doc.space._memo
-        assert memo and all(type(key) is int for key in memo)
+        assert "_byte_tables" not in vars(doc.space)
         key = tuple(
             tuple(e.mask for e in cells)
             for cells in (doc.pair.a_partition, doc.pair.b_partition)
@@ -541,8 +632,8 @@ def test_dichotomous_commands_build_pair_tables_once(
     kq, tmp_path, monkeypatch, capsys, command
 ):
     """A dichotomous command builds the pair tables once and the one-cell
-    tables of the memo never, and measures nothing through the memo, with
-    kq's 11 contexts declared once or twice."""
+    tables never, and measures no event on its own, with kq's 11 contexts
+    declared once or twice."""
     wider = ModelDocument(
         kq.space,
         kq.variables,
@@ -555,13 +646,31 @@ def test_dichotomous_commands_build_pair_tables_once(
         save_model(doc, path)
         with monkeypatch.context() as m:
             builds = count_method(m, space_module.PairTables, "__init__")
-            misses = count_method(m, space_module.FiniteKolmogorovSpace, "_measure")
+            measured = count_method(
+                m, space_module.FiniteKolmogorovSpace, "probability"
+            )
             argv = [command, str(path)] + (["--suite", "all"] * (command == "verify"))
             assert main(argv) == 0
         shapes = [(len(a_masks), len(b_masks)) for _, a_masks, b_masks in builds]
-        counts.append((shapes, len(misses)))
+        counts.append((shapes, len(measured)))
     capsys.readouterr()
     assert counts == [([(2, 2)], 0), ([(2, 2)], 0)]
+
+
+def test_example_kq_reads_only_the_pair_tables(monkeypatch, capsys):
+    """``example kq`` reads P(A_i) and the P(C) of its distribution mismatch
+    from the pair tables: it builds them once, the one-cell tables never,
+    and measures no event on its own."""
+    builds = count_method(monkeypatch, space_module.PairTables, "__init__")
+    measured = count_method(
+        monkeypatch, space_module.FiniteKolmogorovSpace, "probability"
+    )
+    assert main(["example", "kq", "--q", "0.125"]) == 0
+    capsys.readouterr()
+    assert [(len(a_masks), len(b_masks)) for _, a_masks, b_masks in builds] == [
+        (2, 2)
+    ]
+    assert measured == []
 
 
 def _ref_classify(outcomes):
@@ -591,16 +700,17 @@ def _ref_coefficients(space, pair, context):
     if not cp.are_incompatible(space, pair):
         raise DegenerateCell("reference variables must be incompatible")
     mask = space._masks(context)[0]
-    pc = space._measure(mask)
+    m = partial(member_fsum, space)
+    pc = m(mask)
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
     pa = []
     for i, ay in enumerate(pair.a_partition):
-        p = space._measure(ay.mask & mask) / pc
+        p = m(ay.mask & mask) / pc
         if p == 0.0:
             raise DegenerateContext(f"context misses the cell a={pair.a_values[i]!r}")
         pa.append(p)
-    pb = [space._measure(bx.mask & mask) / pc for bx in pair.b_partition]
+    pb = [m(bx.mask & mask) / pc for bx in pair.b_partition]
     transition = transition_matrix(space, pair, "b/a")
     t = transition.rows
     outcomes = []
@@ -636,7 +746,7 @@ def _ref_coefficients(space, pair, context):
 
 def _coefficients_from_table(space, pair, context):
     """The body fed as ``verify`` feeds it: from the context's table."""
-    table = measure_table(space, pair.a_partition, pair.b_partition, context)
+    table = fsum_table(space, pair.a_partition, pair.b_partition, context)
     t = transition_matrix(space, pair, "b/a")
     return itf.coefficients_from_measures(
         pair, context, t, table.pc, table.a_row, table.b_row
@@ -700,7 +810,7 @@ def test_stored_class_matches_tag_classification(kq):
 
 
 # ---------------------------------------------------------------------------
-# pair tables against the per-mask measure table
+# pair tables against the fsum reference
 # ---------------------------------------------------------------------------
 
 PAIR_SHAPES = [(2, 2), (3, 3), (4, 3)]
@@ -778,12 +888,14 @@ def _ref_transition(space, pair, direction):
         row_values, col_values = col_values, row_values
     entries = []
     for i, row in enumerate(rows):
-        p_row = space.probability(row)
+        p_row = member_fsum(space, row.mask)
         if p_row == 0.0:
             raise DegenerateCell(
                 f"conditioning cell {row_values[i]!r} has probability zero"
             )
-        entries.append([space.probability(row & col) / p_row for col in cols])
+        entries.append(
+            [member_fsum(space, row.mask & col.mask) / p_row for col in cols]
+        )
     return space_module.TransitionMatrix(entries, direction, row_values, col_values)
 
 
@@ -794,9 +906,9 @@ def test_pair_table_equals_measure_table(case):
     cells = pair.a_partition, pair.b_partition
     unions = pair_unions(len(pair.a_values), order)
     tables = space_module.pair_tables(space, pair)
-    assert tables.table(c, unions) == measure_table(space, *cells, c, unions)
-    assert tables.table(c) == measure_table(space, *cells, c)
-    assert tables.free == measure_table(space, *cells, space.full_event())
+    assert tables.table(c, unions) == fsum_table(space, *cells, c, unions)
+    assert tables.table(c) == fsum_table(space, *cells, c)
+    assert tables.free == fsum_table(space, *cells, space.full_event())
     # a fresh pair over the same partitions, with other values, shares them
     fresh = pair._replace(a_values=tuple(-v for v in pair.a_values))
     assert space_module.pair_tables(space, fresh) is tables
@@ -822,7 +934,7 @@ def test_pair_table_on_1024_points(ka, kb):
     full = (1 << space.n) - 1
     for mask in [0, full, *(rng.getrandbits(space.n) for _ in range(40))]:
         c = Event(mask, space.n)
-        assert tables.table(c, unions) == measure_table(space, *cells, c, unions)
+        assert tables.table(c, unions) == fsum_table(space, *cells, c, unions)
 
 
 def test_pair_tables_need_a_partition(kq):

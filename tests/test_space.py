@@ -8,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import contextprob as cp
+from conftest import member_fsum
 from contextprob.models import model_from_dict
-from contextprob.space import Event
+from contextprob.space import Event, pair_tables
 from contextprob.tolerances import IDENTITY_TOL
 
 
@@ -37,8 +38,8 @@ def wide_space(n: int) -> cp.FiniteKolmogorovSpace:
     return cp.FiniteKolmogorovSpace(tuple(f"w{i}" for i in range(n)), tuple(raw))
 
 
-# shared across examples, so later examples also hit memoised events; the
-# sizes straddle the byte boundaries of the measure's tables
+# shared across examples, so later examples also read built one-cell tables;
+# the sizes straddle the byte boundaries of the tables
 SPREAD_SPACES = {n: spread_space(n) for n in (1, 7, 8, 9, 15, 16, 17, 64, 1500)}
 WIDE_SPACES = {n: wide_space(n) for n in (8, 9, 15, 16, 17)}
 ALL_SPACES = [*SPREAD_SPACES.values(), *WIDE_SPACES.values()]
@@ -50,10 +51,6 @@ def space_and_mask(draw):
     full = (1 << space.n) - 1
     mask = draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
     return space, mask
-
-
-def member_fsum(space: cp.FiniteKolmogorovSpace, mask: int) -> float:
-    return math.fsum(w for i, w in enumerate(space.weights) if mask >> i & 1)
 
 
 class TestEventAlgebra:
@@ -131,7 +128,7 @@ class TestMemoisedMeasure:
         space, mask = case
         expected = member_fsum(space, mask)
         assert space.probability(Event(mask, space.n)) == expected
-        # a repeated call is answered from the memo with the same float
+        # a repeated call, from the tables built by the first, gives the same float
         assert space.probability(Event(mask, space.n)) == expected
 
     @pytest.mark.parametrize("n", sorted(SPREAD_SPACES))
@@ -162,14 +159,18 @@ class TestMemoisedMeasure:
         with pytest.raises(ValueError):
             kq.space.probability(Event(0b1111, 5))
 
-    def test_memo_outside_equality_hash_and_repr(self):
+    def test_caches_outside_equality_hash_and_repr(self):
         s1 = cp.FiniteKolmogorovSpace(("w1", "w2"), (0.25, 0.75))
         s2 = cp.FiniteKolmogorovSpace(("w1", "w2"), (0.25, 0.75))
         s1.probability(s1.full_event())
+        a = cp.RandomVariable("a", (1.0, -1.0))
+        pair_tables(s1, cp.ReferencePair.from_variables(s1, a, a))
+        assert "_byte_tables" in vars(s1) and s1._pairs
+        assert "_byte_tables" not in vars(s2) and not s2._pairs
         assert s1 == s2
         assert hash(s1) == hash(s2)
         assert repr(s1) == repr(s2)
-        assert "_memo" not in repr(s1)
+        assert "_pairs" not in repr(s1) and "_byte_tables" not in repr(s1)
 
 
 class TestPointLookup:

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contextprob as cp
+from conftest import fsum_table
 from contextprob import complex_repr as cr
 from contextprob import hyperbolic_repr as hr
 from contextprob import interference as itf
@@ -42,7 +43,7 @@ from contextprob.errors import (
 )
 from contextprob.hyperbolic import HyperbolicNumber, exp_j, polar
 from contextprob.interference import TWO_PI, ContextClass, _snap_lambda, cis
-from contextprob.space import Event, is_double_stochastic, measure_table
+from contextprob.space import Event, is_double_stochastic
 from contextprob.tolerances import (
     BORN_TOL,
     IDENTITY_TOL,
@@ -407,8 +408,8 @@ def tabled_contexts(draw):
     unions = {frozenset(s) for r in (1, 2) for s in combinations(range(ka), r)}
     unions.update(mv.recursion_tails(order))
     cells = pair.a_partition, pair.b_partition
-    table = measure_table(space, *cells, context, unions)
-    free = measure_table(space, *cells, space.full_event())
+    table = fsum_table(space, *cells, context, unions)
+    free = fsum_table(space, *cells, space.full_event())
     sign = st.sampled_from([1, -1])
     signs = tuple(draw(st.lists(sign, min_size=ka - 1, max_size=ka - 1)))
     return pair, context, table, free, order, signs
