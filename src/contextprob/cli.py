@@ -166,12 +166,17 @@ def _chain_payload(chain) -> dict:
     }
 
 
+# the report name of each class, read without the Enum ``value`` property
+_CLASS_NAMES = {cls: cls.value for cls in itf.ContextClass}
+
+
 def cmd_analyze(args) -> int:
     doc = load_model(args.model)
     space, pair = doc.space, doc.pair
     out: dict = {"contexts": {}}
     dichotomous = len(pair.a_values) == 2 and len(pair.b_values) == 2
     coefficients = itf.pair_coefficients(space, pair) if dichotomous else None
+    b_keys = [str(x) for x in pair.b_values]
     for name, event in _selected_contexts(doc, args.context).items():
         if not dichotomous:
             try:
@@ -191,14 +196,14 @@ def cmd_analyze(args) -> int:
             out["contexts"][name] = {"class": "degenerate", "reason": str(exc)}
             continue
         cls = itf.classify_context(coeffs)
-        entry: dict = {"class": cls.value, "outcomes": {}}
+        entry: dict = {"class": _CLASS_NAMES[cls], "outcomes": {}}
         thetas = epsilons = None
         if cls is not itf.ContextClass.MIXED:
             phases = itf.assign_phases(coeffs, args.branch)
             thetas = phases.thetas
             epsilons = phases.epsilons
         for j, o in enumerate(coeffs.outcomes):
-            entry["outcomes"][str(o.value)] = {
+            entry["outcomes"][b_keys[j]] = {
                 "delta": o.delta,
                 "lambda": o.lam,
                 "theta": None if thetas is None else thetas[j],
@@ -248,25 +253,32 @@ def cmd_represent(args) -> int:
         out["basis_witness"] = basis.witness
     coefficients = itf.pair_coefficients(space, pair)
 
+    def coefficients_or_reason(event):
+        try:
+            return coefficients(event)
+        except ContextualProbabilityError as exc:
+            return str(exc)
+
     # a shared module basis for the a-side decomposability flags: anchored at
-    # the first strictly hyperbolic declared context, when one exists
+    # the first strictly hyperbolic declared context, when one exists.  The
+    # contexts searched keep their coefficients, or the reason they have
+    # none, for the report.
+    searched: dict = {}
     g_basis = None
     if basis.unitary:
-        for event in doc.contexts.values():
-            try:
-                coeffs = coefficients(event)
-            except ContextualProbabilityError:
+        for name, event in doc.contexts.items():
+            coeffs = searched[name] = coefficients_or_reason(event)
+            if isinstance(coeffs, str):
                 continue
             if itf.classify_context(coeffs) is itf.ContextClass.HYPERBOLIC:
                 g_basis = hr.hyperbolic_a_basis(space, pair, event)
                 break
 
     for name, event in _selected_contexts(doc, args.context).items():
-        try:
-            coeffs = coefficients(event)
-        except ContextualProbabilityError as exc:
-            out["complex"][name] = {"skipped": str(exc)}
-            out["hyperbolic"][name] = {"skipped": str(exc)}
+        coeffs = searched.pop(name) if name in searched else coefficients_or_reason(event)
+        if isinstance(coeffs, str):
+            out["complex"][name] = {"skipped": coeffs}
+            out["hyperbolic"][name] = {"skipped": coeffs}
             continue
         try:
             out["complex"][name] = _complex_entry(coeffs, args.branch, basis)

@@ -10,26 +10,25 @@ closed under multiplication and its interior {|z|^2 > 0} is a group.
 from __future__ import annotations
 
 import math
-from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import NotInPositiveCone, RapidityOverflow
-from .records import Record
+from .records import ValueTuple
 from .tolerances import ISCLOSE_TOL
 
 # cosh overflows double precision shortly above this rapidity
 MAX_RAPIDITY = 700.0
 
 
-class HyperbolicNumber(Record):
+class _HyperbolicFields(NamedTuple):
+    x: float
+    y: float
+
+
+class HyperbolicNumber(ValueTuple, _HyperbolicFields):
     """x + j*y with j*j = 1; equal and hashed by value."""
 
-    __slots__ = _fields = ("x", "y")
-    _key = attrgetter(*_fields)
-
-    def __init__(self, x: float, y: float):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+    __slots__ = ()
 
     def __add__(self, other: "HyperbolicNumber") -> "HyperbolicNumber":
         return HyperbolicNumber(self.x + other.x, self.y + other.y)

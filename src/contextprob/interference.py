@@ -37,7 +37,7 @@ from .errors import (
     TrigonometricContext,
     ZeroConditioningContext,
 )
-from .records import Record
+from .records import unordered
 from .space import (
     Event,
     FiniteKolmogorovSpace,
@@ -120,38 +120,62 @@ class OutcomeCoefficients(NamedTuple):
     tag: OutcomeClass
 
 
-class InterferenceCoefficients(Record):
+# the class by the tags of the two outcomes, in order
+_CLASS_OF_TAG_PAIR = {
+    (s, t): _CLASS_OF_TAGS[frozenset({s, t})]
+    for s in OutcomeClass
+    for t in OutcomeClass
+}
+
+
+class _CoefficientFields(NamedTuple):
+    pair: ReferencePair
+    context: Event
+    outcomes: tuple[OutcomeCoefficients, OutcomeCoefficients]
+    a_profile: tuple[float, ...]
+    b_profile: tuple[float, ...]
+    transition: TransitionMatrix
+    deltas: tuple[float, float]
+    lambdas: tuple[float, float]
+    context_class: ContextClass
+
+
+class InterferenceCoefficients(_CoefficientFields):
     """Per-outcome interference data for one context under one pair.
 
     ``a_profile[i]`` is P(a=y_i|C) and ``b_profile[j]`` is P(b=x_j|C), the
     context's measures every coefficient was derived from, and
     ``transition`` is the pair's "b/a" transition matrix they were combined
     with; phases, states and checks of the same context read these instead
-    of measuring again.  ``deltas``, ``lambdas`` and the context's class are
-    computed once, at construction.  Coefficients compare by identity.
+    of measuring again.  The constructor takes the first six fields, with
+    ``outcomes`` the two outcomes; ``deltas``, ``lambdas`` and the
+    context's class are derived from them at construction.  Coefficients
+    compare by identity and have no order.
     """
 
-    __slots__ = _fields = (
-        "pair", "context", "outcomes", "a_profile", "b_profile", "transition",
-        "deltas", "lambdas", "context_class",
-    )
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         pair: ReferencePair,
         context: Event,
-        outcomes: tuple[OutcomeCoefficients, ...],
+        outcomes: tuple[OutcomeCoefficients, OutcomeCoefficients],
         a_profile: tuple[float, ...],
         b_profile: tuple[float, ...],
         transition: TransitionMatrix,
     ):
-        cls = _CLASS_OF_TAGS[frozenset({o.tag for o in outcomes})]
-        fields = (
+        (_, d0, lam0, tag0), (_, d1, lam1, tag1) = outcomes
+        return tuple.__new__(cls, (
             pair, context, outcomes, a_profile, b_profile, transition,
-            tuple(o.delta for o in outcomes), tuple(o.lam for o in outcomes), cls,
-        )
-        for name, value in zip(self._fields, fields):
-            object.__setattr__(self, name, value)
+            (d0, d1), (lam0, lam1), _CLASS_OF_TAG_PAIR[tag0, tag1],
+        ))
+
+    def __getnewargs__(self):
+        # pickle and copy rebuild through the six-field constructor
+        return self[:6]
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+    __lt__ = __le__ = __gt__ = __ge__ = unordered
 
 
 def delta(

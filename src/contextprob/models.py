@@ -129,10 +129,12 @@ def model_from_dict(doc: Mapping) -> ModelDocument:
     _validate(isinstance(contexts_raw, Mapping), "'contexts' must be an object")
     contexts: dict[str, Event] = {}
     for name, members in contexts_raw.items():
-        _validate(
-            isinstance(members, Sequence) and not isinstance(members, str),
-            "context {!r} must be an array of point ids", name,
-        )
+        # a JSON array is a list: the Sequence check is for other callers
+        if type(members) is not list:
+            _validate(
+                isinstance(members, Sequence) and not isinstance(members, str),
+                "context {!r} must be an array of point ids", name,
+            )
         try:
             contexts[name] = space.event(members)
         except KeyError as exc:

@@ -56,26 +56,35 @@ from .errors import (
     InvariantViolation,
     ZeroConditioningContext,
 )
-from .records import Record
+from .records import Record, ValueTuple
 from .tolerances import IDENTITY_TOL, PREDICATE_TOL, UNIT_COSINE_RATIO_TOL, WEIGHT_TOL
 
 
-class Event(Record):
+class _EventFields(NamedTuple):
+    mask: int
+    size: int
+
+
+class Event(ValueTuple, _EventFields):
     """A subset of sample points, stored as a bitmask over the point ordering.
 
     ``size`` is the number of points in the ambient space; bit ``i`` set means
     point ``i`` belongs to the event.  Set operations are exact, and events
-    compare and hash by value.
+    compare and hash by value.  ``len`` is the number of points in the event.
     """
 
-    __slots__ = _fields = ("mask", "size")
-    _key = attrgetter(*_fields)
+    __slots__ = ()
 
-    def __init__(self, mask: int, size: int):
+    def __new__(cls, mask: int, size: int):
         if mask < 0 or mask >> size:
             raise ValueError("event mask lies outside the sample space")
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "size", size)
+        return tuple.__new__(cls, (mask, size))
+
+    @classmethod
+    def _make(cls, iterable) -> "Event":
+        # the NamedTuple one (and _replace, through it) counts the fields
+        # with len, which counts points here
+        return cls(*iterable)
 
     def _check(self, other: "Event") -> None:
         if self.size != other.size:

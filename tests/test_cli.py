@@ -94,6 +94,41 @@ class TestRepresent:
         assert amp["im"][0] == pytest.approx(-(0.375 ** 0.5))
 
 
+    @pytest.mark.parametrize("late", [False, True])
+    def test_each_context_reads_its_coefficients_once(
+        self, late, kq, ds_skewed, tmp_path, monkeypatch, capsys
+    ):
+        """The search for the g-basis anchor keeps the coefficients it reads,
+        or the reason a context has none, for the report.  kq declares no
+        hyperbolic context, so the search reads all 11; the other model
+        declares its first one (C14) fifth.  One more read is the anchor's,
+        and one more builds the g-basis."""
+        doc = kq
+        if late:
+            space, pair = ds_skewed
+            names = ("C12", "C123", "C124", "C13", "C14", "C23", "C24")
+            contexts = {
+                name: space.event(f"w{k}" for k in name[1:]) for name in names
+            }
+            doc = cp.ModelDocument(
+                space, {"a": pair.a, "b": pair.b}, contexts, ("a", "b")
+            )
+        path = tmp_path / "model.json"
+        save_model(doc, path)
+        reads = []
+        body = cp.interference.coefficients_from_measures
+
+        def counted(*args):
+            reads.append(args[1])
+            return body(*args)
+
+        monkeypatch.setattr(cp.interference, "coefficients_from_measures", counted)
+        assert main(["represent", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert ("a" in report["hyperbolic"]["C14"]["decomposable"]) is late
+        assert len(reads) == len(doc.contexts) + 1 + late
+
+
 class TestThreeValuedModels:
     @pytest.fixture
     def three_valued_path(self, tmp_path):

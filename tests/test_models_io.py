@@ -68,6 +68,19 @@ class TestLoader:
         with pytest.raises(cp.ModelValidationError):
             model_from_dict(raw)
 
+    def test_context_members_any_sequence_but_a_string(self):
+        raw = minimal_doc()
+        raw["contexts"]["C123"] = ("w1", "w2", "w3")
+        doc = model_from_dict(raw)
+        assert doc.space.members(doc.context("C123")) == ("w1", "w2", "w3")
+        for members in ("w1", {"w1": 1}, 3):
+            raw["contexts"]["C123"] = members
+            with pytest.raises(
+                cp.ModelValidationError,
+                match=r"^context 'C123' must be an array of point ids$",
+            ):
+                model_from_dict(raw)
+
     def test_rejects_invalid_json(self):
         with pytest.raises(cp.ModelValidationError):
             loads_model("{not json")

@@ -496,11 +496,9 @@ TUPLE_RECORDS = [
     "HyperbolicPolar", "HyperbolicAmplitude", "GModuleBasis",
     "AveragePreservationReport", "DistributionMismatchReport", "ImageReport",
     "Check", "VerificationReport", "HilbertBasis", "ModelDocument",
+    "Event", "HyperbolicNumber", "InterferenceCoefficients",
 ]
-SLOTTED_RECORDS = [
-    "Event", "HyperbolicNumber", "InterferenceCoefficients", "HermitianOperator",
-    "FiniteKolmogorovSpace", "TransitionMatrix",
-]
+SLOTTED_RECORDS = ["HermitianOperator", "FiniteKolmogorovSpace", "TransitionMatrix"]
 
 
 @pytest.mark.parametrize("name", TUPLE_RECORDS + SLOTTED_RECORDS)
@@ -513,11 +511,10 @@ def test_tuple_records_are_read_only(kq, ds_skewed, name):
             setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
         record.extra = 1
-    if name in SLOTTED_RECORDS:
-        with pytest.raises(AttributeError):
-            delattr(record, record._fields[0])
-        fields = ", ".join(f"{f}={getattr(record, f)!r}" for f in record._fields)
-        assert repr(record) == f"{name}({fields})"
+    with pytest.raises(AttributeError):
+        delattr(record, record._fields[0])
+    fields = ", ".join(f"{f}={getattr(record, f)!r}" for f in record._fields)
+    assert repr(record) == f"{name}({fields})"
 
 
 def _value_pairs(kq):
@@ -539,14 +536,39 @@ def _value_pairs(kq):
 def test_value_records_equal_and_hash_by_value(kq):
     assert not hasattr(Event(5, 4), "__dict__")
     assert not hasattr(HyperbolicNumber(0.0, 1.0), "__dict__")
+    assert Event(5, 4)._replace(mask=1) == Event(1, 4)
+    with pytest.raises(ValueError, match="outside the sample space"):
+        Event(5, 4)._replace(size=2)
     for first, twin, other in _value_pairs(kq):
         assert first is not twin
         assert first == twin and not first != twin
         assert hash(first) == hash(twin)
         assert first != other and not first == other
-        assert first != tuple(getattr(first, f) for f in first._fields)
+        plain = tuple(getattr(first, f) for f in first._fields)
+        assert first != plain and not first == plain
+        assert plain != first and not plain == first
+        for lhs, rhs in ((first, twin), (first, plain), (plain, first)):
+            with pytest.raises(TypeError):
+                lhs < rhs
+        with pytest.raises(TypeError):
+            plain[-1] in first
         for copied in (copy.deepcopy(first), pickle.loads(pickle.dumps(first))):
             assert copied == first and hash(copied) == hash(first)
+
+
+def test_coefficients_survive_pickle_and_copy(kq):
+    """The six-argument constructor rebuilds a copy with the same fields,
+    a distinct object that compares by identity and has no order."""
+    coeffs = itf.interference_coefficients(kq.space, kq.pair, kq.context("C24"))
+    for copied in (
+        copy.copy(coeffs), copy.deepcopy(coeffs), pickle.loads(pickle.dumps(coeffs)),
+    ):
+        assert type(copied) is itf.InterferenceCoefficients
+        assert copied is not coeffs and copied != coeffs
+        for field in coeffs._fields:
+            assert getattr(copied, field) == getattr(coeffs, field)
+    with pytest.raises(TypeError):
+        coeffs < coeffs
 
 
 def test_identity_records_equal_only_themselves(kq):
