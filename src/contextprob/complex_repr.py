@@ -332,18 +332,18 @@ def state_for_context(
     pair: ReferencePair,
     context: Event,
     basis: HilbertBasis,
-    convention: str = "principal",
 ) -> tuple[ComplexAmplitude, tuple[float, ...], tuple[float, ...]]:
     """State of a representable context with its a- and b-profiles:
-    interference amplitude when the context is a-nondegenerate, basis vector
-    with the cell's indicator and transition row when it is an a-cell."""
+    principal interference amplitude when the context is a-nondegenerate,
+    vector of ``basis`` with the cell's indicator and transition row when
+    it is an a-cell."""
     for i, ay in enumerate(pair.a_partition):
         if context.mask == ay.mask:
             psi = extend_to_a_contexts(space, pair, basis)[pair.a_values[i]]
             indicator = tuple(float(k == i) for k in range(len(pair.a_values)))
             return psi, indicator, transition_matrix(space, pair, "b/a").rows[i]
     coeffs = interference_coefficients(space, pair, context)
-    psi = amplitude_from_coefficients(coeffs, convention)
+    psi = amplitude_from_coefficients(coeffs)
     return psi, coeffs.a_profile, coeffs.b_profile
 
 
@@ -360,19 +360,14 @@ def verify_average_preservation(
     context: Event,
     f,
     g,
-    convention: str = "principal",
-    anchor: Event | None = None,
 ) -> AveragePreservationReport:
     """Compare the conditional expectation of f(a) + g(b) with the operator
-    average of f(op_a) + g(op_b); see :func:`average_preservation`."""
+    average of f(op_a) + g(op_b) in the context's principal state, over
+    the basis anchored at the full event; see
+    :func:`average_preservation`."""
     f_row, g_row = _as_row(f, pair.a_values), _as_row(g, pair.b_values)
-    basis = a_basis_for_context(
-        space, pair, anchor if anchor is not None else space.full_event(),
-        convention,
-    )
-    psi, a_profile, b_profile = state_for_context(
-        space, pair, context, basis, convention
-    )
+    basis = a_basis_for_context(space, pair, space.full_event())
+    psi, a_profile, b_profile = state_for_context(space, pair, context, basis)
     return average_preservation(
         psi, sum_operator(basis, f_row, g_row), f_row, g_row, a_profile, b_profile
     )
@@ -430,11 +425,10 @@ def distribution_mismatch(
     pair: ReferencePair,
     context: Event,
     gamma: float,
-    convention: str = "principal",
-    anchor: Event | None = None,
 ) -> DistributionMismatchReport:
     """Distribution of a(omega) + b(omega) given the context versus that of
-    the operator sum in the context's state.
+    the operator sum in the context's principal state, over the basis
+    anchored at the full event.
 
     Requires both variables to take the values +gamma and -gamma.  The two
     averages coincide; the distributions in general do not, which is the
@@ -452,11 +446,8 @@ def distribution_mismatch(
         classical_dist[pair.a.values[i] + pair.b.values[i]] += space.weights[i] / pc
     classical_avg = math.fsum(v * p for v, p in classical_dist.items())
 
-    basis = a_basis_for_context(
-        space, pair, anchor if anchor is not None else space.full_event(),
-        convention,
-    )
-    psi = state_for_context(space, pair, context, basis, convention)[0]
+    basis = a_basis_for_context(space, pair, space.full_event())
+    psi = state_for_context(space, pair, context, basis)[0]
     a_op = operator_for_variable(pair.a_values, basis)
     d_op = HermitianOperator(_add(a_op.matrix, _diagonal(pair.b_values)), basis="b")
     eigvals, eigvecs = np.linalg.eigh(np.array(d_op.matrix))
@@ -498,13 +489,11 @@ def image_of_context_family(
     space: FiniteKolmogorovSpace,
     pair: ReferencePair,
     contexts: Mapping[str, Event],
-    anchor: Event | None = None,
 ) -> ImageReport:
-    """Represent every representable context of the family and deduplicate
-    the resulting states."""
-    basis = a_basis_for_context(
-        space, pair, anchor if anchor is not None else space.full_event()
-    )
+    """Represent every representable context of the family, the a-cells by
+    the basis anchored at the full event, and deduplicate the resulting
+    states."""
+    basis = a_basis_for_context(space, pair, space.full_event())
     a_states = extend_to_a_contexts(space, pair, basis)
     coefficients = pair_coefficients(space, pair)
 

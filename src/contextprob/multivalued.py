@@ -18,9 +18,10 @@ P(A_i), P(A_i & B_j), and the rows P(B_j & A_S & C) of the unions S (a-cell
 pairs and recursion tails), each the correctly rounded sum of its points'
 weights, never a float sum of cells.  The bodies (``*_from_tables``) take
 these tables; :func:`build_amplitude_nvalued` reads them from the pair's
-:func:`~contextprob.space.pair_tables`, and the split and mu event forms
-from the :func:`~contextprob.space.partition_tables` of their own events'
-partitions, completed by complements: (D1, D2, the rest) x (B, not B).  The
+:func:`~contextprob.space.pair_tables`.  The split and mu event forms read
+the six cells of their own events' partitions, completed by complements,
+(D1, D2, the rest) x (B, not B), within C and within the full event, from
+the space's one-cell tables, as a probability is read, and keep nothing.  The
 recursion body takes its last-level lambdas from its caller, who has
 computed that split already: ``verify`` from its split loop,
 :func:`build_amplitude_nvalued` itself.
@@ -46,7 +47,7 @@ from .space import (
     MeasureTable,
     ReferencePair,
     pair_tables,
-    partition_tables,
+    table_from_units,
 )
 from .tolerances import IDENTITY_TOL, RECURSION_BORN_TOL
 
@@ -69,13 +70,19 @@ def _event_tables(
 ) -> tuple[MeasureTable, MeasureTable]:
     """The tables of C, with the unions D1 u D2 and D2, and of the full
     event over the partitions completed by complements: the a-cells (D1,
-    D2, the rest) and the b-cells (B, not B)."""
-    _, m1, m2, _ = space._masks(b, d1, d2, c)
+    D2, the rest) and the b-cells (B, not B).  Each cell's units are read
+    from the space's one-cell tables, as its probabilities are."""
+    mb, m1, m2, mc = space._masks(b, d1, d2, c)
     if m1 & m2:
         raise ValueError("the two conditioning events must be disjoint")
-    a_cells = d1, d2, (d1 | d2).complement()
-    tables = partition_tables(space, a_cells, (b, b.complement()))
-    return tables.table(c, (frozenset((0, 1)), frozenset((1,)))), tables.free
+    one, full = space._byte_tables, (1 << space.n) - 1
+    cells = [(a & mb, a & ~mb) for a in (m1, m2, full & ~(m1 | m2))]
+
+    def table(event: int, unions=()) -> MeasureTable:
+        rows = [[one.units(cell & event) for cell in row] for row in cells]
+        return table_from_units(rows, one.scale, unions)
+
+    return table(mc, (frozenset((0, 1)), frozenset((1,)))), table(full)
 
 
 def contextual_total_probability_split(

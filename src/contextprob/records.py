@@ -10,7 +10,8 @@ slotted class that sets 9 fields by one ``object.__setattr__`` each takes
 2.0-2.1 us to build, a NamedTuple of the same fields 0.36-0.43 us
 (``timeit`` on Python 3.11, a 2-vCPU shared Xeon VM).  :class:`ValueTuple`
 makes such a record equal and hash by value against its own class only,
-never against a plain tuple; :func:`unordered` refuses to order it.
+never against a plain tuple, and refuses the tuple's concatenation and
+repetition; :func:`unordered` refuses to order it.
 
 Records built once per model that keep derived state
 (``FiniteKolmogorovSpace``, ``TransitionMatrix``, ``HermitianOperator``)
@@ -53,6 +54,17 @@ class ValueTuple:
 
     __hash__ = tuple.__hash__
     __lt__ = __le__ = __gt__ = __ge__ = unordered
+
+    # a tuple's ``+`` and ``*`` would join or repeat the fields into a plain
+    # tuple; a record with arithmetic of its own defines them in its body
+    def __add__(self, other):
+        raise TypeError(f"{type(self).__name__!r} records cannot be concatenated")
+
+    def __mul__(self, other):
+        raise TypeError(f"{type(self).__name__!r} records cannot be repeated")
+
+    __radd__, __rmul__ = __add__, __mul__
+
     # a tuple's ``in`` would look among the fields: ``4 in Event(5, 4)``
     __contains__ = None
 

@@ -15,10 +15,10 @@ degeneracy.
 Values in this module are immutable after construction and operations are
 pure functions, with one exception: the space caches, in private attributes
 that take no part in equality, hashing or printing, tables derived from its
-weights.  :func:`partition_tables` keeps one :class:`PairTables` per pair of
-partitions, keyed by their masks, so a fresh :class:`ReferencePair` over the
-same partitions, either direction of the pair, and a loop of the multivalued
-event forms over one (B, D1, D2) reuse it.  The facts of a reference pair
+weights: its one-cell tables, and :func:`pair_tables` keeps one
+:class:`PairTables` per reference pair's two partitions, keyed by their
+masks, so a fresh :class:`ReferencePair` over the same partitions, and
+either direction of the pair, reuse it.  The facts of a reference pair
 (its transition matrices, its incompatibility) are computed on every call,
 from the full event's cells in its pair tables.  Nothing per context or per
 event is stored: the caller reads a context's measures once, into a
@@ -37,11 +37,12 @@ table of the 256 packed sums of the subsets of its 8 points.  One context
 then costs one added entry per byte of its mask, and each field of the sum
 is the exact unit sum of one cell within the context.  No field's sum can
 exceed the total, which fits its width, so a sum never carries into the
-next field.  An event measured on its own reads the one-cell tables of the
-space, the one-field case of the same tables.  Every probability, of an
-event or of a union of cells, is an exact integer sum divided by the scale,
-and int / int is correctly rounded, as ``math.fsum`` is: so it is the float
-that ``fsum`` of the member weights gives, whichever table it is read from.
+next field.  An event measured on its own, such as a cell of the multivalued
+event forms, reads the one-cell tables of the space, the one-field case of
+the same tables.  Every probability, of an event or of a union of cells, is
+an exact integer sum divided by the scale, and int / int is correctly
+rounded, as ``math.fsum`` is: so it is the float that ``fsum`` of the
+member weights gives, whichever table it is read from.
 """
 
 from __future__ import annotations
@@ -134,9 +135,9 @@ class FiniteKolmogorovSpace(Record):
     ``_bits`` maps each point to its bit, ``1 << index``, so an event's
     mask is one pass of ``|`` over its members.  :attr:`_byte_tables` is
     the one-cell :class:`PairTables` of the space, built at the first
-    :meth:`probability` call.  ``_pairs`` maps the masks of two partitions
-    to their :class:`PairTables`; :func:`partition_tables` is its only
-    reader and writer.  Both are kept for the space's life.
+    :meth:`probability` call.  ``_pairs`` maps the masks of a reference
+    pair's two partitions to their :class:`PairTables`; :func:`pair_tables`
+    is its only reader and writer.  Both are kept for the space's life.
     """
 
     _fields = ("points", "weights")
@@ -489,7 +490,6 @@ class PairTables:
         width = sum(units).bit_length()
         self.size, self.scale, self.width = n, scale, width
         self.kb = kb = len(b_masks)
-        self.all_a = frozenset(range(len(a_masks)))
         cells = [a & b for a in a_masks for b in b_masks]
         self.field_mask = (1 << width) - 1
         self.shifts = tuple(range(0, len(cells) * width, width))
@@ -523,32 +523,11 @@ class PairTables:
         self, context: Event, unions: Iterable[frozenset[int]] = ()
     ) -> MeasureTable:
         """The :class:`MeasureTable` of one context, with the given unions
-        of the a-cells.  The union of one a-cell is that cell's row, and the
-        union of all of them is ``b_row``."""
+        of the a-cells; see :func:`table_from_units`."""
         if context.size != self.size:
             raise ValueError("event does not belong to this space")
-        scale = self.scale
         rows = self._rows(self.units(context.mask))
-        cells = tuple([tuple([u / scale for u in row]) for row in rows])
-        b_units = [sum(col) for col in zip(*rows)]
-        b_row = tuple([u / scale for u in b_units])
-        union_rows = {}
-        for s in unions:
-            if len(s) == 1:
-                union_rows[s] = cells[next(iter(s))]
-            elif s == self.all_a:
-                union_rows[s] = b_row
-            else:
-                union_rows[s] = tuple(
-                    [sum([rows[i][j] for i in s]) / scale for j in range(self.kb)]
-                )
-        return MeasureTable(
-            sum(b_units) / scale,
-            tuple([sum(row) / scale for row in rows]),
-            b_row,
-            cells,
-            union_rows,
-        )
+        return table_from_units(rows, self.scale, unions)
 
     @cached_property
     def free(self) -> MeasureTable:
@@ -556,19 +535,41 @@ class PairTables:
         return self.table(Event((1 << self.size) - 1, self.size))
 
 
+def table_from_units(
+    rows: Sequence[Sequence[int]], scale: int,
+    unions: Iterable[frozenset[int]] = (),
+) -> MeasureTable:
+    """The :class:`MeasureTable` of one context from ``rows[i][j]``, the
+    exact units of A_i & B_j & C, each of 1/``scale``, with the given
+    unions of the a-cells, each a set of row indices.  The union of one
+    a-cell is that cell's row, and the union of all of them is ``b_row``."""
+    cells = tuple([tuple([u / scale for u in row]) for row in rows])
+    b_units = [sum(col) for col in zip(*rows)]
+    b_row = tuple([u / scale for u in b_units])
+    union_rows = {}
+    for s in unions:
+        if len(s) == 1:
+            union_rows[s] = cells[next(iter(s))]
+        elif len(s) == len(rows):
+            union_rows[s] = b_row
+        else:
+            union_rows[s] = tuple(
+                [sum([rows[i][j] for i in s]) / scale for j in range(len(b_row))]
+            )
+    return MeasureTable(
+        sum(b_units) / scale,
+        tuple([sum(row) / scale for row in rows]),
+        b_row,
+        cells,
+        union_rows,
+    )
+
+
 def pair_tables(space: FiniteKolmogorovSpace, pair: ReferencePair) -> PairTables:
-    """The :func:`partition_tables` of the pair's two partitions; pairs over
-    the same partitions share them."""
-    return partition_tables(space, pair.a_partition, pair.b_partition)
-
-
-def partition_tables(
-    space: FiniteKolmogorovSpace, a_cells: Sequence[Event],
-    b_cells: Sequence[Event],
-) -> PairTables:
-    """The :class:`PairTables` of two partitions of the space, keyed by the
+    """The :class:`PairTables` of the pair's two partitions, keyed by the
     masks of their cells, built at the first call on the space and kept for
-    its life."""
+    its life; pairs over the same partitions share them."""
+    a_cells, b_cells = pair.a_partition, pair.b_partition
     key = tuple([e.mask for e in a_cells]), tuple([e.mask for e in b_cells])
     tables = space._pairs.get(key)
     if tables is None:

@@ -19,14 +19,11 @@ formatted only when its comparison becomes the worst.
 
 A run reads each declared context once, into one
 :class:`~contextprob.space.MeasureTable` it holds to the end: P(C), its a-,
-b- and joint cells and, when the multivalued suite runs, the union rows of
-the single a-cells, the a-cell pairs and the recursion tails, all from one
-pass over the pair's :func:`~contextprob.space.pair_tables`.  The
+b- and joint cells and the union rows of the single a-cells, the a-cell
+pairs and the recursion tails, all from one pass over the pair's
+:func:`~contextprob.space.pair_tables`, whichever suites run.  The
 classification and the core and multivalued suites read these tables, and
-each representable context's principal complex state is built once.  A run
-of the complex or hyperbolic suite alone, which reads no joint cell, builds
-no table: it classifies each context from P(C), P(A_i & C) and P(B_j & C)
-through :func:`~contextprob.interference.pair_coefficients`.
+each representable context's principal complex state is built once.
 """
 
 from __future__ import annotations
@@ -163,11 +160,10 @@ class _Run:
     unless the pair is dichotomous and incompatible.
     """
 
-    def __init__(self, doc: ModelDocument, tolerance: float | None, suite: str):
+    def __init__(self, doc: ModelDocument, tolerance: float | None):
         self.doc = doc
         self.space, self.pair = doc.space, doc.pair
         self.tolerance = tolerance
-        self.unions = suite in ("multivalued", "all")
         self.recorders: list[_Recorder] = []
         pair = self.pair
         self.dichotomous = len(pair.a_values) == 2 and len(pair.b_values) == 2
@@ -175,20 +171,11 @@ class _Run:
         self.states: dict[str, cr.ComplexAmplitude] = {}
         if not (self.dichotomous and are_incompatible(self.space, pair)):
             return
-        contexts = doc.contexts.items()
-        if suite in ("complex", "hyperbolic"):
-            # neither suite reads a joint cell, so no table is measured
-            of_context = itf.pair_coefficients(self.space, pair)
-            calls = ((name, of_context, (event,)) for name, event in contexts)
-        else:
-            calls = (
-                (name, itf.coefficients_from_measures,
-                 (pair, event, self.t, table.pc, table.a_row, table.b_row))
-                for (name, event), table in zip(contexts, self.tables)
-            )
-        for name, coefficients, args in calls:
+        for (name, event), table in zip(doc.contexts.items(), self.tables):
             try:
-                coeffs = coefficients(*args)
+                coeffs = itf.coefficients_from_measures(
+                    pair, event, self.t, table.pc, table.a_row, table.b_row
+                )
             except (DegenerateContext, DegenerateCell, ZeroConditioningContext):
                 continue
             self.classified.append((name, coeffs, coeffs.context_class))
@@ -196,12 +183,10 @@ class _Run:
     @cached_property
     def tables(self) -> list[MeasureTable]:
         """The table of each declared context, in declaration order, with
-        the unions the multivalued suite splits over when it runs."""
+        the unions the multivalued suite splits over."""
         k = range(len(self.pair.a_values))
         unions = {*map(frozenset, [*combinations(k, 1), *combinations(k, 2)])}
         unions.update(mv.recursion_tails(k))
-        if not self.unions:
-            unions = ()
         tables = pair_tables(self.space, self.pair)
         return [tables.table(c, unions) for c in self.doc.contexts.values()]
 
@@ -618,7 +603,7 @@ def run_suite(
     """Run one named suite (or all of them) against a model."""
     if suite not in SUITES and suite != "all":
         raise ValueError(f"unknown suite {suite!r}")
-    run = _Run(doc, tolerance, suite)
+    run = _Run(doc, tolerance)
     for name, checks in zip(
         SUITES,
         (_core_checks, _complex_checks, _hyperbolic_checks, _multivalued_checks),

@@ -1,17 +1,24 @@
-"""The benchmark's tracer names only functions the package defines.
+"""The benchmark's tracer and worker name only what the package defines.
 
 A traced benchmark round (``bench/run.py --trace 1``) wraps each
 ``(module, attr)`` of ``TARGETS`` in ``bench/spans.py`` by name, a
 ``Class.method`` from the class ``__dict__``; a target the package no longer
-defines breaks that round, and no other test would notice.  This test reads
-the file and writes nothing under ``bench/``.
+defines breaks that round, and no other test would notice.  The worker,
+``bench/worker.py``, imports its commands and, in traced runs only, the
+verify suites from the package; a rename there would break the benchmark
+as silently.  These tests read the files and write nothing under
+``bench/``.
 """
 
+import ast
 import importlib
+import inspect
 import types
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS = BENCH / "spans.py"
+WORKER = BENCH / "worker.py"
 
 
 def load_spans() -> types.ModuleType:
@@ -37,3 +44,55 @@ def test_every_tracer_target_resolves():
             if not found:
                 missing.append((label, module_name, attr))
     assert missing == []
+
+
+def package_uses(tree: ast.Module, package: str):
+    """The package names a module's source reaches: ``{local name: (module,
+    attribute)}`` for each ``from package.module import attribute``, and
+    ``(module, attribute)`` for each ``alias.attribute`` on the local name
+    of an ``import package.module as alias``."""
+    imported, aliases = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(package):
+            for name in node.names:
+                imported[name.asname or name.name] = (node.module, name.name)
+        elif isinstance(node, ast.Import):
+            for name in node.names:
+                if name.name.startswith(package) and name.asname:
+                    aliases[name.asname] = name.name
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            alias = node.value.id
+            imported[f"{alias}.{node.attr}"] = (aliases[alias], node.attr)
+    return imported
+
+
+def test_every_worker_import_resolves():
+    """Each package name the worker imports or reads resolves, and each
+    call of one binds to its signature: ``run_suite(doc, suite)``,
+    ``load_model(path)`` and ``cli.main(argv)``."""
+    tree = ast.parse(WORKER.read_text(), str(WORKER))
+    uses = package_uses(tree, "contextprob")
+    assert {attr for _, attr in uses.values()} >= {
+        "load_model", "SUITES", "run_suite", "main"
+    }
+    resolved = {}
+    for local, (module_name, attr) in uses.items():
+        module = importlib.import_module(module_name)
+        assert hasattr(module, attr), (module_name, attr)
+        resolved[local] = getattr(module, attr)
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in resolved
+    ]
+    assert {ast.unparse(call.func) for call in calls} >= {
+        "load_model", "run_suite", "cli.main"
+    }
+    for call in calls:
+        signature = inspect.signature(resolved[ast.unparse(call.func)])
+        assert not any(isinstance(a, ast.Starred) for a in call.args)
+        signature.bind(*call.args, **{k.arg: k.value for k in call.keywords})

@@ -468,19 +468,25 @@ def test_event_forms_name_a_foreign_event_before_an_overlap(kq):
             assert outcome(ref, space, *args) == not_here
 
 
-def test_event_form_loop_builds_one_pair_table(monkeypatch):
-    """A loop of event-form calls over many contexts with one (B, D1, D2)
-    builds the tables of its completed partitions once, and every call
-    reads them."""
-    space, pair = ternary_model(5)
+def test_event_forms_keep_no_pair_tables(monkeypatch):
+    """A loop of event-form calls over many contexts and several (B, D1, D2)
+    reads every call from the space's one-cell tables, built once, keeps
+    nothing in the space's pair tables, and gives what the fsum reference
+    gives."""
+    model, pair = ternary_model(5)
+    space = cp.FiniteKolmogorovSpace(model.points, model.weights)
     a0, a1, a2 = pair.a_partition
-    b, d1, d2 = pair.b_partition[1], a2, a0
+    b0, b1, b2 = pair.b_partition
+    triples = ((b1, a2, a0), (b0, a0, a1), (b2, a1, a0 | a2), (b0 | b2, a2, a1))
     builds = count_method(monkeypatch, space_module.PairTables, "__init__")
     for c in random_contexts(space, 50, seed=1):
-        for fn, ref in EVENT_FORMS:
-            assert outcome(fn, space, b, d1, d2, c) == outcome(ref, space, b, d1, d2, c)
-    a_masks, b_masks = (d1.mask, d2.mask, a1.mask), (b.mask, b.complement().mask)
-    assert builds == [(space, a_masks, b_masks)]
+        for b, d1, d2 in triples:
+            for fn, ref in EVENT_FORMS:
+                want = outcome(ref, space, b, d1, d2, c)
+                assert outcome(fn, space, b, d1, d2, c) == want
+    full = (1 << space.n) - 1
+    assert builds == [(space, (full,), (full,))]
+    assert space._pairs == {}
 
 
 def count_calls(monkeypatch, module, name) -> list:
@@ -571,15 +577,15 @@ def test_pair_facts_are_read_once_per_run(kq, monkeypatch):
 
 @pytest.mark.parametrize("suite", ["core", "complex", "hyperbolic", "multivalued", "all"])
 def test_tables_are_built_only_where_joint_cells_are_read(kq, monkeypatch, suite):
-    """The complex and hyperbolic suites read no joint cell: run alone, they
-    classify each context through ``pair_coefficients`` and build no table.
-    The other runs build one per declared context, and the multivalued suite
-    one more for the full event."""
+    """Every suite reads joint cells, since the run classifies each context
+    from its table: run alone or together, the suites read one table per
+    declared context, and the multivalued suite one more for the full
+    event."""
     tables = count_method(monkeypatch, space_module.PairTables, "table")
     run_suite(kq, suite)
     n = len(kq.contexts)
-    want = {"core": n, "complex": 0, "hyperbolic": 0, "multivalued": n + 1}
-    assert len(tables) == want.get(suite, n + 1)
+    assert n == 11
+    assert len(tables) == (n + 1 if suite in ("multivalued", "all") else n)
 
 
 @pytest.mark.parametrize("command, pins", [("analyze", (1, 1)), ("represent", (2, 2))])

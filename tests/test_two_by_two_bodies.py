@@ -554,6 +554,16 @@ def test_value_records_equal_and_hash_by_value(kq):
             plain[-1] in first
         for copied in (copy.deepcopy(first), pickle.loads(pickle.dumps(first))):
             assert copied == first and hash(copied) == hash(first)
+    e, h = Event(5, 4), HyperbolicNumber(1.0, 2.0)
+    for join in (lambda: e + e, lambda: (1, 2) + e, lambda: (1, 2) + h):
+        with pytest.raises(TypeError, match="cannot be concatenated"):
+            join()
+    for repeat in (lambda: 3 * e, lambda: e * 3):
+        with pytest.raises(TypeError, match="cannot be repeated"):
+            repeat()
+    assert h + h == HyperbolicNumber(2.0, 4.0)
+    assert 2 * h == h * 2 == HyperbolicNumber(2.0, 4.0)
+    assert h * h == HyperbolicNumber(5.0, 4.0)
 
 
 def test_coefficients_survive_pickle_and_copy(kq):
