@@ -11,7 +11,10 @@ for each suite run alone; they were written before a run held one measure
 table, one coefficient object and one state per context.
 ``random_ds_seed7.model.json`` pins the seeded stream of the dichotomous
 double stochastic generator, as ``random_3x3_seed4.model.json`` does for a
-ternary pair.
+ternary pair; ``random_ds_seed7.{analyze,represent,suites}.json`` pin the
+hyperbolic basis of ``represent`` and ``verify`` on a double stochastic
+model, and were written before the three commands read each context
+through one generator.
 ``verify_branches.json`` holds ``run_suite(doc).to_dict()`` of small models
 chosen so that every skip reason of ``verify`` is reached; it was written
 before the checks were folded into one run object.
@@ -86,17 +89,28 @@ def test_kq_report_matches_golden(tmp_path, command, extra):
     assert_matches(got, want)
 
 
-@pytest.mark.parametrize("command", ["analyze", "represent"])
-def test_nvalued_report_matches_golden(tmp_path, command):
+def _model_report_matches_golden(tmp_path, stem, command):
     out = tmp_path / f"{command}.json"
-    model = DATA / "random_3x3_seed4.model.json"
+    model = DATA / f"{stem}.model.json"
     assert main([command, str(model), "--output", str(out)]) == 0
     got = json.loads(out.read_text())
-    want = json.loads((DATA / f"random_3x3_seed4.{command}.json").read_text())
+    want = json.loads((DATA / f"{stem}.{command}.json").read_text())
     assert_matches(got, want)
 
 
-@pytest.mark.parametrize("stem", ["kq_0.125", "random_3x3_seed4"])
+@pytest.mark.parametrize("command", ["analyze", "represent"])
+def test_nvalued_report_matches_golden(tmp_path, command):
+    _model_report_matches_golden(tmp_path, "random_3x3_seed4", command)
+
+
+@pytest.mark.parametrize("command", ["analyze", "represent"])
+def test_double_stochastic_report_matches_golden(tmp_path, command):
+    """S3 is strictly hyperbolic: ``represent`` anchors the g-basis there and
+    reports its ``decomposable.a`` flags."""
+    _model_report_matches_golden(tmp_path, "random_ds_seed7", command)
+
+
+@pytest.mark.parametrize("stem", ["kq_0.125", "random_3x3_seed4", "random_ds_seed7"])
 @pytest.mark.parametrize("suite", SUITES)
 def test_single_suite_matches_golden(stem, suite):
     if stem == "kq_0.125":
