@@ -43,7 +43,6 @@ from .interference import (
     PhaseAssignment,
     assign_phases,
     classify_context,
-    delta,
     global_alpha_from_coefficients,
     interference_coefficients,
     k_coefficient,

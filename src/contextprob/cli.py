@@ -22,6 +22,7 @@ errors to exit codes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -174,11 +175,9 @@ def cmd_analyze(args) -> int:
     doc = load_model(args.model)
     space, pair = doc.space, doc.pair
     out: dict = {"contexts": {}}
-    dichotomous = len(pair.a_values) == 2 and len(pair.b_values) == 2
-    coefficients = itf.pair_coefficients(space, pair) if dichotomous else None
-    b_keys = [str(x) for x in pair.b_values]
-    for name, event in _selected_contexts(doc, args.context).items():
-        if not dichotomous:
+    selected = _selected_contexts(doc, args.context).items()
+    if len(pair.a_values) != 2 or len(pair.b_values) != 2:
+        for name, event in selected:
             try:
                 _, chain = mv.build_amplitude_nvalued(space, pair, event)
                 out["contexts"][name] = {
@@ -189,11 +188,12 @@ def cmd_analyze(args) -> int:
                 out["contexts"][name] = {
                     "class": "unrepresentable", "reason": str(exc),
                 }
-            continue
-        try:
-            coeffs = coefficients(event)
-        except ContextualProbabilityError as exc:
-            out["contexts"][name] = {"class": "degenerate", "reason": str(exc)}
+        _emit(out, args)
+        return 0
+    b_keys = [str(x) for x in pair.b_values]
+    for name, _, coeffs in itf.read_contexts(space, pair, selected):
+        if isinstance(coeffs, Exception):
+            out["contexts"][name] = {"class": "degenerate", "reason": str(coeffs)}
             continue
         cls = itf.classify_context(coeffs)
         entry: dict = {"class": _CLASS_NAMES[cls], "outcomes": {}}
@@ -251,34 +251,32 @@ def cmd_represent(args) -> int:
     out["basis_unitary"] = basis.unitary
     if not basis.unitary:
         out["basis_witness"] = basis.witness
-    coefficients = itf.pair_coefficients(space, pair)
-
-    def coefficients_or_reason(event):
-        try:
-            return coefficients(event)
-        except ContextualProbabilityError as exc:
-            return str(exc)
-
+    reads = itf.read_contexts(space, pair, doc.contexts.items())
     # a shared module basis for the a-side decomposability flags: anchored at
     # the first strictly hyperbolic declared context, when one exists.  The
-    # contexts searched keep their coefficients, or the reason they have
-    # none, for the report.
-    searched: dict = {}
+    # reads of the contexts searched are kept for the report.
+    searched = []
     g_basis = None
     if basis.unitary:
-        for name, event in doc.contexts.items():
-            coeffs = searched[name] = coefficients_or_reason(event)
-            if isinstance(coeffs, str):
+        for read in reads:
+            searched.append(read)
+            coeffs = read[2]
+            if isinstance(coeffs, Exception):
                 continue
             if itf.classify_context(coeffs) is itf.ContextClass.HYPERBOLIC:
-                g_basis = hr.hyperbolic_a_basis(space, pair, event)
+                g_basis = hr.hyperbolic_a_basis(coeffs)
                 break
+    if args.context is None:
+        reads = itertools.chain(searched, reads)
+    else:
+        selected = _selected_contexts(doc, args.context)
+        kept = [read for read in searched if read[0] in selected]
+        reads = kept or itf.read_contexts(space, pair, selected.items())
 
-    for name, event in _selected_contexts(doc, args.context).items():
-        coeffs = searched.pop(name) if name in searched else coefficients_or_reason(event)
-        if isinstance(coeffs, str):
-            out["complex"][name] = {"skipped": coeffs}
-            out["hyperbolic"][name] = {"skipped": coeffs}
+    for name, _, coeffs in reads:
+        if isinstance(coeffs, Exception):
+            out["complex"][name] = {"skipped": str(coeffs)}
+            out["hyperbolic"][name] = {"skipped": str(coeffs)}
             continue
         try:
             out["complex"][name] = _complex_entry(coeffs, args.branch, basis)

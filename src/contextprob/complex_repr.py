@@ -44,7 +44,6 @@ from .interference import (
     cis,
     classify_context,
     interference_coefficients,
-    pair_coefficients,
 )
 from .records import Record
 from .space import (
@@ -495,7 +494,6 @@ def image_of_context_family(
     states."""
     basis = a_basis_for_context(space, pair, space.full_event())
     a_states = extend_to_a_contexts(space, pair, basis)
-    coefficients = pair_coefficients(space, pair)
 
     states: list[tuple[complex, ...]] = []
     assignment: dict[str, int | None] = {}
@@ -523,7 +521,7 @@ def image_of_context_family(
             assignment[name] = register(a_states[pair.a_values[cell_index]].components)
             continue
         try:
-            coeffs = coefficients(context)
+            coeffs = interference_coefficients(space, pair, context)
         except DegenerateContext:
             excluded[name] = "a-degenerate context (not an a-cell)"
             assignment[name] = None

@@ -41,7 +41,6 @@ from .space import (
     TransitionMatrix,
     column_sums,
     is_double_stochastic,
-    transition_matrix,
 )
 from .tolerances import BORN_TOL, DECOMPOSABLE_TOL, GRAM_TOL, IDENTITY_TOL
 
@@ -145,21 +144,19 @@ class GModuleBasis(NamedTuple):
         return self.vectors[index]
 
 
-def hyperbolic_a_basis(
-    space: FiniteKolmogorovSpace, pair: ReferencePair, anchor: Event
-) -> GModuleBasis:
+def hyperbolic_a_basis(anchor: InterferenceCoefficients) -> GModuleBasis:
     """Basis indexed by the a-outcomes, anchored at a hyperbolic context.
 
     Requires a double stochastic transition matrix; without it no unitary
     change of basis exists in the module and the construction is refused.
     """
-    t = transition_matrix(space, pair, "b/a")
+    t = anchor.transition
     if not is_double_stochastic(t):
         raise NonUnitaryBasis(
             "transition matrix is not double stochastic "
             f"(column sums {column_sums(t)})"
         )
-    amp = build_hyperbolic_amplitude(space, pair, anchor)
+    amp = hyperbolic_amplitude_from_coefficients(anchor)
     u = [[math.sqrt(p) for p in row] for row in t.rows]
     e1 = (HyperbolicNumber(u[0][0], 0.0), HyperbolicNumber(u[0][1], 0.0))
     e2 = (
@@ -167,7 +164,8 @@ def hyperbolic_a_basis(
         (amp.epsilons[1] * u[1][1]) * exp_j(amp.thetas[1]),
     )
     basis = GModuleBasis(
-        vectors=(e1, e2), anchor=anchor, thetas=amp.thetas, epsilons=amp.epsilons
+        vectors=(e1, e2), anchor=anchor.context, thetas=amp.thetas,
+        epsilons=amp.epsilons,
     )
     for i in range(2):
         for k in range(2):

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from operator import getitem
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DegenerateCell,
@@ -178,15 +177,6 @@ class InterferenceCoefficients(_CoefficientFields):
     __lt__ = __le__ = __gt__ = __ge__ = unordered
 
 
-def delta(
-    space: FiniteKolmogorovSpace, pair: ReferencePair, context: Event, x: float
-) -> float:
-    """Perturbation of the context-free total probability decomposition at
-    the b-outcome ``x``."""
-    coeffs = interference_coefficients(space, pair, context)
-    return coeffs.outcomes[pair.b_index(x)].delta
-
-
 def lambda_coefficient(
     space: FiniteKolmogorovSpace, pair: ReferencePair, context: Event, x: float
 ) -> float:
@@ -199,49 +189,65 @@ def lambda_coefficient(
 def interference_coefficients(
     space: FiniteKolmogorovSpace, pair: ReferencePair, context: Event
 ) -> InterferenceCoefficients:
-    """Compute delta and lambda for every b-outcome of one context; see
-    :func:`pair_coefficients`."""
-    return pair_coefficients(space, pair)(context)
-
-
-def pair_coefficients(
-    space: FiniteKolmogorovSpace, pair: ReferencePair
-) -> Callable[[Event], InterferenceCoefficients]:
-    """The coefficients of each context under one pair, with the pair checked
-    once: P(C), P(A_i & C) and P(B_j & C), read from one pass over the
-    pair's :func:`~contextprob.space.pair_tables`, and the pair's "b/a"
-    transition matrix go to :func:`coefficients_from_measures`.  Raises on
-    non-dichotomous pairs here, and for each context on a compatible pair,
-    null or a-degenerate contexts and a vanishing normalising root."""
+    """Compute delta and lambda for every b-outcome of one context, as
+    :func:`read_contexts` reads them; raises on non-dichotomous pairs, and
+    the refusal of a context that has no coefficients."""
     if len(pair.a_values) != 2 or len(pair.b_values) != 2:
         raise ValueError(
             "interference decomposition is defined for dichotomous pairs; "
             "use the multivalued splitting for larger value sets"
         )
-    incompatible = are_incompatible(space, pair)
-    # an incompatible pair has no null cell, so the matrix cannot raise
-    transition = transition_matrix(space, pair, "b/a") if incompatible else None
-    tables = pair_tables(space, pair)
-    byte_tables, scale, size = tables.tables, tables.scale, tables.size
-    nbytes, w1 = len(byte_tables), tables.width
-    w2, w3, field_mask = 2 * w1, 3 * w1, (1 << w1) - 1
+    [(_, _, coeffs)] = read_contexts(space, pair, [(None, context)])
+    if isinstance(coeffs, Exception):
+        raise coeffs
+    return coeffs
 
-    def coefficients(context: Event) -> InterferenceCoefficients:
-        if not incompatible:
-            raise DegenerateCell("reference variables must be incompatible")
+
+def read_contexts(
+    space: FiniteKolmogorovSpace, pair: ReferencePair,
+    named: Iterable[tuple[str, Event]],
+) -> Iterator[tuple[str, int, InterferenceCoefficients | Exception | None]]:
+    """Read each named context once, in order, with the pair checked once.
+
+    Yields ``(name, packed, coefficients)``: ``packed`` is the context's
+    packed sum in the pair's :func:`~contextprob.space.pair_tables`
+    (:meth:`~contextprob.space.PairTables.units`), the exact units of each
+    joint cell within it.  On a dichotomous pair its four fields give P(C),
+    P(A_i & C) and P(B_j & C), which go with the pair's "b/a" transition
+    matrix to :func:`coefficients_from_measures`.  In place of the
+    coefficients it yields the refusal of a null or a-degenerate context, of
+    a vanishing normalising root or of a compatible pair, and ``None`` on a
+    pair that is not dichotomous.  An :class:`InvariantViolation` is raised.
+    """
+    tables = pair_tables(space, pair)
+    units, scale, size = tables.units, tables.scale, tables.size
+    w1, field_mask = tables.width, tables.field_mask
+    w2, w3 = 2 * w1, 3 * w1
+    transition = refusal = None
+    if len(pair.a_values) == 2 and len(pair.b_values) == 2:
+        if are_incompatible(space, pair):
+            # an incompatible pair has no null cell, so the matrix cannot raise
+            transition = transition_matrix(space, pair, "b/a")
+        else:
+            refusal = DegenerateCell("reference variables must be incompatible")
+    for name, context in named:
         if context.size != size:
             raise ValueError("event does not belong to this space")
-        # the four fields of the cells (0, 0), (0, 1), (1, 0) and (1, 1)
-        packed = sum(map(getitem, byte_tables, context.mask.to_bytes(nbytes, "little")))
-        u00, u01 = packed & field_mask, (packed >> w1) & field_mask
-        u10, u11 = (packed >> w2) & field_mask, packed >> w3
-        return coefficients_from_measures(
-            pair, context, transition, (u00 + u01 + u10 + u11) / scale,
-            ((u00 + u01) / scale, (u10 + u11) / scale),
-            ((u00 + u10) / scale, (u01 + u11) / scale),
-        )
-
-    return coefficients
+        packed = units(context.mask)
+        coefficients = refusal
+        if transition is not None:
+            # the four fields of the cells (0, 0), (0, 1), (1, 0) and (1, 1)
+            u00, u01 = packed & field_mask, (packed >> w1) & field_mask
+            u10, u11 = (packed >> w2) & field_mask, packed >> w3
+            try:
+                coefficients = coefficients_from_measures(
+                    pair, context, transition, (u00 + u01 + u10 + u11) / scale,
+                    ((u00 + u01) / scale, (u10 + u11) / scale),
+                    ((u00 + u10) / scale, (u01 + u11) / scale),
+                )
+            except (ZeroConditioningContext, DegenerateContext, DegenerateCell) as exc:
+                coefficients = exc
+        yield name, packed, coefficients
 
 
 def coefficients_from_measures(
@@ -250,8 +256,8 @@ def coefficients_from_measures(
 ) -> InterferenceCoefficients:
     """The coefficients of one context from P(C), ``a_row[i]`` =
     P(A_i & C), ``b_row[j]`` = P(B_j & C) and the pair's "b/a"
-    ``transition`` matrix.  The caller has checked that the pair is
-    dichotomous and incompatible, once for all its contexts."""
+    ``transition`` matrix, for a dichotomous and incompatible pair:
+    :func:`read_contexts` checks the pair once for all its contexts."""
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
     pa = a_row[0] / pc, a_row[1] / pc
@@ -457,10 +463,9 @@ def verify_no_global_alpha(
         named = list(contexts.items())
     else:
         named = [(f"context_{i}", c) for i, c in enumerate(contexts)]
-    coefficients = pair_coefficients(space, pair)
     return global_alpha_from_coefficients(
         transition_matrix(space, pair, "b/a"),
-        ((name, coefficients(c)) for name, c in named),
+        ((name, interference_coefficients(space, pair, c)) for name, c in named),
     )
 
 

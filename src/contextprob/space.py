@@ -21,9 +21,10 @@ masks, so a fresh :class:`ReferencePair` over the same partitions, and
 either direction of the pair, reuse it.  The facts of a reference pair
 (its transition matrices, its incompatibility) are computed on every call,
 from the full event's cells in its pair tables.  Nothing per context or per
-event is stored: the caller reads a context's measures once, into a
-:class:`MeasureTable`; a ``verify`` run holds one per declared context for
-its duration.  A transition matrix keeps its cosine ratio once computed.
+event is stored: the caller reads a context's packed units once, as
+:func:`~contextprob.interference.read_contexts` does, into a
+:class:`MeasureTable`; a ``verify`` run holds one per declared context.
+A transition matrix keeps its cosine ratio once computed.
 Values can still be shared across threads: a race between two threads only
 computes the same entry twice.
 

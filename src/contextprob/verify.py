@@ -17,20 +17,21 @@ check that runs reports its worst residual, and its witness is that of the
 first comparison with that residual: a format string and its arguments,
 formatted only when its comparison becomes the worst.
 
-A run reads each declared context once, into one
-:class:`~contextprob.space.MeasureTable` it holds to the end: P(C), its a-,
-b- and joint cells and the union rows of the single a-cells, the a-cell
-pairs and the recursion tails, all from one pass over the pair's
-:func:`~contextprob.space.pair_tables`, whichever suites run.  The
-classification and the core and multivalued suites read these tables, and
-each representable context's principal complex state is built once.
+A run reads each declared context, and then each b-cell, once through
+:func:`~contextprob.interference.read_contexts`, whichever suites run, and
+keeps each context's coefficients and the
+:class:`~contextprob.space.MeasureTable` built from its packed units: P(C),
+its a-, b- and joint cells and the union rows of the single a-cells, the
+a-cell pairs and the recursion tails.  The core and multivalued suites read
+these tables, and each representable context's principal complex state is
+built once.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, islice, repeat
 from typing import NamedTuple
 
 from . import complex_repr as cr
@@ -39,7 +40,6 @@ from . import interference as itf
 from . import multivalued as mv
 from .errors import (
     DegenerateCell,
-    DegenerateContext,
     HyperbolicContext,
     MixedContext,
     SplitOutOfRange,
@@ -49,11 +49,11 @@ from .hyperbolic import HyperbolicNumber, polar
 from .models import ModelDocument
 from .space import (
     MeasureTable,
-    are_incompatible,
     check_incompatibility_structure,
     is_double_stochastic,
     is_symmetrically_conditioned,
     pair_tables,
+    table_from_units,
     total_probability_from_table,
     transition_matrix,
 )
@@ -155,9 +155,11 @@ class _Run:
     """One :func:`run_suite` call: its checks in report order and the model
     facts the suites share, each computed once.
 
-    ``classified`` holds (name, coefficients, class) for every declared
-    context that is a-nondegenerate, in declaration order; it is empty
-    unless the pair is dichotomous and incompatible.
+    ``tables`` holds the table of each declared context, with the unions
+    the multivalued suite splits over, and ``classified`` (name,
+    coefficients, class) for every one that is a-nondegenerate, both in
+    declaration order; ``classified`` is empty unless the pair is
+    dichotomous and incompatible.
     """
 
     def __init__(self, doc: ModelDocument, tolerance: float | None):
@@ -167,28 +169,21 @@ class _Run:
         self.recorders: list[_Recorder] = []
         pair = self.pair
         self.dichotomous = len(pair.a_values) == 2 and len(pair.b_values) == 2
-        self.classified = []
         self.states: dict[str, cr.ComplexAmplitude] = {}
-        if not (self.dichotomous and are_incompatible(self.space, pair)):
-            return
-        for (name, event), table in zip(doc.contexts.items(), self.tables):
-            try:
-                coeffs = itf.coefficients_from_measures(
-                    pair, event, self.t, table.pc, table.a_row, table.b_row
-                )
-            except (DegenerateContext, DegenerateCell, ZeroConditioningContext):
-                continue
-            self.classified.append((name, coeffs, coeffs.context_class))
-
-    @cached_property
-    def tables(self) -> list[MeasureTable]:
-        """The table of each declared context, in declaration order, with
-        the unions the multivalued suite splits over."""
-        k = range(len(self.pair.a_values))
+        k = range(len(pair.a_values))
         unions = {*map(frozenset, [*combinations(k, 1), *combinations(k, 2)])}
         unions.update(mv.recursion_tails(k))
-        tables = pair_tables(self.space, self.pair)
-        return [tables.table(c, unions) for c in self.doc.contexts.values()]
+        tables = pair_tables(self.space, pair)
+        named = chain(doc.contexts.items(), zip(repeat(None), pair.b_partition))
+        reads = itf.read_contexts(self.space, pair, named)
+        self.tables: list[MeasureTable] = []
+        self.classified = []
+        for name, packed, coeffs in islice(reads, len(doc.contexts)):
+            rows = tables._rows(packed)
+            self.tables.append(table_from_units(rows, tables.scale, unions))
+            if isinstance(coeffs, itf.InterferenceCoefficients):
+                self.classified.append((name, coeffs, coeffs.context_class))
+        self._b_cells = [coeffs for _, _, coeffs in reads]
 
     def psi(self, name: str, coeffs) -> cr.ComplexAmplitude:
         """The principal complex state of a classified context, built once."""
@@ -219,11 +214,14 @@ class _Run:
         """Whether the "a/b" matrix is double stochastic as well."""
         return is_double_stochastic(transition_matrix(self.space, self.pair, "a/b"))
 
-    @cached_property
+    @property
     def b_cells(self) -> list[itf.InterferenceCoefficients]:
-        """The coefficients of each b-cell taken as a context."""
-        coefficients = itf.pair_coefficients(self.space, self.pair)
-        return list(map(coefficients, self.pair.b_partition))
+        """The coefficients of each b-cell taken as a context; raises the
+        refusal of the first b-cell that has none."""
+        for coeffs in self._b_cells:
+            if not isinstance(coeffs, itf.InterferenceCoefficients):
+                raise coeffs
+        return self._b_cells
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +463,7 @@ def _hyperbolic_checks(run: _Run) -> None:
         if cls in HYPERBOLIC_CLASSES
     ]
     strict_hyp = [
-        coeffs.context
+        coeffs
         for _, coeffs, _ in hyp
         if any(abs(l) > 1.0 + BOUNDARY_TOL for l in coeffs.lambdas)
     ]
@@ -491,7 +489,7 @@ def _hyperbolic_checks(run: _Run) -> None:
         (bool(strict_hyp), "no strictly hyperbolic anchor declared"),
     )
     if rec.runs:
-        basis = hr.hyperbolic_a_basis(space, pair, strict_hyp[0])
+        basis = hr.hyperbolic_a_basis(strict_hyp[0])
         for i in range(2):
             for k in range(2):
                 g = hr.hyperbolic_inner_product(

@@ -99,34 +99,59 @@ class TestRepresent:
         self, late, kq, ds_skewed, tmp_path, monkeypatch, capsys
     ):
         """The search for the g-basis anchor keeps the coefficients it reads,
-        or the reason a context has none, for the report.  kq declares no
-        hyperbolic context, so the search reads all 11; the other model
-        declares its first one (C14) fifth.  One more read is the anchor's,
-        and one more builds the g-basis."""
-        doc = kq
-        if late:
-            space, pair = ds_skewed
-            names = ("C12", "C123", "C124", "C13", "C14", "C23", "C24")
-            contexts = {
-                name: space.event(f"w{k}" for k in name[1:]) for name in names
-            }
-            doc = cp.ModelDocument(
-                space, {"a": pair.a, "b": pair.b}, contexts, ("a", "b")
-            )
+        or the reason a context has none, for the report, and builds the
+        g-basis from the coefficients of the first hyperbolic context.  kq
+        declares no hyperbolic context, so the search reads all 11; the
+        other model declares its first one (C14) fifth.  One more read is
+        the complex basis anchor's."""
+        doc = seven_contexts(ds_skewed) if late else kq
         path = tmp_path / "model.json"
         save_model(doc, path)
-        reads = []
-        body = cp.interference.coefficients_from_measures
-
-        def counted(*args):
-            reads.append(args[1])
-            return body(*args)
-
-        monkeypatch.setattr(cp.interference, "coefficients_from_measures", counted)
+        reads = count_reads(monkeypatch)
         assert main(["represent", str(path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert ("a" in report["hyperbolic"]["C14"]["decomposable"]) is late
-        assert len(reads) == len(doc.contexts) + 1 + late
+        assert len(reads) == len(doc.contexts) + 1
+
+    @pytest.mark.parametrize("name, searched", [("C14", True), ("C23", False)])
+    def test_a_selected_context_is_read_once(
+        self, name, searched, ds_skewed, tmp_path, monkeypatch, capsys
+    ):
+        """With ``--context``, a context that the anchor search has read
+        (the search stops at C14, the fifth) is reported from that read, and
+        a later one is read once more; both get the a-side flags.  One read
+        is the complex basis anchor's."""
+        path = tmp_path / "model.json"
+        save_model(seven_contexts(ds_skewed), path)
+        reads = count_reads(monkeypatch)
+        assert main(["represent", str(path), "--context", name]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report["complex"]) == [name]
+        assert "a" in report["hyperbolic"][name]["decomposable"]
+        assert len(reads) == 1 + 5 + (not searched)
+
+
+def seven_contexts(model):
+    """A model document on the pair ``model`` with seven two- and
+    three-point contexts; on ``ds_skewed`` the fifth, C14, is the first
+    hyperbolic one."""
+    space, pair = model
+    names = ("C12", "C123", "C124", "C13", "C14", "C23", "C24")
+    contexts = {name: space.event(f"w{k}" for k in name[1:]) for name in names}
+    return cp.ModelDocument(space, {"a": pair.a, "b": pair.b}, contexts, ("a", "b"))
+
+
+def count_reads(monkeypatch) -> list:
+    """Count the coefficient computations; the list gets each context."""
+    reads = []
+    body = cp.interference.coefficients_from_measures
+
+    def counted(*args):
+        reads.append(args[1])
+        return body(*args)
+
+    monkeypatch.setattr(cp.interference, "coefficients_from_measures", counted)
+    return reads
 
 
 class TestThreeValuedModels:
@@ -508,6 +533,15 @@ class TestErrorContract:
         assert main([command, compatible_path]) == 3
         assert stderr_diagnostic(capsys)["error"] == "DegenerateCell"
 
+    def test_compatible_b_cells_exit_three(self, compatible_path, capsys):
+        """Alone, the hyperbolic suite first meets the compatible pair where
+        it classifies the b-cells: their refusal ends the run."""
+        assert main(["verify", compatible_path, "--suite", "hyperbolic"]) == 3
+        assert stderr_diagnostic(capsys) == {
+            "error": "DegenerateCell",
+            "detail": "reference variables must be incompatible",
+        }
+
     def test_invariant_violation_exit_one(self, kq_path, monkeypatch, capsys):
         def drifted(*args, **kwargs):
             raise cp.PhaseInconsistency("phase relation drifted")
@@ -535,6 +569,40 @@ class TestErrorContract:
             "error": "InvariantViolation",
             "detail": "split decomposition identity drifted",
         }
+
+    @pytest.mark.parametrize("command", ("analyze", "represent", "verify"))
+    def test_invariant_violation_in_a_context_read_exit_one(
+        self, kq, kq_path, command, monkeypatch, capsys
+    ):
+        """A context without coefficients is reported in its place, but an
+        invariant that fails while one context is read ends the command."""
+        body = cp.interference.coefficients_from_measures
+        c124 = kq.context("C124")
+
+        def drifted(pair, context, *args):
+            if context == c124:
+                raise cp.InvariantViolation("outcome perturbations must sum to zero")
+            return body(pair, context, *args)
+
+        monkeypatch.setattr(cp.interference, "coefficients_from_measures", drifted)
+        assert main([command, kq_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {
+            "error": "InvariantViolation",
+            "detail": "outcome perturbations must sum to zero",
+        }
+
+    def test_a_degenerate_context_has_one_reason(self, kq_path, capsys):
+        assert main(["analyze", kq_path]) == 0
+        analyzed = json.loads(capsys.readouterr().out)["contexts"]["C12"]
+        assert main(["represent", kq_path]) == 0
+        represented = json.loads(capsys.readouterr().out)
+        reason = "context misses the cell a=-1.0"
+        assert analyzed == {"class": "degenerate", "reason": reason}
+        assert represented["complex"]["C12"] == {"skipped": reason}
+        assert represented["hyperbolic"]["C12"] == {"skipped": reason}
 
     @pytest.mark.parametrize("variable", ("a", "b"))
     @pytest.mark.parametrize(

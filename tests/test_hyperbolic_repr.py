@@ -144,7 +144,9 @@ class TestInnerProduct:
 class TestABasis:
     def test_gram_identity_for_ds_model(self, ds_skewed):
         space, pair = ds_skewed
-        basis = cp.hyperbolic_a_basis(space, pair, pair.b_partition[0])
+        basis = cp.hyperbolic_a_basis(
+            cp.interference_coefficients(space, pair, pair.b_partition[0])
+        )
         for i in range(2):
             for k in range(2):
                 g = cp.hyperbolic_inner_product(
@@ -155,7 +157,9 @@ class TestABasis:
 
     def test_two_sided_probability_rule(self, ds_skewed):
         space, pair = ds_skewed
-        basis = cp.hyperbolic_a_basis(space, pair, pair.b_partition[0])
+        basis = cp.hyperbolic_a_basis(
+            cp.interference_coefficients(space, pair, pair.b_partition[0])
+        )
         for ctx in pair.b_partition:
             psi = cp.build_hyperbolic_amplitude(space, pair, ctx)
             for i, ay in enumerate(pair.a_partition):
@@ -165,8 +169,9 @@ class TestABasis:
 
     def test_non_double_stochastic_rejected(self, skewed):
         space, pair = skewed
+        coeffs = cp.interference_coefficients(space, pair, pair.b_partition[0])
         with pytest.raises(cp.NonUnitaryBasis):
-            cp.hyperbolic_a_basis(space, pair, pair.b_partition[0])
+            cp.hyperbolic_a_basis(coeffs)
 
 
 class TestDecomposability:

@@ -43,30 +43,36 @@ def brute_lambda(space, pair, context, j):
     return brute_delta(space, pair, context, j) / (2.0 * math.sqrt(prod))
 
 
+def delta_at(space, pair, context, x):
+    """delta(x) as the coefficients carry it."""
+    coeffs = cp.interference_coefficients(space, pair, context)
+    return coeffs.outcomes[pair.b_index(x)].delta
+
+
 class TestDelta:
     def test_full_space_has_no_perturbation(self, kq):
         for x in kq.pair.b_values:
-            assert cp.delta(
+            assert delta_at(
                 kq.space, kq.pair, kq.space.full_event(), x
             ) == pytest.approx(0.0, abs=1e-15)
 
     def test_kq_c123_closed_form(self):
         for q in (0.05, 0.125, 0.25, 0.4):
             doc = cp.generate_kq(q)
-            d = cp.delta(doc.space, doc.pair, doc.context("C123"), 1.0)
+            d = delta_at(doc.space, doc.pair, doc.context("C123"), 1.0)
             assert d == pytest.approx(
                 2 * q * (2 * q - 1) / (2 * q + 1), abs=1e-14
             )
 
     def test_skewed_b1_value(self, skewed):
         space, pair = skewed
-        d = cp.delta(space, pair, pair.b_partition[0], 1.0)
+        d = delta_at(space, pair, pair.b_partition[0], 1.0)
         assert d == pytest.approx(brute_delta(space, pair, pair.b_partition[0], 0))
         assert d == pytest.approx(0.476190, abs=1e-6)
 
     def test_degenerate_context_rejected(self, kq):
         with pytest.raises(cp.DegenerateContext):
-            cp.delta(kq.space, kq.pair, kq.pair.a_partition[0], 1.0)
+            delta_at(kq.space, kq.pair, kq.pair.a_partition[0], 1.0)
 
 
 class TestLambda:
@@ -463,8 +469,8 @@ class TestCarriedProfiles:
         space, pair = skewed
         ctx = space.event(("w1", "w2", "w4"))
         coeffs = cp.interference_coefficients(space, pair, ctx)
-        for o in coeffs.outcomes:
-            assert cp.delta(space, pair, ctx, o.value) == o.delta
+        for j, o in enumerate(coeffs.outcomes):
+            assert coeffs.deltas[j] == o.delta
             assert cp.lambda_coefficient(space, pair, ctx, o.value) == o.lam
         with pytest.raises(KeyError):
             cp.lambda_coefficient(space, pair, ctx, 7.0)

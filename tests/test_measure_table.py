@@ -524,11 +524,11 @@ def count_method(monkeypatch, cls, name) -> list:
 def test_run_suite_measures_each_context_once(kq, monkeypatch):
     """One coefficient computation per declared context (11 on kq), one per
     b-cell (2) and one for the basis anchor, all through the body; one
-    table read from the pair tables per declared context and one of the
+    table built from the packed units per declared context and one of the
     full event; one principal and one conjugate state per representable
     context (9)."""
     calls = count_calls(monkeypatch, itf, "coefficients_from_measures")
-    tables = count_method(monkeypatch, space_module.PairTables, "table")
+    tables = count_calls(monkeypatch, space_module, "table_from_units")
     states = count_calls(monkeypatch, cr, "amplitude_from_coefficients")
     run_suite(kq)
     assert len(kq.contexts) == 11
@@ -553,8 +553,8 @@ def test_run_suite_splits_each_context_once(kq, monkeypatch):
 def test_pair_facts_are_read_once_per_run(kq, monkeypatch):
     """Incompatibility and the transition matrices are computed a fixed
     number of times per run, the pair tables are built once, and one more
-    table is read from them per declared context; eleven more contexts add
-    nothing else."""
+    table is built from their packed units per declared context; eleven
+    more contexts add nothing else."""
     wider = ModelDocument(
         kq.space,
         kq.variables,
@@ -568,20 +568,20 @@ def test_pair_facts_are_read_once_per_run(kq, monkeypatch):
             incompatible = count_calls(m, space_module, "are_incompatible")
             matrices = count_calls(m, space_module, "transition_matrix")
             builds = count_method(m, space_module.PairTables, "__init__")
-            tables = count_method(m, space_module.PairTables, "table")
+            tables = count_calls(m, space_module, "table_from_units")
             run_suite(doc)
         counts.append((len(incompatible), len(matrices), len(builds), len(tables)))
-    assert counts[0] == (4, 8, 1, 12)
-    assert counts[1] == (4, 8, 1, 12 + 11)
+    assert counts[0] == (3, 8, 1, 12)
+    assert counts[1] == (3, 8, 1, 12 + 11)
 
 
 @pytest.mark.parametrize("suite", ["core", "complex", "hyperbolic", "multivalued", "all"])
 def test_tables_are_built_only_where_joint_cells_are_read(kq, monkeypatch, suite):
     """Every suite reads joint cells, since the run classifies each context
-    from its table: run alone or together, the suites read one table per
-    declared context, and the multivalued suite one more for the full
-    event."""
-    tables = count_method(monkeypatch, space_module.PairTables, "table")
+    from its packed units: run alone or together, the suites build one
+    table per declared context, and the multivalued suite one more for the
+    full event."""
+    tables = count_calls(monkeypatch, space_module, "table_from_units")
     run_suite(kq, suite)
     n = len(kq.contexts)
     assert n == 11

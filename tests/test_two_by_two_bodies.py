@@ -468,7 +468,9 @@ def _records(kq, ds_skewed):
         "HyperbolicAmplitude": cp.build_hyperbolic_amplitude(
             ds_space, ds_pair, ds_pair.b_partition[0]
         ),
-        "GModuleBasis": cp.hyperbolic_a_basis(ds_space, ds_pair, ds_pair.b_partition[0]),
+        "GModuleBasis": cp.hyperbolic_a_basis(
+            itf.interference_coefficients(ds_space, ds_pair, ds_pair.b_partition[0])
+        ),
         "AveragePreservationReport": cp.verify_average_preservation(
             space, pair, kq.context("C234"), lambda y: y, lambda x: x
         ),
