@@ -2,7 +2,6 @@
 Hilbert-space representations of finite probabilistic models."""
 
 from .errors import (
-    BasisMismatch,
     ConstraintUnsatisfiable,
     ContextualProbabilityError,
     DegenerateCell,
@@ -29,10 +28,6 @@ from .space import (
     TransitionMatrix,
     are_incompatible,
     check_incompatibility_structure,
-    classical_total_probability,
-    dispersion,
-    is_double_stochastic,
-    is_nondegenerate,
     is_symmetrically_conditioned,
     transition_matrix,
 )
@@ -42,11 +37,8 @@ from .interference import (
     OutcomeClass,
     PhaseAssignment,
     assign_phases,
-    classify_context,
     global_alpha_from_coefficients,
     interference_coefficients,
-    k_coefficient,
-    lambda_coefficient,
     reconstruct_probability,
     verify_no_global_alpha,
 )
@@ -60,8 +52,6 @@ from .complex_repr import (
     build_amplitude,
     commutator,
     distribution_mismatch,
-    extend_to_a_contexts,
-    image_of_context_family,
     inner_product,
     operator_for_b,
     operator_for_variable,

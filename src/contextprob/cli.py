@@ -7,16 +7,15 @@ model reproduced against its closed forms), and ``gen random`` (seeded model
 generation).  Exit codes: 0 success, 1 a check failed (verification or
 reproduction failure, or an :class:`InvariantViolation`), 2 load/validation
 failure (a :class:`ModelValidationError`, an invalid generator argument, a
-``--tolerance`` that is negative or not finite, an ``example kq --gamma``
-other than 1, the magnitude of the model's values, or an ``OSError`` from
-reading the model or writing a report, such as a missing model file or an
-output directory that does not exist), 3 input the calculus cannot represent
-(any other library error, such as a degenerate anchor context or a
-compatible reference pair).  An error that ends a command writes a one-line
-JSON diagnostic to stderr, tagged ``"model-validation"`` for a validation
-failure and with the exception's class name otherwise (for a missing model
-file, ``"FileNotFoundError"``); :func:`main` is the one place that maps
-errors to exit codes.
+``--tolerance`` that is negative or not finite, the magnitude of the model's
+values, or an ``OSError`` from reading the model or writing a report, such
+as a missing model file or an output directory that does not exist), 3 input
+the calculus cannot represent (any other library error, such as a degenerate
+anchor context or a compatible reference pair).  An error that ends a
+command writes a one-line JSON diagnostic to stderr, tagged
+``"model-validation"`` for a validation failure and with the exception's
+class name otherwise (for a missing model file, ``"FileNotFoundError"``);
+:func:`main` is the one place that maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -195,7 +194,7 @@ def cmd_analyze(args) -> int:
         if isinstance(coeffs, Exception):
             out["contexts"][name] = {"class": "degenerate", "reason": str(coeffs)}
             continue
-        cls = itf.classify_context(coeffs)
+        cls = coeffs.context_class
         entry: dict = {"class": _CLASS_NAMES[cls], "outcomes": {}}
         thetas = epsilons = None
         if cls is not itf.ContextClass.MIXED:
@@ -231,7 +230,7 @@ def _complex_entry(coeffs, branch, basis):
     if basis.unitary:
         born_a = max(
             abs(
-                cr.born_probability(psi, basis.vector(i))
+                cr.born_probability(psi, basis.vectors[i])
                 - coeffs.a_profile[i]
             )
             for i in range(2)
@@ -263,7 +262,7 @@ def cmd_represent(args) -> int:
             coeffs = read[2]
             if isinstance(coeffs, Exception):
                 continue
-            if itf.classify_context(coeffs) is itf.ContextClass.HYPERBOLIC:
+            if coeffs.context_class is itf.ContextClass.HYPERBOLIC:
                 g_basis = hr.hyperbolic_a_basis(coeffs)
                 break
     if args.context is None:
@@ -357,9 +356,7 @@ def cmd_verify(args) -> int:
 
 def cmd_example_kq(args) -> int:
     q = args.q
-    gamma = args.gamma
-    if gamma != 1.0:
-        raise ModelValidationError(f"--gamma must be 1 for the kq model, got {gamma!r}")
+    gamma = 1.0  # the kq variables take the values +1 and -1
     try:
         doc = generate_kq(q)
     except ContextualProbabilityError as exc:
@@ -390,9 +387,7 @@ def cmd_example_kq(args) -> int:
         "C234": -math.sqrt(q / 2),
     }
     for name, closed in lam_forms.items():
-        lam = itf.lambda_coefficient(
-            space, pair, doc.context(name), pair.b_values[0]
-        )
+        lam = itf.interference_coefficients(space, pair, doc.context(name)).lambdas[0]
         row(f"lambda(b1, {name})", closed, lam)
 
     psi24 = cr.build_amplitude(space, pair, doc.context("C24"), "principal")
@@ -514,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     example_sub = p.add_subparsers(dest="example", required=True)
     kq = example_sub.add_parser("kq", help="four-point two-parameter model")
     kq.add_argument("--q", type=float, required=True)
-    kq.add_argument("--gamma", type=float, default=1.0, help="only 1 is accepted")
     _add_common(kq, tolerance=True)
     kq.set_defaults(func=cmd_example_kq)
 

@@ -18,18 +18,15 @@ reference pair is dichotomous, so states have two components and operators
 are 2x2: :meth:`HermitianOperator.eigenvalues` takes the closed form, and
 :meth:`ComplexAmplitude.norm_sq` and :func:`quantum_average` are plain sums.
 numpy is imported only inside :func:`distribution_mismatch`, for its
-eigenvectors, and by :meth:`~HermitianOperator.eigenvalues` of an operator
-that is not 2x2, which no command builds.
+eigenvectors.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
-    BasisMismatch,
-    DegenerateContext,
     HyperbolicContext,
     InvariantViolation,
     MixedContext,
@@ -42,7 +39,6 @@ from .interference import (
     PhaseAssignment,
     assign_phases,
     cis,
-    classify_context,
     interference_coefficients,
 )
 from .records import Record
@@ -54,7 +50,7 @@ from .space import (
     pair_tables,
     transition_matrix,
 )
-from .tolerances import AVERAGE_TOL, BORN_TOL, HERMITIAN_TOL, IMAGE_TOL, PREDICATE_TOL
+from .tolerances import AVERAGE_TOL, BORN_TOL, HERMITIAN_TOL, PREDICATE_TOL
 
 
 class ComplexAmplitude(NamedTuple):
@@ -164,9 +160,6 @@ class HilbertBasis(NamedTuple):
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def vector(self, index: int) -> tuple[complex, ...]:
-        return self.vectors[index]
-
 
 def a_basis_for_context(
     space: FiniteKolmogorovSpace,
@@ -182,7 +175,7 @@ def a_basis_for_context(
     report carries the offending column sums.
     """
     coeffs = interference_coefficients(space, pair, anchor_context)
-    cls = classify_context(coeffs)
+    cls = coeffs.context_class
     if cls is ContextClass.MIXED:
         raise MixedContext("anchor context is mixed")
     if cls is ContextClass.HYPERBOLIC:
@@ -206,30 +199,14 @@ def a_basis_for_context(
     )
 
 
-def extend_to_a_contexts(
-    space: FiniteKolmogorovSpace, pair: ReferencePair, a_basis: HilbertBasis
-) -> dict[float, ComplexAmplitude]:
-    """Map each a-partition cell, which is degenerate and has no interference
-    representation, to its basis vector."""
-    out: dict[float, ComplexAmplitude] = {}
-    for i, y in enumerate(pair.a_values):
-        out[y] = ComplexAmplitude(
-            a_basis.vectors[i],
-            pair.b_values,
-            pair.a_partition[i],
-            "basis",
-        )
-    return out
-
-
 class HermitianOperator(Record):
-    """Self-adjoint matrix in a named basis, as a tuple of rows; the
+    """Self-adjoint matrix in b-coordinates, as a tuple of rows; the
     constructor accepts any nested sequence of numbers.  Operators compare
     by identity."""
 
-    __slots__ = _fields = ("matrix", "basis")
+    __slots__ = _fields = ("matrix",)
 
-    def __init__(self, matrix, basis: str):
+    def __init__(self, matrix):
         m = tuple(tuple(map(complex, row)) for row in matrix)
         deviation = max(
             abs(v - w.conjugate()) for row, col in zip(m, zip(*m))
@@ -241,20 +218,19 @@ class HermitianOperator(Record):
                 f"tolerance {HERMITIAN_TOL!r})"
             )
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "basis", basis)
 
-    def eigenvalues(self) -> tuple[float, ...]:
-        """Eigenvalues in ascending order.  A 2x2 operator takes the closed
+    def eigenvalues(self) -> tuple[float, float]:
+        """Eigenvalues of a 2x2 operator in ascending order, in the closed
         form mid -/+ hypot((a - d) / 2, |c|) of its real diagonal a, d and
-        lower off-diagonal c; other sizes call numpy's ``eigvalsh``."""
+        lower off-diagonal c."""
         m = self.matrix
-        if len(m) == 2:
-            a, d = m[0][0].real, m[1][1].real
-            mid, r = (a + d) / 2, math.hypot((a - d) / 2, abs(m[1][0]))
-            return (mid - r, mid + r)
-        import numpy as np
-
-        return tuple(np.linalg.eigvalsh(np.array(m)).tolist())
+        if len(m) != 2:
+            raise ValueError(
+                f"eigenvalues are computed for 2x2 operators, not size {len(m)}"
+            )
+        a, d = m[0][0].real, m[1][1].real
+        mid, r = (a + d) / 2, math.hypot((a - d) / 2, abs(m[1][0]))
+        return (mid - r, mid + r)
 
 
 def operator_for_variable(
@@ -276,7 +252,7 @@ def operator_for_variable(
         for i in range(k):
             for j in range(k):
                 matrix[i][j] += value * (vec[i] * bar[j])
-    return HermitianOperator(matrix, basis="b")
+    return HermitianOperator(matrix)
 
 
 def _diagonal(values: Sequence[float]) -> tuple[tuple[complex, ...], ...]:
@@ -288,7 +264,7 @@ def _diagonal(values: Sequence[float]) -> tuple[tuple[complex, ...], ...]:
 
 
 def operator_for_b(pair: ReferencePair) -> HermitianOperator:
-    return HermitianOperator(_diagonal(pair.b_values), basis="b")
+    return HermitianOperator(_diagonal(pair.b_values))
 
 
 def _matmul(a, b) -> list[list[complex]]:
@@ -300,8 +276,6 @@ def commutator(
 ) -> tuple[tuple[complex, ...], ...]:
     """AB - BA.  Nonzero for incompatible dichotomous reference pairs with a
     double stochastic transition matrix."""
-    if op_a.basis != op_b.basis:
-        raise BasisMismatch("operators live in different bases")
     ab, ba = _matmul(op_a.matrix, op_b.matrix), _matmul(op_b.matrix, op_a.matrix)
     return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(ab, ba))
 
@@ -338,7 +312,9 @@ def state_for_context(
     it is an a-cell."""
     for i, ay in enumerate(pair.a_partition):
         if context.mask == ay.mask:
-            psi = extend_to_a_contexts(space, pair, basis)[pair.a_values[i]]
+            # an a-cell is a-degenerate and has no interference
+            # representation: its state is its basis vector
+            psi = ComplexAmplitude(basis.vectors[i], pair.b_values, ay, "basis")
             indicator = tuple(float(k == i) for k in range(len(pair.a_values)))
             return psi, indicator, transition_matrix(space, pair, "b/a").rows[i]
     coeffs = interference_coefficients(space, pair, context)
@@ -378,7 +354,7 @@ def sum_operator(
     """f(op_a) + g(op_b) in b-coordinates, from f at each a-value (the
     eigenvalues of the basis vectors) and g at each b-value."""
     f_op = operator_for_variable(f_row, basis)
-    return HermitianOperator(_add(f_op.matrix, _diagonal(g_row)), basis="b")
+    return HermitianOperator(_add(f_op.matrix, _diagonal(g_row)))
 
 
 def _add(a, b) -> tuple[tuple[complex, ...], ...]:
@@ -448,7 +424,7 @@ def distribution_mismatch(
     basis = a_basis_for_context(space, pair, space.full_event())
     psi = state_for_context(space, pair, context, basis)[0]
     a_op = operator_for_variable(pair.a_values, basis)
-    d_op = HermitianOperator(_add(a_op.matrix, _diagonal(pair.b_values)), basis="b")
+    d_op = HermitianOperator(_add(a_op.matrix, _diagonal(pair.b_values)))
     eigvals, eigvecs = np.linalg.eigh(np.array(d_op.matrix))
     quantum_dist = {
         float(eigvals[k]): born_probability(psi, eigvecs[:, k].tolist())
@@ -466,92 +442,4 @@ def distribution_mismatch(
         classical_average=classical_avg,
         quantum_average=quantum_avg,
         total_variation=tv,
-    )
-
-
-class ImageReport(NamedTuple):
-    """Deduplicated image of a context family on the unit sphere.
-
-    Contexts sharing both outcome distributions are indistinguishable up to
-    conjugation: the first two such contexts receive the two conjugate
-    representatives and any further ones collide with the first.
-    """
-
-    states: tuple[tuple[complex, ...], ...]
-    assignment: dict[str, int | None]
-    excluded: dict[str, str]
-    collisions: tuple[tuple[str, str], ...]
-    injective: bool
-
-
-def image_of_context_family(
-    space: FiniteKolmogorovSpace,
-    pair: ReferencePair,
-    contexts: Mapping[str, Event],
-) -> ImageReport:
-    """Represent every representable context of the family, the a-cells by
-    the basis anchored at the full event, and deduplicate the resulting
-    states."""
-    basis = a_basis_for_context(space, pair, space.full_event())
-    a_states = extend_to_a_contexts(space, pair, basis)
-
-    states: list[tuple[complex, ...]] = []
-    assignment: dict[str, int | None] = {}
-    excluded: dict[str, str] = {}
-    collisions: list[tuple[str, str]] = []
-    group_members: dict[tuple, list[str]] = {}
-
-    def register(vec: tuple[complex, ...]) -> int:
-        for idx, s in enumerate(states):
-            if max(abs(x - y) for x, y in zip(s, vec)) <= IMAGE_TOL:
-                return idx
-        states.append(vec)
-        return len(states) - 1
-
-    for name, context in contexts.items():
-        cell_index = next(
-            (
-                i
-                for i, ay in enumerate(pair.a_partition)
-                if context.mask == ay.mask
-            ),
-            None,
-        )
-        if cell_index is not None:
-            assignment[name] = register(a_states[pair.a_values[cell_index]].components)
-            continue
-        try:
-            coeffs = interference_coefficients(space, pair, context)
-        except DegenerateContext:
-            excluded[name] = "a-degenerate context (not an a-cell)"
-            assignment[name] = None
-            continue
-        cls = classify_context(coeffs)
-        if cls is ContextClass.MIXED:
-            excluded[name] = "mixed context"
-            assignment[name] = None
-            continue
-        if cls is ContextClass.HYPERBOLIC:
-            excluded[name] = "hyperbolic context"
-            assignment[name] = None
-            continue
-        key = tuple(round(p, 9) for p in (*coeffs.a_profile, *coeffs.b_profile))
-        members = group_members.setdefault(key, [])
-        if len(members) == 0:
-            branch = "principal"
-        elif len(members) == 1:
-            branch = "conjugate"
-        else:
-            branch = "principal"
-            collisions.append((name, members[0]))
-        members.append(name)
-        psi = amplitude_from_coefficients(coeffs, branch)
-        assignment[name] = register(psi.components)
-
-    return ImageReport(
-        states=tuple(states),
-        assignment=assignment,
-        excluded=excluded,
-        collisions=tuple(collisions),
-        injective=not collisions,
     )

@@ -45,10 +45,6 @@ class PhaseInconsistency(InvariantViolation):
     """Phase bookkeeping violated a guaranteed relation."""
 
 
-class BasisMismatch(ContextualProbabilityError):
-    """Operators expressed in different bases cannot be combined."""
-
-
 class NonUnitaryBasis(ContextualProbabilityError):
     """The requested change of basis is not unitary (its transition matrix
     is not double stochastic)."""

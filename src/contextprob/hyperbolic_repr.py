@@ -40,7 +40,6 @@ from .space import (
     ReferencePair,
     TransitionMatrix,
     column_sums,
-    is_double_stochastic,
 )
 from .tolerances import BORN_TOL, DECOMPOSABLE_TOL, GRAM_TOL, IDENTITY_TOL
 
@@ -81,10 +80,6 @@ def hyperbolic_born(
 ) -> float:
     """Signed squared norm of the inner product against a basis vector."""
     return hyperbolic_inner_product(psi, e).norm_sq()
-
-
-def _components(psi) -> Sequence[HyperbolicNumber]:
-    return psi.components if isinstance(psi, HyperbolicAmplitude) else psi
 
 
 def hyperbolic_amplitude_from_coefficients(
@@ -140,9 +135,6 @@ class GModuleBasis(NamedTuple):
     thetas: tuple[float, ...]
     epsilons: tuple[int, ...]
 
-    def vector(self, index: int) -> tuple[HyperbolicNumber, ...]:
-        return self.vectors[index]
-
 
 def hyperbolic_a_basis(anchor: InterferenceCoefficients) -> GModuleBasis:
     """Basis indexed by the a-outcomes, anchored at a hyperbolic context.
@@ -151,7 +143,7 @@ def hyperbolic_a_basis(anchor: InterferenceCoefficients) -> GModuleBasis:
     change of basis exists in the module and the construction is refused.
     """
     t = anchor.transition
-    if not is_double_stochastic(t):
+    if not t.double_stochastic:
         raise NonUnitaryBasis(
             "transition matrix is not double stochastic "
             f"(column sums {column_sums(t)})"
@@ -186,13 +178,12 @@ def check_decomposability(psi_coords: Sequence[HyperbolicNumber]) -> bool:
 
 
 def expand_in_basis(
-    psi, basis: GModuleBasis
+    psi: HyperbolicAmplitude, basis: GModuleBasis
 ) -> tuple[HyperbolicNumber, HyperbolicNumber]:
-    """Coordinates of a vector in an orthonormal module basis."""
-    comps = _components(psi)
+    """Coordinates of a state in an orthonormal module basis."""
     return (
-        hyperbolic_inner_product(comps, basis.vectors[0]),
-        hyperbolic_inner_product(comps, basis.vectors[1]),
+        hyperbolic_inner_product(psi.components, basis.vectors[0]),
+        hyperbolic_inner_product(psi.components, basis.vectors[1]),
     )
 
 
@@ -211,7 +202,7 @@ def hyperbolic_interference_transform(
     """
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
-    if not is_double_stochastic(transition):
+    if not transition.double_stochastic:
         raise NonUnitaryBasis(
             "the paired-sign transform needs a double stochastic transition"
         )

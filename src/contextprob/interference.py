@@ -43,7 +43,6 @@ from .space import (
     ReferencePair,
     TransitionMatrix,
     are_incompatible,
-    is_double_stochastic,
     pair_tables,
     transition_matrix,
 )
@@ -177,15 +176,6 @@ class InterferenceCoefficients(_CoefficientFields):
     __lt__ = __le__ = __gt__ = __ge__ = unordered
 
 
-def lambda_coefficient(
-    space: FiniteKolmogorovSpace, pair: ReferencePair, context: Event, x: float
-) -> float:
-    """Incompatibility coefficient: delta normalised by twice the geometric
-    mean of the four constituent probabilities."""
-    coeffs = interference_coefficients(space, pair, context)
-    return coeffs.outcomes[pair.b_index(x)].lam
-
-
 def interference_coefficients(
     space: FiniteKolmogorovSpace, pair: ReferencePair, context: Event
 ) -> InterferenceCoefficients:
@@ -295,10 +285,6 @@ def _outcome_tag(lam: float) -> OutcomeClass:
     if abs(lam) < 1.0:
         return OutcomeClass.TRIGONOMETRIC
     return OutcomeClass.HYPERBOLIC
-
-
-def classify_context(coeffs: InterferenceCoefficients) -> ContextClass:
-    return coeffs.context_class
 
 
 class PhaseAssignment(NamedTuple):
@@ -426,16 +412,6 @@ def reconstruct_probability(
     }
 
 
-def k_coefficient(m: TransitionMatrix) -> float:
-    """Cosine ratio of a dichotomous transition matrix.
-
-    Equals one exactly when the matrix is double stochastic; the two
-    conditions are algebraically equivalent, so disagreement signals a bug.
-    Computed once per matrix (:attr:`TransitionMatrix.cosine_ratio`).
-    """
-    return m.cosine_ratio
-
-
 class GlobalPhaseReport(NamedTuple):
     """Outcome of searching for one phase offset shared by all contexts."""
 
@@ -481,11 +457,11 @@ def global_alpha_from_coefficients(
     transition matrix to be double stochastic; when the matrix is double
     stochastic the offset pi always works.  Both facts are enforced.
     """
-    ds = is_double_stochastic(transition)
+    ds = transition.double_stochastic
     per_context: dict[str, tuple[float, ...]] = {}
     lam1_abs: dict[str, float] = {}
     for name, coeffs in named:
-        cls = classify_context(coeffs)
+        cls = coeffs.context_class
         if cls is ContextClass.MIXED:
             raise MixedContext(f"context {name!r} is mixed")
         if cls is ContextClass.HYPERBOLIC:

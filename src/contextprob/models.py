@@ -7,10 +7,11 @@ names to use as the reference pair (default: "a" and "b", else the first two
 declared).
 
 The loader rejects nonpositive weights, weight sums outside one part in 1e9,
-variable values that are not JSON numbers and one-valued reference
-variables, then renormalises.  Serialisation is canonical: sorted object
-keys, context members in point order, and floats printed with 17
-significant digits, so load -> serialise -> load is fixed.
+variable values that are not JSON numbers, weights and values too large for
+a float, and one-valued reference variables, then renormalises.
+Serialisation is canonical: sorted object keys, context members in point
+order, and floats printed with 17 significant digits, so load -> serialise
+-> load is fixed.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .space import (
     RandomVariable,
     ReferencePair,
     are_incompatible,
-    is_double_stochastic,
     transition_matrix,
 )
 from .tolerances import CELL_MASS_FLOOR, POINT_WEIGHT_FLOOR, RENORM_SKIP, SUM_GATE
@@ -92,11 +92,17 @@ def model_from_dict(doc: Mapping) -> ModelDocument:
             isinstance(w, (int, float)) and not isinstance(w, bool),
             "weight of {!r} must be a number", pid,
         )
-        _validate(float(w) > 0.0, "weight of {!r} must be positive", pid)
+        try:
+            w = float(w)
+        except OverflowError:
+            raise ModelValidationError(
+                f"weight of {pid!r} is too large for a float"
+            ) from None
+        _validate(w > 0.0, "weight of {!r} must be positive", pid)
         _validate(pid not in seen, "duplicate point id {!r}", pid)
         seen.add(pid)
         ids.append(pid)
-        weights.append(float(w))
+        weights.append(w)
     total = math.fsum(weights)
     _validate(
         abs(total - 1.0) <= SUM_GATE,
@@ -341,8 +347,7 @@ def generate_random_model(
 
         if incompatible and not are_incompatible(space, pair):
             continue
-        t_ba = transition_matrix(space, pair, "b/a")
-        ds = is_double_stochastic(t_ba)
+        ds = transition_matrix(space, pair, "b/a").double_stochastic
         if double_stochastic is True and not ds:
             continue
         if double_stochastic is False and ds:

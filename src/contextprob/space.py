@@ -249,7 +249,12 @@ class RandomVariable(NamedTuple):
         extra = [p for p in mapping if p not in space._bits]
         if extra:
             raise ValueError(f"variable {name!r} names unknown points {extra}")
-        values = tuple(float(mapping[p]) for p in space.points)
+        try:
+            values = tuple(float(mapping[p]) for p in space.points)
+        except OverflowError:
+            raise ValueError(
+                f"variable {name!r} has a value too large for a float"
+            ) from None
         nonfinite = [p for p, v in zip(space.points, values) if not math.isfinite(v)]
         if nonfinite:
             raise ValueError(f"variable {name!r} is not finite at {nonfinite}")
@@ -298,12 +303,6 @@ class ReferencePair(NamedTuple):
         b_partition = tuple(b.preimage(x, space.n) for x in b_values)
         return cls(a, b, a_values, b_values, a_partition, b_partition)
 
-    def b_index(self, x: float) -> int:
-        try:
-            return self.b_values.index(x)
-        except ValueError:
-            raise KeyError(f"{x!r} is not a value of {self.b.name!r}") from None
-
 
 class TransitionMatrix(Record):
     """Matrix of transition probabilities between the two partitions.
@@ -348,8 +347,10 @@ class TransitionMatrix(Record):
 
     @cached_property
     def cosine_ratio(self) -> float:
-        """sqrt(p11 p21 / (p12 p22)) of a 2x2 matrix, the k of
-        :func:`contextprob.interference.k_coefficient`."""
+        """The cosine ratio k = sqrt(p11 p21 / (p12 p22)) of a 2x2 matrix.
+        It equals one exactly when the matrix is double stochastic; the two
+        conditions are algebraically equivalent, so disagreement signals a
+        bug."""
         p = self.rows
         if len(p) != 2 or len(p[0]) != 2:
             raise ValueError("cosine ratio is defined for 2x2 matrices")
@@ -389,19 +390,6 @@ def transition_matrix(
             )
         entries.append([u / scale / p_row for u in row])
     return TransitionMatrix(entries, direction, row_values, col_values)
-
-
-def is_nondegenerate(
-    space: FiniteKolmogorovSpace, context: Event, v: RandomVariable
-) -> bool:
-    """True iff the context meets every value preimage of ``v`` with positive
-    probability."""
-    if space.probability(context) == 0.0:
-        raise ZeroConditioningContext("context has probability zero")
-    for value in v.distinct_values():
-        if space.probability(v.preimage(value, space.n) & context) == 0.0:
-            return False
-    return True
 
 
 def are_incompatible(space: FiniteKolmogorovSpace, pair: ReferencePair) -> bool:
@@ -579,22 +567,14 @@ def pair_tables(space: FiniteKolmogorovSpace, pair: ReferencePair) -> PairTables
     return tables
 
 
-def classical_total_probability(
-    space: FiniteKolmogorovSpace, pair: ReferencePair, context: Event
-) -> dict[float, float]:
-    """Exact decomposition of each b-outcome probability over the a-partition,
-    conditioning the transition factor on the context as well; see
-    :func:`total_probability_from_table`."""
-    table = pair_tables(space, pair).table(context)
-    return total_probability_from_table(pair, table)
-
-
 def total_probability_from_table(
     pair: ReferencePair, table: MeasureTable
 ) -> dict[float, float]:
-    """:func:`classical_total_probability` from the context's measure table.
-    This is an identity of the measure; the result is checked against the
-    direct conditional probability before returning."""
+    """Exact decomposition of each b-outcome probability over the
+    a-partition, conditioning the transition factor on the context as well,
+    from the context's measure table.  This is an identity of the measure;
+    the result is checked against the direct conditional probability before
+    returning."""
     pc = table.pc
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
@@ -616,27 +596,9 @@ def total_probability_from_table(
     return out
 
 
-def dispersion(
-    space: FiniteKolmogorovSpace, v: RandomVariable, context: Event
-) -> float:
-    """Conditional variance of ``v`` given the context."""
-    pc = space.probability(context)
-    if pc == 0.0:
-        raise ZeroConditioningContext("context has probability zero")
-    idx = list(context.indices())
-    mean = math.fsum(space.weights[i] * v.values[i] for i in idx) / pc
-    return math.fsum(space.weights[i] * (v.values[i] - mean) ** 2 for i in idx) / pc
-
-
 def column_sums(m: TransitionMatrix) -> list[float]:
     """The sum of each column of ``m``, each summed in row order."""
     return [sum(col) for col in zip(*m.rows)]
-
-
-def is_double_stochastic(m: TransitionMatrix) -> bool:
-    """True iff every column also sums to one (rows always do); see
-    :attr:`TransitionMatrix.double_stochastic`."""
-    return m.double_stochastic
 
 
 def is_symmetrically_conditioned(

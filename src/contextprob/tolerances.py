@@ -34,7 +34,6 @@ UNIT_COSINE_RATIO_TOL = 1e-8  # cosine ratio k against one: double stochasticity
 DISTINCT_LAMBDA_TOL = 1e-8  # two |lambda| further apart than this are distinct
 HERMITIAN_TOL = 1e-12       # operator entries against those of its adjoint
 GRAM_TOL = 1e-10            # hyperbolic basis Gram entries against the identity
-IMAGE_TOL = 1e-10           # components of two states that are one image point
 DECOMPOSABLE_TOL = 1e-12    # squared norm of a decomposable coordinate below zero
 KQ_EXAMPLE_TOL = 1e-9       # example kq: computed values against the closed forms
 

@@ -50,7 +50,6 @@ from .models import ModelDocument
 from .space import (
     MeasureTable,
     check_incompatibility_structure,
-    is_double_stochastic,
     is_symmetrically_conditioned,
     pair_tables,
     table_from_units,
@@ -207,12 +206,12 @@ class _Run:
 
     @cached_property
     def ds(self) -> bool:
-        return is_double_stochastic(self.t)
+        return self.t.double_stochastic
 
     @cached_property
     def both_ds(self) -> bool:
         """Whether the "a/b" matrix is double stochastic as well."""
-        return is_double_stochastic(transition_matrix(self.space, self.pair, "a/b"))
+        return transition_matrix(self.space, self.pair, "a/b").double_stochastic
 
     @property
     def b_cells(self) -> list[itf.InterferenceCoefficients]:
@@ -270,7 +269,7 @@ def _core_checks(run: _Run) -> None:
     rec5 = run.check("core.symmetry_equivalence", PREDICATE_TOL, pre)
     if not run.dichotomous:
         return
-    k = itf.k_coefficient(run.t)
+    k = run.t.cosine_ratio
     (t00, t01), (t10, t11) = run.t.rows
     for name, coeffs, cls in run.classified:
         # each sum is compared with zero, so the sign of a zero cannot reach
@@ -328,7 +327,7 @@ def _complex_checks(run: _Run) -> None:
         if ds:
             for i, y in enumerate(pair.a_values):
                 rec_a.compare(
-                    cr.born_probability(psi, basis.vector(i)),
+                    cr.born_probability(psi, basis.vectors[i]),
                     coeffs.a_profile[i], "{}, y={}", name, y,
                 )
 

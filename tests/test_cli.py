@@ -223,7 +223,7 @@ class TestVerify:
 
 class TestExampleKq:
     def test_reproduction_table(self, capsys):
-        code = main(["example", "kq", "--q", "0.125", "--gamma", "1.0"])
+        code = main(["example", "kq", "--q", "0.125"])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["worst_abs_diff"] <= 1e-9
@@ -238,20 +238,6 @@ class TestExampleKq:
 
     def test_bad_q_exits_with_validation_error(self, capsys):
         assert main(["example", "kq", "--q", "0.7"]) == 2
-
-    @pytest.mark.parametrize(
-        "gamma", ("0", "0.5", "2", "1e200", "1e308", "inf", "nan", "-1")
-    )
-    def test_gamma_other_than_one_exits_with_validation_error(self, gamma, capsys):
-        """The bundled model's variables take the values +1 and -1, so any
-        other magnitude is refused before anything is computed."""
-        assert main(["example", "kq", "--q", "0.125", "--gamma", gamma]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        diag = json.loads(captured.err)
-        assert diag["error"] == "model-validation"
-        assert diag["detail"].startswith("--gamma must be 1")
 
     def test_zero_tolerance_is_a_gate_not_unset(self, capsys):
         """The closed forms agree to rounding, not exactly, so a zero gate
@@ -280,7 +266,7 @@ class TestGenRandom:
         assert code == 0
         doc = cp.load_model(out)
         t = cp.transition_matrix(doc.space, doc.pair)
-        assert cp.is_double_stochastic(t)
+        assert t.double_stochastic
 
     def test_too_few_points_is_a_diagnostic(self):
         proc = run_cli("gen", "random", "--seed", "0", "--points", "3")
@@ -520,6 +506,39 @@ class TestErrorContract:
         assert json.loads(captured.err) == {
             "error": "model-validation",
             "detail": "value of variable 'a' at 'w3' must be a number",
+        }
+
+    def test_weight_too_large_for_a_float_exit_two(self, tmp_path, kq_path, capsys):
+        with open(kq_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["points"][0]["p"] = 10**400
+        path = tmp_path / "huge_weight.json"
+        path.write_text(json.dumps(raw))
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {
+            "error": "model-validation",
+            "detail": "weight of 'w1' is too large for a float",
+        }
+
+    @pytest.mark.parametrize("name", ("a", "c"))
+    def test_value_too_large_for_a_float_exit_two(self, tmp_path, kq_path, name, capsys):
+        """A reference variable's value, or one of an extra variable."""
+        with open(kq_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        variables = raw["variables"]
+        variables.setdefault(name, dict(variables["a"]))["w3"] = 10**400
+        path = tmp_path / "huge_value.json"
+        path.write_text(json.dumps(raw))
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {
+            "error": "model-validation",
+            "detail": f"variable {name!r} has a value too large for a float",
         }
 
     def test_degenerate_anchor_exit_three(self, kq_path, capsys):

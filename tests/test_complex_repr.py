@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import contextprob as cp
+from contextprob.complex_repr import state_for_context
 from contextprob.tolerances import HERMITIAN_TOL
 
 Q_GRID = (0.05, 0.125, 0.25, 0.4)
@@ -160,12 +161,12 @@ class TestABasis:
             kq.space, kq.pair, kq.context("C13"), "conjugate"
         )
         np.testing.assert_allclose(
-            basis.vector(0),
+            basis.vectors[0],
             [math.sqrt(2 * q), math.sqrt(1 - 2 * q)],
             atol=1e-15,
         )
         np.testing.assert_allclose(
-            basis.vector(1),
+            basis.vectors[1],
             [-1j * math.sqrt(1 - 2 * q), 1j * math.sqrt(2 * q)],
             atol=1e-15,
         )
@@ -195,7 +196,10 @@ class TestABasis:
     def test_extension_maps_a_cells_to_basis_vectors(self, kq):
         q = 0.125
         basis = cp.a_basis_for_context(kq.space, kq.pair, kq.space.full_event())
-        ext = cp.extend_to_a_contexts(kq.space, kq.pair, basis)
+        ext = {
+            y: state_for_context(kq.space, kq.pair, ay, basis)[0]
+            for y, ay in zip(kq.pair.a_values, kq.pair.a_partition)
+        }
         np.testing.assert_allclose(
             ext[1.0].components,
             [math.sqrt(2 * q), math.sqrt(1 - 2 * q)],
@@ -217,7 +221,7 @@ class TestBornProbability:
     def test_a_outcome_probability(self, kq):
         basis = cp.a_basis_for_context(kq.space, kq.pair, kq.space.full_event())
         psi = cp.build_amplitude(kq.space, kq.pair, kq.context("C123"))
-        assert cp.born_probability(psi, basis.vector(0)) == pytest.approx(
+        assert cp.born_probability(psi, basis.vectors[0]) == pytest.approx(
             0.8, abs=1e-10
         )
 
@@ -240,7 +244,7 @@ class TestBornProbability:
                     continue
                 for i, ay in enumerate(pair.a_partition):
                     assert cp.born_probability(
-                        psi, basis.vector(i)
+                        psi, basis.vectors[i]
                     ) == pytest.approx(space.conditional(ay, ctx), abs=1e-10)
 
 
@@ -274,7 +278,7 @@ class TestOperators:
 
     def test_not_self_adjoint_reports_the_deviation(self):
         with pytest.raises(cp.InvariantViolation) as info:
-            cp.HermitianOperator([[1.0, 2.0], [3.0, -1.0]], basis="b")
+            cp.HermitianOperator([[1.0, 2.0], [3.0, -1.0]])
         assert str(info.value) == (
             "operator is not self-adjoint (worst deviation 1.0, tolerance "
             f"{HERMITIAN_TOL!r})"
@@ -308,17 +312,11 @@ class TestCommutator:
         assert comm[0, 0] == pytest.approx(0.0, abs=1e-15)
         assert abs(comm[0, 1]) > 0.1
 
-    def test_basis_mismatch_rejected(self, kq):
-        b_op = cp.operator_for_b(kq.pair)
-        other = cp.HermitianOperator(np.eye(2, dtype=complex), basis="a")
-        with pytest.raises(cp.BasisMismatch):
-            cp.commutator(b_op, other)
-
 
 class TestQuantumAverage:
     def test_identity_operator(self, kq):
         psi = cp.build_amplitude(kq.space, kq.pair, kq.context("C123"))
-        op = cp.HermitianOperator(np.eye(2, dtype=complex), basis="b")
+        op = cp.HermitianOperator(np.eye(2, dtype=complex))
         assert cp.quantum_average(op, psi) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("q", Q_GRID)
@@ -335,7 +333,7 @@ class TestQuantumAverage:
 
     @pytest.mark.parametrize("k_op, k_psi", [(2, 3), (3, 2), (2, 1)])
     def test_dimension_mismatch_raises(self, k_op, k_psi):
-        op = cp.HermitianOperator(np.eye(k_op, dtype=complex), basis="b")
+        op = cp.HermitianOperator(np.eye(k_op, dtype=complex))
         psi = _state([1.0] * k_psi)
         with pytest.raises(ValueError, match="cannot act on a state"):
             cp.quantum_average(op, psi)
@@ -383,23 +381,24 @@ class TestClosedFormKernelsAgainstNumpy:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_two_by_two_eigenvalues_match_eigvalsh(self, seed):
         for matrix in _random_hermitians(seed):
-            got = cp.HermitianOperator(matrix, basis="b").eigenvalues()
+            got = cp.HermitianOperator(matrix).eigenvalues()
             want = np.linalg.eigvalsh(np.array(matrix))
             magnitude = max(abs(v) for row in matrix for v in row)
             assert got[0] <= got[1]
             np.testing.assert_allclose(got, want, rtol=0, atol=ULPS * EPS * magnitude)
 
     def test_degenerate_and_diagonal_eigenvalues_are_exact(self):
-        op = cp.HermitianOperator(_hermitian(0.3, 0.3, 0.0), basis="b")
+        op = cp.HermitianOperator(_hermitian(0.3, 0.3, 0.0))
         assert op.eigenvalues() == (0.3, 0.3)
-        op = cp.HermitianOperator(_hermitian(2.0, -1.0, 0.0), basis="b")
+        op = cp.HermitianOperator(_hermitian(2.0, -1.0, 0.0))
         assert op.eigenvalues() == (-1.0, 2.0)
 
-    def test_other_sizes_keep_eigvalsh(self):
+    def test_other_sizes_are_refused(self):
         matrix = np.diag([3.0, -2.0, 0.5]).astype(complex)
         matrix[0, 2], matrix[2, 0] = 1j, -1j
-        op = cp.HermitianOperator(matrix, basis="b")
-        assert op.eigenvalues() == tuple(np.linalg.eigvalsh(matrix).tolist())
+        op = cp.HermitianOperator(matrix)
+        with pytest.raises(ValueError, match="not size 3"):
+            op.eigenvalues()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_norm_sq_matches_numpy(self, k):
@@ -416,7 +415,7 @@ class TestClosedFormKernelsAgainstNumpy:
             c, m = np.array(psi.components), np.array(matrix)
             want = np.vdot(c, m @ c).real
             magnitude = np.abs(m).max() * np.sum(np.abs(c)) ** 2
-            got = cp.quantum_average(cp.HermitianOperator(matrix, basis="b"), psi)
+            got = cp.quantum_average(cp.HermitianOperator(matrix), psi)
             assert got == pytest.approx(want, rel=0, abs=ULPS * EPS * magnitude)
 
 
@@ -490,8 +489,7 @@ class TestAveragePreservation:
         b_op = cp.operator_for_b(pair)
         sym = cp.HermitianOperator(
             (np.asarray(a_op.matrix) @ np.asarray(b_op.matrix)
-             + np.asarray(b_op.matrix) @ np.asarray(a_op.matrix)) / 2.0,
-            basis="b",
+             + np.asarray(b_op.matrix) @ np.asarray(a_op.matrix)) / 2.0
         )
         psi = cp.build_amplitude(space, pair, ctx)
         quantum = cp.quantum_average(sym, psi)
@@ -534,28 +532,6 @@ class TestDistributionMismatch:
             cp.distribution_mismatch(kq.space, kq.pair, kq.context("C234"), 2.0)
 
 
-class TestImageOfContextFamily:
-    def test_kq_family_has_ten_states(self, kq):
-        report = cp.image_of_context_family(kq.space, kq.pair, kq.contexts)
-        assert len(report.states) == 10
-        assert not report.excluded
-
-    def test_full_space_collides_with_a_uniform_two_point_context(self, kq):
-        report = cp.image_of_context_family(kq.space, kq.pair, kq.contexts)
-        assert len(report.collisions) == 1
-        name, partner = report.collisions[0]
-        assert name == "Omega"
-        assert partner in ("C13", "C24")
-        assert not report.injective
-
-    def test_disjoint_distributions_do_not_collide(self, kq):
-        sub = {n: kq.context(n) for n in ("C123", "C124", "C134", "C234")}
-        report = cp.image_of_context_family(kq.space, kq.pair, sub)
-        assert not report.collisions
-        assert report.injective
-        assert len(report.states) == 4
-
-
 class TestBasicContextClasses:
     def test_equivalence_with_reverse_double_stochasticity(self):
         # given a double stochastic forward matrix, the b-cells are
@@ -565,13 +541,11 @@ class TestBasicContextClasses:
                 seed=seed, n_points=5, double_stochastic=True
             )
             space, pair = doc.space, doc.pair
-            both = cp.is_double_stochastic(
-                cp.transition_matrix(space, pair, "a/b")
-            )
+            both = cp.transition_matrix(space, pair, "a/b").double_stochastic
             classes = []
             for bx in pair.b_partition:
                 coeffs = cp.interference_coefficients(space, pair, bx)
-                classes.append(cp.classify_context(coeffs))
+                classes.append(coeffs.context_class)
             trig = all(
                 c in (cp.ContextClass.TRIGONOMETRIC, cp.ContextClass.BOUNDARY)
                 for c in classes

@@ -43,7 +43,6 @@ from contextprob.models import (
 )
 from contextprob.interference import (
     ContextClass,
-    classify_context,
     global_alpha_from_coefficients,
     interference_coefficients,
     verify_no_global_alpha,
@@ -242,7 +241,7 @@ def test_phase_search_on_coefficients_matches_search_on_events(doc):
             coeffs = interference_coefficients(space, pair, event)
         except ContextualProbabilityError:
             continue
-        if classify_context(coeffs) in TRIGONOMETRIC:
+        if coeffs.context_class in TRIGONOMETRIC:
             named[name] = coeffs
     assert len(named) >= 2
     t = transition_matrix(space, pair, "b/a")

@@ -79,7 +79,7 @@ class TestBuildHyperbolicAmplitude:
                     coeffs = cp.interference_coefficients(space, pair, ctx)
                 except cp.ContextualProbabilityError:
                     continue
-                if cp.classify_context(coeffs) is not cp.ContextClass.HYPERBOLIC:
+                if coeffs.context_class is not cp.ContextClass.HYPERBOLIC:
                     continue
                 assert abs(coeffs.lambdas[0]) == pytest.approx(
                     abs(coeffs.lambdas[1]), abs=1e-10
@@ -263,12 +263,10 @@ class TestBasicContexts:
                 seed=seed, n_points=5, double_stochastic=True
             )
             space, pair = doc.space, doc.pair
-            both = cp.is_double_stochastic(
-                cp.transition_matrix(space, pair, "a/b")
-            )
+            both = cp.transition_matrix(space, pair, "a/b").double_stochastic
             for bx in pair.b_partition:
                 coeffs = cp.interference_coefficients(space, pair, bx)
-                cls = cp.classify_context(coeffs)
+                cls = coeffs.context_class
                 assert cls in (
                     cp.ContextClass.HYPERBOLIC,
                     cp.ContextClass.BOUNDARY,

@@ -46,7 +46,13 @@ def brute_lambda(space, pair, context, j):
 def delta_at(space, pair, context, x):
     """delta(x) as the coefficients carry it."""
     coeffs = cp.interference_coefficients(space, pair, context)
-    return coeffs.outcomes[pair.b_index(x)].delta
+    return coeffs.outcomes[pair.b_values.index(x)].delta
+
+
+def lambda_at(space, pair, context, x):
+    """lambda(x) as the coefficients carry it."""
+    coeffs = cp.interference_coefficients(space, pair, context)
+    return coeffs.outcomes[pair.b_values.index(x)].lam
 
 
 class TestDelta:
@@ -79,22 +85,18 @@ class TestLambda:
     def test_kq_c123_closed_form(self):
         for q in (0.05, 0.125, 0.25, 0.4):
             doc = cp.generate_kq(q)
-            lam = cp.lambda_coefficient(
-                doc.space, doc.pair, doc.context("C123"), 1.0
-            )
+            lam = lambda_at(doc.space, doc.pair, doc.context("C123"), 1.0)
             assert lam == pytest.approx(-math.sqrt(1 - 2 * q) / 2, abs=1e-14)
 
     def test_kq_b1_is_boundary(self, kq):
-        lam = cp.lambda_coefficient(
-            kq.space, kq.pair, kq.pair.b_partition[0], 1.0
-        )
+        lam = lambda_at(kq.space, kq.pair, kq.pair.b_partition[0], 1.0)
         assert lam == pytest.approx(1.0, abs=1e-12)
 
     def test_skewed_b1_values(self, skewed):
         space, pair = skewed
         b1 = pair.b_partition[0]
-        lam1 = cp.lambda_coefficient(space, pair, b1, 1.0)
-        lam2 = cp.lambda_coefficient(space, pair, b1, -1.0)
+        lam1 = lambda_at(space, pair, b1, 1.0)
+        lam2 = lambda_at(space, pair, b1, -1.0)
         assert lam1 == pytest.approx(brute_lambda(space, pair, b1, 0), abs=1e-12)
         assert lam2 == pytest.approx(brute_lambda(space, pair, b1, 1), abs=1e-12)
         assert lam1 == pytest.approx(1.36386, abs=1e-5)
@@ -108,23 +110,23 @@ class TestClassification:
         coeffs = cp.interference_coefficients(
             kq.space, kq.pair, kq.context("C24")
         )
-        assert cp.classify_context(coeffs) is cp.ContextClass.TRIGONOMETRIC
+        assert coeffs.context_class is cp.ContextClass.TRIGONOMETRIC
 
     def test_kq_c123_trigonometric(self, kq):
         coeffs = cp.interference_coefficients(
             kq.space, kq.pair, kq.context("C123")
         )
-        assert cp.classify_context(coeffs) is cp.ContextClass.TRIGONOMETRIC
+        assert coeffs.context_class is cp.ContextClass.TRIGONOMETRIC
 
     def test_skewed_b1_hyperbolic(self, skewed):
         space, pair = skewed
         coeffs = cp.interference_coefficients(space, pair, pair.b_partition[0])
-        assert cp.classify_context(coeffs) is cp.ContextClass.HYPERBOLIC
+        assert coeffs.context_class is cp.ContextClass.HYPERBOLIC
 
     def test_kq_b_cells_boundary(self, kq):
         for bx in kq.pair.b_partition:
             coeffs = cp.interference_coefficients(kq.space, kq.pair, bx)
-            assert cp.classify_context(coeffs) is cp.ContextClass.BOUNDARY
+            assert coeffs.context_class is cp.ContextClass.BOUNDARY
 
     def test_trichotomy_on_random_models(self):
         for seed in range(40):
@@ -135,7 +137,7 @@ class TestClassification:
                     coeffs = cp.interference_coefficients(space, pair, c)
                 except cp.ContextualProbabilityError:
                     continue
-                cls = cp.classify_context(coeffs)
+                cls = coeffs.context_class
                 assert cls in (
                     cp.ContextClass.TRIGONOMETRIC,
                     cp.ContextClass.HYPERBOLIC,
@@ -177,7 +179,7 @@ class TestPhases:
         space, pair = skewed
         ctx = space.event(("w1", "w2", "w4"))
         coeffs = cp.interference_coefficients(space, pair, ctx)
-        cls = cp.classify_context(coeffs)
+        cls = coeffs.context_class
         phases = cp.assign_phases(coeffs)
         for j in range(2):
             if phases.kind == "trigonometric":
@@ -208,7 +210,7 @@ class TestPhases:
         b = cp.RandomVariable("b", (1.0, -1.0, -1.0, 1.0))
         pair = cp.ReferencePair.from_variables(space, a, b)
         coeffs = cp.interference_coefficients(space, pair, pair.b_partition[0])
-        assert cp.classify_context(coeffs) is cp.ContextClass.MIXED
+        assert coeffs.context_class is cp.ContextClass.MIXED
         with pytest.raises(cp.MixedContext):
             cp.assign_phases(coeffs)
 
@@ -246,7 +248,7 @@ class TestReconstruction:
                     coeffs = cp.interference_coefficients(space, pair, ctx)
                 except cp.ContextualProbabilityError:
                     continue
-                if cp.classify_context(coeffs) is cp.ContextClass.MIXED:
+                if coeffs.context_class is cp.ContextClass.MIXED:
                     continue
                 phases = cp.assign_phases(coeffs)
                 rec = cp.reconstruct_probability(coeffs, phases)
@@ -304,7 +306,7 @@ class TestSumRules:
                     coeffs = cp.interference_coefficients(space, pair, ctx)
                 except cp.ContextualProbabilityError:
                     continue
-                if cp.classify_context(coeffs) not in (
+                if coeffs.context_class not in (
                     cp.ContextClass.TRIGONOMETRIC,
                     cp.ContextClass.BOUNDARY,
                 ):
@@ -317,12 +319,12 @@ class TestSumRules:
 class TestKCoefficient:
     def test_kq_is_one(self, kq):
         t = cp.transition_matrix(kq.space, kq.pair)
-        assert cp.k_coefficient(t) == pytest.approx(1.0, abs=1e-14)
+        assert t.cosine_ratio == pytest.approx(1.0, abs=1e-14)
 
     def test_skewed_closed_form(self, skewed):
         space, pair = skewed
         t = cp.transition_matrix(space, pair)
-        assert cp.k_coefficient(t) == pytest.approx(
+        assert t.cosine_ratio == pytest.approx(
             math.sqrt(2.0 / 3.0), abs=1e-14
         )
 
@@ -330,7 +332,7 @@ class TestKCoefficient:
         m = cp.TransitionMatrix(
             np.array([[0.3, 0.7], [0.7, 0.3]]), "b/a", (1.0, -1.0), (1.0, -1.0)
         )
-        assert cp.k_coefficient(m) == pytest.approx(1.0, abs=1e-14)
+        assert m.cosine_ratio == pytest.approx(1.0, abs=1e-14)
 
     def test_computed_once_per_analyze(self, tmp_path, monkeypatch, capsys):
         """``analyze`` of a model that is not double stochastic computes the
@@ -362,13 +364,13 @@ class TestKCoefficient:
         m = cp.TransitionMatrix(np.array(entries), "b/a", values, values)
         for _ in range(2):
             with pytest.raises(error):
-                cp.k_coefficient(m)
+                m.cosine_ratio
 
     def test_cosine_ratio_relation(self, skewed):
         # cos theta(b2) = -k cos theta(b1) across trigonometric contexts
         space, pair = skewed
         t = cp.transition_matrix(space, pair)
-        k = cp.k_coefficient(t)
+        k = t.cosine_ratio
         found = 0
         for mask in range(1, 16):
             ctx = cp.Event(mask, 4)
@@ -376,7 +378,7 @@ class TestKCoefficient:
                 coeffs = cp.interference_coefficients(space, pair, ctx)
             except cp.ContextualProbabilityError:
                 continue
-            if cp.classify_context(coeffs) not in (
+            if coeffs.context_class not in (
                 cp.ContextClass.TRIGONOMETRIC,
                 cp.ContextClass.BOUNDARY,
             ):
@@ -400,7 +402,7 @@ class TestGlobalPhaseOffset:
         space, pair = skewed
         ctx = space.event(("w1", "w2", "w4"))
         coeffs = cp.interference_coefficients(space, pair, ctx)
-        assert cp.classify_context(coeffs) is cp.ContextClass.TRIGONOMETRIC
+        assert coeffs.context_class is cp.ContextClass.TRIGONOMETRIC
         report = cp.verify_no_global_alpha(space, pair, {"C": ctx})
         assert report.found
 
@@ -416,7 +418,7 @@ class TestGlobalPhaseOffset:
             except cp.ContextualProbabilityError:
                 continue
             if (
-                cp.classify_context(coeffs) is cp.ContextClass.TRIGONOMETRIC
+                coeffs.context_class is cp.ContextClass.TRIGONOMETRIC
                 and abs(coeffs.lambdas[0]) > 1e-3
             ):
                 trig[f"m{mask}"] = ctx
@@ -471,9 +473,7 @@ class TestCarriedProfiles:
         coeffs = cp.interference_coefficients(space, pair, ctx)
         for j, o in enumerate(coeffs.outcomes):
             assert coeffs.deltas[j] == o.delta
-            assert cp.lambda_coefficient(space, pair, ctx, o.value) == o.lam
-        with pytest.raises(KeyError):
-            cp.lambda_coefficient(space, pair, ctx, 7.0)
+            assert coeffs.lambdas[j] == o.lam
 
     def test_vanishing_root_raises_degenerate_cell(self):
         # every cell is populated, but the product under the normalising
@@ -488,8 +488,6 @@ class TestCarriedProfiles:
         full = space.full_event()
         with pytest.raises(cp.DegenerateCell, match="normalising root"):
             cp.interference_coefficients(space, pair, full)
-        with pytest.raises(cp.DegenerateCell, match="normalising root"):
-            cp.lambda_coefficient(space, pair, full, 1.0)
 
 
 class TestDistinctLambdaPair:

@@ -62,7 +62,7 @@ from contextprob.space import (
     IDENTITY_TOL,
     PREDICATE_TOL,
     Event,
-    classical_total_probability,
+    pair_tables,
     total_probability_from_table,
     transition_matrix,
 )
@@ -353,7 +353,8 @@ def test_nvalued_recursion(model, data):
 def test_classical_total_probability(model):
     space, pair, c = model
     want = outcome(_ref_total_probability, space, pair, c)
-    assert outcome(classical_total_probability, space, pair, c) == want
+    tables = pair_tables(space, pair)
+    assert outcome(total_probability_from_table, pair, tables.table(c)) == want
     table = fsum_table(space, pair.a_partition, pair.b_partition, c)
     assert outcome(total_probability_from_table, pair, table) == want
 
@@ -373,7 +374,8 @@ def test_invalid_arguments_raise_as_before(kq):
     ):
         args = (space, *cells, other)
         assert outcome(fn, *args) == outcome(ref, *args)
-    assert outcome(classical_total_probability, space, pair, other) == outcome(
+    # the event of another space is refused when its table is read
+    assert outcome(pair_tables(space, pair).table, other) == outcome(
         _ref_total_probability, space, pair, other
     )
 
@@ -680,7 +682,7 @@ def test_example_kq_reads_only_the_pair_tables(monkeypatch, capsys):
 
 
 def _ref_classify(outcomes):
-    """``classify_context`` as it was before the class was stored: read
+    """The class of a context as it was before the class was stored: read
     from the outcome tags on every call."""
     tags = [o.tag for o in outcomes]
     if all(t is itf.OutcomeClass.BOUNDARY for t in tags):
@@ -765,7 +767,6 @@ def coefficient_outcome(fn, *args):
     if got[0] == "raise":
         return got
     coeffs = got[1]
-    assert itf.classify_context(coeffs) is coeffs.context_class
     return ("return", {f: getattr(coeffs, f) for f in coeffs._fields})
 
 
@@ -810,7 +811,7 @@ def test_stored_class_matches_tag_classification(kq):
             base.pair, base.context, outcomes, base.a_profile, base.b_profile,
             base.transition,
         )
-        assert itf.classify_context(coeffs) is _ref_classify(outcomes)
+        assert coeffs.context_class is _ref_classify(outcomes)
         assert coeffs.deltas == tuple(o.delta for o in outcomes)
         assert coeffs.lambdas == tuple(o.lam for o in outcomes)
 

@@ -229,7 +229,7 @@ class TestRandomGenerator:
                 seed=seed, n_points=5, double_stochastic=True
             )
             t = cp.transition_matrix(doc.space, doc.pair)
-            assert cp.is_double_stochastic(t)
+            assert t.double_stochastic
 
     def test_not_double_stochastic_constraint(self):
         for seed in range(20):
@@ -237,7 +237,7 @@ class TestRandomGenerator:
                 seed=seed, n_points=5, double_stochastic=False
             )
             t = cp.transition_matrix(doc.space, doc.pair)
-            assert not cp.is_double_stochastic(t)
+            assert not t.double_stochastic
 
     def test_incompatible_constraint(self):
         for seed in range(20):

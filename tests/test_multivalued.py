@@ -33,7 +33,7 @@ class TestSplitDecomposition:
         split = contextual_total_probability_split(
             space, b1, pair.a_partition[0], pair.a_partition[1], ctx
         )
-        lam = cp.lambda_coefficient(space, pair, ctx, 1.0)
+        lam = cp.interference_coefficients(space, pair, ctx).lambdas[0]
         assert split.lam == pytest.approx(lam, abs=1e-12)
         assert split.lhs == pytest.approx(split.rhs, abs=1e-12)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import contextprob as cp
 from conftest import member_fsum
 from contextprob.models import model_from_dict
-from contextprob.space import Event, pair_tables
+from contextprob.space import Event, pair_tables, total_probability_from_table
 from contextprob.tolerances import IDENTITY_TOL
 
 
@@ -339,19 +339,6 @@ class TestTransitionMatrix:
         )
 
 
-class TestNondegeneracy:
-    def test_full_space_nondegenerate(self, kq):
-        assert cp.is_nondegenerate(kq.space, kq.space.full_event(), kq.pair.a)
-
-    def test_a_cell_degenerate_for_a(self, kq):
-        assert not cp.is_nondegenerate(
-            kq.space, kq.pair.a_partition[0], kq.pair.a
-        )
-
-    def test_b_cell_nondegenerate_for_a(self, kq):
-        assert cp.is_nondegenerate(kq.space, kq.pair.b_partition[0], kq.pair.a)
-
-
 class TestIncompatibility:
     def test_kq_incompatible(self, kq):
         assert cp.are_incompatible(kq.space, kq.pair)
@@ -435,15 +422,15 @@ class TestClassicalTotalProbability:
     def test_matches_direct_value(self, skewed):
         space, pair = skewed
         ctx = space.event(("w1", "w2", "w3"))
-        decomp = cp.classical_total_probability(space, pair, ctx)
+        table = pair_tables(space, pair).table(ctx)
+        decomp = total_probability_from_table(pair, table)
         for j, x in enumerate(pair.b_values):
             direct = space.conditional(pair.b_partition[j], ctx)
             assert decomp[x] == pytest.approx(direct, abs=1e-12)
 
     def test_kq_c123_value(self, kq):
-        decomp = cp.classical_total_probability(
-            kq.space, kq.pair, kq.context("C123")
-        )
+        table = pair_tables(kq.space, kq.pair).table(kq.context("C123"))
+        decomp = total_probability_from_table(kq.pair, table)
         # 2q/(2q + 1) = 0.2 at q = 1/8
         assert decomp[1.0] == pytest.approx(0.2, abs=1e-14)
 
@@ -454,52 +441,31 @@ class TestClassicalTotalProbability:
         a = cp.RandomVariable("a", (1.0, 1.0, -1.0, -1.0))
         b = cp.RandomVariable("b", (1.0, -1.0, 1.0, -1.0))
         pair = cp.ReferencePair.from_variables(space, a, b)
-        decomp = cp.classical_total_probability(space, pair, space.full_event())
+        decomp = total_probability_from_table(pair, pair_tables(space, pair).free)
         assert decomp[1.0] == pytest.approx(0.5, abs=1e-15)
 
     def test_degenerate_context_raises(self, kq):
         with pytest.raises(cp.DegenerateCell):
-            cp.classical_total_probability(
-                kq.space, kq.pair, kq.pair.a_partition[0]
-            )
-
-
-class TestDispersion:
-    def test_singleton_context_dispersion_free(self, kq):
-        atom = kq.space.event(("w1",))
-        for v in (kq.pair.a, kq.pair.b):
-            assert cp.dispersion(kq.space, v, atom) == 0.0
-        squared = cp.RandomVariable(
-            "f", tuple(x * x + 3 for x in kq.pair.b.values)
-        )
-        assert cp.dispersion(kq.space, squared, atom) == 0.0
-
-    def test_constant_variable(self, kq):
-        const = cp.RandomVariable("c", (2.0, 2.0, 2.0, 2.0))
-        assert cp.dispersion(kq.space, const, kq.context("C123")) == 0.0
-
-    def test_kq_b_given_c234(self, kq):
-        # E(b|C_234) = q/(q-1) = -1/7, so variance = 1 - 1/49 = 48/49
-        d = cp.dispersion(kq.space, kq.pair.b, kq.context("C234"))
-        assert d == pytest.approx(48.0 / 49.0, abs=1e-13)
+            table = pair_tables(kq.space, kq.pair).table(kq.pair.a_partition[0])
+            total_probability_from_table(kq.pair, table)
 
 
 class TestDoubleStochasticity:
     def test_kq_matrix(self, kq):
         t = cp.transition_matrix(kq.space, kq.pair)
-        assert cp.is_double_stochastic(t)
+        assert t.double_stochastic
         t2 = cp.transition_matrix(kq.space, kq.pair, "a/b")
-        assert cp.is_double_stochastic(t2)
+        assert t2.double_stochastic
 
     def test_degenerate_columns(self):
         m = cp.TransitionMatrix(
             np.array([[1.0, 0.0], [1.0, 0.0]]), "b/a", (1.0, -1.0), (1.0, -1.0)
         )
-        assert not cp.is_double_stochastic(m)
+        assert not m.double_stochastic
 
     def test_skewed_matrix(self, skewed):
         space, pair = skewed
-        assert not cp.is_double_stochastic(cp.transition_matrix(space, pair))
+        assert not cp.transition_matrix(space, pair).double_stochastic
 
     def test_flag_and_rows_match_the_entries(self, kq, skewed, ds_skewed):
         for space, pair in ((kq.space, kq.pair), skewed, ds_skewed):
@@ -507,7 +473,7 @@ class TestDoubleStochasticity:
                 t = cp.transition_matrix(space, pair, direction)
                 assert t.rows == tuple(tuple(r) for r in np.asarray(t.rows).tolist())
                 col_dev = np.max(np.abs(np.asarray(t.rows).sum(axis=0) - 1.0))
-                assert cp.is_double_stochastic(t) is bool(col_dev <= 1e-10)
+                assert t.double_stochastic is bool(col_dev <= 1e-10)
 
     def test_swapped_pairs_keep_their_own_flags(self, ds_skewed):
         # b conditioned on a is double stochastic here, a on b is not; the
@@ -523,7 +489,7 @@ class TestDoubleStochasticity:
             (relabelled, "b/a", True), (relabelled, "a/b", False),
         ):
             t = cp.transition_matrix(space, p, direction)
-            assert cp.is_double_stochastic(t) is want
+            assert t.double_stochastic is want
 
 
 class TestSymmetricConditioning:
@@ -547,10 +513,9 @@ class TestSymmetricConditioning:
             cases.append(make_pair_model((t / 2, (1 - t) / 2, t / 2, (1 - t) / 2)))
         for space, pair in cases:
             sym = cp.is_symmetrically_conditioned(space, pair)
-            both_ds = cp.is_double_stochastic(
-                cp.transition_matrix(space, pair)
-            ) and cp.is_double_stochastic(
-                cp.transition_matrix(space, pair, "a/b")
+            both_ds = (
+                cp.transition_matrix(space, pair).double_stochastic
+                and cp.transition_matrix(space, pair, "a/b").double_stochastic
             )
             assert sym == both_ds
             seen_true += sym

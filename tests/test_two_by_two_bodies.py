@@ -43,7 +43,7 @@ from contextprob.errors import (
 )
 from contextprob.hyperbolic import HyperbolicNumber, exp_j, polar
 from contextprob.interference import TWO_PI, ContextClass, _snap_lambda, cis
-from contextprob.space import Event, is_double_stochastic
+from contextprob.space import Event
 from contextprob.tolerances import (
     BORN_TOL,
     IDENTITY_TOL,
@@ -55,7 +55,7 @@ from contextprob.tolerances import (
 def _ref_assign_phases(coeffs, convention="principal", mode="auto"):
     if convention not in ("principal", "conjugate"):
         raise ValueError(f"unknown phase convention {convention!r}")
-    cls = itf.classify_context(coeffs)
+    cls = coeffs.context_class
     if cls is ContextClass.MIXED:
         raise MixedContext("mixed contexts admit no single-geometry phases")
     if mode == "auto":
@@ -66,7 +66,7 @@ def _ref_assign_phases(coeffs, convention="principal", mode="auto"):
         raise ValueError(f"unknown phase mode {mode!r}")
 
     t = coeffs.transition
-    ds = is_double_stochastic(t)
+    ds = t.double_stochastic
     lambdas = coeffs.lambdas
 
     if kind == "trigonometric":
@@ -88,7 +88,7 @@ def _ref_assign_phases(coeffs, convention="principal", mode="auto"):
             if convention == "conjugate":
                 raw = [math.fmod(TWO_PI - v, TWO_PI) for v in raw]
             thetas = tuple(raw)
-        k = None if ds else itf.k_coefficient(t)
+        k = None if ds else t.cosine_ratio
         return ("trigonometric", coeffs.pair.b_values, tuple(thetas), convention,
                 None, ds, k)
 
@@ -107,12 +107,12 @@ def _ref_assign_phases(coeffs, convention="principal", mode="auto"):
     epsilons = tuple(1 if o.delta > 0 else -1 for o in coeffs.outcomes)
     if sum(epsilons) != 0:
         raise PhaseInconsistency("hyperbolic signs must sum to zero")
-    k = None if ds else itf.k_coefficient(t)
+    k = None if ds else t.cosine_ratio
     return ("hyperbolic", coeffs.pair.b_values, thetas, convention, epsilons, ds, k)
 
 
 def _ref_amplitude(coeffs, convention="principal"):
-    cls = itf.classify_context(coeffs)
+    cls = coeffs.context_class
     if cls is ContextClass.MIXED:
         raise MixedContext("mixed contexts have no complex representation")
     if cls is ContextClass.HYPERBOLIC:
@@ -136,7 +136,7 @@ def _ref_amplitude(coeffs, convention="principal"):
 
 
 def _ref_hyperbolic_amplitude(coeffs):
-    cls = itf.classify_context(coeffs)
+    cls = coeffs.context_class
     if cls is ContextClass.MIXED:
         raise MixedContext("mixed contexts have no hyperbolic representation")
     if cls is ContextClass.TRIGONOMETRIC:
@@ -477,7 +477,6 @@ def _records(kq, ds_skewed):
         "DistributionMismatchReport": cp.distribution_mismatch(
             space, pair, kq.context("C234"), 1.0
         ),
-        "ImageReport": cp.image_of_context_family(space, pair, kq.contexts),
         "Check": report.checks[0],
         "VerificationReport": report,
         "HilbertBasis": cr.a_basis_for_context(space, pair, space.full_event()),
@@ -496,7 +495,7 @@ TUPLE_RECORDS = [
     "SplitChain", "OutcomeCoefficients", "GlobalPhaseReport",
     "IncompatibilityStructure", "RandomVariable", "ReferencePair",
     "HyperbolicPolar", "HyperbolicAmplitude", "GModuleBasis",
-    "AveragePreservationReport", "DistributionMismatchReport", "ImageReport",
+    "AveragePreservationReport", "DistributionMismatchReport",
     "Check", "VerificationReport", "HilbertBasis", "ModelDocument",
     "Event", "HyperbolicNumber", "InterferenceCoefficients",
 ]
