@@ -4,18 +4,23 @@ Subcommands: ``analyze`` (interference coefficients and context classes),
 ``represent`` (state vectors and operator matrices), ``verify`` (named check
 suites with exit code 1 on failure), ``example kq`` (the bundled four-point
 model reproduced against its closed forms), and ``gen random`` (seeded model
-generation).  Exit codes: 0 success, 1 a check failed (verification or
-reproduction failure, or an :class:`InvariantViolation`), 2 load/validation
-failure (a :class:`ModelValidationError`, an invalid generator argument, a
+generation).  Every report is JSON, on stdout or in the ``--output`` file.
+Exit codes: 0 success, 1 a check failed (verification or reproduction
+failure, or an :class:`InvariantViolation`), 2 a usage error (an unknown
+flag, such as ``--tolerance`` on a command that gates on no tolerance, a
+missing argument or a value of the wrong type) or a load/validation failure
+(a :class:`ModelValidationError`, an invalid generator argument, a
 ``--tolerance`` that is negative or not finite, the magnitude of the model's
 values, or an ``OSError`` from reading the model or writing a report, such
 as a missing model file or an output directory that does not exist), 3 input
 the calculus cannot represent (any other library error, such as a degenerate
 anchor context or a compatible reference pair).  An error that ends a
-command writes a one-line JSON diagnostic to stderr, tagged
-``"model-validation"`` for a validation failure and with the exception's
-class name otherwise (for a missing model file, ``"FileNotFoundError"``);
-:func:`main` is the one place that maps errors to exit codes.
+command writes a one-line JSON diagnostic to stderr, tagged ``"usage"`` for
+a usage error, ``"model-validation"`` for a validation failure and with the
+exception's class name otherwise (for a missing model file,
+``"FileNotFoundError"``); :func:`main` is the one place that maps errors to
+exit codes.  ``--help`` is not an error: it prints the usage text to stdout
+and exits 0.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ _LITERALS = {None: "null", True: "true", False: "false"}
 def _emit(payload, args) -> None:
     # the writer joins each container's items once, so the report's text is
     # built without a buffer holding every chunk; print adds the newline
-    text = _json_text(payload) if args.format == "json" else _render_text(payload)
+    text = _json_text(payload)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             print(text, file=fh)
@@ -117,28 +122,6 @@ def _json_text(o, pad: str = "\n") -> str:
     return _encode_str(str(o))
 
 
-def _render_text(payload, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(payload, dict):
-        lines = []
-        for key, value in payload.items():
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.append(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_fmt_value(value)}")
-        return "\n".join(lines)
-    if isinstance(payload, list):
-        return "\n".join(_render_text(item, indent) for item in payload)
-    return pad + _fmt_value(payload)
-
-
-def _fmt_value(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
 def _selected_contexts(doc: ModelDocument, name: str | None):
     if name is None:
         return dict(doc.contexts)
@@ -198,13 +181,11 @@ def cmd_analyze(args) -> int:
         entry: dict = {"class": _CLASS_NAMES[cls], "outcomes": {}}
         thetas = epsilons = None
         if cls is not itf.ContextClass.MIXED:
-            phases = itf.assign_phases(coeffs, args.branch)
-            thetas = phases.thetas
-            epsilons = phases.epsilons
-        for j, o in enumerate(coeffs.outcomes):
-            entry["outcomes"][b_keys[j]] = {
-                "delta": o.delta,
-                "lambda": o.lam,
+            _, thetas, epsilons = itf.assign_phases(coeffs, args.branch)
+        for j, key in enumerate(b_keys):
+            entry["outcomes"][key] = {
+                "delta": coeffs.deltas[j],
+                "lambda": coeffs.lambdas[j],
                 "theta": None if thetas is None else thetas[j],
                 "epsilon": None if epsilons is None else epsilons[j],
             }
@@ -454,9 +435,8 @@ def cmd_gen_random(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, tolerance: bool) -> None:
-    """The output flags, and ``--tolerance`` for the commands that gate on
+    """The output flag, and ``--tolerance`` for the commands that gate on
     a report tolerance."""
-    parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--output", default=None, help="write the report here")
     if tolerance:
         parser.add_argument(
@@ -468,8 +448,17 @@ def _add_common(parser: argparse.ArgumentParser, tolerance: bool) -> None:
         )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and the parser of each subcommand, that raises its usage
+    errors for :func:`main` to report, instead of printing the usage text
+    and exiting."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="contextprob",
         description="contextual probability calculus and its Hilbert-space "
         "representations",
@@ -550,14 +539,16 @@ def main(argv=None) -> int:
     # one parser per process: parsing keeps no state in it, and a parser
     # that lives as long as the process leaves no reference cycles behind
     # for the collector after a command
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         tolerance = getattr(args, "tolerance", None)
         if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
             raise ModelValidationError(
                 f"--tolerance must be finite and nonnegative, got {tolerance!r}"
             )
         return args.func(args)
+    except argparse.ArgumentError as exc:
+        return _diagnose("usage", exc, 2)
     except ModelValidationError as exc:
         return _diagnose("model-validation", exc, 2)
     except OSError as exc:

@@ -17,8 +17,8 @@ complexes, computed with plain 2x2 (and diagonal k x k) arithmetic.  The
 reference pair is dichotomous, so states have two components and operators
 are 2x2: :meth:`HermitianOperator.eigenvalues` takes the closed form, and
 :meth:`ComplexAmplitude.norm_sq` and :func:`quantum_average` are plain sums.
-numpy is imported only inside :func:`distribution_mismatch`, for its
-eigenvectors.
+:func:`distribution_mismatch` takes the eigenvectors of its 2x2 operator in
+closed form too, so the module uses no numpy.
 """
 
 from __future__ import annotations
@@ -36,10 +36,9 @@ from .errors import (
 from .interference import (
     ContextClass,
     InterferenceCoefficients,
-    PhaseAssignment,
-    assign_phases,
     cis,
     interference_coefficients,
+    trigonometric_phases,
 )
 from .records import Record
 from .space import (
@@ -98,17 +97,6 @@ def born_probability(psi, basis_vector) -> float:
     return abs(inner_product(u, v)) ** 2
 
 
-def _amplitude_from_phases(
-    coeffs: InterferenceCoefficients, phases: PhaseAssignment
-) -> tuple[complex, complex]:
-    (a0, a1), ((t00, t01), (t10, t11)) = coeffs.a_profile, coeffs.transition.rows
-    theta0, theta1 = phases.thetas
-    return (
-        math.sqrt(a0 * t00) + cis(theta0) * math.sqrt(a1 * t10),
-        math.sqrt(a0 * t01) + cis(theta1) * math.sqrt(a1 * t11),
-    )
-
-
 def amplitude_from_coefficients(
     coeffs: InterferenceCoefficients, convention: str = "principal"
 ) -> ComplexAmplitude:
@@ -124,8 +112,12 @@ def amplitude_from_coefficients(
             "context has large interference coefficients; build the "
             "hyperbolic representation instead"
         )
-    phases = assign_phases(coeffs, convention, mode="trigonometric")
-    components = c0, c1 = _amplitude_from_phases(coeffs, phases)
+    theta0, theta1 = trigonometric_phases(coeffs, convention)
+    (a0, a1), ((t00, t01), (t10, t11)) = coeffs.a_profile, coeffs.transition.rows
+    components = c0, c1 = (
+        math.sqrt(a0 * t00) + cis(theta0) * math.sqrt(a1 * t10),
+        math.sqrt(a0 * t01) + cis(theta1) * math.sqrt(a1 * t11),
+    )
     b0, b1 = coeffs.b_profile
     if abs(abs(c0) ** 2 - b0) > BORN_TOL or abs(abs(c1) ** 2 - b1) > BORN_TOL:
         raise PhaseInconsistency("squared modulus drifted from the probability")
@@ -180,11 +172,11 @@ def a_basis_for_context(
         raise MixedContext("anchor context is mixed")
     if cls is ContextClass.HYPERBOLIC:
         raise HyperbolicContext("anchor context is hyperbolic")
-    phases = assign_phases(coeffs, convention, mode="trigonometric")
+    theta0, theta1 = trigonometric_phases(coeffs, convention)
     t = coeffs.transition
     u = [[math.sqrt(p) for p in row] for row in t.rows]
     e1 = (complex(u[0][0]), complex(u[0][1]))
-    e2 = (cis(phases.thetas[0]) * u[1][0], cis(phases.thetas[1]) * u[1][1])
+    e2 = (cis(theta0) * u[1][0], cis(theta1) * u[1][1])
     vectors = (e1, e2)
     unitary = max(
         abs(inner_product(v, w) - float(i == k))
@@ -384,6 +376,10 @@ def average_preservation(
     )
 
 
+def _length(v: Sequence[complex]) -> float:
+    return math.hypot(abs(v[0]), abs(v[1]))
+
+
 class DistributionMismatchReport(NamedTuple):
     """Distributions of the sum variable: pointwise classical versus
     spectral, together with their (equal) averages."""
@@ -409,8 +405,6 @@ def distribution_mismatch(
     averages coincide; the distributions in general do not, which is the
     point of the report.
     """
-    import numpy as np
-
     expected = {gamma, -gamma}
     if set(pair.a_values) != expected or set(pair.b_values) != expected:
         raise ValueError("both variables must take values +gamma and -gamma")
@@ -425,11 +419,14 @@ def distribution_mismatch(
     psi = state_for_context(space, pair, context, basis)[0]
     a_op = operator_for_variable(pair.a_values, basis)
     d_op = HermitianOperator(_add(a_op.matrix, _diagonal(pair.b_values)))
-    eigvals, eigvecs = np.linalg.eigh(np.array(d_op.matrix))
-    quantum_dist = {
-        float(eigvals[k]): born_probability(psi, eigvecs[:, k].tolist())
-        for k in range(len(eigvals))
-    }
+    (a, m01), (m10, d) = d_op.matrix
+    quantum_dist = {}
+    for lam in d_op.eigenvalues():
+        # either row of d_op - lam gives an eigenvector; the longer one is
+        # the better conditioned
+        e0, e1 = max((m01, lam - a), (lam - d, m10), key=_length)
+        norm = _length((e0, e1))
+        quantum_dist[lam] = born_probability(psi, (e0 / norm, e1 / norm))
     quantum_avg = quantum_average(d_op, psi)
 
     support = sorted(set(classical_dist) | set(quantum_dist))

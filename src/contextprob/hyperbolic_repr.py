@@ -31,7 +31,7 @@ from .hyperbolic import HyperbolicNumber, ZERO, exp_j
 from .interference import (
     ContextClass,
     InterferenceCoefficients,
-    assign_phases,
+    hyperbolic_phases,
     interference_coefficients,
 )
 from .space import (
@@ -101,10 +101,9 @@ def hyperbolic_amplitude_from_coefficients(
             "context has small interference coefficients; build the complex "
             "representation instead"
         )
-    phases = assign_phases(coeffs, mode="hyperbolic")
-    assert phases.epsilons is not None
+    thetas, epsilons = hyperbolic_phases(coeffs)
     (a0, a1), ((t00, t01), (t10, t11)) = coeffs.a_profile, coeffs.transition.rows
-    (e0, e1), (theta0, theta1) = phases.epsilons, phases.thetas
+    (e0, e1), (theta0, theta1) = epsilons, thetas
     r0, r1 = e0 * math.sqrt(a1 * t10), e1 * math.sqrt(a1 * t11)
     c0 = HyperbolicNumber(math.sqrt(a0 * t00), 0.0) + r0 * exp_j(theta0)
     c1 = HyperbolicNumber(math.sqrt(a0 * t01), 0.0) + r1 * exp_j(theta1)
@@ -112,7 +111,7 @@ def hyperbolic_amplitude_from_coefficients(
     if abs(c0.norm_sq() - b0) > BORN_TOL or abs(c1.norm_sq() - b1) > BORN_TOL:
         raise PhaseInconsistency("signed squared norm drifted from the probability")
     return HyperbolicAmplitude(
-        (c0, c1), phases.epsilons, phases.thetas, coeffs.pair.b_values, coeffs.context
+        (c0, c1), epsilons, thetas, coeffs.pair.b_values, coeffs.context
     )
 
 

@@ -96,81 +96,44 @@ class ContextClass(str, Enum):
     MIXED = "mixed"
 
 
-# the class of a context by the set of its outcome tags: a boundary outcome
-# fits either geometry, so a class holds with or without one
-_T, _H = OutcomeClass.TRIGONOMETRIC, OutcomeClass.HYPERBOLIC
-_CLASS_OF_TAGS = {
-    frozenset(kinds | boundary): cls
-    for kinds, cls in (
-        ({_T}, ContextClass.TRIGONOMETRIC),
-        ({_H}, ContextClass.HYPERBOLIC),
-        ({_T, _H}, ContextClass.MIXED),
-        (set(), ContextClass.BOUNDARY),
-    )
-    for boundary in (set(), {OutcomeClass.BOUNDARY})
-}
+def _context_class(s: OutcomeClass, t: OutcomeClass) -> ContextClass:
+    # a boundary outcome fits either geometry, so a class holds with or
+    # without one
+    if s is OutcomeClass.BOUNDARY or s is t:
+        return ContextClass(t.value)
+    if t is OutcomeClass.BOUNDARY:
+        return ContextClass(s.value)
+    return ContextClass.MIXED
 
 
-class OutcomeCoefficients(NamedTuple):
-    value: float
-    delta: float
-    lam: float
-    tag: OutcomeClass
-
-
-# the class by the tags of the two outcomes, in order
+# the class of a context by the tags of its two outcomes, in order
 _CLASS_OF_TAG_PAIR = {
-    (s, t): _CLASS_OF_TAGS[frozenset({s, t})]
-    for s in OutcomeClass
-    for t in OutcomeClass
+    (s, t): _context_class(s, t) for s in OutcomeClass for t in OutcomeClass
 }
 
 
-class _CoefficientFields(NamedTuple):
-    pair: ReferencePair
-    context: Event
-    outcomes: tuple[OutcomeCoefficients, OutcomeCoefficients]
-    a_profile: tuple[float, ...]
-    b_profile: tuple[float, ...]
-    transition: TransitionMatrix
-    deltas: tuple[float, float]
-    lambdas: tuple[float, float]
-    context_class: ContextClass
-
-
-class InterferenceCoefficients(_CoefficientFields):
-    """Per-outcome interference data for one context under one pair.
+class InterferenceCoefficients(NamedTuple):
+    """Interference data for one context under one pair.
 
     ``a_profile[i]`` is P(a=y_i|C) and ``b_profile[j]`` is P(b=x_j|C), the
     context's measures every coefficient was derived from, and
     ``transition`` is the pair's "b/a" transition matrix they were combined
     with; phases, states and checks of the same context read these instead
-    of measuring again.  The constructor takes the first six fields, with
-    ``outcomes`` the two outcomes; ``deltas``, ``lambdas`` and the
-    context's class are derived from them at construction.  Coefficients
-    compare by identity and have no order.
+    of measuring again.  ``deltas[j]``, ``lambdas[j]`` and ``tags[j]`` are
+    the perturbation, the coefficient and the class of the b-outcome
+    ``pair.b_values[j]``, and ``context_class`` is the class of the two
+    tags.  Coefficients compare by identity and have no order.
     """
 
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        pair: ReferencePair,
-        context: Event,
-        outcomes: tuple[OutcomeCoefficients, OutcomeCoefficients],
-        a_profile: tuple[float, ...],
-        b_profile: tuple[float, ...],
-        transition: TransitionMatrix,
-    ):
-        (_, d0, lam0, tag0), (_, d1, lam1, tag1) = outcomes
-        return tuple.__new__(cls, (
-            pair, context, outcomes, a_profile, b_profile, transition,
-            (d0, d1), (lam0, lam1), _CLASS_OF_TAG_PAIR[tag0, tag1],
-        ))
-
-    def __getnewargs__(self):
-        # pickle and copy rebuild through the six-field constructor
-        return self[:6]
+    pair: ReferencePair
+    context: Event
+    a_profile: tuple[float, ...]
+    b_profile: tuple[float, ...]
+    transition: TransitionMatrix
+    deltas: tuple[float, float]
+    lambdas: tuple[float, float]
+    tags: tuple[OutcomeClass, OutcomeClass]
+    context_class: ContextClass
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
     __lt__ = __le__ = __gt__ = __ge__ = unordered
@@ -267,12 +230,10 @@ def coefficients_from_measures(
     if prod1 <= 0.0:
         raise DegenerateCell("a probability under the normalising root vanishes")
     lam1 = d1 / (2.0 * math.sqrt(prod1))
-    x0, x1 = pair.b_values
+    tags = _outcome_tag(lam0), _outcome_tag(lam1)
     coeffs = InterferenceCoefficients(
-        pair, context,
-        (OutcomeCoefficients(x0, d0, lam0, _outcome_tag(lam0)),
-         OutcomeCoefficients(x1, d1, lam1, _outcome_tag(lam1))),
-        pa, pb, transition,
+        pair, context, pa, pb, transition, (d0, d1), (lam0, lam1), tags,
+        _CLASS_OF_TAG_PAIR[tags],
     )
     if abs(d0 + d1) > PREDICATE_TOL:
         raise InvariantViolation("outcome perturbations must sum to zero")
@@ -292,82 +253,84 @@ class PhaseAssignment(NamedTuple):
 
     ``kind`` is "trigonometric" (thetas are angles in [0, 2pi), cosines equal
     the lambdas) or "hyperbolic" (thetas are nonnegative rapidities, cosh
-    equals |lambda|, and the sign lives in ``epsilons``).  ``branch`` records
-    which conjugate representative was chosen.  ``k`` is the cosine ratio of
-    the transition matrix, recorded for non-double-stochastic pairs where the
-    two angles are tied by cos(theta_2) = -k cos(theta_1) instead of a fixed
-    pi offset.
+    equals |lambda|, and the sign lives in ``epsilons``).
     """
 
     kind: str
-    b_values: tuple[float, ...]
-    thetas: tuple[float, ...]
-    branch: str
-    epsilons: tuple[int, ...] | None = None
-    double_stochastic: bool = True
-    k: float | None = None
+    thetas: tuple[float, float]
+    epsilons: tuple[int, int] | None = None
+
+
+def _check_convention(convention: str) -> None:
+    if convention not in ("principal", "conjugate"):
+        raise ValueError(f"unknown phase convention {convention!r}")
+
+
+def _refuse_mixed(coeffs: InterferenceCoefficients) -> None:
+    if coeffs.context_class is ContextClass.MIXED:
+        raise MixedContext("mixed contexts admit no single-geometry phases")
 
 
 def assign_phases(
-    coeffs: InterferenceCoefficients,
-    convention: str = "principal",
-    mode: str = "auto",
+    coeffs: InterferenceCoefficients, convention: str = "principal"
 ) -> PhaseAssignment:
-    """Choose phases representing the incompatibility coefficients.
+    """Choose phases representing the incompatibility coefficients, in the
+    context's own geometry: rapidities for a hyperbolic context, angles
+    otherwise (a boundary context admits both and takes angles).
 
     ``convention`` picks one of the two conjugate representatives
-    ("principal" or "conjugate").  ``mode`` forces the geometry for boundary
-    contexts, which admit both; "auto" resolves boundary to trigonometric.
+    ("principal" or "conjugate"); rapidities are the same for both.
     """
-    if convention not in ("principal", "conjugate"):
-        raise ValueError(f"unknown phase convention {convention!r}")
-    cls = coeffs.context_class
-    if cls is ContextClass.MIXED:
-        raise MixedContext("mixed contexts admit no single-geometry phases")
-    if mode == "auto":
-        kind = (
-            "hyperbolic" if cls is ContextClass.HYPERBOLIC else "trigonometric"
-        )
-    elif mode in ("trigonometric", "hyperbolic"):
-        kind = mode
-    else:
-        raise ValueError(f"unknown phase mode {mode!r}")
+    if coeffs.context_class is ContextClass.HYPERBOLIC:
+        _check_convention(convention)
+        return PhaseAssignment("hyperbolic", *hyperbolic_phases(coeffs))
+    return PhaseAssignment("trigonometric", trigonometric_phases(coeffs, convention))
 
-    t = coeffs.transition
-    ds = t.double_stochastic
+
+def trigonometric_phases(
+    coeffs: InterferenceCoefficients, convention: str = "principal"
+) -> tuple[float, float]:
+    """The angles (theta1, theta2) in [0, 2pi) whose cosines are the lambdas
+    of a trigonometric or boundary context, in the ``convention``'s
+    conjugate representative.  Under a double stochastic transition matrix
+    theta2 is theta1 + pi; otherwise the two are tied by cos(theta2) =
+    -k cos(theta1), with k the matrix's cosine ratio."""
+    _check_convention(convention)
+    _refuse_mixed(coeffs)
+    if coeffs.context_class is ContextClass.HYPERBOLIC:
+        raise HyperbolicContext("hyperbolic context cannot take cosine phases")
     lam0, lam1 = coeffs.lambdas
-
-    if kind == "trigonometric":
-        if cls is ContextClass.HYPERBOLIC:
-            raise HyperbolicContext(
-                "hyperbolic context cannot take cosine phases"
+    theta1 = math.acos(_snap_lambda(lam0))
+    if coeffs.transition.double_stochastic:
+        if convention == "conjugate":
+            theta1 = math.fmod(TWO_PI - theta1, TWO_PI)
+        theta2 = math.fmod(theta1 + math.pi, TWO_PI)
+        if abs(math.cos(theta2) - _snap_lambda(lam1)) > PHASE_GUARD_TOL:
+            raise PhaseInconsistency(
+                "pi-shifted phase fails to reproduce the second coefficient"
             )
-        theta1 = math.acos(_snap_lambda(lam0))
-        if ds:
-            if convention == "conjugate":
-                theta1 = math.fmod(TWO_PI - theta1, TWO_PI)
-            theta2 = math.fmod(theta1 + math.pi, TWO_PI)
-            if abs(math.cos(theta2) - _snap_lambda(lam1)) > PHASE_GUARD_TOL:
-                raise PhaseInconsistency(
-                    "pi-shifted phase fails to reproduce the second coefficient"
-                )
-        else:
-            theta2 = math.acos(_snap_lambda(lam1))
-            if convention == "conjugate":
-                theta1 = math.fmod(TWO_PI - theta1, TWO_PI)
-                theta2 = math.fmod(TWO_PI - theta2, TWO_PI)
-        return PhaseAssignment(
-            "trigonometric", coeffs.pair.b_values, (theta1, theta2), convention,
-            None, ds, None if ds else t.cosine_ratio,
-        )
+    else:
+        theta2 = math.acos(_snap_lambda(lam1))
+        if convention == "conjugate":
+            theta1 = math.fmod(TWO_PI - theta1, TWO_PI)
+            theta2 = math.fmod(TWO_PI - theta2, TWO_PI)
+    return theta1, theta2
 
-    # hyperbolic rapidities: nonnegative, with the sign carried by epsilons
-    if cls is ContextClass.TRIGONOMETRIC:
+
+def hyperbolic_phases(
+    coeffs: InterferenceCoefficients,
+) -> tuple[tuple[float, float], tuple[int, int]]:
+    """The nonnegative rapidities, with cosh equal to |lambda|, and the signs
+    of the perturbations of a hyperbolic or boundary context.  A double
+    stochastic transition matrix equalises the two rapidities."""
+    _refuse_mixed(coeffs)
+    if coeffs.context_class is ContextClass.TRIGONOMETRIC:
         raise TrigonometricContext(
             "trigonometric context cannot take cosh rapidities"
         )
+    lam0, lam1 = coeffs.lambdas
     m0, m1 = max(1.0, abs(lam0)), max(1.0, abs(lam1))
-    if ds:
+    if coeffs.transition.double_stochastic:
         common = math.acosh((m0 + m1) / 2)
         c = math.cosh(common)
         if abs(c - m0) > PHASE_GUARD_TOL or abs(c - m1) > PHASE_GUARD_TOL:
@@ -381,10 +344,7 @@ def assign_phases(
     epsilons = (1 if d0 > 0 else -1, 1 if d1 > 0 else -1)
     if epsilons[0] == epsilons[1]:
         raise PhaseInconsistency("hyperbolic signs must sum to zero")
-    return PhaseAssignment(
-        "hyperbolic", coeffs.pair.b_values, thetas, convention,
-        epsilons, ds, None if ds else t.cosine_ratio,
-    )
+    return thetas, epsilons
 
 
 def reconstruct_probability(
@@ -401,7 +361,6 @@ def reconstruct_probability(
     if phases.kind == "trigonometric":
         f0, f1 = math.cos(theta0), math.cos(theta1)
     else:
-        assert phases.epsilons is not None
         f0 = phases.epsilons[0] * math.cosh(theta0)
         f1 = phases.epsilons[1] * math.cosh(theta1)
     x0, x1 = coeffs.pair.b_values
@@ -413,13 +372,13 @@ def reconstruct_probability(
 
 
 class GlobalPhaseReport(NamedTuple):
-    """Outcome of searching for one phase offset shared by all contexts."""
+    """Outcome of searching for one phase offset shared by all contexts;
+    ``witness`` names the first context and the first one after which no
+    offset is shared, when there is one."""
 
     found: bool
     alpha: float | None
-    per_context: dict[str, tuple[float, ...]]
     witness: tuple[str, str] | None
-    double_stochastic: bool
     has_distinct_lambda_pair: bool
 
 
@@ -457,68 +416,49 @@ def global_alpha_from_coefficients(
     transition matrix to be double stochastic; when the matrix is double
     stochastic the offset pi always works.  Both facts are enforced.
     """
-    ds = transition.double_stochastic
-    per_context: dict[str, tuple[float, ...]] = {}
-    lam1_abs: dict[str, float] = {}
+    shared: list[float] | None = None  # the offsets every context so far admits
+    first = witness = None
+    lo, hi = math.inf, -math.inf  # the least and the largest |lambda(b_1)|
     for name, coeffs in named:
         cls = coeffs.context_class
         if cls is ContextClass.MIXED:
             raise MixedContext(f"context {name!r} is mixed")
         if cls is ContextClass.HYPERBOLIC:
             raise HyperbolicContext(f"context {name!r} is hyperbolic")
-        t1 = math.acos(_snap_lambda(coeffs.lambdas[0]))
-        t2 = math.acos(_snap_lambda(coeffs.lambdas[1]))
-        candidates = []
-        for u in (t2 - t1, t2 + t1, -t2 - t1, -t2 + t1):
-            u = math.fmod(math.fmod(u, TWO_PI) + TWO_PI, TWO_PI)
-            if not any(_circular_close(u, v) for v in candidates):
-                candidates.append(u)
-        per_context[name] = tuple(candidates)
-        lam1_abs[name] = abs(coeffs.lambdas[0])
+        lam0, lam1 = coeffs.lambdas
+        t1, t2 = math.acos(_snap_lambda(lam0)), math.acos(_snap_lambda(lam1))
+        offsets = [
+            math.fmod(math.fmod(u, TWO_PI) + TWO_PI, TWO_PI)
+            for u in (t2 - t1, t2 + t1, -t2 - t1, -t2 + t1)
+        ]
+        if shared is None:
+            first, shared = name, offsets
+        elif shared:
+            shared = [u for u in shared if any(_circular_close(u, v) for v in offsets)]
+            if not shared:
+                witness = (first, name)
+        lo, hi = min(lo, abs(lam0)), max(hi, abs(lam0))
 
     alpha: float | None = None
-    witness: tuple[str, str] | None = None
-    names = list(per_context)
-    if names:
-        first_name = names[0]
-        shared = list(per_context[first_name])
-        for name in names[1:]:
-            shared = [
-                u
-                for u in shared
-                if any(_circular_close(u, v) for v in per_context[name])
-            ]
-            if not shared:
-                witness = (first_name, name)
+    if shared:
+        # prefer the pi offset when available; it is the canonical choice
+        alpha = shared[0]
+        for u in shared:
+            if _circular_close(u, math.pi):
+                alpha = math.pi
                 break
-        if shared:
-            # prefer the pi offset when available; it is the canonical choice
-            for u in shared:
-                if _circular_close(u, math.pi):
-                    alpha = math.pi
-                    break
-            else:
-                alpha = shared[0]
-
     # fl(max - min) bounds fl(|a - b|) for every pair, so this is the
-    # all-pairs test in linear time
-    mags = lam1_abs.values()
-    has_distinct = bool(mags) and max(mags) - min(mags) > DISTINCT_LAMBDA_TOL
+    # all-pairs test in linear time; with no context it is -inf
+    has_distinct = hi - lo > DISTINCT_LAMBDA_TOL
     found = alpha is not None
+    ds = transition.double_stochastic
     if found and has_distinct and not ds:
         raise InvariantViolation(
             "a shared offset across distinct-|lambda| contexts forces double "
             "stochasticity"
         )
-    if ds and names and not found:
+    if ds and shared is not None and not found:
         raise InvariantViolation(
             "double stochastic matrices always admit the offset pi"
         )
-    return GlobalPhaseReport(
-        found=found,
-        alpha=alpha,
-        per_context=per_context,
-        witness=witness,
-        double_stochastic=ds,
-        has_distinct_lambda_pair=has_distinct,
-    )
+    return GlobalPhaseReport(found, alpha, witness, has_distinct)

@@ -53,14 +53,14 @@ from .tolerances import IDENTITY_TOL, RECURSION_BORN_TOL
 
 
 class SplitDecomposition(NamedTuple):
-    """Both sides of the contextual split of P(B(D1 u D2)|C), its
-    coefficient, and the two supporting identities."""
+    """Both sides of the contextual split of P(B(D1 u D2)|C) and its
+    coefficient, with the right-hand sides of the two supporting identities
+    (additivity over D1 and D2, and the conditioned form), whose left-hand
+    side is ``lhs`` too."""
 
     lhs: float
     rhs: float
     lam: float
-    delta: float
-    additivity_lhs: float
     additivity_rhs: float
     conditioned_rhs: float
 
@@ -135,9 +135,7 @@ def split_from_tables(
         or abs(lhs - conditioned_rhs) > IDENTITY_TOL
     ):
         raise InvariantViolation("split decomposition identity drifted")
-    return SplitDecomposition(
-        lhs, rhs, lam, delta, lhs, additivity_rhs, conditioned_rhs
-    )
+    return SplitDecomposition(lhs, rhs, lam, additivity_rhs, conditioned_rhs)
 
 
 def mu_coefficient(

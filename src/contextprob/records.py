@@ -2,13 +2,15 @@
 
 Plain records are ``typing.NamedTuple`` classes.
 
-Records built per context or per number (``Event``,
-``HyperbolicNumber``, ``InterferenceCoefficients``) are NamedTuples too:
-a subclass of a NamedTuple of their fields, with a ``__new__`` where they
-check or derive fields, so that one tuple construction builds each.  A
-slotted class that sets 9 fields by one ``object.__setattr__`` each takes
-2.0-2.1 us to build, a NamedTuple of the same fields 0.36-0.43 us
-(``timeit`` on Python 3.11, a 2-vCPU shared Xeon VM).  :class:`ValueTuple`
+Records built per context or per number are NamedTuples too, so that one
+tuple construction builds each.  ``InterferenceCoefficients`` is a plain
+NamedTuple, whose builder derives every field before the call, and which
+compares by identity and has no order.  ``Event`` and ``HyperbolicNumber``
+subclass a NamedTuple of their fields, and ``Event`` checks its fields in a
+``__new__``.  A slotted class that sets 9 fields by one
+``object.__setattr__`` each takes 2.0-2.1 us to build, a NamedTuple of the
+same fields 0.36-0.43 us (``timeit`` on Python 3.11, a 2-vCPU shared Xeon
+VM).  :class:`ValueTuple`
 makes such a record equal and hash by value against its own class only,
 never against a plain tuple, and refuses the tuple's concatenation and
 repetition; :func:`unordered` refuses to order it.

@@ -59,7 +59,6 @@ from .space import (
 from .tolerances import (
     AVERAGE_TOL,
     BORN_TOL,
-    BOUNDARY_TOL,
     CONE_CLOSURE_TOL,
     GRAM_TOL,
     IDENTITY_TOL,
@@ -464,7 +463,7 @@ def _hyperbolic_checks(run: _Run) -> None:
     strict_hyp = [
         coeffs
         for _, coeffs, _ in hyp
-        if any(abs(l) > 1.0 + BOUNDARY_TOL for l in coeffs.lambdas)
+        if itf.OutcomeClass.HYPERBOLIC in coeffs.tags
     ]
     no_hyp = (bool(hyp), "no hyperbolic contexts declared")
     not_ds = (ds, NOT_DS)
@@ -560,7 +559,7 @@ def _multivalued_checks(run: _Run) -> None:
                 except DegenerateCell:
                     continue
                 tuples += 1
-                rec_f1.compare(split.additivity_lhs, split.additivity_rhs, name)
+                rec_f1.compare(split.lhs, split.additivity_rhs, name)
                 rec_f2.compare(split.lhs, split.conditioned_rhs, name)
                 rec_f3.compare(split.lhs, split.rhs, name)
                 half = head + tail + 2.0 * mu * math.sqrt(head * tail)

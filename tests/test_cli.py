@@ -56,10 +56,6 @@ class TestAnalyze:
         report = json.loads(capsys.readouterr().out)
         assert list(report["contexts"]) == ["C123"]
 
-    def test_text_format(self, kq_path, capsys):
-        assert main(["analyze", kq_path, "--format", "text"]) == 0
-        assert "C123" in capsys.readouterr().out
-
 
 class TestRepresent:
     def test_report_shape(self, kq_path, tmp_path):
@@ -439,13 +435,14 @@ class TestParserReuse:
         out = str(tmp_path / "report.json")
         for _ in range(2):
             assert main(["analyze", kq_path, "--output", out]) == 0
-            with pytest.raises(SystemExit) as info:
-                main(["analyze", kq_path, "--no-such-flag"])
-            assert info.value.code == 2
+            assert main(["analyze", kq_path, "--no-such-flag"]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err.startswith("usage: contextprob ")
-            assert "unrecognized arguments: --no-such-flag" in captured.err
+            assert captured.err.count("\n") == 1
+            assert json.loads(captured.err) == {
+                "error": "usage",
+                "detail": "unrecognized arguments: --no-such-flag",
+            }
         assert main(["analyze", kq_path]) == 0
         report = json.loads(capsys.readouterr().out)
         assert len(report["contexts"]) == 11
@@ -484,13 +481,24 @@ class TestErrorContract:
         assert json.loads(captured.err)["error"] == "model-validation"
 
     @pytest.mark.parametrize("command", ("analyze", "represent"))
-    def test_tolerance_rejected_where_no_report_gates(self, kq_path, command, capsys):
+    def test_help_prints_usage_and_exits_zero(self, command, capsys):
+        """``--help`` is not an error: argparse prints the usage text to
+        stdout and exits 0."""
         with pytest.raises(SystemExit) as info:
-            main([command, kq_path, "--tolerance", "1e-30"])
-        assert info.value.code == 2
+            main([command, "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: contextprob {command} ")
+
+    @pytest.mark.parametrize("command", ("analyze", "represent"))
+    def test_tolerance_rejected_where_no_report_gates(self, kq_path, command, capsys):
+        assert main([command, kq_path, "--tolerance", "1e-30"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "unrecognized arguments: --tolerance 1e-30" in captured.err
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {
+            "error": "usage",
+            "detail": "unrecognized arguments: --tolerance 1e-30",
+        }
 
     @pytest.mark.parametrize("value", ("1.0", True, None))
     def test_non_number_variable_value_exit_two(self, tmp_path, kq_path, value, capsys):
@@ -662,7 +670,7 @@ class TestStrictJson:
         rec.expect(False, "context S1 has no state")
         report = VerificationReport([rec.result()])
         out = tmp_path / "report.json"
-        _emit(report.to_dict(), argparse.Namespace(format="json", output=str(out)))
+        _emit(report.to_dict(), argparse.Namespace(output=str(out)))
 
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")

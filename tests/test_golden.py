@@ -133,11 +133,13 @@ print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
 
 
 def test_report_commands_run_without_numpy(tmp_path):
-    """analyze, represent and every suite of verify import no numpy, and
-    still match the goldens.  ``verify --suite all`` runs on kq(1/8), on the
-    ternary pair and on the double stochastic ``random_ds_seed7``, where
-    every check passes: its operator spectrum, average preservation,
-    normalization and the seeded algebra draws all run without numpy."""
+    """analyze, represent, every suite of verify and ``example kq`` import
+    no numpy, and still match the goldens.  ``verify --suite all`` runs on
+    kq(1/8), on the ternary pair and on the double stochastic
+    ``random_ds_seed7``, where every check passes: its operator spectrum,
+    average preservation, normalization and the seeded algebra draws all
+    run without numpy.  ``example kq --q 0.125`` has no golden: it must
+    write what it writes in this process, eigenvectors included."""
     kq = tmp_path / "kq.json"
     save_model(generate_kq(0.125), kq)
     models = {"kq_0.125": kq, "random_3x3_seed4": DATA / "random_3x3_seed4.model.json"}
@@ -153,6 +155,7 @@ def test_report_commands_run_without_numpy(tmp_path):
     cases.append((argv, "verify_branches.json", "random_3x3"))
     ds_model = DATA / "random_ds_seed7.model.json"
     cases.append((["verify", str(ds_model), "--suite", "all"], None, None))
+    cases.append((["example", "kq", "--q", "0.125"], None, "example"))
     outs = [tmp_path / f"report{i}.json" for i in range(len(cases))]
     argvs = [[*argv, "--output", str(out)] for (argv, _, _), out in zip(cases, outs)]
     src = str(Path(contextprob.__file__).parent.parent)
@@ -164,7 +167,12 @@ def test_report_commands_run_without_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0] * len(argvs)
-    for (_, golden, key), out in zip(cases, outs):
+    for (argv, golden, key), out in zip(cases, outs):
+        if key == "example":
+            here = tmp_path / "example.json"
+            assert main([*argv, "--output", str(here)]) == 0
+            assert out.read_text() == here.read_text()
+            continue
         got = json.loads(out.read_text())
         if golden is None:  # random_ds_seed7: no golden, every check runs
             want = run_suite(load_model(ds_model)).to_dict()

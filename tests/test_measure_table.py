@@ -98,9 +98,7 @@ def _ref_split(space, b, d1, d2, c):
     for lhs_i, rhs_i in ((lhs, rhs), (lhs, additivity_rhs), (lhs, conditioned_rhs)):
         if abs(lhs_i - rhs_i) > IDENTITY_TOL:
             raise InvariantViolation("split decomposition identity drifted")
-    return SplitDecomposition(
-        lhs, rhs, lam, delta, lhs, additivity_rhs, conditioned_rhs
-    )
+    return SplitDecomposition(lhs, rhs, lam, additivity_rhs, conditioned_rhs)
 
 
 def _ref_mu(space, b, d1, d2, c):
@@ -681,10 +679,9 @@ def test_example_kq_reads_only_the_pair_tables(monkeypatch, capsys):
     assert measured == []
 
 
-def _ref_classify(outcomes):
+def _ref_classify(tags):
     """The class of a context as it was before the class was stored: read
     from the outcome tags on every call."""
-    tags = [o.tag for o in outcomes]
     if all(t is itf.OutcomeClass.BOUNDARY for t in tags):
         return itf.ContextClass.BOUNDARY
     if all(
@@ -721,8 +718,8 @@ def _ref_coefficients(space, pair, context):
     pb = [m(bx.mask & mask) / pc for bx in pair.b_partition]
     transition = transition_matrix(space, pair, "b/a")
     t = transition.rows
-    outcomes = []
-    for j, x in enumerate(pair.b_values):
+    deltas, lambdas, tags = [], [], []
+    for j in range(2):
         classical = math.fsum(pa[i] * t[i][j] for i in range(2))
         d = pb[j] - classical
         prod = pa[0] * t[0][j] * pa[1] * t[1][j]
@@ -735,20 +732,21 @@ def _ref_coefficients(space, pair, context):
             tag = itf.OutcomeClass.TRIGONOMETRIC
         else:
             tag = itf.OutcomeClass.HYPERBOLIC
-        outcomes.append(itf.OutcomeCoefficients(x, d, lam, tag))
-    deltas = tuple(o.delta for o in outcomes)
+        deltas.append(d)
+        lambdas.append(lam)
+        tags.append(tag)
     if abs(math.fsum(deltas)) > PREDICATE_TOL:
         raise InvariantViolation("outcome perturbations must sum to zero")
     return {
         "pair": pair,
         "context": context,
-        "outcomes": tuple(outcomes),
         "a_profile": tuple(pa),
         "b_profile": tuple(pb),
         "transition": transition,
-        "deltas": deltas,
-        "lambdas": tuple(o.lam for o in outcomes),
-        "context_class": _ref_classify(outcomes),
+        "deltas": tuple(deltas),
+        "lambdas": tuple(lambdas),
+        "tags": tuple(tags),
+        "context_class": _ref_classify(tags),
     }
 
 
@@ -801,19 +799,11 @@ def test_coefficient_body_on_cells_and_full_event(kq):
         assert coefficient_outcome(_coefficients_from_table, space, pair, c) == want
 
 
-def test_stored_class_matches_tag_classification(kq):
-    """Every combination of outcome tags, on coefficient objects built
-    directly, gets the class the tags gave before."""
-    base = itf.interference_coefficients(kq.space, kq.pair, kq.context("C123"))
+def test_stored_class_matches_tag_classification():
+    """Every combination of outcome tags gets, from the table the
+    coefficients read their class from, the class the tags gave before."""
     for tags in product(itf.OutcomeClass, repeat=2):
-        outcomes = tuple(o._replace(tag=t) for o, t in zip(base.outcomes, tags))
-        coeffs = itf.InterferenceCoefficients(
-            base.pair, base.context, outcomes, base.a_profile, base.b_profile,
-            base.transition,
-        )
-        assert coeffs.context_class is _ref_classify(outcomes)
-        assert coeffs.deltas == tuple(o.delta for o in outcomes)
-        assert coeffs.lambdas == tuple(o.lam for o in outcomes)
+        assert itf._CLASS_OF_TAG_PAIR[tags] is _ref_classify(tags)
 
 
 # ---------------------------------------------------------------------------

@@ -67,3 +67,51 @@ def test_every_export_is_used_by_the_package_or_the_benchmark():
             used |= used_names(ast.parse(path.read_text()))
     unused = exported_names() - used - bench_names()
     assert sorted(unused) == []
+
+
+# the records of the dichotomous chain: each field is a fact some reader needs
+SLIM_RECORDS = (
+    "InterferenceCoefficients", "PhaseAssignment", "GlobalPhaseReport",
+    "SplitDecomposition",
+)
+
+
+def record_fields() -> dict[str, list[str]]:
+    """The annotated fields of each record in :data:`SLIM_RECORDS`, from the
+    class bodies of the package."""
+    fields = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name in SLIM_RECORDS:
+                fields[node.name] = [
+                    stmt.target.id for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                ]
+    return fields
+
+
+def attributes_read() -> set[str]:
+    """Every attribute the package and the benchmark read."""
+    read = set()
+    for path in [*PACKAGE.glob("*.py"), *BENCH.glob("*.py")]:
+        read.update(
+            node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        )
+    return read
+
+
+def test_every_record_field_is_read():
+    """A field of the coefficient, phase, offset or split record that
+    neither the package nor the benchmark reads is a fact stored for
+    nothing: delete it, or read it."""
+    fields = record_fields()
+    assert sorted(fields) == sorted(SLIM_RECORDS)
+    read = attributes_read()
+    unread = [
+        f"{name}.{field}"
+        for name, names in sorted(fields.items())
+        for field in names
+        if field not in read
+    ]
+    assert unread == []

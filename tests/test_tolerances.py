@@ -91,15 +91,15 @@ def test_float_class_matches_exact_class_outside_the_band(seed, ds):
         if exact is None:
             continue
         coeffs = itf.interference_coefficients(doc.space, doc.pair, context)
-        for (d, lam_sq), outcome in zip(exact, coeffs.outcomes):
+        for (d, lam_sq), got, tag in zip(exact, coeffs.lambdas, coeffs.tags):
             with localcontext() as ctx:
                 ctx.prec = 60
                 lam = (Decimal(lam_sq.numerator) / Decimal(lam_sq.denominator)).sqrt()
-                err = abs(Decimal(outcome.lam) - (lam if d >= 0 else -lam))
-            assert err < Decimal(BOUNDARY_TOL), (name, outcome)
+                err = abs(Decimal(got) - (lam if d >= 0 else -lam))
+            assert err < Decimal(BOUNDARY_TOL), (name, got)
             if (1 - tol) ** 2 <= lam_sq <= (1 + tol) ** 2:
                 continue
-            assert outcome.tag is _exact_tag(lam_sq), (name, outcome, float(lam_sq))
+            assert tag is _exact_tag(lam_sq), (name, got, tag, float(lam_sq))
             compared += 1
     assert compared > 0
 
@@ -113,4 +113,4 @@ def test_kq_b_cells_are_exactly_on_the_boundary(kq, name):
     assert [lam_sq for _, lam_sq in exact] == [1, 1]
     coeffs = itf.interference_coefficients(kq.space, kq.pair, context)
     assert coeffs.context_class is itf.ContextClass.BOUNDARY
-    assert all(o.tag is itf.OutcomeClass.BOUNDARY for o in coeffs.outcomes)
+    assert all(tag is itf.OutcomeClass.BOUNDARY for tag in coeffs.tags)

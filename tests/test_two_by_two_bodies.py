@@ -5,11 +5,15 @@ they replaced.
 ``hyperbolic_amplitude_from_coefficients``, ``split_from_tables``,
 ``mu_from_tables`` and ``amplitude_nvalued_from_tables`` as they were when
 they looped over the outcomes and cells and built frozen dataclass records;
-each returns the field values of its record as a plain tuple.  On random
-models, double stochastic or not, and on kq (whose C14 and C23 sit on the
-boundary), each current body must return the same field values, equal by
-``==`` and by ``repr`` (which tells -0.0 from 0.0), or raise the same
-exception class with the same message.  The records, ``NamedTuple``s and
+each returns the field values of its record as a plain tuple.
+``_ref_assign_phases`` still takes the geometry as a ``mode``:
+``assign_phases`` is its "auto" mode, and ``trigonometric_phases`` and
+``hyperbolic_phases`` its two geometries, compared on the fields they
+return (the reference also returns fields the records no longer keep).
+On random models, double stochastic or not, and on kq (whose C14 and C23
+sit on the boundary), each current body must return the same field
+values, equal by ``==`` and by ``repr`` (which tells -0.0 from 0.0), or
+raise the same exception class with the same message.  The records, ``NamedTuple``s and
 slotted classes alike, must stay read-only, and compare by value or by
 identity as their frozen dataclasses did.
 """
@@ -19,6 +23,7 @@ import copy
 import math
 import pickle
 from itertools import combinations, permutations
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -104,7 +109,7 @@ def _ref_assign_phases(coeffs, convention="principal", mode="auto"):
         thetas = tuple(common for _ in mags)
     else:
         thetas = tuple(math.acosh(m) for m in mags)
-    epsilons = tuple(1 if o.delta > 0 else -1 for o in coeffs.outcomes)
+    epsilons = tuple(1 if d > 0 else -1 for d in coeffs.deltas)
     if sum(epsilons) != 0:
         raise PhaseInconsistency("hyperbolic signs must sum to zero")
     k = None if ds else t.cosine_ratio
@@ -203,7 +208,7 @@ def _ref_split(table, free, j, i1, i2):
     for rhs_i in (rhs, additivity_rhs, conditioned_rhs):
         if abs(lhs - rhs_i) > IDENTITY_TOL:
             raise InvariantViolation("split decomposition identity drifted")
-    return (lhs, rhs, lam, delta, lhs, additivity_rhs, conditioned_rhs)
+    return (lhs, rhs, lam, additivity_rhs, conditioned_rhs)
 
 
 def _ref_mu(table, free, j, i, rest):
@@ -349,32 +354,54 @@ def dichotomous_contexts(draw):
 
 SETTINGS = settings(max_examples=150, deadline=None)
 CONVENTIONS = ("principal", "conjugate", "sideways")
-MODES = ("auto", "trigonometric", "hyperbolic", "sideways")
+
+
+def _ref_phases(coeffs, convention, mode, fields):
+    """The ``fields`` (an ``itemgetter``) of :func:`_ref_assign_phases` in
+    ``mode``."""
+    return fields(_ref_assign_phases(coeffs, convention, mode))
 
 
 @SETTINGS
 @given(dichotomous_contexts())
 def test_phases_and_states(coeffs):
+    """``assign_phases`` is the reference in its "auto" mode, and each
+    geometry's body the reference in that geometry's mode."""
     for convention in CONVENTIONS:
-        for mode in MODES:
-            assert_same(
-                outcome(itf.assign_phases, coeffs, convention, mode),
-                outcome(_ref_assign_phases, coeffs, convention, mode),
-            )
+        assert_same(
+            outcome(itf.assign_phases, coeffs, convention),
+            outcome(_ref_phases, coeffs, convention, "auto", itemgetter(0, 2, 4)),
+        )
+        assert_same(
+            outcome(itf.trigonometric_phases, coeffs, convention),
+            outcome(_ref_phases, coeffs, convention, "trigonometric", itemgetter(2)),
+        )
         assert_same(
             outcome(cr.amplitude_from_coefficients, coeffs, convention),
             outcome(_ref_amplitude, coeffs, convention),
         )
+    assert_same(
+        outcome(itf.hyperbolic_phases, coeffs),
+        outcome(_ref_phases, coeffs, "principal", "hyperbolic", itemgetter(2, 4)),
+    )
 
     def hyperbolic(c):
         return _hyperbolic_fields(hr.hyperbolic_amplitude_from_coefficients(c))
 
     assert_same(outcome(hyperbolic, coeffs), outcome(_ref_hyperbolic_amplitude, coeffs))
-    for mode in ("trigonometric", "hyperbolic"):
-        try:
-            phases = itf.assign_phases(coeffs, mode=mode)
-        except (MixedContext, HyperbolicContext, TrigonometricContext):
-            continue
+    refused = (MixedContext, HyperbolicContext, TrigonometricContext)
+    assignments = []  # the phases of each geometry the context admits
+    try:
+        thetas = itf.trigonometric_phases(coeffs)
+        assignments.append(itf.PhaseAssignment("trigonometric", thetas))
+    except refused:
+        pass
+    try:
+        thetas, epsilons = itf.hyperbolic_phases(coeffs)
+        assignments.append(itf.PhaseAssignment("hyperbolic", thetas, epsilons))
+    except refused:
+        pass
+    for phases in assignments:
         assert_same(
             outcome(itf.reconstruct_probability, coeffs, phases),
             outcome(_ref_reconstruct, coeffs, phases),
@@ -457,7 +484,6 @@ def _records(kq, ds_skewed):
         ),
         "SplitLevel": chain.levels[pair.b_values[0]][0],
         "SplitChain": chain,
-        "OutcomeCoefficients": coeffs.outcomes[0],
         "GlobalPhaseReport": itf.verify_no_global_alpha(
             space, pair, [kq.context("C123"), kq.context("C234")]
         ),
@@ -492,7 +518,7 @@ def _records(kq, ds_skewed):
 
 TUPLE_RECORDS = [
     "PhaseAssignment", "ComplexAmplitude", "SplitDecomposition", "SplitLevel",
-    "SplitChain", "OutcomeCoefficients", "GlobalPhaseReport",
+    "SplitChain", "GlobalPhaseReport",
     "IncompatibilityStructure", "RandomVariable", "ReferencePair",
     "HyperbolicPolar", "HyperbolicAmplitude", "GModuleBasis",
     "AveragePreservationReport", "DistributionMismatchReport",
@@ -568,8 +594,8 @@ def test_value_records_equal_and_hash_by_value(kq):
 
 
 def test_coefficients_survive_pickle_and_copy(kq):
-    """The six-argument constructor rebuilds a copy with the same fields,
-    a distinct object that compares by identity and has no order."""
+    """A copy has the same fields and is a distinct object that compares
+    by identity and has no order."""
     coeffs = itf.interference_coefficients(kq.space, kq.pair, kq.context("C24"))
     for copied in (
         copy.copy(coeffs), copy.deepcopy(coeffs), pickle.loads(pickle.dumps(coeffs)),
