@@ -159,25 +159,30 @@ def interference_coefficients(
 def read_contexts(
     space: FiniteKolmogorovSpace, pair: ReferencePair,
     named: Iterable[tuple[str, Event]],
-) -> Iterator[tuple[str, int, InterferenceCoefficients | Exception | None]]:
+) -> Iterator[
+    tuple[str, Sequence[Sequence[int]], InterferenceCoefficients | Exception | None]
+]:
     """Read each named context once, in order, with the pair checked once.
 
-    Yields ``(name, packed, coefficients)``: ``packed`` is the context's
-    packed sum in the pair's :func:`~contextprob.space.pair_tables`
-    (:meth:`~contextprob.space.PairTables.units`), the exact units of each
-    joint cell within it.  On a dichotomous pair its four fields give P(C),
-    P(A_i & C) and P(B_j & C), which go with the pair's "b/a" transition
-    matrix to :func:`coefficients_from_measures`.  In place of the
-    coefficients it yields the refusal of a null or a-degenerate context, of
-    a vanishing normalising root or of a compatible pair, and ``None`` on a
-    pair that is not dichotomous.  An :class:`InvariantViolation` is raised.
+    Yields ``(name, rows, coefficients)``: ``rows[i][j]`` is the context's
+    exact number of units in the joint cell A_i & B_j, each unit 1/scale of
+    the pair's :func:`~contextprob.space.pair_tables`, as
+    :func:`~contextprob.space.table_from_units` takes them.  On a
+    dichotomous pair they are the four fields of the context's packed sum,
+    and give P(C), P(A_i & C) and P(B_j & C), which go with the pair's "b/a"
+    transition matrix to :func:`coefficients_from_measures`.  In place of
+    the coefficients it yields the refusal of a null or a-degenerate
+    context, of a vanishing normalising root or of a compatible pair, and
+    ``None`` on a pair that is not dichotomous.  An
+    :class:`InvariantViolation` is raised.
     """
     tables = pair_tables(space, pair)
     units, scale, size = tables.units, tables.scale, tables.size
     w1, field_mask = tables.width, tables.field_mask
     w2, w3 = 2 * w1, 3 * w1
+    two_by_two = len(pair.a_values) == 2 and len(pair.b_values) == 2
     transition = refusal = None
-    if len(pair.a_values) == 2 and len(pair.b_values) == 2:
+    if two_by_two:
         if are_incompatible(space, pair):
             # an incompatible pair has no null cell, so the matrix cannot raise
             transition = transition_matrix(space, pair, "b/a")
@@ -187,11 +192,14 @@ def read_contexts(
         if context.size != size:
             raise ValueError("event does not belong to this space")
         packed = units(context.mask)
+        if not two_by_two:
+            yield name, tables._rows(packed), None
+            continue
+        # the four fields of the cells (0, 0), (0, 1), (1, 0) and (1, 1)
+        u00, u01 = packed & field_mask, (packed >> w1) & field_mask
+        u10, u11 = (packed >> w2) & field_mask, packed >> w3
         coefficients = refusal
         if transition is not None:
-            # the four fields of the cells (0, 0), (0, 1), (1, 0) and (1, 1)
-            u00, u01 = packed & field_mask, (packed >> w1) & field_mask
-            u10, u11 = (packed >> w2) & field_mask, packed >> w3
             try:
                 coefficients = coefficients_from_measures(
                     pair, context, transition, (u00 + u01 + u10 + u11) / scale,
@@ -200,7 +208,7 @@ def read_contexts(
                 )
             except (ZeroConditioningContext, DegenerateContext, DegenerateCell) as exc:
                 coefficients = exc
-        yield name, packed, coefficients
+        yield name, ((u00, u01), (u10, u11)), coefficients
 
 
 def coefficients_from_measures(

@@ -24,13 +24,19 @@ the six cells of their own events' partitions, completed by complements,
 the space's one-cell tables, as a probability is read, and keep nothing.  The
 recursion body takes its last-level lambdas from its caller, who has
 computed that split already: ``verify`` from its split loop,
-:func:`build_amplitude_nvalued` itself.
+:func:`build_amplitude_nvalued` itself.  It divides each a-cell's measure
+by P(C) once per call, not once per b-outcome, and refuses a null share
+where it reads it, so the first refusal is that of the first outcome and
+cell in the recursion order.  The tails of each order are built once and
+kept.  Each component starts at its first root, whose phase beta[0] is 0,
+and adds the other terms left to right.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .complex_repr import ComplexAmplitude
@@ -233,9 +239,14 @@ def build_amplitude_nvalued(
     return amplitude_nvalued_from_tables(pair, context, table, free, order, signs, lams)
 
 
-def recursion_tails(order: Sequence[int]) -> list[frozenset[int]]:
+def recursion_tails(order: Sequence[int]) -> tuple[frozenset[int], ...]:
     """tails[j] is the union of the a-cells order[j:], at every level j."""
-    return [frozenset(order[j:]) for j in range(len(order) - 1)]
+    return _tails(tuple(order))
+
+
+@lru_cache(maxsize=64)
+def _tails(order: tuple[int, ...]) -> tuple[frozenset[int], ...]:
+    return tuple([frozenset(order[j:]) for j in range(len(order) - 1)])
 
 
 def amplitude_nvalued_from_tables(
@@ -261,20 +272,22 @@ def amplitude_nvalued_from_tables(
     tails = recursion_tails(order)
     unions, a_row = table.unions, table.a_row
     free_cells, free_a = free.cells, free.a_row
+    shares = [p / pc for p in a_row]  # P(A_i|C), by a-cell
     levels: dict[float, tuple[SplitLevel, ...]] = {}
     betas: dict[float, tuple[float, ...]] = {}
     components = []
     for jx, x in enumerate(pair.b_values):
-        head_terms = []
+        head_terms, roots = [], []
         for i in order:
-            p_cell_c = a_row[i] / pc
+            p_cell_c = shares[i]
             if p_cell_c == 0.0:
                 raise DegenerateCell("context misses a conditioning cell")
             p_b_cell = free_cells[i][jx] / free_a[i]
             if p_b_cell == 0.0:
                 raise DegenerateCell("outcome misses a conditioning cell")
-            head_terms.append(p_b_cell * p_cell_c)
-        roots = [math.sqrt(h) for h in head_terms]
+            head = p_b_cell * p_cell_c
+            head_terms.append(head)
+            roots.append(math.sqrt(head))
 
         # partial states from the innermost split outward: the last level
         # splits off the context entirely (lambda), each inner one the head
@@ -312,7 +325,10 @@ def amplitude_nvalued_from_tables(
             beta[j] = beta[j - 1] + records[j - 1].phase - records[j].arg
         beta[n - 1] = beta[n - 2] + records[n - 2].phase
 
-        component = sum([cis(b) * r for b, r in zip(beta, roots)])
+        # beta[0] = 0 and cis(0) is exactly 1; the rest add left to right
+        component = complex(roots[0], 0.0)
+        for j in range(1, n):
+            component += cis(beta[j]) * roots[j]
         if abs(abs(component) ** 2 - table.b_row[jx] / pc) > RECURSION_BORN_TOL:
             raise InvariantViolation(
                 "recursive state drifted from the outcome probability"

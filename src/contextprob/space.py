@@ -21,8 +21,8 @@ masks, so a fresh :class:`ReferencePair` over the same partitions, and
 either direction of the pair, reuse it.  The facts of a reference pair
 (its transition matrices, its incompatibility) are computed on every call,
 from the full event's cells in its pair tables.  Nothing per context or per
-event is stored: the caller reads a context's packed units once, as
-:func:`~contextprob.interference.read_contexts` does, into a
+event is stored: the caller reads a context's unit rows once, as
+:func:`~contextprob.interference.read_contexts` yields them, into a
 :class:`MeasureTable`; a ``verify`` run holds one per declared context.
 A transition matrix keeps its cosine ratio once computed.
 Values can still be shared across threads: a race between two threads only
@@ -530,8 +530,24 @@ def table_from_units(
 ) -> MeasureTable:
     """The :class:`MeasureTable` of one context from ``rows[i][j]``, the
     exact units of A_i & B_j & C, each of 1/``scale``, with the given
-    unions of the a-cells, each a set of row indices.  The union of one
-    a-cell is that cell's row, and the union of all of them is ``b_row``."""
+    unions of the a-cells, each a nonempty set of row indices.  The union
+    of one a-cell is that cell's row, and the union of all of them is
+    ``b_row``.  Each entry is one correctly rounded int / int division.
+
+    A 2x2 ``rows`` takes a straight-line body: each of its unions is one of
+    these two aliases."""
+    if len(rows) == 2 and len(rows[0]) == 2:
+        (u00, u01), (u10, u11) = rows
+        cells = (u00 / scale, u01 / scale), (u10 / scale, u11 / scale)
+        b0, b1 = u00 + u10, u01 + u11
+        b_row = b0 / scale, b1 / scale
+        return MeasureTable(
+            (b0 + b1) / scale,
+            ((u00 + u01) / scale, (u10 + u11) / scale),
+            b_row,
+            cells,
+            {s: b_row if len(s) == 2 else cells[min(s)] for s in unions},
+        )
     cells = tuple([tuple([u / scale for u in row]) for row in rows])
     b_units = [sum(col) for col in zip(*rows)]
     b_row = tuple([u / scale for u in b_units])

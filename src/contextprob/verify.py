@@ -20,11 +20,14 @@ formatted only when its comparison becomes the worst.
 A run reads each declared context, and then each b-cell, once through
 :func:`~contextprob.interference.read_contexts`, whichever suites run, and
 keeps each context's coefficients and the
-:class:`~contextprob.space.MeasureTable` built from its packed units: P(C),
-its a-, b- and joint cells and the union rows of the single a-cells, the
-a-cell pairs and the recursion tails.  The core and multivalued suites read
-these tables, and each representable context's principal complex state is
-built once.
+:class:`~contextprob.space.MeasureTable` built from the exact unit rows the
+read yields: P(C), its a-, b- and joint cells and the union rows of the
+single a-cells, the a-cell pairs and the recursion tails.  The core and
+multivalued suites read these tables.  Each representable context's
+principal complex state is built once, with its Born probabilities |c|^2,
+which the complex suite's Born and conjugation checks and the multivalued
+suite's comparison with the recursion read; the conjugate and the recursion
+states' Born probabilities are read once from their components too.
 """
 
 from __future__ import annotations
@@ -126,10 +129,15 @@ class _Recorder:
 
     def compare(self, lhs: float, rhs: float, witness: str, *args) -> None:
         """The witness is ``witness.format(*args)``, or ``witness`` itself
-        without ``args``, formatted only if this comparison is the worst."""
+        without ``args``, formatted only if this comparison is the worst.
+        A NaN residual is a failed expectation, as in :meth:`expect`."""
         residual = abs(lhs - rhs)
         self.compared += 1
-        if residual > self.worst:
+        if not residual <= self.worst:  # a larger residual, or NaN
+            if residual != residual:  # NaN: a failed expectation
+                if self.worst == math.inf:
+                    return
+                residual = math.inf
             self.worst = residual
             self.witness = witness.format(*args) if args else witness
 
@@ -149,6 +157,12 @@ class _Recorder:
         return Check(self.id, status, residual=self.worst, witness=self.witness)
 
 
+def _born(psi: cr.ComplexAmplitude) -> list[float]:
+    """|c|^2 of each component, the float :meth:`ComplexAmplitude.born`
+    gives for its b-value."""
+    return [abs(c) ** 2 for c in psi.components]
+
+
 class _Run:
     """One :func:`run_suite` call: its checks in report order and the model
     facts the suites share, each computed once.
@@ -157,7 +171,9 @@ class _Run:
     the multivalued suite splits over, and ``classified`` (name,
     coefficients, class) for every one that is a-nondegenerate, both in
     declaration order; ``classified`` is empty unless the pair is
-    dichotomous and incompatible.
+    dichotomous and incompatible.  ``states`` holds the principal state of
+    each context :meth:`principal` was asked for, with its Born
+    probabilities.
     """
 
     def __init__(self, doc: ModelDocument, tolerance: float | None):
@@ -167,26 +183,29 @@ class _Run:
         self.recorders: list[_Recorder] = []
         pair = self.pair
         self.dichotomous = len(pair.a_values) == 2 and len(pair.b_values) == 2
-        self.states: dict[str, cr.ComplexAmplitude] = {}
+        self.states: dict[str, tuple[cr.ComplexAmplitude, list[float]]] = {}
         k = range(len(pair.a_values))
         unions = {*map(frozenset, [*combinations(k, 1), *combinations(k, 2)])}
         unions.update(mv.recursion_tails(k))
-        tables = pair_tables(self.space, pair)
+        scale = pair_tables(self.space, pair).scale
         named = chain(doc.contexts.items(), zip(repeat(None), pair.b_partition))
         reads = itf.read_contexts(self.space, pair, named)
         self.tables: list[MeasureTable] = []
         self.classified = []
-        for name, packed, coeffs in islice(reads, len(doc.contexts)):
-            rows = tables._rows(packed)
-            self.tables.append(table_from_units(rows, tables.scale, unions))
+        for name, rows, coeffs in islice(reads, len(doc.contexts)):
+            self.tables.append(table_from_units(rows, scale, unions))
             if isinstance(coeffs, itf.InterferenceCoefficients):
                 self.classified.append((name, coeffs, coeffs.context_class))
         self._b_cells = [coeffs for _, _, coeffs in reads]
 
-    def psi(self, name: str, coeffs) -> cr.ComplexAmplitude:
-        """The principal complex state of a classified context, built once."""
+    def principal(
+        self, name: str, coeffs
+    ) -> tuple[cr.ComplexAmplitude, list[float]]:
+        """The principal complex state of a classified context, built once,
+        with its Born probabilities |c|^2 in b-value order."""
         if name not in self.states:
-            self.states[name] = cr.amplitude_from_coefficients(coeffs)
+            psi = cr.amplitude_from_coefficients(coeffs)
+            self.states[name] = psi, _born(psi)
         return self.states[name]
 
     def check(self, check_id: str, tol: float, *preconditions) -> _Recorder:
@@ -315,14 +334,14 @@ def _complex_checks(run: _Run) -> None:
     rec_a = run.check("complex.born_a", BORN_TOL, not_ds)
     states = []  # (name, state, a-profile, b-profile), kept for averages
     for name, coeffs in representable:
-        psi = run.psi(name, coeffs)
+        psi, p = run.principal(name, coeffs)
         if ds:
             states.append((name, psi, coeffs.a_profile, coeffs.b_profile))
-        psi_bar = cr.amplitude_from_coefficients(coeffs, "conjugate")
+        p_bar = _born(cr.amplitude_from_coefficients(coeffs, "conjugate"))
         rec_norm.compare(psi.norm_sq(), 1.0, name)
         for j, x in enumerate(pair.b_values):
-            rec.compare(psi.born(x), coeffs.b_profile[j], "{}, x={}", name, x)
-            rec_conj.compare(psi.born(x), psi_bar.born(x), "{}, x={}", name, x)
+            rec.compare(p[j], coeffs.b_profile[j], "{}, x={}", name, x)
+            rec_conj.compare(p[j], p_bar[j], "{}, x={}", name, x)
         if ds:
             for i, y in enumerate(pair.a_values):
                 rec_a.compare(
@@ -574,15 +593,16 @@ def _multivalued_checks(run: _Run) -> None:
         except (DegenerateCell, ZeroConditioningContext):
             continue
         built += 1
+        p = _born(psi)
         for j, x in enumerate(pair.b_values):
-            rec.compare(psi.born(x), table.b_row[j] / table.pc, "{}, x={}", name, x)
+            rec.compare(p[j], table.b_row[j] / table.pc, "{}, x={}", name, x)
         if name in coefficients:
             try:
-                flat = run.psi(name, coefficients[name])
+                _, flat = run.principal(name, coefficients[name])
             except (MixedContext, HyperbolicContext):
                 continue
             for j, x in enumerate(pair.b_values):
-                rec.compare(psi.born(x), flat.born(x), "{} vs flat, x={}", name, x)
+                rec.compare(p[j], flat[j], "{} vs flat, x={}", name, x)
     for r in (rec_f1, rec_f2, rec_f3, rec_f5):
         r.require(tuples > 0, "no admissible event tuples")
     rec.require(

@@ -15,6 +15,12 @@ ternary pair; ``random_ds_seed7.{analyze,represent,suites}.json`` pin the
 hyperbolic basis of ``represent`` and ``verify`` on a double stochastic
 model, and were written before the three commands read each context
 through one generator.
+``atlas8.model.json`` is dichotomous and not double stochastic, with two
+points per joint cell (cell masses 0.45, 0.15, 0.30 and 0.10, each split
+0.1 / 0.9) and all 225 a-nondegenerate contexts declared: 156
+trigonometric, 15 hyperbolic and 54 mixed.  ``atlas8.{analyze,represent,
+suites}.json`` were written before ``verify`` built each context's table
+from the unit rows of the read.
 ``verify_branches.json`` holds ``run_suite(doc).to_dict()`` of small models
 chosen so that every skip reason of ``verify`` is reached; it was written
 before the checks were folded into one run object.
@@ -109,7 +115,15 @@ def test_double_stochastic_report_matches_golden(tmp_path, command):
     _model_report_matches_golden(tmp_path, "random_ds_seed7", command)
 
 
-@pytest.mark.parametrize("stem", ["kq_0.125", "random_3x3_seed4", "random_ds_seed7"])
+@pytest.mark.parametrize("command", ["analyze", "represent"])
+def test_context_atlas_report_matches_golden(tmp_path, command):
+    """Every class of a dichotomous pair that is not double stochastic."""
+    _model_report_matches_golden(tmp_path, "atlas8", command)
+
+
+@pytest.mark.parametrize(
+    "stem", ["kq_0.125", "random_3x3_seed4", "random_ds_seed7", "atlas8"]
+)
 @pytest.mark.parametrize("suite", SUITES)
 def test_single_suite_matches_golden(stem, suite):
     if stem == "kq_0.125":

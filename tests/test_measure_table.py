@@ -916,6 +916,24 @@ def test_pair_table_equals_measure_table(case):
     assert cp.are_incompatible(space, pair) is (0.0 not in cell_masses)
 
 
+@SETTINGS
+@given(labelled_pairs())
+def test_read_yields_the_unit_rows_of_each_context(case):
+    """``read_contexts`` yields each context's exact unit rows, as the pair
+    tables hold them, in the order the contexts are named; each unit count
+    over the scale is the reference measure of its joint cell."""
+    space, pair, c, _ = case
+    tables = space_module.pair_tables(space, pair)
+    named = [("C", c), ("full", space.full_event()), ("empty", Event(0, space.n))]
+    reads = list(itf.read_contexts(space, pair, named))
+    assert [name for name, _, _ in reads] == ["C", "full", "empty"]
+    cells = pair.a_partition, pair.b_partition
+    for (_, rows, _), (_, context) in zip(reads, named):
+        assert [list(row) for row in rows] == tables._rows(tables.units(context.mask))
+        want = fsum_table(space, *cells, context).cells
+        assert tuple(tuple(u / tables.scale for u in row) for row in rows) == want
+
+
 @pytest.mark.parametrize("ka, kb", PAIR_SHAPES)
 def test_pair_table_on_1024_points(ka, kb):
     """1,024 points with weights over nine orders of magnitude and one of

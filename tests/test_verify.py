@@ -5,7 +5,9 @@ becomes the worst.
 ``_EagerRecorder`` is the recorder as it was when every caller formatted its
 witness with an f-string before each comparison; on random sequences of
 comparisons and expectations the lazy recorder must keep the same residual
-and the same witness.
+and the same witness.  A NaN residual is a failed expectation: the worst
+residual becomes inf and the first NaN comparison is the witness, unless an
+expectation failed first.
 """
 
 import ast
@@ -29,6 +31,9 @@ class _EagerRecorder:
 
     def compare(self, lhs, rhs, witness):
         residual = abs(lhs - rhs)
+        if math.isnan(residual):
+            self.expect(False, witness)
+            return
         self.compared += 1
         if residual > self.worst:
             self.worst = residual
@@ -43,7 +48,7 @@ class _EagerRecorder:
 
 # a few shared values make ties between residuals common
 values = st.one_of(
-    st.sampled_from([0.0, 0.25, 0.5, 1.0, -1.0, 1e-12, math.inf]),
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, -1.0, 1e-12, math.inf, math.nan]),
     st.floats(allow_nan=False),
 )
 names = st.text(alphabet="C12{}x=, ", max_size=6)
@@ -71,6 +76,25 @@ def test_lazy_witness_matches_eager_formatting(sequence):
     assert (lazy.worst, lazy.witness, lazy.compared) == (
         eager.worst, eager.witness, eager.compared
     )
+
+
+def test_nan_residual_fails_its_check():
+    """A NaN residual fails the check with a null residual; the first NaN
+    comparison is the witness, and later failures keep it."""
+    rec = _Recorder("demo", tol=1e-12)
+    rec.compare(0.5, 0.5, "equal")
+    rec.compare(math.nan, 1.0, "first {}", "nan")
+    rec.compare(math.inf, 1.0, "larger")
+    rec.compare(1.0, math.nan, "second nan")
+    rec.expect(False, "failed expectation")
+    assert (rec.worst, rec.witness, rec.compared) == (math.inf, "first nan", 5)
+    check = rec.result()
+    assert (check.status, check.witness) == ("fail", "first nan")
+    assert check.to_dict()["residual"] is None
+    rec = _Recorder("demo", tol=math.inf)
+    rec.compare(math.inf, -math.inf, "{} apart", "infinitely")
+    rec.compare(math.inf, math.inf, "nan")
+    assert (rec.worst, rec.witness) == (math.inf, "infinitely apart")
 
 
 def test_no_eager_witness_in_verify():
