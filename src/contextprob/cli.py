@@ -149,6 +149,12 @@ def _chain_payload(chain) -> dict:
     }
 
 
+def _branch_signs(pair, branch: str) -> tuple[int, ...]:
+    """The split recursion's sign at each level for ``--branch``: the
+    conjugate state takes the other arccos branch at every level."""
+    return (1 if branch == "principal" else -1,) * (len(pair.a_values) - 1)
+
+
 # the report name of each class, read without the Enum ``value`` property
 _CLASS_NAMES = {cls: cls.value for cls in itf.ContextClass}
 
@@ -159,9 +165,12 @@ def cmd_analyze(args) -> int:
     out: dict = {"contexts": {}}
     selected = _selected_contexts(doc, args.context).items()
     if len(pair.a_values) != 2 or len(pair.b_values) != 2:
+        signs = _branch_signs(pair, args.branch)
         for name, event in selected:
             try:
-                _, chain = mv.build_amplitude_nvalued(space, pair, event)
+                _, chain = mv.build_amplitude_nvalued(
+                    space, pair, event, branch_signs=signs
+                )
                 out["contexts"][name] = {
                     "class": "split-representable",
                     "split_chain": _chain_payload(chain),
@@ -296,10 +305,18 @@ def cmd_represent(args) -> int:
 def _represent_nvalued(doc, args) -> int:
     """Split-recursion report for pairs with more than two values."""
     space, pair = doc.space, doc.pair
+    if args.anchor is not None:
+        raise ModelValidationError(
+            "--anchor needs a dichotomous reference pair; the split recursion "
+            "of this pair builds no anchored basis"
+        )
+    signs = _branch_signs(pair, args.branch)
     out: dict = {"complex": {}, "operators": {}}
     for name, event in _selected_contexts(doc, args.context).items():
         try:
-            psi, chain = mv.build_amplitude_nvalued(space, pair, event)
+            psi, chain = mv.build_amplitude_nvalued(
+                space, pair, event, branch_signs=signs
+            )
         except ContextualProbabilityError as exc:
             out["complex"][name] = {"skipped": str(exc)}
             continue

@@ -10,7 +10,8 @@ Conditional expectations of f(a) + g(b) are preserved by the operator map
 even though joint-distribution information is not.
 
 Inner products conjugate the second argument.  Every context admits exactly
-two conjugate state vectors; the ``branch`` tag records which one was built.
+two conjugate state vectors; the builders' ``convention`` argument picks
+which one is built, and the state keeps no tag of it.
 
 States, basis vectors and operator matrices are tuples (of rows) of Python
 complexes, computed with plain 2x2 (and diagonal k x k) arithmetic.  The
@@ -49,7 +50,7 @@ from .space import (
     pair_tables,
     transition_matrix,
 )
-from .tolerances import AVERAGE_TOL, BORN_TOL, HERMITIAN_TOL, PREDICATE_TOL
+from .tolerances import BORN_TOL, HERMITIAN_TOL, PREDICATE_TOL
 
 
 class ComplexAmplitude(NamedTuple):
@@ -57,8 +58,6 @@ class ComplexAmplitude(NamedTuple):
 
     components: tuple[complex, ...]
     b_values: tuple[float, ...]
-    context: Event | None
-    branch: str
 
     def component(self, x: float) -> complex:
         return complex(self.components[self.b_values.index(x)])
@@ -69,12 +68,6 @@ class ComplexAmplitude(NamedTuple):
     def norm_sq(self) -> float:
         """The :meth:`born` terms, summed left to right."""
         return float(sum([abs(c) ** 2 for c in self.components]))
-
-    def conjugate(self) -> "ComplexAmplitude":
-        other = "conjugate" if self.branch == "principal" else "principal"
-        return ComplexAmplitude(
-            _conj(self.components), self.b_values, self.context, other
-        )
 
 
 def _conj(v: Sequence[complex]) -> tuple[complex, ...]:
@@ -121,9 +114,7 @@ def amplitude_from_coefficients(
     b0, b1 = coeffs.b_profile
     if abs(abs(c0) ** 2 - b0) > BORN_TOL or abs(abs(c1) ** 2 - b1) > BORN_TOL:
         raise PhaseInconsistency("squared modulus drifted from the probability")
-    return ComplexAmplitude(
-        components, coeffs.pair.b_values, coeffs.context, convention
-    )
+    return ComplexAmplitude(components, coeffs.pair.b_values)
 
 
 def build_amplitude(
@@ -146,7 +137,6 @@ class HilbertBasis(NamedTuple):
     probability rule fails.  Bases compare by identity."""
 
     vectors: tuple[tuple[complex, ...], ...]
-    anchor: Event | None
     unitary: bool
     witness: dict[str, float]
 
@@ -186,9 +176,7 @@ def a_basis_for_context(
     witness: dict[str, float] = {}
     if not unitary:
         witness = {f"column_sum_{j}": s for j, s in enumerate(column_sums(t))}
-    return HilbertBasis(
-        vectors=vectors, anchor=anchor_context, unitary=unitary, witness=witness
-    )
+    return HilbertBasis(vectors=vectors, unitary=unitary, witness=witness)
 
 
 class HermitianOperator(Record):
@@ -306,7 +294,7 @@ def state_for_context(
         if context.mask == ay.mask:
             # an a-cell is a-degenerate and has no interference
             # representation: its state is its basis vector
-            psi = ComplexAmplitude(basis.vectors[i], pair.b_values, ay, "basis")
+            psi = ComplexAmplitude(basis.vectors[i], pair.b_values)
             indicator = tuple(float(k == i) for k in range(len(pair.a_values)))
             return psi, indicator, transition_matrix(space, pair, "b/a").rows[i]
     coeffs = interference_coefficients(space, pair, context)
@@ -317,8 +305,6 @@ def state_for_context(
 class AveragePreservationReport(NamedTuple):
     classical: float
     quantum: float
-    residual: float
-    ok: bool
 
 
 def verify_average_preservation(
@@ -366,14 +352,7 @@ def average_preservation(
     :func:`sum_operator` in the context's state ``psi``."""
     values, profile = (*f_row, *g_row), (*a_profile, *b_profile)
     classical = math.fsum(v * p for v, p in zip(values, profile))
-    quantum = quantum_average(operator, psi)
-    residual = abs(classical - quantum)
-    return AveragePreservationReport(
-        classical=classical,
-        quantum=quantum,
-        residual=residual,
-        ok=residual <= AVERAGE_TOL,
-    )
+    return AveragePreservationReport(classical, quantum_average(operator, psi))
 
 
 def _length(v: Sequence[complex]) -> float:
@@ -388,7 +367,6 @@ class DistributionMismatchReport(NamedTuple):
     quantum_dist: dict[float, float]
     classical_average: float
     quantum_average: float
-    total_variation: float
 
 
 def distribution_mismatch(
@@ -417,8 +395,7 @@ def distribution_mismatch(
 
     basis = a_basis_for_context(space, pair, space.full_event())
     psi = state_for_context(space, pair, context, basis)[0]
-    a_op = operator_for_variable(pair.a_values, basis)
-    d_op = HermitianOperator(_add(a_op.matrix, _diagonal(pair.b_values)))
+    d_op = sum_operator(basis, pair.a_values, pair.b_values)
     (a, m01), (m10, d) = d_op.matrix
     quantum_dist = {}
     for lam in d_op.eigenvalues():
@@ -427,16 +404,9 @@ def distribution_mismatch(
         e0, e1 = max((m01, lam - a), (lam - d, m10), key=_length)
         norm = _length((e0, e1))
         quantum_dist[lam] = born_probability(psi, (e0 / norm, e1 / norm))
-    quantum_avg = quantum_average(d_op, psi)
-
-    support = sorted(set(classical_dist) | set(quantum_dist))
-    tv = 0.5 * math.fsum(
-        abs(classical_dist.get(v, 0.0) - quantum_dist.get(v, 0.0)) for v in support
-    )
     return DistributionMismatchReport(
         classical_dist=classical_dist,
         quantum_dist=quantum_dist,
         classical_average=classical_avg,
-        quantum_average=quantum_avg,
-        total_variation=tv,
+        quantum_average=quantum_average(d_op, psi),
     )

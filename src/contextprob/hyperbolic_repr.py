@@ -51,7 +51,6 @@ class HyperbolicAmplitude(NamedTuple):
     epsilons: tuple[int, ...]
     thetas: tuple[float, ...]
     b_values: tuple[float, ...]
-    context: Event | None
 
     def component(self, x: float) -> HyperbolicNumber:
         return self.components[self.b_values.index(x)]
@@ -110,9 +109,7 @@ def hyperbolic_amplitude_from_coefficients(
     b0, b1 = coeffs.b_profile
     if abs(c0.norm_sq() - b0) > BORN_TOL or abs(c1.norm_sq() - b1) > BORN_TOL:
         raise PhaseInconsistency("signed squared norm drifted from the probability")
-    return HyperbolicAmplitude(
-        (c0, c1), epsilons, thetas, coeffs.pair.b_values, coeffs.context
-    )
+    return HyperbolicAmplitude((c0, c1), epsilons, thetas, coeffs.pair.b_values)
 
 
 def build_hyperbolic_amplitude(
@@ -126,13 +123,11 @@ def build_hyperbolic_amplitude(
 
 
 class GModuleBasis(NamedTuple):
-    """Orthonormal basis of the two-dimensional hyperbolic module, with the
-    change matrix whose columns are the basis vectors in b-coordinates."""
+    """Orthonormal basis of the two-dimensional hyperbolic module:
+    ``vectors[i]``, the vector of the i-th a-outcome in b-coordinates, is
+    the i-th column of the change matrix."""
 
     vectors: tuple[tuple[HyperbolicNumber, ...], ...]
-    anchor: Event
-    thetas: tuple[float, ...]
-    epsilons: tuple[int, ...]
 
 
 def hyperbolic_a_basis(anchor: InterferenceCoefficients) -> GModuleBasis:
@@ -154,10 +149,7 @@ def hyperbolic_a_basis(anchor: InterferenceCoefficients) -> GModuleBasis:
         (amp.epsilons[0] * u[1][0]) * exp_j(amp.thetas[0]),
         (amp.epsilons[1] * u[1][1]) * exp_j(amp.thetas[1]),
     )
-    basis = GModuleBasis(
-        vectors=(e1, e2), anchor=anchor.context, thetas=amp.thetas,
-        epsilons=amp.epsilons,
-    )
+    basis = GModuleBasis((e1, e2))
     for i in range(2):
         for k in range(2):
             g = hyperbolic_inner_product(basis.vectors[i], basis.vectors[k])

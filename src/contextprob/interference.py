@@ -126,7 +126,6 @@ class InterferenceCoefficients(NamedTuple):
     """
 
     pair: ReferencePair
-    context: Event
     a_profile: tuple[float, ...]
     b_profile: tuple[float, ...]
     transition: TransitionMatrix
@@ -202,7 +201,7 @@ def read_contexts(
         if transition is not None:
             try:
                 coefficients = coefficients_from_measures(
-                    pair, context, transition, (u00 + u01 + u10 + u11) / scale,
+                    pair, transition, (u00 + u01 + u10 + u11) / scale,
                     ((u00 + u01) / scale, (u10 + u11) / scale),
                     ((u00 + u10) / scale, (u01 + u11) / scale),
                 )
@@ -212,7 +211,7 @@ def read_contexts(
 
 
 def coefficients_from_measures(
-    pair: ReferencePair, context: Event, transition: TransitionMatrix,
+    pair: ReferencePair, transition: TransitionMatrix,
     pc: float, a_row: Sequence[float], b_row: Sequence[float],
 ) -> InterferenceCoefficients:
     """The coefficients of one context from P(C), ``a_row[i]`` =
@@ -240,7 +239,7 @@ def coefficients_from_measures(
     lam1 = d1 / (2.0 * math.sqrt(prod1))
     tags = _outcome_tag(lam0), _outcome_tag(lam1)
     coeffs = InterferenceCoefficients(
-        pair, context, pa, pb, transition, (d0, d1), (lam0, lam1), tags,
+        pair, pa, pb, transition, (d0, d1), (lam0, lam1), tags,
         _CLASS_OF_TAG_PAIR[tags],
     )
     if abs(d0 + d1) > PREDICATE_TOL:
@@ -380,13 +379,10 @@ def reconstruct_probability(
 
 
 class GlobalPhaseReport(NamedTuple):
-    """Outcome of searching for one phase offset shared by all contexts;
-    ``witness`` names the first context and the first one after which no
-    offset is shared, when there is one."""
+    """Outcome of searching for one phase offset shared by all contexts."""
 
     found: bool
     alpha: float | None
-    witness: tuple[str, str] | None
     has_distinct_lambda_pair: bool
 
 
@@ -425,7 +421,6 @@ def global_alpha_from_coefficients(
     stochastic the offset pi always works.  Both facts are enforced.
     """
     shared: list[float] | None = None  # the offsets every context so far admits
-    first = witness = None
     lo, hi = math.inf, -math.inf  # the least and the largest |lambda(b_1)|
     for name, coeffs in named:
         cls = coeffs.context_class
@@ -440,11 +435,9 @@ def global_alpha_from_coefficients(
             for u in (t2 - t1, t2 + t1, -t2 - t1, -t2 + t1)
         ]
         if shared is None:
-            first, shared = name, offsets
+            shared = offsets
         elif shared:
             shared = [u for u in shared if any(_circular_close(u, v) for v in offsets)]
-            if not shared:
-                witness = (first, name)
         lo, hi = min(lo, abs(lam0)), max(hi, abs(lam0))
 
     alpha: float | None = None
@@ -469,4 +462,4 @@ def global_alpha_from_coefficients(
         raise InvariantViolation(
             "double stochastic matrices always admit the offset pi"
         )
-    return GlobalPhaseReport(found, alpha, witness, has_distinct)
+    return GlobalPhaseReport(found, alpha, has_distinct)

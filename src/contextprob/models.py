@@ -238,8 +238,8 @@ def generate_kq(q: float) -> ModelDocument:
     weights = (q, half_rest, q, half_rest)
     space = FiniteKolmogorovSpace(points, weights)
     variables = {
-        "a": RandomVariable("a", (1.0, 1.0, -1.0, -1.0)),
-        "b": RandomVariable("b", (1.0, -1.0, -1.0, 1.0)),
+        "a": RandomVariable((1.0, 1.0, -1.0, -1.0)),
+        "b": RandomVariable((1.0, -1.0, -1.0, 1.0)),
     }
     contexts: dict[str, Event] = {}
     names = [1, 2, 3, 4]
@@ -340,8 +340,8 @@ def generate_random_model(
         b_vals = tuple(float(b_levels[c[1]]) for c in cell_of_point)
         space = FiniteKolmogorovSpace(points, tuple(float(w) for w in weights))
         variables = {
-            "a": RandomVariable("a", a_vals),
-            "b": RandomVariable("b", b_vals),
+            "a": RandomVariable(a_vals),
+            "b": RandomVariable(b_vals),
         }
         pair = ReferencePair.from_variables(space, variables["a"], variables["b"])
 

@@ -236,7 +236,7 @@ def build_amplitude_nvalued(
             lams.append(split_from_tables(table, free, j, *order[-2:]).lam)
         except DegenerateCell:  # the body raises its own, before reading it
             lams.append(None)
-    return amplitude_nvalued_from_tables(pair, context, table, free, order, signs, lams)
+    return amplitude_nvalued_from_tables(pair, table, free, order, signs, lams)
 
 
 def recursion_tails(order: Sequence[int]) -> tuple[frozenset[int], ...]:
@@ -251,7 +251,6 @@ def _tails(order: tuple[int, ...]) -> tuple[frozenset[int], ...]:
 
 def amplitude_nvalued_from_tables(
     pair: ReferencePair,
-    context: Event,
     table: MeasureTable,
     free: MeasureTable,
     order: tuple[int, ...],
@@ -338,6 +337,6 @@ def amplitude_nvalued_from_tables(
         betas[x] = tuple(beta)
 
     return (
-        ComplexAmplitude(tuple(components), pair.b_values, context, "split"),
+        ComplexAmplitude(tuple(components), pair.b_values),
         SplitChain(order, levels, betas),
     )

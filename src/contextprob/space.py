@@ -17,11 +17,12 @@ pure functions, with one exception: the space caches, in private attributes
 that take no part in equality, hashing or printing, tables derived from its
 weights: its one-cell tables, and :func:`pair_tables` keeps one
 :class:`PairTables` per reference pair's two partitions, keyed by their
-masks, so a fresh :class:`ReferencePair` over the same partitions, and
-either direction of the pair, reuse it.  The facts of a reference pair
-(its transition matrices, its incompatibility) are computed on every call,
-from the full event's cells in its pair tables.  Nothing per context or per
-event is stored: the caller reads a context's unit rows once, as
+masks in (a, b) order, so a fresh :class:`ReferencePair` over the same
+partitions reuses it, while the reversed pair (b, a) builds tables of its
+own.  The facts of a reference pair (its transition matrices, its
+incompatibility) are computed on every call, from the full event's cells in
+its pair tables.  Nothing per context or per event is stored: the caller
+reads a context's unit rows once, as
 :func:`~contextprob.interference.read_contexts` yields them, into a
 :class:`MeasureTable`; a ``verify`` run holds one per declared context.
 A transition matrix keeps its cosine ratio once computed.
@@ -234,9 +235,9 @@ class FiniteKolmogorovSpace(Record):
 
 
 class RandomVariable(NamedTuple):
-    """A total real-valued map on the sample points (aligned to point order)."""
+    """A total real-valued map on the sample points (aligned to point order);
+    a model document keys each variable by its name."""
 
-    name: str
     values: tuple[float, ...]
 
     @classmethod
@@ -258,7 +259,7 @@ class RandomVariable(NamedTuple):
         nonfinite = [p for p, v in zip(space.points, values) if not math.isfinite(v)]
         if nonfinite:
             raise ValueError(f"variable {name!r} is not finite at {nonfinite}")
-        return cls(name, values)
+        return cls(values)
 
     def distinct_values(self) -> tuple[float, ...]:
         """Distinct values in order of first occurrence over the point order."""
@@ -307,8 +308,10 @@ class ReferencePair(NamedTuple):
 class TransitionMatrix(Record):
     """Matrix of transition probabilities between the two partitions.
 
-    ``direction == "b/a"`` means entry (i, j) is the probability of the j-th
-    b-outcome conditioned on the i-th a-outcome; rows sum to one.
+    Entry (i, j) is the probability of the j-th outcome of one variable
+    conditioned on the i-th outcome of the other, so rows sum to one; the
+    matrix does not record which way it conditions, :func:`transition_matrix`
+    builds the "b/a" or the "a/b" one.
 
     ``rows`` holds the entries as a tuple of rows of Python floats; the
     constructor accepts any nested sequence of numbers.  ``double_stochastic``
@@ -319,20 +322,11 @@ class TransitionMatrix(Record):
     raises.
     """
 
-    _fields = ("rows", "direction", "row_values", "col_values")
-    _key = attrgetter(*_fields, "double_stochastic")
+    _fields = ("rows",)
+    _key = attrgetter("rows", "double_stochastic")
 
-    def __init__(
-        self, rows, direction: str, row_values: tuple[float, ...],
-        col_values: tuple[float, ...],
-    ):
-        if direction not in ("b/a", "a/b"):
-            raise ValueError(f"unknown direction {direction!r}")
-        rows = tuple(tuple(map(float, row)) for row in rows)
-        self.__dict__.update(
-            rows=rows, direction=direction, row_values=row_values,
-            col_values=col_values,
-        )
+    def __init__(self, rows):
+        self.__dict__["rows"] = rows = tuple(tuple(map(float, row)) for row in rows)
         deviation = max(abs(sum(row) - 1.0) for row in rows)
         if deviation > IDENTITY_TOL:
             raise InvariantViolation(
@@ -371,16 +365,12 @@ def transition_matrix(
     other, from the full event's cells in the pair's :func:`pair_tables`;
     raises :class:`DegenerateCell` if a conditioning cell is null.  The
     matrix is context independent: compute it once per pair."""
-    if direction == "b/a":
-        row_values, col_values = pair.a_values, pair.b_values
-    elif direction == "a/b":
-        row_values, col_values = pair.b_values, pair.a_values
-    else:
+    if direction not in ("b/a", "a/b"):
         raise ValueError(f"unknown direction {direction!r}")
     tables = pair_tables(space, pair)
-    scale, rows = tables.scale, tables.cell_units
+    scale, rows, row_values = tables.scale, tables.cell_units, pair.a_values
     if direction == "a/b":
-        rows = tuple(zip(*rows))
+        rows, row_values = tuple(zip(*rows)), pair.b_values
     entries = []
     for i, row in enumerate(rows):
         p_row = sum(row) / scale
@@ -389,7 +379,7 @@ def transition_matrix(
                 f"conditioning cell {row_values[i]!r} has probability zero"
             )
         entries.append([u / scale / p_row for u in row])
-    return TransitionMatrix(entries, direction, row_values, col_values)
+    return TransitionMatrix(entries)
 
 
 def are_incompatible(space: FiniteKolmogorovSpace, pair: ReferencePair) -> bool:

@@ -41,13 +41,7 @@ from . import complex_repr as cr
 from . import hyperbolic_repr as hr
 from . import interference as itf
 from . import multivalued as mv
-from .errors import (
-    DegenerateCell,
-    HyperbolicContext,
-    MixedContext,
-    SplitOutOfRange,
-    ZeroConditioningContext,
-)
+from .errors import DegenerateCell, SplitOutOfRange, ZeroConditioningContext
 from .hyperbolic import HyperbolicNumber, polar
 from .models import ModelDocument
 from .space import (
@@ -168,8 +162,8 @@ class _Run:
     facts the suites share, each computed once.
 
     ``tables`` holds the table of each declared context, with the unions
-    the multivalued suite splits over, and ``classified`` (name,
-    coefficients, class) for every one that is a-nondegenerate, both in
+    the multivalued suite splits over, and ``classified`` maps the name of
+    every one that is a-nondegenerate to its coefficients, both in
     declaration order; ``classified`` is empty unless the pair is
     dichotomous and incompatible.  ``states`` holds the principal state of
     each context :meth:`principal` was asked for, with its Born
@@ -191,11 +185,11 @@ class _Run:
         named = chain(doc.contexts.items(), zip(repeat(None), pair.b_partition))
         reads = itf.read_contexts(self.space, pair, named)
         self.tables: list[MeasureTable] = []
-        self.classified = []
+        self.classified: dict[str, itf.InterferenceCoefficients] = {}
         for name, rows, coeffs in islice(reads, len(doc.contexts)):
             self.tables.append(table_from_units(rows, scale, unions))
             if isinstance(coeffs, itf.InterferenceCoefficients):
-                self.classified.append((name, coeffs, coeffs.context_class))
+                self.classified[name] = coeffs
         self._b_cells = [coeffs for _, _, coeffs in reads]
 
     def principal(
@@ -289,7 +283,8 @@ def _core_checks(run: _Run) -> None:
         return
     k = run.t.cosine_ratio
     (t00, t01), (t10, t11) = run.t.rows
-    for name, coeffs, cls in run.classified:
+    for name, coeffs in run.classified.items():
+        cls = coeffs.context_class
         # each sum is compared with zero, so the sign of a zero cannot reach
         # the residual, and the IEEE sum of two terms is their fsum otherwise
         rec.compare(coeffs.deltas[0] + coeffs.deltas[1], 0.0, name)
@@ -323,8 +318,8 @@ def _complex_checks(run: _Run) -> None:
     basis = cr.a_basis_for_context(space, pair, space.full_event())
     representable = [
         (name, coeffs)
-        for name, coeffs, cls in run.classified
-        if cls in COMPLEX_CLASSES
+        for name, coeffs in run.classified.items()
+        if coeffs.context_class in COMPLEX_CLASSES
     ]
     not_ds = (ds, NOT_DS)
 
@@ -476,8 +471,8 @@ def _hyperbolic_checks(run: _Run) -> None:
     space, pair, ds = run.space, run.pair, run.ds
     hyp = [
         (name, coeffs, hr.hyperbolic_amplitude_from_coefficients(coeffs))
-        for name, coeffs, cls in run.classified
-        if cls in HYPERBOLIC_CLASSES
+        for name, coeffs in run.classified.items()
+        if coeffs.context_class in HYPERBOLIC_CLASSES
     ]
     strict_hyp = [
         coeffs
@@ -558,7 +553,6 @@ def _multivalued_checks(run: _Run) -> None:
     order, signs = tuple(range(n)), (1,) * (n - 1)
     last = order[-2:]  # the a-cells of the recursion's last-level split
     singles = [frozenset((i,)) for i in range(n)]
-    coefficients = {name: coeffs for name, coeffs, _ in run.classified}
 
     rec_f1 = run.check("multivalued.union_additivity", IDENTITY_TOL)
     rec_f2 = run.check("multivalued.conditioned_split", IDENTITY_TOL)
@@ -566,7 +560,7 @@ def _multivalued_checks(run: _Run) -> None:
     rec_f5 = run.check("multivalued.half_eliminated_split", IDENTITY_TOL)
     rec = run.check("multivalued.recursion_born", RECURSION_BORN_TOL)
     tuples = built = unrepresentable = 0
-    for (name, c), table in zip(contexts.items(), run.tables):
+    for name, table in zip(contexts, run.tables):
         lams = [None] * len(pair.b_values)
         for j in range(len(lams)) if table.pc != 0.0 else ():
             for i1, i2 in pairs:
@@ -584,8 +578,8 @@ def _multivalued_checks(run: _Run) -> None:
                 half = head + tail + 2.0 * mu * math.sqrt(head * tail)
                 rec_f5.compare(half, split.lhs, name)
         try:
-            psi, chain = mv.amplitude_nvalued_from_tables(
-                pair, c, table, free, order, signs, lams
+            psi, _ = mv.amplitude_nvalued_from_tables(
+                pair, table, free, order, signs, lams
             )
         except SplitOutOfRange:
             unrepresentable += 1
@@ -596,11 +590,9 @@ def _multivalued_checks(run: _Run) -> None:
         p = _born(psi)
         for j, x in enumerate(pair.b_values):
             rec.compare(p[j], table.b_row[j] / table.pc, "{}, x={}", name, x)
-        if name in coefficients:
-            try:
-                _, flat = run.principal(name, coefficients[name])
-            except (MixedContext, HyperbolicContext):
-                continue
+        coeffs = run.classified.get(name)
+        if coeffs is not None and coeffs.context_class in COMPLEX_CLASSES:
+            _, flat = run.principal(name, coeffs)
             for j, x in enumerate(pair.b_values):
                 rec.compare(p[j], flat[j], "{} vs flat, x={}", name, x)
     for r in (rec_f1, rec_f2, rec_f3, rec_f5):

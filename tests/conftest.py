@@ -18,8 +18,8 @@ def make_pair_model(weights):
     """Four-point space with the canonical crossing partitions:
     a splits {w1,w2} vs {w3,w4}, b splits {w1,w4} vs {w2,w3}."""
     space = cp.FiniteKolmogorovSpace(("w1", "w2", "w3", "w4"), tuple(weights))
-    a = cp.RandomVariable("a", (1.0, 1.0, -1.0, -1.0))
-    b = cp.RandomVariable("b", (1.0, -1.0, -1.0, 1.0))
+    a = cp.RandomVariable((1.0, 1.0, -1.0, -1.0))
+    b = cp.RandomVariable((1.0, -1.0, -1.0, 1.0))
     return space, cp.ReferencePair.from_variables(space, a, b)
 
 
@@ -40,6 +40,13 @@ def member_fsum(space: cp.FiniteKolmogorovSpace, mask: int) -> float:
     """The measure of the event ``mask``: ``math.fsum`` of its members'
     weights."""
     return math.fsum(w for i, w in enumerate(space.weights) if mask >> i & 1)
+
+
+def total_variation(p: dict, q: dict) -> float:
+    """Half the summed absolute difference of two distributions, each a
+    mapping of value to probability, over the union of their supports."""
+    support = sorted(set(p) | set(q))
+    return 0.5 * math.fsum(abs(p.get(v, 0.0) - q.get(v, 0.0)) for v in support)
 
 
 def fsum_table(space, a_cells, b_cells, context, unions=()) -> MeasureTable:

@@ -5,9 +5,11 @@ A traced benchmark round (``bench/run.py --trace 1``) wraps each
 ``Class.method`` from the class ``__dict__``; a target the package no longer
 defines breaks that round, and no other test would notice.  The worker,
 ``bench/worker.py``, imports its commands and, in traced runs only, the
-verify suites from the package; a rename there would break the benchmark
-as silently.  These tests read the files and write nothing under
-``bench/``.
+verify suites from the package, and ``bench/reference.py`` times library
+calls through the ``cp.*`` names of ``import contextprob as cp`` and
+through ``contextprob.verify``; a rename or a changed signature there would
+break the benchmark as silently.  These tests read the files and write
+nothing under ``bench/``.
 """
 
 import ast
@@ -19,6 +21,7 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SPANS = BENCH / "spans.py"
 WORKER = BENCH / "worker.py"
+REFERENCE = BENCH / "reference.py"
 
 
 def load_spans() -> types.ModuleType:
@@ -71,15 +74,14 @@ def package_uses(tree: ast.Module, package: str):
     return imported
 
 
-def test_every_worker_import_resolves():
-    """Each package name the worker imports or reads resolves, and each
-    call of one binds to its signature: ``run_suite(doc, suite)``,
-    ``load_model(path)`` and ``cli.main(argv)``."""
-    tree = ast.parse(WORKER.read_text(), str(WORKER))
+def check_package_calls(path: Path, names: set[str], called: set[str]) -> None:
+    """Each package name the script at ``path`` imports or reads resolves,
+    and each call of one binds to the callee's signature; ``names`` are
+    attributes it must reach and ``called`` the calls, by their source
+    text, it must make."""
+    tree = ast.parse(path.read_text(), str(path))
     uses = package_uses(tree, "contextprob")
-    assert {attr for _, attr in uses.values()} >= {
-        "load_model", "SUITES", "run_suite", "main"
-    }
+    assert {attr for _, attr in uses.values()} >= names
     resolved = {}
     for local, (module_name, attr) in uses.items():
         module = importlib.import_module(module_name)
@@ -89,10 +91,28 @@ def test_every_worker_import_resolves():
         node for node in ast.walk(tree)
         if isinstance(node, ast.Call) and ast.unparse(node.func) in resolved
     ]
-    assert {ast.unparse(call.func) for call in calls} >= {
-        "load_model", "run_suite", "cli.main"
-    }
+    assert {ast.unparse(call.func) for call in calls} >= called
     for call in calls:
         signature = inspect.signature(resolved[ast.unparse(call.func)])
         assert not any(isinstance(a, ast.Starred) for a in call.args)
         signature.bind(*call.args, **{k.arg: k.value for k in call.keywords})
+
+
+def test_every_worker_import_resolves():
+    """The worker's ``run_suite(doc, suite)``, ``load_model(path)`` and
+    ``cli.main(argv)``."""
+    check_package_calls(
+        WORKER, {"load_model", "SUITES", "run_suite", "main"},
+        {"load_model", "run_suite", "cli.main"},
+    )
+
+
+def test_every_reference_name_resolves():
+    """The reference script's ``cp.*`` library calls and the verify suites,
+    each bound to its callee's signature."""
+    called = {
+        "cp.generate_kq", "cp.interference_coefficients", "cp.build_amplitude",
+        "cp.generate_random_model", "cp.save_model", "cp.load_model", "run_suite",
+    }
+    names = {name.rpartition(".")[2] for name in called} | {"SUITES"}
+    check_package_calls(REFERENCE, names, called)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import contextprob as cp
 from contextprob.cli import _json_text, main
 from contextprob.models import save_model
+from contextprob.space import pair_tables
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parents[1] / "src"
@@ -183,6 +184,54 @@ class TestThreeValuedModels:
 
     def test_verify_runs_clean(self, three_valued_path):
         assert main(["verify", three_valued_path, "--suite", "all"]) == 0
+
+    @pytest.mark.parametrize("command", ["analyze", "represent"])
+    def test_conjugate_branch_takes_the_other_branch_at_every_level(
+        self, command, capsys
+    ):
+        """``--branch conjugate`` on a ka x kb pair builds the conjugate
+        state: every phase of the split chain and every imaginary part of
+        the state change sign, and the same contexts are refused."""
+        path = str(DATA / "random_3x3_seed4.model.json")
+        section = "contexts" if command == "analyze" else "complex"
+        reports = []
+        for branch in ("principal", "conjugate"):
+            assert main([command, path, "--branch", branch]) == 0
+            reports.append(json.loads(capsys.readouterr().out)[section])
+        principal, conjugate = reports
+        assert principal.keys() == conjugate.keys()
+        built = 0
+        for name, entry in principal.items():
+            other = conjugate[name]
+            if "split_chain" not in entry:
+                assert other == entry
+                continue
+            built += 1
+            for x, betas in entry["split_chain"]["betas"].items():
+                flipped = [-b for b in other["split_chain"]["betas"][x]]
+                assert flipped == pytest.approx(betas, abs=1e-12)
+            if command == "represent":
+                amp, amp_bar = entry["amplitude"], other["amplitude"]
+                assert amp_bar["re"] == pytest.approx(amp["re"], abs=1e-12)
+                flipped = [-v for v in amp_bar["im"]]
+                assert flipped == pytest.approx(amp["im"], abs=1e-12)
+                assert any(v != 0.0 for v in amp["im"])
+        assert built > 0
+
+    def test_anchor_is_refused(self, capsys):
+        """The split recursion builds no anchored basis, so ``--anchor`` on
+        a ka x kb pair is a validation error, not a flag to ignore."""
+        path = str(DATA / "random_3x3_seed4.model.json")
+        anchor = next(iter(json.loads(Path(path).read_text())["contexts"]))
+        assert main(["represent", path, "--anchor", anchor]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {
+            "error": "model-validation",
+            "detail": "--anchor needs a dichotomous reference pair; the split "
+            "recursion of this pair builds no anchored basis",
+        }
 
 
 class TestVerify:
@@ -604,12 +653,13 @@ class TestErrorContract:
         """A context without coefficients is reported in its place, but an
         invariant that fails while one context is read ends the command."""
         body = cp.interference.coefficients_from_measures
-        c124 = kq.context("C124")
+        # C124's measures, which no other context of kq shares
+        c124 = pair_tables(kq.space, kq.pair).table(kq.context("C124"))
 
-        def drifted(pair, context, *args):
-            if context == c124:
+        def drifted(pair, transition, pc, a_row, b_row):
+            if (pc, a_row, b_row) == (c124.pc, c124.a_row, c124.b_row):
                 raise cp.InvariantViolation("outcome perturbations must sum to zero")
-            return body(pair, context, *args)
+            return body(pair, transition, pc, a_row, b_row)
 
         monkeypatch.setattr(cp.interference, "coefficients_from_measures", drifted)
         assert main([command, kq_path]) == 1

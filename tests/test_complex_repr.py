@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import total_variation
 
 import contextprob as cp
 from contextprob.complex_repr import state_for_context
-from contextprob.tolerances import HERMITIAN_TOL
+from contextprob.tolerances import AVERAGE_TOL, HERMITIAN_TOL
 
 Q_GRID = (0.05, 0.125, 0.25, 0.4)
 
@@ -346,7 +347,7 @@ ULPS = 8  # a few roundings of the operands' magnitude
 def _state(components) -> cp.ComplexAmplitude:
     components = tuple(map(complex, components))
     b_values = tuple(float(j) for j in range(len(components)))
-    return cp.ComplexAmplitude(components, b_values, None, "principal")
+    return cp.ComplexAmplitude(components, b_values)
 
 
 def _hermitian(a: float, d: float, c: complex) -> list[list[complex]]:
@@ -425,7 +426,7 @@ class TestAveragePreservation:
         report = cp.verify_average_preservation(
             kq.space, kq.pair, kq.context("C234"), lambda y: y, lambda x: x
         )
-        assert report.ok
+        assert abs(report.classical - report.quantum) <= AVERAGE_TOL
         assert report.classical == pytest.approx(2 * q / (q - 1), abs=1e-12)
 
     def test_energy_style_observable(self, kq):
@@ -438,7 +439,7 @@ class TestAveragePreservation:
             lambda y: y * y / (2 * mass),
             v_table,
         )
-        assert report.ok
+        assert abs(report.classical - report.quantum) <= AVERAGE_TOL
 
     def test_zero_functions(self, kq):
         report = cp.verify_average_preservation(
@@ -459,7 +460,7 @@ class TestAveragePreservation:
                     )
                 except cp.ContextualProbabilityError:
                     continue
-                assert report.residual <= 1e-9
+                assert abs(report.classical - report.quantum) <= 1e-9
 
     def test_a_cell_reads_indicator_and_transition_row(self, kq):
         """On an a-cell the classical side is f(y) plus g against the
@@ -471,7 +472,7 @@ class TestAveragePreservation:
             report = cp.verify_average_preservation(space, pair, cell, f, g)
             want = math.fsum([f[y], g[1.0] * t[i][0], g[-1.0] * t[i][1]])
             assert report.classical == want
-            assert report.residual <= 1e-14
+            assert abs(report.classical - report.quantum) <= 1e-14
 
     def test_null_context_is_a_library_error(self, kq):
         with pytest.raises(cp.ZeroConditioningContext):
@@ -523,7 +524,7 @@ class TestDistributionMismatch:
         )
         assert report.quantum_dist[k1] == pytest.approx(5 / 14, abs=1e-10)
         assert report.quantum_dist[k2] == pytest.approx(9 / 14, abs=1e-10)
-        assert report.total_variation > 0.2
+        assert total_variation(report.classical_dist, report.quantum_dist) > 0.2
         assert report.classical_average == pytest.approx(-2 / 7, abs=1e-10)
         assert report.quantum_average == pytest.approx(-2 / 7, abs=1e-10)
 
@@ -580,7 +581,5 @@ class TestAmplitudeFromCoefficients:
                     continue
                 carried = cp.amplitude_from_coefficients(coeffs, convention)
                 np.testing.assert_array_equal(carried.components, psi.components)
-                assert carried.branch == psi.branch == convention
-                assert carried.context is ctx
                 built += 1
         assert built > 50

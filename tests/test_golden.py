@@ -267,5 +267,5 @@ def test_phase_search_on_coefficients_matches_search_on_events(doc):
             named[name] = coeffs
     assert len(named) >= 2
     t = transition_matrix(space, pair, "b/a")
-    want = verify_no_global_alpha(space, pair, {n: c.context for n, c in named.items()})
+    want = verify_no_global_alpha(space, pair, {n: doc.contexts[n] for n in named})
     assert global_alpha_from_coefficients(t, named.items()) == want

@@ -61,8 +61,8 @@ class TestBuildHyperbolicAmplitude:
         space = cp.FiniteKolmogorovSpace(
             ("w1", "w2", "w3", "w4"), (0.45, 0.05, 0.15, 0.35)
         )
-        a = cp.RandomVariable("a", (1.0, 1.0, -1.0, -1.0))
-        b = cp.RandomVariable("b", (1.0, -1.0, -1.0, 1.0))
+        a = cp.RandomVariable((1.0, 1.0, -1.0, -1.0))
+        b = cp.RandomVariable((1.0, -1.0, -1.0, 1.0))
         pair = cp.ReferencePair.from_variables(space, a, b)
         with pytest.raises(cp.MixedContext):
             cp.build_hyperbolic_amplitude(space, pair, pair.b_partition[0])
@@ -209,9 +209,7 @@ class TestDecomposability:
 
 class TestInterferenceTransform:
     def test_zero_rapidity_uniform_collapses(self):
-        t = cp.TransitionMatrix(
-            np.array([[0.5, 0.5], [0.5, 0.5]]), "b/a", (1.0, -1.0), (1.0, -1.0)
-        )
+        t = cp.TransitionMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
         assert cp.hyperbolic_interference_transform(
             (0.5, 0.5), t, 0.0, 1
         ) == pytest.approx((1.0, 0.0))

@@ -341,7 +341,7 @@ def test_nvalued_recursion(model, data):
         except (DegenerateCell, ZeroConditioningContext):
             lams.append(None)
     got = amplitude_outcome(
-        amplitude_nvalued_from_tables, pair, c, table, free, order, signs, lams
+        amplitude_nvalued_from_tables, pair, table, free, order, signs, lams
     )
     assert got == want
 
@@ -382,8 +382,8 @@ def test_invalid_arguments_raise_as_before(kq):
     # recursion's ValueError, also when every context is null
     space = cp.FiniteKolmogorovSpace(("w1", "w2", "w3", "w4"), (0.25,) * 4)
     variables = {
-        "a": cp.RandomVariable("a", (1.0,) * 4),
-        "b": cp.RandomVariable("b", (1.0, -1.0, -1.0, 1.0)),
+        "a": cp.RandomVariable((1.0,) * 4),
+        "b": cp.RandomVariable((1.0, -1.0, -1.0, 1.0)),
     }
     for members in (["w1", "w2"], []):
         contexts = {"C": space.event(members)}
@@ -739,7 +739,6 @@ def _ref_coefficients(space, pair, context):
         raise InvariantViolation("outcome perturbations must sum to zero")
     return {
         "pair": pair,
-        "context": context,
         "a_profile": tuple(pa),
         "b_profile": tuple(pb),
         "transition": transition,
@@ -755,7 +754,7 @@ def _coefficients_from_table(space, pair, context):
     table = fsum_table(space, pair.a_partition, pair.b_partition, context)
     t = transition_matrix(space, pair, "b/a")
     return itf.coefficients_from_measures(
-        pair, context, t, table.pc, table.a_row, table.b_row
+        pair, t, table.pc, table.a_row, table.b_row
     )
 
 
@@ -840,8 +839,8 @@ def labelled_pair(space, labels, ka, kb):
         a_masks[i] |= 1 << k
         b_masks[j] |= 1 << k
     return cp.ReferencePair(
-        cp.RandomVariable("a", tuple(float(i) for i, _ in labels)),
-        cp.RandomVariable("b", tuple(float(j) for _, j in labels)),
+        cp.RandomVariable(tuple(float(i) for i, _ in labels)),
+        cp.RandomVariable(tuple(float(j) for _, j in labels)),
         tuple(map(float, range(ka))),
         tuple(map(float, range(kb))),
         tuple(Event(m, space.n) for m in a_masks),
@@ -878,11 +877,9 @@ def labelled_pairs(draw):
 def _ref_transition(space, pair, direction):
     """``transition_matrix`` as it was before it read the pair tables: each
     entry measured from the masks of its cells."""
-    rows, cols = pair.a_partition, pair.b_partition
-    row_values, col_values = pair.a_values, pair.b_values
+    rows, cols, row_values = pair.a_partition, pair.b_partition, pair.a_values
     if direction == "a/b":
-        rows, cols = cols, rows
-        row_values, col_values = col_values, row_values
+        rows, cols, row_values = cols, rows, pair.b_values
     entries = []
     for i, row in enumerate(rows):
         p_row = member_fsum(space, row.mask)
@@ -893,7 +890,7 @@ def _ref_transition(space, pair, direction):
         entries.append(
             [member_fsum(space, row.mask & col.mask) / p_row for col in cols]
         )
-    return space_module.TransitionMatrix(entries, direction, row_values, col_values)
+    return space_module.TransitionMatrix(entries)
 
 
 @SETTINGS

@@ -20,8 +20,8 @@ def make_three_valued(seed, jitter=0.35):
     w = w / w.sum()
     points = tuple(f"w{i}" for i in range(1, 10))
     space = cp.FiniteKolmogorovSpace(points, tuple(float(x) for x in w))
-    a = cp.RandomVariable("a", (1.0,) * 3 + (2.0,) * 3 + (3.0,) * 3)
-    b = cp.RandomVariable("b", (1.0, 2.0, 3.0) * 3)
+    a = cp.RandomVariable((1.0,) * 3 + (2.0,) * 3 + (3.0,) * 3)
+    b = cp.RandomVariable((1.0, 2.0, 3.0) * 3)
     return space, cp.ReferencePair.from_variables(space, a, b)
 
 
@@ -120,8 +120,8 @@ class TestMuCoefficient:
             space = cp.FiniteKolmogorovSpace(
                 ("w1", "w2", "w3", "w4"), (rest, rest, w3, rest)
             )
-            a = cp.RandomVariable("a", (1.0, 1.0, -1.0, -1.0))
-            b = cp.RandomVariable("b", (1.0, -1.0, 1.0, -1.0))
+            a = cp.RandomVariable((1.0, 1.0, -1.0, -1.0))
+            b = cp.RandomVariable((1.0, -1.0, 1.0, -1.0))
             pair = cp.ReferencePair.from_variables(space, a, b)
             ctx = space.event(("w1", "w3", "w4"))
             mu = mu_coefficient(
@@ -215,8 +215,8 @@ class TestRecursiveAmplitude:
                 tuple(f"w{i}" for i in range(1, 10)),
                 tuple(float(x) for x in w),
             )
-            a = cp.RandomVariable("a", (1.0,) * 3 + (2.0,) * 3 + (3.0,) * 3)
-            b = cp.RandomVariable("b", (1.0, 2.0, 3.0) * 3)
+            a = cp.RandomVariable((1.0,) * 3 + (2.0,) * 3 + (3.0,) * 3)
+            b = cp.RandomVariable((1.0, 2.0, 3.0) * 3)
             pair = cp.ReferencePair.from_variables(space, a, b)
             for drop in range(9):
                 ctx = cp.Event(((1 << 9) - 1) ^ (1 << drop), 9)

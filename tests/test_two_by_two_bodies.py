@@ -137,7 +137,7 @@ def _ref_amplitude(coeffs, convention="principal"):
         born = float(abs(components[b_values.index(x)]) ** 2)
         if abs(born - coeffs.b_profile[j]) > BORN_TOL:
             raise PhaseInconsistency("squared modulus drifted from the probability")
-    return (components, b_values, coeffs.context, convention)
+    return (components, b_values)
 
 
 def _ref_hyperbolic_amplitude(coeffs):
@@ -158,9 +158,7 @@ def _ref_hyperbolic_amplitude(coeffs):
         second = (epsilons[j] * math.sqrt(pa[1] * t[1][j])) * exp_j(thetas[j])
         components.append(first + second)
     b_values = coeffs.pair.b_values
-    psi = hr.HyperbolicAmplitude(
-        tuple(components), epsilons, thetas, b_values, coeffs.context
-    )
+    psi = hr.HyperbolicAmplitude(tuple(components), epsilons, thetas, b_values)
     for j, x in enumerate(b_values):
         if abs(psi.born(x) - coeffs.b_profile[j]) > BORN_TOL:
             raise PhaseInconsistency("signed squared norm drifted from the probability")
@@ -231,7 +229,7 @@ def _ref_mu(table, free, j, i, rest):
     return mu, head, tail
 
 
-def _ref_nvalued(pair, context, table, free, order, signs, lams):
+def _ref_nvalued(pair, table, free, order, signs, lams):
     n = len(order)
     if n < 2:
         raise ValueError("need at least two a-values")
@@ -287,7 +285,7 @@ def _ref_nvalued(pair, context, table, free, order, signs, lams):
         components.append(component)
         levels[x] = tuple(records)
         betas[x] = tuple(beta)
-    psi = (tuple(components), pair.b_values, context, "split")
+    psi = (tuple(components), pair.b_values)
     return psi, (order, levels, betas)
 
 
@@ -295,7 +293,7 @@ def _hyperbolic_fields(psi):
     """The fields of a :class:`HyperbolicAmplitude`, components as (x, y)."""
     return (
         tuple((c.x, c.y) for c in psi.components),
-        psi.epsilons, psi.thetas, psi.b_values, psi.context,
+        psi.epsilons, psi.thetas, psi.b_values,
     )
 
 
@@ -426,7 +424,7 @@ def tabled_contexts(draw):
     space, pair = doc.space, doc.pair
     if ka == kb and draw(st.booleans()):
         pair = cp.ReferencePair.from_variables(
-            space, pair.a, cp.RandomVariable("b", pair.a.values)
+            space, pair.a, cp.RandomVariable(pair.a.values)
         )
     n = space.n
     # mostly contexts of positive probability; the empty one now and then
@@ -439,13 +437,13 @@ def tabled_contexts(draw):
     free = fsum_table(space, *cells, space.full_event())
     sign = st.sampled_from([1, -1])
     signs = tuple(draw(st.lists(sign, min_size=ka - 1, max_size=ka - 1)))
-    return pair, context, table, free, order, signs
+    return pair, table, free, order, signs
 
 
 @SETTINGS
 @given(tabled_contexts())
 def test_split_mu_and_recursion(model):
-    pair, context, table, free, order, signs = model
+    pair, table, free, order, signs = model
     ka, kb = len(pair.a_values), len(pair.b_values)
     for j in range(kb):
         for i1, i2 in permutations(range(ka), 2):
@@ -463,7 +461,7 @@ def test_split_mu_and_recursion(model):
     for j in range(kb):
         split = outcome(mv.split_from_tables, table, free, j, *order[-2:])
         lams.append(split[1][2] if split[0] == "return" else None)
-    args = pair, context, table, free, order, signs, lams
+    args = pair, table, free, order, signs, lams
     assert_same(
         outcome(mv.amplitude_nvalued_from_tables, *args), outcome(_ref_nvalued, *args)
     )
@@ -553,8 +551,8 @@ def _value_pairs(kq):
         (Event(5, 4), Event(5, 4), Event(5, 5)),
         (HyperbolicNumber(1.5, -2.0), HyperbolicNumber(1.5, -2.0),
          HyperbolicNumber(1.5, 2.0)),
-        (t, cp.TransitionMatrix([list(r) for r in t.rows], "b/a", t.row_values, t.col_values),
-         cp.TransitionMatrix(t.rows, "b/a", t.row_values, t.row_values[::-1])),
+        (t, cp.TransitionMatrix([list(r) for r in t.rows]),
+         cp.TransitionMatrix(t.rows[::-1])),
         (space, cp.FiniteKolmogorovSpace(space.points, space.weights),
          cp.FiniteKolmogorovSpace(space.points[::-1], space.weights)),
     ]
