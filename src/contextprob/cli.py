@@ -232,7 +232,7 @@ def _complex_entry(coeffs, branch, basis):
 def cmd_represent(args) -> int:
     doc = load_model(args.model)
     space, pair = doc.space, doc.pair
-    anchor = doc.context(args.anchor) if args.anchor else space.full_event()
+    anchor = space.full_event() if args.anchor is None else doc.context(args.anchor)
     if len(pair.a_values) != 2 or len(pair.b_values) != 2:
         return _represent_nvalued(doc, args)
     basis = cr.a_basis_for_context(space, pair, anchor, args.branch)
@@ -331,6 +331,7 @@ def _represent_nvalued(doc, args) -> int:
                 "re": [float(c.real) for c in psi.components],
                 "im": [float(c.imag) for c in psi.components],
             },
+            "branch": args.branch,
             "born_b_residual": born,
             "split_chain": _chain_payload(chain),
         }

@@ -403,22 +403,21 @@ def verify_no_global_alpha(
     else:
         named = [(f"context_{i}", c) for i, c in enumerate(contexts)]
     return global_alpha_from_coefficients(
-        transition_matrix(space, pair, "b/a"),
-        ((name, interference_coefficients(space, pair, c)) for name, c in named),
+        (name, interference_coefficients(space, pair, c)) for name, c in named
     )
 
 
 def global_alpha_from_coefficients(
-    transition: TransitionMatrix,
     named: Iterable[tuple[str, InterferenceCoefficients]],
 ) -> GlobalPhaseReport:
     """Search for an offset alpha with theta(b_2) = theta(b_1) + alpha across
     all given trigonometric contexts, by name, trying both conjugate branches
-    per context; ``transition`` is the pair's "b/a" matrix.
+    per context.
 
     A shared offset across two contexts with distinct |lambda| forces the
     transition matrix to be double stochastic; when the matrix is double
-    stochastic the offset pi always works.  Both facts are enforced.
+    stochastic the offset pi always works.  ``verify``'s
+    ``complex.global_phase_offset`` judges both facts on the report.
     """
     shared: list[float] | None = None  # the offsets every context so far admits
     lo, hi = math.inf, -math.inf  # the least and the largest |lambda(b_1)|
@@ -451,15 +450,4 @@ def global_alpha_from_coefficients(
     # fl(max - min) bounds fl(|a - b|) for every pair, so this is the
     # all-pairs test in linear time; with no context it is -inf
     has_distinct = hi - lo > DISTINCT_LAMBDA_TOL
-    found = alpha is not None
-    ds = transition.double_stochastic
-    if found and has_distinct and not ds:
-        raise InvariantViolation(
-            "a shared offset across distinct-|lambda| contexts forces double "
-            "stochasticity"
-        )
-    if ds and shared is not None and not found:
-        raise InvariantViolation(
-            "double stochastic matrices always admit the offset pi"
-        )
-    return GlobalPhaseReport(found, alpha, has_distinct)
+    return GlobalPhaseReport(alpha is not None, alpha, has_distinct)

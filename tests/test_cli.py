@@ -90,6 +90,30 @@ class TestRepresent:
         amp = json.loads(out.read_text())["complex"]["C13"]["amplitude"]
         assert amp["im"][0] == pytest.approx(-(0.375 ** 0.5))
 
+    def test_empty_anchor_name_is_a_context_name(self, kq, kq_path, tmp_path, capsys):
+        """``--anchor ""`` names a context like any other name: refused where
+        no context is called "", and the anchor where one is."""
+        assert main(["represent", kq_path, "--anchor", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "model-validation", "detail": "unknown context ''",
+        }
+
+        named = cp.ModelDocument(
+            kq.space, kq.variables, {**kq.contexts, "": kq.context("C134")},
+            kq.pair_names,
+        )
+        path = tmp_path / "named.json"
+        save_model(named, path)
+        reports = []
+        for anchor in ([], ["--anchor", ""], ["--anchor", "C134"]):
+            assert main(["represent", str(path), *anchor]) == 0
+            reports.append(capsys.readouterr().out)
+        full_event, empty_name, c134 = reports
+        assert empty_name == c134
+        assert empty_name != full_event
+
 
     @pytest.mark.parametrize("late", [False, True])
     def test_each_context_reads_its_coefficients_once(
@@ -211,6 +235,7 @@ class TestThreeValuedModels:
                 flipped = [-b for b in other["split_chain"]["betas"][x]]
                 assert flipped == pytest.approx(betas, abs=1e-12)
             if command == "represent":
+                assert (entry["branch"], other["branch"]) == ("principal", "conjugate")
                 amp, amp_bar = entry["amplitude"], other["amplitude"]
                 assert amp_bar["re"] == pytest.approx(amp["re"], abs=1e-12)
                 flipped = [-v for v in amp_bar["im"]]

@@ -53,7 +53,6 @@ from contextprob.interference import (
     interference_coefficients,
     verify_no_global_alpha,
 )
-from contextprob.space import transition_matrix
 from contextprob.verify import SUITES, run_suite
 
 DATA = Path(__file__).parent / "data"
@@ -266,6 +265,5 @@ def test_phase_search_on_coefficients_matches_search_on_events(doc):
         if coeffs.context_class in TRIGONOMETRIC:
             named[name] = coeffs
     assert len(named) >= 2
-    t = transition_matrix(space, pair, "b/a")
     want = verify_no_global_alpha(space, pair, {n: doc.contexts[n] for n in named})
-    assert global_alpha_from_coefficients(t, named.items()) == want
+    assert global_alpha_from_coefficients(named.items()) == want

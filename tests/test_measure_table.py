@@ -571,8 +571,8 @@ def test_pair_facts_are_read_once_per_run(kq, monkeypatch):
             tables = count_calls(m, space_module, "table_from_units")
             run_suite(doc)
         counts.append((len(incompatible), len(matrices), len(builds), len(tables)))
-    assert counts[0] == (3, 8, 1, 12)
-    assert counts[1] == (3, 8, 1, 12 + 11)
+    assert counts[0] == (2, 8, 1, 12)
+    assert counts[1] == (2, 8, 1, 12 + 11)
 
 
 @pytest.mark.parametrize("suite", ["core", "complex", "hyperbolic", "multivalued", "all"])
