@@ -571,9 +571,10 @@ def main(argv=None) -> int:
         return _diagnose("model-validation", exc, 2)
     except OSError as exc:
         return _diagnose(type(exc).__name__, exc, 2)
+    except InvariantViolation as exc:
+        return _diagnose(type(exc).__name__, exc, 1)
     except ContextualProbabilityError as exc:
-        code = 1 if isinstance(exc, InvariantViolation) else 3
-        return _diagnose(type(exc).__name__, exc, code)
+        return _diagnose(type(exc).__name__, exc, 3)
 
 
 if __name__ == "__main__":

@@ -32,7 +32,6 @@ from .errors import (
     InvariantViolation,
     MixedContext,
     NonUnitaryBasis,
-    PhaseInconsistency,
 )
 from .interference import (
     ContextClass,
@@ -94,9 +93,9 @@ def amplitude_from_coefficients(
     coeffs: InterferenceCoefficients, convention: str = "principal"
 ) -> ComplexAmplitude:
     """Construct the complex state vector of a trigonometric (or boundary)
-    context from its interference coefficients.  The squared moduli must
-    reproduce the context's conditional b-probabilities; a violation
-    indicates an upstream bug."""
+    context from its interference coefficients.  The squared moduli
+    reproduce the context's conditional b-probabilities, which ``verify``'s
+    ``complex.born_b`` judges."""
     cls = coeffs.context_class
     if cls is ContextClass.MIXED:
         raise MixedContext("mixed contexts have no complex representation")
@@ -107,13 +106,10 @@ def amplitude_from_coefficients(
         )
     theta0, theta1 = trigonometric_phases(coeffs, convention)
     (a0, a1), ((t00, t01), (t10, t11)) = coeffs.a_profile, coeffs.transition.rows
-    components = c0, c1 = (
+    components = (
         math.sqrt(a0 * t00) + cis(theta0) * math.sqrt(a1 * t10),
         math.sqrt(a0 * t01) + cis(theta1) * math.sqrt(a1 * t11),
     )
-    b0, b1 = coeffs.b_profile
-    if abs(abs(c0) ** 2 - b0) > BORN_TOL or abs(abs(c1) ** 2 - b1) > BORN_TOL:
-        raise PhaseInconsistency("squared modulus drifted from the probability")
     return ComplexAmplitude(components, coeffs.pair.b_values)
 
 

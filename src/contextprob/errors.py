@@ -2,7 +2,7 @@
 
 
 class ContextualProbabilityError(Exception):
-    """Base class for all library errors."""
+    """Base class for the library's refusals of its input."""
 
 
 class ModelValidationError(ContextualProbabilityError):
@@ -36,9 +36,11 @@ class TrigonometricContext(ContextualProbabilityError):
     representation."""
 
 
-class InvariantViolation(ContextualProbabilityError):
+class InvariantViolation(Exception):
     """An identity that must hold algebraically failed numerically; this
-    signals an upstream bug, not bad input."""
+    signals an upstream bug, not bad input, so it is no
+    :class:`ContextualProbabilityError`, and no handler of a refusal
+    catches it."""
 
 
 class PhaseInconsistency(InvariantViolation):

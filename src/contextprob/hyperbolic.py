@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 from .errors import NotInPositiveCone, RapidityOverflow
 from .records import ValueTuple
-from .tolerances import ISCLOSE_TOL
 
 # cosh overflows double precision shortly above this rapidity
 MAX_RAPIDITY = 700.0
@@ -62,17 +61,8 @@ class HyperbolicNumber(ValueTuple, _HyperbolicFields):
         check positivity themselves."""
         return self.x * self.x - self.y * self.y
 
-    def inverse(self) -> "HyperbolicNumber":
-        n = self.norm_sq()
-        if n == 0.0:
-            raise ZeroDivisionError("zero divisor has no inverse")
-        return HyperbolicNumber(self.x / n, -self.y / n)
-
     def in_positive_cone(self, tol: float = 0.0) -> bool:
         return self.norm_sq() >= -tol
-
-    def isclose(self, other: "HyperbolicNumber", tol: float = ISCLOSE_TOL) -> bool:
-        return abs(self.x - other.x) <= tol and abs(self.y - other.y) <= tol
 
 
 ZERO = HyperbolicNumber(0.0, 0.0)

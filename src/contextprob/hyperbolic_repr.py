@@ -24,7 +24,6 @@ from .errors import (
     MixedContext,
     NonUnitaryBasis,
     OutOfRangeProbability,
-    PhaseInconsistency,
     TrigonometricContext,
 )
 from .hyperbolic import HyperbolicNumber, ZERO, exp_j
@@ -41,7 +40,7 @@ from .space import (
     TransitionMatrix,
     column_sums,
 )
-from .tolerances import BORN_TOL, DECOMPOSABLE_TOL, GRAM_TOL, IDENTITY_TOL
+from .tolerances import DECOMPOSABLE_TOL, GRAM_TOL, IDENTITY_TOL
 
 
 class HyperbolicAmplitude(NamedTuple):
@@ -90,7 +89,8 @@ def hyperbolic_amplitude_from_coefficients(
     The sign of each component's exponential is the sign of the outcome's
     perturbation, the rapidity is arccosh of |lambda| (made common to both
     outcomes when the transition matrix is double stochastic), and the signed
-    squared norms must reproduce the context's conditional b-probabilities.
+    squared norms reproduce the context's conditional b-probabilities, which
+    ``verify``'s ``hyperbolic.born_b`` judges.
     """
     cls = coeffs.context_class
     if cls is ContextClass.MIXED:
@@ -106,9 +106,6 @@ def hyperbolic_amplitude_from_coefficients(
     r0, r1 = e0 * math.sqrt(a1 * t10), e1 * math.sqrt(a1 * t11)
     c0 = HyperbolicNumber(math.sqrt(a0 * t00), 0.0) + r0 * exp_j(theta0)
     c1 = HyperbolicNumber(math.sqrt(a0 * t01), 0.0) + r1 * exp_j(theta1)
-    b0, b1 = coeffs.b_profile
-    if abs(c0.norm_sq() - b0) > BORN_TOL or abs(c1.norm_sq() - b1) > BORN_TOL:
-        raise PhaseInconsistency("signed squared norm drifted from the probability")
     return HyperbolicAmplitude((c0, c1), epsilons, thetas, coeffs.pair.b_values)
 
 

@@ -30,7 +30,6 @@ from .errors import (
     DegenerateCell,
     DegenerateContext,
     HyperbolicContext,
-    InvariantViolation,
     MixedContext,
     PhaseInconsistency,
     TrigonometricContext,
@@ -52,7 +51,6 @@ from .tolerances import (
     OFFSET_TOL,
     PHASE_GUARD_TOL,
     PHASE_SNAP_TOL,
-    PREDICATE_TOL,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -217,7 +215,9 @@ def coefficients_from_measures(
     """The coefficients of one context from P(C), ``a_row[i]`` =
     P(A_i & C), ``b_row[j]`` = P(B_j & C) and the pair's "b/a"
     ``transition`` matrix, for a dichotomous and incompatible pair:
-    :func:`read_contexts` checks the pair once for all its contexts."""
+    :func:`read_contexts` checks the pair once for all its contexts.  The
+    two perturbations sum to zero, which ``verify``'s
+    ``core.delta_sum_zero`` judges."""
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
     pa = a_row[0] / pc, a_row[1] / pc
@@ -238,13 +238,10 @@ def coefficients_from_measures(
         raise DegenerateCell("a probability under the normalising root vanishes")
     lam1 = d1 / (2.0 * math.sqrt(prod1))
     tags = _outcome_tag(lam0), _outcome_tag(lam1)
-    coeffs = InterferenceCoefficients(
+    return InterferenceCoefficients(
         pair, pa, pb, transition, (d0, d1), (lam0, lam1), tags,
         _CLASS_OF_TAG_PAIR[tags],
     )
-    if abs(d0 + d1) > PREDICATE_TOL:
-        raise InvariantViolation("outcome perturbations must sum to zero")
-    return coeffs
 
 
 def _outcome_tag(lam: float) -> OutcomeClass:
@@ -329,7 +326,9 @@ def hyperbolic_phases(
 ) -> tuple[tuple[float, float], tuple[int, int]]:
     """The nonnegative rapidities, with cosh equal to |lambda|, and the signs
     of the perturbations of a hyperbolic or boundary context.  A double
-    stochastic transition matrix equalises the two rapidities."""
+    stochastic transition matrix equalises the two rapidities.  The two
+    signs are opposite, which ``verify``'s ``hyperbolic.epsilon_sum_zero``
+    judges."""
     _refuse_mixed(coeffs)
     if coeffs.context_class is ContextClass.TRIGONOMETRIC:
         raise TrigonometricContext(
@@ -348,10 +347,7 @@ def hyperbolic_phases(
     else:
         thetas = (math.acosh(m0), math.acosh(m1))
     d0, d1 = coeffs.deltas
-    epsilons = (1 if d0 > 0 else -1, 1 if d1 > 0 else -1)
-    if epsilons[0] == epsilons[1]:
-        raise PhaseInconsistency("hyperbolic signs must sum to zero")
-    return thetas, epsilons
+    return thetas, (1 if d0 > 0 else -1, 1 if d1 > 0 else -1)
 
 
 def reconstruct_probability(

@@ -55,7 +55,7 @@ from .space import (
     pair_tables,
     table_from_units,
 )
-from .tolerances import IDENTITY_TOL, RECURSION_BORN_TOL
+from .tolerances import RECURSION_BORN_TOL
 
 
 class SplitDecomposition(NamedTuple):
@@ -106,9 +106,10 @@ def split_from_tables(
     context's table, which holds the union of the two cells, and the full
     event's, with the conditioning on C removed from the transition factors,
     quantifying the removal by a normalised coefficient.  All three displayed
-    forms are identities.  The additivity and conditioned forms are guarded
-    here; ``rhs`` is solved from ``lhs`` through ``lam``, so only
-    ``verify``'s ``multivalued.contextual_split`` compares the two."""
+    forms are identities, each judged by one of ``verify``'s checks: the
+    additivity form by ``multivalued.union_additivity``, the conditioned form
+    by ``multivalued.conditioned_split``, and ``rhs``, solved from ``lhs``
+    through ``lam``, by ``multivalued.contextual_split``."""
     pc = table.pc
     if pc == 0.0:
         raise ZeroConditioningContext("context has probability zero")
@@ -136,12 +137,6 @@ def split_from_tables(
     root = math.sqrt(p_b_d1 * p_d1_c * p_b_d2 * p_d2_c)
     lam = delta / (2.0 * root)
     rhs = p_b_d1 * p_d1_c + p_b_d2 * p_d2_c + 2.0 * lam * root
-
-    if (
-        abs(lhs - additivity_rhs) > IDENTITY_TOL
-        or abs(lhs - conditioned_rhs) > IDENTITY_TOL
-    ):
-        raise InvariantViolation("split decomposition identity drifted")
     return SplitDecomposition(lhs, rhs, lam, additivity_rhs, conditioned_rhs)
 
 
@@ -259,7 +254,8 @@ def amplitude_nvalued_from_tables(
     table, with the :func:`recursion_tails` of ``order`` as its unions, the
     full event's table, and ``lams[j]``, the lambda of the last-level split
     of b-cell j over the a-cells (order[-2], order[-1]), None where that
-    split is degenerate."""
+    split is degenerate.  Each component's squared modulus reproduces
+    P(b=x|C), which ``verify``'s ``multivalued.recursion_born`` judges."""
     n = len(order)
     if n < 2:
         raise ValueError("need at least two a-values")
@@ -326,10 +322,6 @@ def amplitude_nvalued_from_tables(
         component = complex(roots[0], 0.0)
         for j in range(1, n):
             component += cis(beta[j]) * roots[j]
-        if abs(abs(component) ** 2 - table.b_row[jx] / pc) > RECURSION_BORN_TOL:
-            raise InvariantViolation(
-                "recursive state drifted from the outcome probability"
-            )
         components.append(component)
         levels[x] = tuple(records)
         betas[x] = tuple(beta)

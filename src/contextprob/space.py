@@ -72,8 +72,9 @@ class Event(ValueTuple, _EventFields):
     """A subset of sample points, stored as a bitmask over the point ordering.
 
     ``size`` is the number of points in the ambient space; bit ``i`` set means
-    point ``i`` belongs to the event.  Set operations are exact, and events
-    compare and hash by value.  ``len`` is the number of points in the event.
+    point ``i`` belongs to the event.  Intersection (``&``) is exact, and
+    events compare and hash by value.  ``len`` is the number of points in
+    the event.
     """
 
     __slots__ = ()
@@ -97,20 +98,7 @@ class Event(ValueTuple, _EventFields):
         self._check(other)
         return Event(self.mask & other.mask, self.size)
 
-    def union(self, other: "Event") -> "Event":
-        self._check(other)
-        return Event(self.mask | other.mask, self.size)
-
-    def difference(self, other: "Event") -> "Event":
-        self._check(other)
-        return Event(self.mask & ~other.mask, self.size)
-
-    def complement(self) -> "Event":
-        return Event(~self.mask & ((1 << self.size) - 1), self.size)
-
     __and__ = intersect
-    __or__ = union
-    __sub__ = difference
 
     def issubset(self, other: "Event") -> bool:
         self._check(other)
@@ -191,9 +179,6 @@ class FiniteKolmogorovSpace(Record):
 
     def full_event(self) -> Event:
         return Event((1 << self.n) - 1, self.n)
-
-    def empty_event(self) -> Event:
-        return Event(0, self.n)
 
     def members(self, e: Event) -> tuple[str, ...]:
         return tuple(self.points[i] for i in e.indices())

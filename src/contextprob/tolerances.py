@@ -13,8 +13,13 @@ a branch (a context on the |lambda| = 1 boundary, a snapped phase, a redrawn
 random model).  A report tolerance decides whether a ``verify`` check (or
 the ``example kq`` comparison) passes.  The CLI's ``--tolerance`` replaces
 the report tolerance of a check and never a guard.  An identity that a
-``verify`` check compares has no guard in the code only ``verify`` runs, so
-its failure is reported by the check, with residual and witness.
+``verify`` check compares has, with two exceptions, no guard, not even in
+the builders ``analyze`` and ``represent`` share with ``verify``: its
+failure is reported by the check alone, with residual and witness.  The
+exceptions are the Gram guard of the hyperbolic basis, whose residual
+``represent`` has no field to report, and the pi-shift guard of the cosine
+phases, which on a double stochastic model compares, at ``PHASE_GUARD_TOL``,
+what ``core.phase_cosine_relation`` compares at ``PREDICATE_TOL``.
 """
 
 # probabilities
@@ -44,7 +49,6 @@ PHASE_SNAP_TOL = 1e-15      # phase against a multiple of pi/2, snapped to a uni
 OFFSET_TOL = 1e-9           # two phase offsets on the circle, or an offset and pi
 
 # hyperbolic numbers with components of order 10
-ISCLOSE_TOL = 1e-12         # components of two numbers, by default
 RING_LAW_TOL = 1e-9         # both sides of associativity, distributivity, commutativity
 NORM_PRODUCT_TOL = 1e-8     # squared norm of a product against the product of norms
 CONE_CLOSURE_TOL = 1e-9     # squared norm of a product of cone members below zero

@@ -291,7 +291,6 @@ def _core_checks(run: _Run) -> None:
     rec5 = run.check("core.symmetry_equivalence", PREDICATE_TOL, pre)
     if not run.dichotomous:
         return
-    k = run.t.cosine_ratio
     (t00, t01), (t10, t11) = run.t.rows
     for name, coeffs in run.classified.items():
         cls = coeffs.context_class
@@ -309,8 +308,10 @@ def _core_checks(run: _Run) -> None:
             for j, x in enumerate(pair.b_values):
                 rec3.compare(recon[x], coeffs.b_profile[j], "{}, x={}", name, x)
         if cls in COMPLEX_CLASSES:
+            # read here, not before the loop: a compatible pair has no
+            # cosine ratio, and no classified context either
             lam = coeffs.lambdas
-            rec4.compare(lam[1], -k * lam[0], name)
+            rec4.compare(lam[1], -run.t.cosine_ratio * lam[0], name)
     symmetric = is_symmetrically_conditioned(space, pair)
     both_ds = run.ds and run.both_ds
     tables = pair_tables(space, pair)

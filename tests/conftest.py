@@ -36,6 +36,11 @@ def ds_skewed():
     return make_pair_model((0.075, 0.225, 0.175, 0.525))
 
 
+def union(*events: cp.Event) -> cp.Event:
+    """The union of events of one space."""
+    return cp.Event(reduce(or_, (e.mask for e in events)), events[0].size)
+
+
 def member_fsum(space: cp.FiniteKolmogorovSpace, mask: int) -> float:
     """The measure of the event ``mask``: ``math.fsum`` of its members'
     weights."""

@@ -643,6 +643,15 @@ class TestErrorContract:
             "detail": "reference variables must be incompatible",
         }
 
+    def test_compatible_pair_core_suite_reports_symmetry(
+        self, compatible_path, capsys
+    ):
+        """Alone, the core suite reads no cosine ratio where no context has
+        coefficients, so its symmetry check judges the compatible pair."""
+        assert main(["verify", compatible_path, "--suite", "core"]) == 0
+        checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["core.symmetry_equivalence"]["status"] == "pass"
+
     def test_invariant_violation_exit_one(self, kq_path, monkeypatch, capsys):
         def drifted(*args, **kwargs):
             raise cp.PhaseInconsistency("phase relation drifted")
@@ -695,6 +704,43 @@ class TestErrorContract:
             "error": "InvariantViolation",
             "detail": "outcome perturbations must sum to zero",
         }
+
+    @pytest.mark.parametrize(
+        "model, command, module, name, error",
+        (
+            ("random_3x3_seed4", "analyze", "multivalued", "split_from_tables",
+             "InvariantViolation"),
+            ("random_3x3_seed4", "represent", "multivalued", "split_from_tables",
+             "InvariantViolation"),
+            ("atlas8", "represent", "complex_repr", "trigonometric_phases",
+             "PhaseInconsistency"),
+            ("atlas8", "represent", "hyperbolic_repr", "hyperbolic_phases",
+             "PhaseInconsistency"),
+        ),
+    )
+    def test_invariant_violation_in_a_state_builder_exit_one(
+        self, model, command, module, name, error, monkeypatch, capsys
+    ):
+        """A context whose state cannot be built is reported in its place,
+        but a violation raised while one is built ends the command.  The
+        faulty function passes its first call, so the basis that
+        ``represent`` builds first, at the full event, stands."""
+        module = getattr(cp, module)
+        body, calls = getattr(module, name), []
+
+        def drifted(*args, **kwargs):
+            calls.append(args)
+            if len(calls) > 1:
+                raise getattr(cp, error)("drifted")
+            return body(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, drifted)
+        assert main([command, str(DATA / f"{model}.model.json")]) == 1
+        assert len(calls) > 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {"error": error, "detail": "drifted"}
 
     def test_a_degenerate_context_has_one_reason(self, kq_path, capsys):
         assert main(["analyze", kq_path]) == 0

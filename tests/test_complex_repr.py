@@ -477,7 +477,7 @@ class TestAveragePreservation:
     def test_null_context_is_a_library_error(self, kq):
         with pytest.raises(cp.ZeroConditioningContext):
             cp.verify_average_preservation(
-                kq.space, kq.pair, kq.space.empty_event(), lambda y: y, lambda x: x
+                kq.space, kq.pair, cp.Event(0, kq.space.n), lambda y: y, lambda x: x
             )
 
     def test_symmetrised_product_breaks_preservation(self, kq):

@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contextprob as cp
-from conftest import fsum_table, member_fsum
+from conftest import fsum_table, member_fsum, union
 from contextprob import complex_repr as cr
 from contextprob import interference as itf
 from contextprob import multivalued as mv
@@ -422,11 +422,11 @@ def test_event_forms_on_edge_partitions():
     space, pair = ternary_model(3)
     a0, a1, a2 = pair.a_partition
     b0 = pair.b_partition[0]
-    full, empty = space.full_event(), space.empty_event()
+    full, empty = space.full_event(), Event(0, space.n)
     cases = {
-        "no rest": (b0, a0, a1 | a2),
+        "no rest": (b0, a0, union(a1, a2)),
         "B is the space": (full, a0, a1),
-        "B is the space, no rest": (full, a0 | a1, a2),
+        "B is the space, no rest": (full, union(a0, a1), a2),
         "B is empty": (empty, a0, a1),
         "D2 is empty": (b0, full, empty),
     }
@@ -451,7 +451,7 @@ def test_event_forms_name_a_foreign_event_before_an_overlap(kq):
     b0 = kq.pair.b_partition[0]
     c = kq.context("C123")
     foreign = Event(1, 5)
-    overlap = a0 | (a1 & b0)
+    overlap = union(a0, a1 & b0)
     not_here = ("raise", ValueError, "event does not belong to this space")
     for fn, ref in EVENT_FORMS:
         assert outcome(fn, space, b0, a0, overlap, c) == (
@@ -477,7 +477,9 @@ def test_event_forms_keep_no_pair_tables(monkeypatch):
     space = cp.FiniteKolmogorovSpace(model.points, model.weights)
     a0, a1, a2 = pair.a_partition
     b0, b1, b2 = pair.b_partition
-    triples = ((b1, a2, a0), (b0, a0, a1), (b2, a1, a0 | a2), (b0 | b2, a2, a1))
+    triples = (
+        (b1, a2, a0), (b0, a0, a1), (b2, a1, union(a0, a2)), (union(b0, b2), a2, a1)
+    )
     builds = count_method(monkeypatch, space_module.PairTables, "__init__")
     for c in random_contexts(space, 50, seed=1):
         for b, d1, d2 in triples:
@@ -954,7 +956,7 @@ def test_pair_tables_need_a_partition(kq):
     or miss a point are refused, on either side of the pair."""
     space, pair = kq.space, kq.pair
     a0, a1 = pair.a_partition
-    for cells in ((a0, a0 | a1), (a0,), (a0, a0, a1)):
+    for cells in ((a0, union(a0, a1)), (a0,), (a0, a0, a1)):
         for side in ("a_partition", "b_partition"):
             with pytest.raises(ValueError, match="must partition the space"):
                 space_module.pair_tables(space, pair._replace(**{side: cells}))

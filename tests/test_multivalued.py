@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import contextprob as cp
+from conftest import union
 from contextprob.multivalued import (
     build_amplitude_nvalued,
     contextual_total_probability_split,
@@ -92,7 +93,7 @@ class TestMuCoefficient:
         for seed in range(30):
             space, pair = make_three_valued(seed)
             ctx = space.event([f"w{i}" for i in range(1, 9)])
-            d2 = pair.a_partition[1] | pair.a_partition[2]
+            d2 = union(pair.a_partition[1], pair.a_partition[2])
             mu = mu_coefficient(
                 space, pair.b_partition[0], pair.a_partition[0], d2, ctx
             )
@@ -101,7 +102,7 @@ class TestMuCoefficient:
     def test_zero_at_full_context(self):
         # with the full space as context the half-eliminated form is exact
         space, pair = make_three_valued(seed=3)
-        d2 = pair.a_partition[1] | pair.a_partition[2]
+        d2 = union(pair.a_partition[1], pair.a_partition[2])
         mu = mu_coefficient(
             space,
             pair.b_partition[0],
@@ -257,7 +258,7 @@ class TestSplitErrors:
     def test_overlapping_conditioning_events(self, model, fn):
         space, pair = model
         d1 = pair.a_partition[0]
-        d2 = pair.a_partition[0] | pair.a_partition[1]
+        d2 = union(pair.a_partition[0], pair.a_partition[1])
         with pytest.raises(ValueError, match="must be disjoint"):
             fn(space, pair.b_partition[0], d1, d2, space.full_event())
 
@@ -269,7 +270,7 @@ class TestSplitErrors:
         with pytest.raises(cp.ZeroConditioningContext, match="probability zero"):
             fn(
                 space, pair.b_partition[0], pair.a_partition[0],
-                pair.a_partition[1], space.empty_event(),
+                pair.a_partition[1], cp.Event(0, space.n),
             )
 
     def test_degenerate_cells(self, model):
@@ -281,7 +282,7 @@ class TestSplitErrors:
         with pytest.raises(cp.DegenerateCell, match="^B meets D1 with"):
             split(space, a3, a1, a2, full)
         with pytest.raises(cp.DegenerateCell, match="^B meets D2 with"):
-            split(space, a1 | a3, a3, a2, full)
+            split(space, union(a1, a3), a3, a2, full)
         with pytest.raises(cp.DegenerateCell, match="^D2 meets the context"):
             split(space, b1, a1, a2, a1)
         with pytest.raises(cp.DegenerateCell, match="^D1 meets the context"):
@@ -298,6 +299,6 @@ class TestSplitErrors:
         with pytest.raises(ValueError, match="space"):
             build_amplitude_nvalued(space, pair, cp.Event(0b11, 2))
         with pytest.raises(cp.ZeroConditioningContext):
-            build_amplitude_nvalued(space, pair, space.empty_event())
+            build_amplitude_nvalued(space, pair, cp.Event(0, space.n))
         with pytest.raises(cp.DegenerateCell, match="context misses a conditioning"):
             build_amplitude_nvalued(space, pair, pair.a_partition[0])
