@@ -12,8 +12,6 @@ from .errors import (
     ModelValidationError,
     NonUnitaryBasis,
     NotInPositiveCone,
-    OutOfRangeProbability,
-    PhaseInconsistency,
     QOutOfRange,
     RapidityOverflow,
     SplitOutOfRange,

@@ -43,10 +43,6 @@ class InvariantViolation(Exception):
     catches it."""
 
 
-class PhaseInconsistency(InvariantViolation):
-    """Phase bookkeeping violated a guaranteed relation."""
-
-
 class NonUnitaryBasis(ContextualProbabilityError):
     """The requested change of basis is not unitary (its transition matrix
     is not double stochastic)."""
@@ -58,10 +54,6 @@ class NotInPositiveCone(ContextualProbabilityError):
 
 class RapidityOverflow(ContextualProbabilityError):
     """Hyperbolic phase too large for double-precision cosh/sinh."""
-
-
-class OutOfRangeProbability(ContextualProbabilityError):
-    """A reconstructed probability left the unit interval."""
 
 
 class SplitOutOfRange(ContextualProbabilityError):

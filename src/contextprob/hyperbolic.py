@@ -66,8 +66,6 @@ class HyperbolicNumber(ValueTuple, _HyperbolicFields):
 
 
 ZERO = HyperbolicNumber(0.0, 0.0)
-ONE = HyperbolicNumber(1.0, 0.0)
-J = HyperbolicNumber(0.0, 1.0)
 
 
 def exp_j(theta: float) -> HyperbolicNumber:

@@ -31,7 +31,6 @@ from .errors import (
     DegenerateContext,
     HyperbolicContext,
     MixedContext,
-    PhaseInconsistency,
     TrigonometricContext,
     ZeroConditioningContext,
 )
@@ -49,7 +48,6 @@ from .tolerances import (
     BOUNDARY_TOL,
     DISTINCT_LAMBDA_TOL,
     OFFSET_TOL,
-    PHASE_GUARD_TOL,
     PHASE_SNAP_TOL,
 )
 
@@ -298,7 +296,9 @@ def trigonometric_phases(
     of a trigonometric or boundary context, in the ``convention``'s
     conjugate representative.  Under a double stochastic transition matrix
     theta2 is theta1 + pi; otherwise the two are tied by cos(theta2) =
-    -k cos(theta1), with k the matrix's cosine ratio."""
+    -k cos(theta1), with k the matrix's cosine ratio.  That the lambdas obey
+    the same tie is what ``verify``'s ``core.phase_cosine_relation``
+    judges."""
     _check_convention(convention)
     _refuse_mixed(coeffs)
     if coeffs.context_class is ContextClass.HYPERBOLIC:
@@ -309,10 +309,6 @@ def trigonometric_phases(
         if convention == "conjugate":
             theta1 = math.fmod(TWO_PI - theta1, TWO_PI)
         theta2 = math.fmod(theta1 + math.pi, TWO_PI)
-        if abs(math.cos(theta2) - _snap_lambda(lam1)) > PHASE_GUARD_TOL:
-            raise PhaseInconsistency(
-                "pi-shifted phase fails to reproduce the second coefficient"
-            )
     else:
         theta2 = math.acos(_snap_lambda(lam1))
         if convention == "conjugate":
@@ -325,10 +321,11 @@ def hyperbolic_phases(
     coeffs: InterferenceCoefficients,
 ) -> tuple[tuple[float, float], tuple[int, int]]:
     """The nonnegative rapidities, with cosh equal to |lambda|, and the signs
-    of the perturbations of a hyperbolic or boundary context.  A double
-    stochastic transition matrix equalises the two rapidities.  The two
-    signs are opposite, which ``verify``'s ``hyperbolic.epsilon_sum_zero``
-    judges."""
+    of the perturbations of a hyperbolic or boundary context.  Under a
+    double stochastic transition matrix both outcomes take one rapidity,
+    from the mean of the two cosh targets, which are equal; ``verify``'s
+    ``hyperbolic.rapidity_equality`` judges that.  The two signs are
+    opposite, which ``verify``'s ``hyperbolic.epsilon_sum_zero`` judges."""
     _refuse_mixed(coeffs)
     if coeffs.context_class is ContextClass.TRIGONOMETRIC:
         raise TrigonometricContext(
@@ -338,11 +335,6 @@ def hyperbolic_phases(
     m0, m1 = max(1.0, abs(lam0)), max(1.0, abs(lam1))
     if coeffs.transition.double_stochastic:
         common = math.acosh((m0 + m1) / 2)
-        c = math.cosh(common)
-        if abs(c - m0) > PHASE_GUARD_TOL or abs(c - m1) > PHASE_GUARD_TOL:
-            raise PhaseInconsistency(
-                "double stochasticity must equalise the two rapidities"
-            )
         thetas = (common, common)
     else:
         thetas = (math.acosh(m0), math.acosh(m1))

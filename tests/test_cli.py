@@ -57,6 +57,28 @@ class TestAnalyze:
         report = json.loads(capsys.readouterr().out)
         assert list(report["contexts"]) == ["C123"]
 
+    def test_tiny_cells_take_their_rapidities(self, kq_path, tmp_path, capsys):
+        """kq's variables and contexts with weights (0.5, 0.5, 1e-300,
+        1e-300): |lambda| reaches ~3.5e149 on the double stochastic pair,
+        and each hyperbolic outcome's epsilon cosh(theta) still gives its
+        lambda."""
+        raw = json.loads(Path(kq_path).read_text())
+        for point, p in zip(raw["points"], (0.5, 0.5, 1e-300, 1e-300)):
+            point["p"] = p
+        path = tmp_path / "tiny_cells.json"
+        path.write_text(json.dumps(raw))
+        assert main(["analyze", str(path)]) == 0
+        contexts = json.loads(capsys.readouterr().out)["contexts"].values()
+        outcomes = [
+            o for c in contexts if c["class"] == "hyperbolic"
+            for o in c["outcomes"].values()
+        ]
+        assert outcomes
+        for o in outcomes:
+            assert o["epsilon"] * math.cosh(o["theta"]) == pytest.approx(
+                o["lambda"], rel=1e-12
+            )
+
 
 class TestRepresent:
     def test_report_shape(self, kq_path, tmp_path):
@@ -654,13 +676,13 @@ class TestErrorContract:
 
     def test_invariant_violation_exit_one(self, kq_path, monkeypatch, capsys):
         def drifted(*args, **kwargs):
-            raise cp.PhaseInconsistency("phase relation drifted")
+            raise cp.InvariantViolation("phase relation drifted")
 
         monkeypatch.setattr("contextprob.cli.run_suite", drifted)
         assert main(["verify", kq_path]) == 1
         diag = stderr_diagnostic(capsys)
         assert diag == {
-            "error": "PhaseInconsistency", "detail": "phase relation drifted",
+            "error": "InvariantViolation", "detail": "phase relation drifted",
         }
 
     def test_multivalued_invariant_violation_propagates(
@@ -713,9 +735,9 @@ class TestErrorContract:
             ("random_3x3_seed4", "represent", "multivalued", "split_from_tables",
              "InvariantViolation"),
             ("atlas8", "represent", "complex_repr", "trigonometric_phases",
-             "PhaseInconsistency"),
+             "InvariantViolation"),
             ("atlas8", "represent", "hyperbolic_repr", "hyperbolic_phases",
-             "PhaseInconsistency"),
+             "InvariantViolation"),
         ),
     )
     def test_invariant_violation_in_a_state_builder_exit_one(

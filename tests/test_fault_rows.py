@@ -68,15 +68,21 @@ def _every_offset_shared(monkeypatch):
     monkeypatch.setattr(interference, "_circular_close", lambda u, v: True)
 
 
-def _scaled_second_b_measure(monkeypatch):
-    """Every context's coefficients read P(B_1 & C) scaled by 1 + 1e-6."""
-    original = interference.coefficients_from_measures
+def _scaled_b_measure(j, excess):
+    """The fault under which every context's coefficients read P(B_j & C)
+    scaled by 1 + ``excess``."""
 
-    def scaled(pair, transition, pc, a_row, b_row):
-        b_row = (b_row[0], b_row[1] * (1.0 + 1e-6))
-        return original(pair, transition, pc, a_row, b_row)
+    def fault(monkeypatch):
+        original = interference.coefficients_from_measures
 
-    monkeypatch.setattr(interference, "coefficients_from_measures", scaled)
+        def scaled(pair, transition, pc, a_row, b_row):
+            b_row = list(b_row)
+            b_row[j] *= 1.0 + excess
+            return original(pair, transition, pc, a_row, tuple(b_row))
+
+        monkeypatch.setattr(interference, "coefficients_from_measures", scaled)
+
+    return fault
 
 
 def _flipped_second_delta(monkeypatch):
@@ -130,11 +136,29 @@ ROWS = {
         "shared offset 3.141592653589793 found despite distinct coefficient "
         "magnitudes",
     ),
-    "core.delta_sum_zero": ("atlas8", "core", _scaled_second_b_measure, "K48"),
+    "core.delta_sum_zero": ("atlas8", "core", _scaled_b_measure(1, 1e-6), "K48"),
+    "core.lambda_weighted_sum_zero": (
+        "atlas8", "core", _scaled_b_measure(1, 1e-6), "K48",
+    ),
+    "core.phase_cosine_relation": (
+        "random_ds_seed7", "core", _scaled_b_measure(1, 1e-6), "S4",
+    ),
+    "core.reconstruction_identity": (
+        "random_ds_seed7", "core", _scaled_b_measure(1, 1e-6), "S4, x=-1.0",
+    ),
+    "complex.normalization": (
+        "atlas8", "complex", _scaled_b_measure(1, 1e-6), "Kac",
+    ),
     "complex.born_b": ("atlas8", "complex", _rotated_cis, "Kf6, x=1.0"),
     "hyperbolic.born_b": ("atlas8", "hyperbolic", _stretched_exp_j, "Kc4, x=-1.0"),
     "hyperbolic.epsilon_sum_zero": (
         "atlas8", "hyperbolic", _flipped_second_delta, "K1c",
+    ),
+    "hyperbolic.rapidity_equality": (
+        "random_ds_seed7", "hyperbolic", _scaled_b_measure(0, 1e-10), "S3",
+    ),
+    "hyperbolic.transform_pair_sum": (
+        "random_ds_seed7", "hyperbolic", _scaled_b_measure(0, 1e-6), "S3, x=-1.0",
     ),
     "multivalued.union_additivity": ("atlas8", "all", _scaled_first_cell, "K13"),
     "multivalued.conditioned_split": ("atlas8", "all", _scaled_first_cell, "K13"),
@@ -147,17 +171,13 @@ ROWS = {
 NO_ROW_YET = {
     "core.weights_normalized", "core.probability_range",
     "core.bayes_consistency", "core.partition_closure",
-    "core.lambda_weighted_sum_zero", "core.reconstruction_identity",
-    "core.phase_cosine_relation",
-    "complex.suite", "complex.normalization", "complex.conjugation_symmetry",
+    "complex.suite", "complex.conjugation_symmetry",
     "complex.born_a", "complex.basis_unitarity", "complex.operator_spectrum",
     "complex.noncommutativity", "complex.average_preservation",
     "complex.basic_context_classes",
     "hyperbolic.ring_laws", "hyperbolic.norm_multiplicative",
     "hyperbolic.positive_cone_closed", "hyperbolic.polar_roundtrip",
-    "hyperbolic.rapidity_equality",
-    "hyperbolic.basis_unitarity", "hyperbolic.transform_pair_sum",
-    "hyperbolic.basic_contexts_hyperbolic",
+    "hyperbolic.basis_unitarity", "hyperbolic.basic_contexts_hyperbolic",
     "multivalued.contextual_split", "multivalued.half_eliminated_split",
 }
 

@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import contextprob as cp
-from contextprob.hyperbolic import J, ONE, HyperbolicNumber, exp_j, polar
+from contextprob.hyperbolic import HyperbolicNumber, exp_j, polar
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -20,7 +20,8 @@ def test_zero_divisors_exist():
 
 
 def test_generator_squares_to_one():
-    assert J * J == ONE
+    j = HyperbolicNumber(0.0, 1.0)
+    assert j * j == HyperbolicNumber(1.0, 0.0)
 
 
 def test_norm_sq_signed_example():
@@ -115,7 +116,7 @@ def test_exponential_unit_norm():
 
 
 def test_exponential_identities():
-    assert exp_j(0.0) == ONE
+    assert exp_j(0.0) == HyperbolicNumber(1.0, 0.0)
     theta = 1.3
     assert exp_j(theta).conj() == exp_j(-theta)
     cosh = 0.5 * (exp_j(theta) + exp_j(-theta))
@@ -167,7 +168,7 @@ class TestPolar:
         z = HyperbolicNumber(5.0, 3.0)
         p = polar(z)
         via_polar = (p.sign / p.modulus) * exp_j(-p.theta)
-        assert z * via_polar == pytest.approx(ONE, abs=1e-14)
+        assert z * via_polar == pytest.approx(HyperbolicNumber(1.0, 0.0), abs=1e-14)
 
     def test_open_cone_is_a_group(self):
         rng_vals = [(2.0, 1.0), (-3.0, 0.5), (1.5, -1.2), (-0.7, 0.2)]
@@ -175,7 +176,8 @@ class TestPolar:
         for z in elements:
             assert z.norm_sq() > 0
             # the inverse in the algebra is conj(z) / |z|^2
-            assert z * ((1.0 / z.norm_sq()) * z.conj()) == pytest.approx(ONE, abs=1e-12)
+            inverse = (1.0 / z.norm_sq()) * z.conj()
+            assert z * inverse == pytest.approx(HyperbolicNumber(1.0, 0.0), abs=1e-12)
         for z1 in elements:
             for z2 in elements:
                 assert (z1 * z2).norm_sq() > 0

@@ -239,10 +239,14 @@ class TestInterferenceTransform:
         assert out[0] + out[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_large_rapidity_leaves_unit_interval(self, ds_skewed):
+        """Past the rapidities these marginals admit, the pair is returned
+        as computed: it leaves the unit interval but still sums to one, and
+        ``hyperbolic.transform_pair_sum`` judges it against P(b=x|C)."""
         space, pair = ds_skewed
         t = cp.transition_matrix(space, pair)
-        with pytest.raises(cp.OutOfRangeProbability):
-            cp.hyperbolic_interference_transform((0.4, 0.6), t, 5.0, 1)
+        out = cp.hyperbolic_interference_transform((0.4, 0.6), t, 5.0, 1)
+        assert out == pytest.approx((32.0346147, -31.0346147), abs=1e-6)
+        assert out[0] + out[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_non_double_stochastic_rejected(self, skewed):
         space, pair = skewed

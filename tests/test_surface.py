@@ -1,11 +1,11 @@
-"""The package exports only what the program itself reaches.
+"""The package defines and exports only what the program itself reaches.
 
 Each name ``contextprob/__init__.py`` imports must be used by some module of
 the package outside its own definition and its import lines, or be named by
 the benchmark (``bench/*.py``, whose tracer names its targets as strings).
-A name that only its own tests reach fails here: it is surface to delete,
-or to put to use in a command or a ``verify`` check.  The files are read,
-not imported.
+So must each name defined at the top of any package module.  A name that
+only its own tests reach fails here: it is surface to delete, or to put to
+use in a command or a ``verify`` check.  The files are read, not imported.
 """
 
 import ast
@@ -68,3 +68,38 @@ def test_every_export_is_used_by_the_package_or_the_benchmark():
     unused = exported_names() - used - bench_names()
     assert sorted(unused) == []
 
+
+def defined_names(stmt: ast.stmt) -> set[str]:
+    """The module-level names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {
+            n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+        }
+    return set()
+
+
+def test_every_module_level_name_is_read_elsewhere():
+    """Each function, class or assigned name at the top of a package module
+    is read by another statement of the package, or is named by the
+    benchmark; dunder names are the language's."""
+    statements = [
+        stmt
+        for path in sorted(PACKAGE.glob("*.py"))
+        for stmt in ast.parse(path.read_text()).body
+    ]
+    reads = [
+        used_names(ast.Module(body=[stmt], type_ignores=[])) for stmt in statements
+    ]
+    named = bench_names()
+    unread = sorted(
+        name
+        for k, stmt in enumerate(statements)
+        for name in defined_names(stmt)
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in named
+        and not any(name in r for i, r in enumerate(reads) if i != k)
+    )
+    assert unread == []
