@@ -254,6 +254,10 @@ def cmd_represent(args) -> int:
                 continue
             if coeffs.context_class is itf.ContextClass.HYPERBOLIC:
                 g_basis = hr.hyperbolic_a_basis(coeffs)
+                gram = g_basis.gram_residual  # reported, null if not finite
+                out["hyperbolic_basis_gram_residual"] = (
+                    gram if math.isfinite(gram) else None
+                )
                 break
     if args.context is None:
         reads = itertools.chain(searched, reads)

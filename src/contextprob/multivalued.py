@@ -40,12 +40,7 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .complex_repr import ComplexAmplitude
-from .errors import (
-    DegenerateCell,
-    InvariantViolation,
-    SplitOutOfRange,
-    ZeroConditioningContext,
-)
+from .errors import DegenerateCell, SplitOutOfRange, ZeroConditioningContext
 from .interference import cis
 from .space import (
     Event,
@@ -55,7 +50,6 @@ from .space import (
     pair_tables,
     table_from_units,
 )
-from .tolerances import RECURSION_BORN_TOL
 
 
 class SplitDecomposition(NamedTuple):
@@ -255,7 +249,8 @@ def amplitude_nvalued_from_tables(
     full event's table, and ``lams[j]``, the lambda of the last-level split
     of b-cell j over the a-cells (order[-2], order[-1]), None where that
     split is degenerate.  Each component's squared modulus reproduces
-    P(b=x|C), which ``verify``'s ``multivalued.recursion_born`` judges."""
+    P(b=x|C), and each level's partial state its ``tail_probability``; both
+    are judged by ``verify``'s ``multivalued.recursion_born``."""
     n = len(order)
     if n < 2:
         raise ValueError("need at least two a-values")
@@ -304,12 +299,6 @@ def amplitude_nvalued_from_tables(
                 unions[tails[j]][jx] / pc,
             ))
         records.reverse()
-
-        for rec in records:
-            if abs(abs(rec.partial) ** 2 - rec.tail_probability) > RECURSION_BORN_TOL:
-                raise InvariantViolation(
-                    "partial state drifted from its tail probability"
-                )
 
         # accumulate the phases: beta[0] = 0, then each level contributes its
         # own phase minus the argument of the next partial state

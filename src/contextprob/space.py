@@ -60,7 +60,7 @@ from .errors import (
     ZeroConditioningContext,
 )
 from .records import Record, ValueTuple
-from .tolerances import IDENTITY_TOL, PREDICATE_TOL, UNIT_COSINE_RATIO_TOL, WEIGHT_TOL
+from .tolerances import IDENTITY_TOL, PREDICATE_TOL, WEIGHT_TOL
 
 
 class _EventFields(NamedTuple):
@@ -303,8 +303,8 @@ class TransitionMatrix(Record):
     is true iff the matrix is square and every column also sums to one
     within ``PREDICATE_TOL``.  Both are computed once, at construction, and
     matrices compare and hash by value.  ``cosine_ratio`` is computed on
-    first use; a raise is not kept, so every use on a matrix that has none
-    raises.
+    first use and never held against ``double_stochastic``; a raise is not
+    kept, so every use on a matrix that has none raises.
     """
 
     _fields = ("rows",)
@@ -327,20 +327,16 @@ class TransitionMatrix(Record):
     @cached_property
     def cosine_ratio(self) -> float:
         """The cosine ratio k = sqrt(p11 p21 / (p12 p22)) of a 2x2 matrix.
-        It equals one exactly when the matrix is double stochastic; the two
-        conditions are algebraically equivalent, so disagreement signals a
-        bug."""
+        It equals one exactly when the matrix is double stochastic; a k off
+        one under the double stochastic flag breaks theta2 = theta1 + pi,
+        which ``verify``'s ``core.reconstruction_identity`` and
+        ``complex.born_b`` judge."""
         p = self.rows
         if len(p) != 2 or len(p[0]) != 2:
             raise ValueError("cosine ratio is defined for 2x2 matrices")
         if min(p[0] + p[1]) <= 0.0:
             raise DegenerateCell("all transition entries must be positive")
-        k = math.sqrt((p[0][0] * p[1][0]) / (p[0][1] * p[1][1]))
-        if self.double_stochastic != (abs(k - 1.0) <= UNIT_COSINE_RATIO_TOL):
-            raise InvariantViolation(
-                "unit cosine ratio and double stochasticity must coincide"
-            )
-        return k
+        return math.sqrt((p[0][0] * p[1][0]) / (p[0][1] * p[1][1]))
 
 
 def transition_matrix(

@@ -13,11 +13,9 @@ a branch (a context on the |lambda| = 1 boundary, a snapped phase, a redrawn
 random model).  A report tolerance decides whether a ``verify`` check (or
 the ``example kq`` comparison) passes.  The CLI's ``--tolerance`` replaces
 the report tolerance of a check and never a guard.  An identity that a
-``verify`` check compares has, with one exception, no guard, not even in
-the builders ``analyze`` and ``represent`` share with ``verify``: its
-failure is reported by the check alone, with residual and witness.  The
-exception is the Gram guard of the hyperbolic basis, whose residual
-``represent`` has no field to report.
+``verify`` check compares has no guard, not even in the builders
+``analyze`` and ``represent`` share with ``verify``: its failure is
+reported by the check alone, with residual and witness.
 """
 
 # probabilities
@@ -34,7 +32,6 @@ POINT_WEIGHT_FLOOR = 1e-9   # random models redraw a point weight at or below th
 
 # coefficients and states, of order 1
 BOUNDARY_TOL = 1e-12        # |lambda| against one: the boundary class
-UNIT_COSINE_RATIO_TOL = 1e-8  # cosine ratio k against one: double stochasticity
 DISTINCT_LAMBDA_TOL = 1e-8  # two |lambda| further apart than this are distinct
 HERMITIAN_TOL = 1e-12       # operator entries against those of its adjoint
 GRAM_TOL = 1e-10            # hyperbolic basis Gram entries against the identity

@@ -605,7 +605,7 @@ def _multivalued_checks(run: _Run) -> None:
                 half = head + tail + 2.0 * mu * math.sqrt(head * tail)
                 rec_f5.compare(half, split.lhs, name)
         try:
-            psi, _ = mv.amplitude_nvalued_from_tables(
+            psi, chain = mv.amplitude_nvalued_from_tables(
                 pair, table, free, order, signs, lams
             )
         except SplitOutOfRange:
@@ -617,6 +617,11 @@ def _multivalued_checks(run: _Run) -> None:
         p = _born(psi)
         for j, x in enumerate(pair.b_values):
             rec.compare(p[j], table.b_row[j] / table.pc, "{}, x={}", name, x)
+            for level in chain.levels[x]:
+                rec.compare(
+                    abs(level.partial) ** 2, level.tail_probability,
+                    "{}, x={}, level {}", name, x, level.level,
+                )
         coeffs = run.classified.get(name)
         if coeffs is not None and coeffs.context_class in COMPLEX_CLASSES:
             _, flat = run.principal(name, coeffs)

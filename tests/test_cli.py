@@ -2,6 +2,7 @@ import argparse
 import enum
 import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -174,6 +175,38 @@ class TestRepresent:
         assert len(reads) == 1 + 5 + (not searched)
 
 
+    @pytest.mark.parametrize(
+        "weights, residual",
+        [
+            ((0.5 - 1e-12, 0.5 - 1e-12, 1e-12, 1e-12), 1.52587890625e-05),
+            ((0.5, 0.5, 1e-310, 1e-310), None),
+        ],
+        ids=["1e-12", "1e-310"],
+    )
+    def test_tiny_cells_report_the_gram_residual(
+        self, weights, residual, kq_path, tmp_path, capsys
+    ):
+        """kq's variables and contexts with tiny cells: the g-basis anchored
+        at C13 misses orthonormality through the cancellation in cosh^2 -
+        sinh^2 (1e-12), or has a NaN Gram matrix (1e-310).  ``represent``
+        reports the residual, null where it is not finite, and leaves the
+        judgement to ``verify``'s ``hyperbolic.basis_unitarity``."""
+        raw = json.loads(Path(kq_path).read_text())
+        for point, p in zip(raw["points"], weights):
+            point["p"] = p
+        path = tmp_path / "tiny_cells.json"
+        path.write_text(json.dumps(raw))
+        assert main(["represent", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        report = json.loads(captured.out, parse_constant=reject)
+        assert report["hyperbolic_basis_gram_residual"] == residual
+
+
 def seven_contexts(model):
     """A model document on the pair ``model`` with seven two- and
     three-point contexts; on ``ds_skewed`` the fifth, C14, is the first
@@ -304,6 +337,32 @@ class TestVerify:
         assert code == 1
         report = json.loads(out.read_text())
         assert any(c["status"] == "fail" for c in report["checks"])
+
+    @pytest.mark.parametrize("delta", [1e-9, 3e-9])
+    def test_near_double_stochastic_model_passes(self, delta, tmp_path, capsys):
+        """Weights (1/4, 1/4, (1 + 2 delta)/4, (1 - 2 delta)/4) on the a and b
+        of the four-point square, with every two- and three-point context:
+        the column sums pass as double stochastic within ``PREDICATE_TOL``
+        while the cosine ratio misses one by more, and every check passes."""
+        names = ("w1", "w2", "w3", "w4")
+        space = cp.FiniteKolmogorovSpace(
+            names, (0.25, 0.25, 0.25 * (1 + 2 * delta), 0.25 * (1 - 2 * delta))
+        )
+        variables = {
+            "a": cp.RandomVariable((1.0, 1.0, -1.0, -1.0)),
+            "b": cp.RandomVariable((1.0, -1.0, 1.0, -1.0)),
+        }
+        contexts = {
+            "C" + "".join(name[1:] for name in chosen): space.event(chosen)
+            for k in (2, 3)
+            for chosen in itertools.combinations(names, k)
+        }
+        path = tmp_path / "near_ds.json"
+        save_model(cp.ModelDocument(space, variables, contexts, ("a", "b")), path)
+        assert main(["verify", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["passed"] is True
 
     def test_skips_carry_reasons(self, kq_path, capsys):
         assert main(["verify", kq_path, "--suite", "hyperbolic"]) == 0

@@ -8,7 +8,8 @@ the readings that disagree), and ``contextprob verify`` exits 1 with the
 same report on stdout and nothing on stderr: the identity is judged by the
 check alone, and no library raise stops the run before the report is
 written.  These are the first rows of a matrix with one fault per check id;
-every other check id a report can hold waits in ``NO_ROW_YET``.
+``MORE_ROWS`` holds further faults for an id that has a row, and every other
+check id a report can hold waits in ``NO_ROW_YET``.
 """
 
 import json
@@ -114,6 +115,13 @@ def _stretched_exp_j(monkeypatch):
     monkeypatch.setattr(hyperbolic_repr, "exp_j", stretched)
 
 
+def _turned_split_cis(monkeypatch):
+    """The split recursion turns each phase by a further 1e-5, so every
+    partial state drifts from its tail probability."""
+    original = multivalued.cis
+    monkeypatch.setattr(multivalued, "cis", lambda theta: original(theta + 1e-5))
+
+
 def _shifted_partial_phase(monkeypatch):
     """The split recursion reads each partial state's argument 1e-5 high."""
     original = multivalued.cmath.phase
@@ -160,12 +168,24 @@ ROWS = {
     "hyperbolic.transform_pair_sum": (
         "random_ds_seed7", "hyperbolic", _scaled_b_measure(0, 1e-6), "S3, x=-1.0",
     ),
+    "hyperbolic.basis_unitarity": (
+        "random_ds_seed7", "hyperbolic", _stretched_exp_j, "gram[1][1].x",
+    ),
     "multivalued.union_additivity": ("atlas8", "all", _scaled_first_cell, "K13"),
     "multivalued.conditioned_split": ("atlas8", "all", _scaled_first_cell, "K13"),
     "multivalued.recursion_born": (
         "random_3x3_seed4", "multivalued", _shifted_partial_phase, "S1, x=0.0",
     ),
 }
+
+# further faults for a check id that has a row, by test id
+MORE_ROWS = {
+    "multivalued.recursion_born-partial": (
+        "multivalued.recursion_born", "random_3x3_seed4", "multivalued",
+        _turned_split_cis, "S1, x=0.0, level 0",
+    ),
+}
+CASES = {check_id: (check_id, *row) for check_id, row in ROWS.items()} | MORE_ROWS
 
 # every other check id a report can hold, each still without a fault row
 NO_ROW_YET = {
@@ -177,7 +197,7 @@ NO_ROW_YET = {
     "complex.basic_context_classes",
     "hyperbolic.ring_laws", "hyperbolic.norm_multiplicative",
     "hyperbolic.positive_cone_closed", "hyperbolic.polar_roundtrip",
-    "hyperbolic.basis_unitarity", "hyperbolic.basic_contexts_hyperbolic",
+    "hyperbolic.basic_contexts_hyperbolic",
     "multivalued.contextual_split", "multivalued.half_eliminated_split",
 }
 
@@ -195,9 +215,7 @@ def test_every_check_id_has_a_row_or_waits_for_one():
 
 
 @pytest.mark.parametrize(
-    "check_id, model, suite, fault, witness",
-    [(check_id, *row) for check_id, row in ROWS.items()],
-    ids=list(ROWS),
+    "check_id, model, suite, fault, witness", list(CASES.values()), ids=list(CASES)
 )
 def test_fault_fails_its_check(
     check_id, model, suite, fault, witness, tmp_path, monkeypatch, capsys

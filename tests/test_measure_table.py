@@ -46,7 +46,6 @@ from contextprob.interference import cis
 from contextprob.cli import main
 from contextprob.models import ModelDocument, load_model, save_model
 from contextprob.multivalued import (
-    RECURSION_BORN_TOL,
     SplitChain,
     SplitDecomposition,
     SplitLevel,
@@ -66,6 +65,7 @@ from contextprob.space import (
     total_probability_from_table,
     transition_matrix,
 )
+from contextprob.tolerances import RECURSION_BORN_TOL
 from contextprob.verify import run_suite
 
 
