@@ -27,14 +27,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .errors import (
-    HyperbolicContext,
-    InvariantViolation,
-    MixedContext,
-    NonUnitaryBasis,
-)
+from .errors import InvariantViolation, NonUnitaryBasis
 from .interference import (
-    ContextClass,
     InterferenceCoefficients,
     cis,
     interference_coefficients,
@@ -49,7 +43,7 @@ from .space import (
     pair_tables,
     transition_matrix,
 )
-from .tolerances import BORN_TOL, HERMITIAN_TOL, PREDICATE_TOL
+from .tolerances import BORN_TOL, HERMITIAN_TOL
 
 
 class ComplexAmplitude(NamedTuple):
@@ -95,15 +89,7 @@ def amplitude_from_coefficients(
     """Construct the complex state vector of a trigonometric (or boundary)
     context from its interference coefficients.  The squared moduli
     reproduce the context's conditional b-probabilities, which ``verify``'s
-    ``complex.born_b`` judges."""
-    cls = coeffs.context_class
-    if cls is ContextClass.MIXED:
-        raise MixedContext("mixed contexts have no complex representation")
-    if cls is ContextClass.HYPERBOLIC:
-        raise HyperbolicContext(
-            "context has large interference coefficients; build the "
-            "hyperbolic representation instead"
-        )
+    ``complex.born_b`` judges.  Its phases refuse a context without one."""
     theta0, theta1 = trigonometric_phases(coeffs, convention)
     (a0, a1), ((t00, t01), (t10, t11)) = coeffs.a_profile, coeffs.transition.rows
     components = (
@@ -128,9 +114,11 @@ def build_amplitude(
 
 class HilbertBasis(NamedTuple):
     """Basis vectors (rows, in b-coordinates) with the change matrix and a
-    unitarity report.  A non-unitary basis is reported, not rejected:
-    single contexts can still be expanded in it, only the two-sided
-    probability rule fails.  Bases compare by identity."""
+    unitarity report: ``unitary`` is the double stochastic flag that chose
+    the anchor's phases, and ``verify``'s ``complex.basis_unitarity`` judges
+    the Gram matrix against it.  A non-unitary basis is reported, not
+    rejected: single contexts can still be expanded in it, only the
+    two-sided probability rule fails.  Bases compare by identity."""
 
     vectors: tuple[tuple[complex, ...], ...]
     unitary: bool
@@ -148,31 +136,21 @@ def a_basis_for_context(
     """Basis indexed by the a-outcomes, anchored at one trigonometric context.
 
     The change matrix is unitary exactly when the transition matrix is double
-    stochastic and the anchor phases differ by pi; otherwise the basis is
-    valid only for contexts sharing the anchor's |lambda| level and the
-    report carries the offending column sums.
+    stochastic, which is when the anchor phases differ by pi; ``unitary`` is
+    that flag.  Otherwise the basis is valid only for contexts sharing the
+    anchor's |lambda| level and the report carries the offending column
+    sums.  The anchor's phases refuse an anchor without them.
     """
     coeffs = interference_coefficients(space, pair, anchor_context)
-    cls = coeffs.context_class
-    if cls is ContextClass.MIXED:
-        raise MixedContext("anchor context is mixed")
-    if cls is ContextClass.HYPERBOLIC:
-        raise HyperbolicContext("anchor context is hyperbolic")
     theta0, theta1 = trigonometric_phases(coeffs, convention)
     t = coeffs.transition
     u = [[math.sqrt(p) for p in row] for row in t.rows]
     e1 = (complex(u[0][0]), complex(u[0][1]))
     e2 = (cis(theta0) * u[1][0], cis(theta1) * u[1][1])
-    vectors = (e1, e2)
-    unitary = max(
-        abs(inner_product(v, w) - float(i == k))
-        for i, v in enumerate(vectors)
-        for k, w in enumerate(vectors)
-    ) <= PREDICATE_TOL
     witness: dict[str, float] = {}
-    if not unitary:
+    if not t.double_stochastic:
         witness = {f"column_sum_{j}": s for j, s in enumerate(column_sums(t))}
-    return HilbertBasis(vectors=vectors, unitary=unitary, witness=witness)
+    return HilbertBasis((e1, e2), t.double_stochastic, witness)
 
 
 class HermitianOperator(Record):
@@ -213,7 +191,7 @@ def operator_for_variable(
     values: Sequence[float], basis: HilbertBasis
 ) -> HermitianOperator:
     """Operator with the given eigenvalues on the given basis vectors,
-    expressed in b-coordinates."""
+    expressed in b-coordinates; refuses a basis whose flag is not unitary."""
     if not basis.unitary:
         raise NonUnitaryBasis(
             "operator construction needs an orthonormal basis; the change "

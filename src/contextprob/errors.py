@@ -22,8 +22,8 @@ class DegenerateContext(ContextualProbabilityError):
 
 
 class MixedContext(ContextualProbabilityError):
-    """Context mixes small and large interference coefficients; neither
-    single-geometry representation exists."""
+    """Context mixes small and large interference coefficients; it has
+    neither a complex nor a hyperbolic representation."""
 
 
 class HyperbolicContext(ContextualProbabilityError):

@@ -19,10 +19,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .errors import MixedContext, NonUnitaryBasis, TrigonometricContext
+from .errors import NonUnitaryBasis
 from .hyperbolic import HyperbolicNumber, ZERO, exp_j
 from .interference import (
-    ContextClass,
     InterferenceCoefficients,
     hyperbolic_phases,
     interference_coefficients,
@@ -84,16 +83,8 @@ def hyperbolic_amplitude_from_coefficients(
     perturbation, the rapidity is arccosh of |lambda| (made common to both
     outcomes when the transition matrix is double stochastic), and the signed
     squared norms reproduce the context's conditional b-probabilities, which
-    ``verify``'s ``hyperbolic.born_b`` judges.
+    ``verify``'s ``hyperbolic.born_b`` judges.  Its phases refuse a context without one.
     """
-    cls = coeffs.context_class
-    if cls is ContextClass.MIXED:
-        raise MixedContext("mixed contexts have no hyperbolic representation")
-    if cls is ContextClass.TRIGONOMETRIC:
-        raise TrigonometricContext(
-            "context has small interference coefficients; build the complex "
-            "representation instead"
-        )
     thetas, epsilons = hyperbolic_phases(coeffs)
     (a0, a1), ((t00, t01), (t10, t11)) = coeffs.a_profile, coeffs.transition.rows
     (e0, e1), (theta0, theta1) = epsilons, thetas
@@ -129,8 +120,9 @@ def hyperbolic_a_basis(anchor: InterferenceCoefficients) -> GModuleBasis:
 
     Requires a double stochastic transition matrix; without it no unitary
     change of basis exists in the module and the construction is refused.
-    The basis is returned with its Gram residual, never refused for it:
-    ``verify``'s ``hyperbolic.basis_unitarity`` judges orthonormality.
+    The anchor's phases give the rapidities and signs, and refuse an anchor
+    without them.  The basis is returned with its Gram residual, never
+    refused for it: ``verify``'s ``hyperbolic.basis_unitarity`` judges it.
     """
     t = anchor.transition
     if not t.double_stochastic:
@@ -138,13 +130,10 @@ def hyperbolic_a_basis(anchor: InterferenceCoefficients) -> GModuleBasis:
             "transition matrix is not double stochastic "
             f"(column sums {column_sums(t)})"
         )
-    amp = hyperbolic_amplitude_from_coefficients(anchor)
+    (theta0, theta1), (eps0, eps1) = hyperbolic_phases(anchor)
     u = [[math.sqrt(p) for p in row] for row in t.rows]
     e1 = (HyperbolicNumber(u[0][0], 0.0), HyperbolicNumber(u[0][1], 0.0))
-    e2 = (
-        (amp.epsilons[0] * u[1][0]) * exp_j(amp.thetas[0]),
-        (amp.epsilons[1] * u[1][1]) * exp_j(amp.thetas[1]),
-    )
+    e2 = ((eps0 * u[1][0]) * exp_j(theta0), (eps1 * u[1][1]) * exp_j(theta1))
     vectors, residuals = (e1, e2), []
     for i in range(2):
         for k in range(2):

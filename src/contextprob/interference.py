@@ -268,11 +268,6 @@ def _check_convention(convention: str) -> None:
         raise ValueError(f"unknown phase convention {convention!r}")
 
 
-def _refuse_mixed(coeffs: InterferenceCoefficients) -> None:
-    if coeffs.context_class is ContextClass.MIXED:
-        raise MixedContext("mixed contexts admit no single-geometry phases")
-
-
 def assign_phases(
     coeffs: InterferenceCoefficients, convention: str = "principal"
 ) -> PhaseAssignment:
@@ -298,11 +293,16 @@ def trigonometric_phases(
     theta2 is theta1 + pi; otherwise the two are tied by cos(theta2) =
     -k cos(theta1), with k the matrix's cosine ratio.  That the lambdas obey
     the same tie is what ``verify``'s ``core.phase_cosine_relation``
-    judges."""
+    judges.  The complex geometry's one gate: it refuses a bad convention,
+    then a mixed or hyperbolic context."""
     _check_convention(convention)
-    _refuse_mixed(coeffs)
+    if coeffs.context_class is ContextClass.MIXED:
+        raise MixedContext("mixed contexts have no complex representation")
     if coeffs.context_class is ContextClass.HYPERBOLIC:
-        raise HyperbolicContext("hyperbolic context cannot take cosine phases")
+        raise HyperbolicContext(
+            "context has large interference coefficients; build the "
+            "hyperbolic representation instead"
+        )
     lam0, lam1 = coeffs.lambdas
     theta1 = math.acos(_snap_lambda(lam0))
     if coeffs.transition.double_stochastic:
@@ -325,11 +325,14 @@ def hyperbolic_phases(
     double stochastic transition matrix both outcomes take one rapidity,
     from the mean of the two cosh targets, which are equal; ``verify``'s
     ``hyperbolic.rapidity_equality`` judges that.  The two signs are
-    opposite, which ``verify``'s ``hyperbolic.epsilon_sum_zero`` judges."""
-    _refuse_mixed(coeffs)
+    opposite, which ``verify``'s ``hyperbolic.epsilon_sum_zero`` judges.
+    Refuses a mixed or trigonometric context: the geometry's one gate."""
+    if coeffs.context_class is ContextClass.MIXED:
+        raise MixedContext("mixed contexts have no hyperbolic representation")
     if coeffs.context_class is ContextClass.TRIGONOMETRIC:
         raise TrigonometricContext(
-            "trigonometric context cannot take cosh rapidities"
+            "context has small interference coefficients; build the complex "
+            "representation instead"
         )
     lam0, lam1 = coeffs.lambdas
     m0, m1 = max(1.0, abs(lam0)), max(1.0, abs(lam1))
@@ -410,6 +413,7 @@ def global_alpha_from_coefficients(
     shared: list[float] | None = None  # the offsets every context so far admits
     lo, hi = math.inf, -math.inf  # the least and the largest |lambda(b_1)|
     for name, coeffs in named:
+        # refused by name: the search must not read the pi shift it tests
         cls = coeffs.context_class
         if cls is ContextClass.MIXED:
             raise MixedContext(f"context {name!r} is mixed")

@@ -113,6 +113,23 @@ class TestRepresent:
         amp = json.loads(out.read_text())["complex"]["C13"]["amplitude"]
         assert amp["im"][0] == pytest.approx(-(0.375 ** 0.5))
 
+    @pytest.mark.parametrize("anchor, error, detail", [
+        ("K11", "MixedContext", "mixed contexts have no complex representation"),
+        ("K1c", "HyperbolicContext", "context has large interference "
+         "coefficients; build the hyperbolic representation instead"),
+    ])
+    def test_anchor_without_complex_phases_is_refused(
+        self, anchor, error, detail, capsys
+    ):
+        """A mixed or hyperbolic anchor is refused by the phases that would
+        build the basis, with their message, and exit 3."""
+        path = str(DATA / "atlas8.model.json")
+        assert main(["represent", path, "--anchor", anchor]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {"error": error, "detail": detail}
+
     def test_empty_anchor_name_is_a_context_name(self, kq, kq_path, tmp_path, capsys):
         """``--anchor ""`` names a context like any other name: refused where
         no context is called "", and the anchor where one is."""
@@ -314,6 +331,26 @@ class TestThreeValuedModels:
         }
 
 
+def square_model_path(tmp_path, weights) -> str:
+    """A model on the four-point square with the given weights, a splitting
+    {w1,w2} from {w3,w4} and b splitting {w1,w3} from {w2,w4}, and every
+    two- and three-point context declared."""
+    names = ("w1", "w2", "w3", "w4")
+    space = cp.FiniteKolmogorovSpace(names, weights)
+    variables = {
+        "a": cp.RandomVariable((1.0, 1.0, -1.0, -1.0)),
+        "b": cp.RandomVariable((1.0, -1.0, 1.0, -1.0)),
+    }
+    contexts = {
+        "C" + "".join(name[1:] for name in chosen): space.event(chosen)
+        for k in (2, 3)
+        for chosen in itertools.combinations(names, k)
+    }
+    path = tmp_path / "square.json"
+    save_model(cp.ModelDocument(space, variables, contexts, ("a", "b")), path)
+    return str(path)
+
+
 class TestVerify:
     def test_passes_on_bundled_model(self, kq_path, tmp_path):
         out = tmp_path / "verify.json"
@@ -340,29 +377,42 @@ class TestVerify:
 
     @pytest.mark.parametrize("delta", [1e-9, 3e-9])
     def test_near_double_stochastic_model_passes(self, delta, tmp_path, capsys):
-        """Weights (1/4, 1/4, (1 + 2 delta)/4, (1 - 2 delta)/4) on the a and b
-        of the four-point square, with every two- and three-point context:
-        the column sums pass as double stochastic within ``PREDICATE_TOL``
-        while the cosine ratio misses one by more, and every check passes."""
-        names = ("w1", "w2", "w3", "w4")
-        space = cp.FiniteKolmogorovSpace(
-            names, (0.25, 0.25, 0.25 * (1 + 2 * delta), 0.25 * (1 - 2 * delta))
-        )
-        variables = {
-            "a": cp.RandomVariable((1.0, 1.0, -1.0, -1.0)),
-            "b": cp.RandomVariable((1.0, -1.0, 1.0, -1.0)),
-        }
-        contexts = {
-            "C" + "".join(name[1:] for name in chosen): space.event(chosen)
-            for k in (2, 3)
-            for chosen in itertools.combinations(names, k)
-        }
-        path = tmp_path / "near_ds.json"
-        save_model(cp.ModelDocument(space, variables, contexts, ("a", "b")), path)
-        assert main(["verify", str(path)]) == 0
+        """Weights (1/4, 1/4, (1 + 2 delta)/4, (1 - 2 delta)/4): the column
+        sums pass as double stochastic within ``PREDICATE_TOL`` while the
+        cosine ratio misses one by more, and every check passes."""
+        weights = (0.25, 0.25, 0.25 * (1 + 2 * delta), 0.25 * (1 - 2 * delta))
+        path = square_model_path(tmp_path, weights)
+        assert main(["verify", path]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         assert json.loads(captured.out)["passed"] is True
+
+    @pytest.mark.parametrize("eps", [5e-11, 9e-11])
+    def test_near_double_stochastic_basis_is_judged(self, eps, tmp_path, capsys):
+        """Weights (0.495, 0.005, (0.01 + eps)/2, (0.99 - eps)/2): the column
+        sums pass as double stochastic within ``PREDICATE_TOL`` while the
+        Gram matrix of the complex basis misses by eps / (2 sqrt(t00 t01)).
+        The basis is unitary by the flag, so ``represent`` builds the
+        a-operator, and ``verify`` writes its report, whichever checks it
+        fails, in place of refusing the basis."""
+        weights = (0.495, 0.005, 0.5 * (0.01 + eps), 0.5 * (0.99 - eps))
+        path = square_model_path(tmp_path, weights)
+        assert main(["verify", path]) != 3
+        captured = capsys.readouterr()
+        assert captured.err == ""
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        report = json.loads(captured.out, parse_constant=reject)
+        checks = {c["id"]: c for c in report["checks"]}
+        assert "complex.basis_unitarity" in checks
+        assert main(["represent", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["basis_unitary"] is True
+        assert "a" in report["operators"]
 
     def test_skips_carry_reasons(self, kq_path, capsys):
         assert main(["verify", kq_path, "--suite", "hyperbolic"]) == 0

@@ -10,6 +10,9 @@ each returns the field values of its record as a plain tuple.
 ``assign_phases`` is its "auto" mode, and ``trigonometric_phases`` and
 ``hyperbolic_phases`` its two geometries, compared on the fields they
 return (the reference also returns fields the records no longer keep).
+Each geometry's mode refuses, after a bad convention, a context without
+that geometry, with the message of its builder: the phase bodies are the
+one gate, and the state references leave the refusal to them.
 On random models, double stochastic or not, and on kq (whose C14 and C23
 sit on the boundary), each current body must return the same field
 values, equal by ``==`` and by ``repr`` (which tells -0.0 from 0.0), or
@@ -58,8 +61,6 @@ def _ref_assign_phases(coeffs, convention="principal", mode="auto"):
     if convention not in ("principal", "conjugate"):
         raise ValueError(f"unknown phase convention {convention!r}")
     cls = coeffs.context_class
-    if cls is ContextClass.MIXED:
-        raise MixedContext("mixed contexts admit no single-geometry phases")
     if mode == "auto":
         kind = "hyperbolic" if cls is ContextClass.HYPERBOLIC else "trigonometric"
     elif mode in ("trigonometric", "hyperbolic"):
@@ -72,8 +73,13 @@ def _ref_assign_phases(coeffs, convention="principal", mode="auto"):
     lambdas = coeffs.lambdas
 
     if kind == "trigonometric":
+        if cls is ContextClass.MIXED:
+            raise MixedContext("mixed contexts have no complex representation")
         if cls is ContextClass.HYPERBOLIC:
-            raise HyperbolicContext("hyperbolic context cannot take cosine phases")
+            raise HyperbolicContext(
+                "context has large interference coefficients; build the "
+                "hyperbolic representation instead"
+            )
         lam = [_snap_lambda(v) for v in lambdas]
         if ds:
             theta1 = math.acos(lam[0])
@@ -94,8 +100,13 @@ def _ref_assign_phases(coeffs, convention="principal", mode="auto"):
         return ("trigonometric", coeffs.pair.b_values, tuple(thetas), convention,
                 None, ds, k)
 
+    if cls is ContextClass.MIXED:
+        raise MixedContext("mixed contexts have no hyperbolic representation")
     if cls is ContextClass.TRIGONOMETRIC:
-        raise TrigonometricContext("trigonometric context cannot take cosh rapidities")
+        raise TrigonometricContext(
+            "context has small interference coefficients; build the complex "
+            "representation instead"
+        )
     mags = [max(1.0, abs(v)) for v in lambdas]
     if ds:
         common = math.acosh(math.fsum(mags) / len(mags))
@@ -114,14 +125,6 @@ def _ref_assign_phases(coeffs, convention="principal", mode="auto"):
 
 
 def _ref_amplitude(coeffs, convention="principal"):
-    cls = coeffs.context_class
-    if cls is ContextClass.MIXED:
-        raise MixedContext("mixed contexts have no complex representation")
-    if cls is ContextClass.HYPERBOLIC:
-        raise HyperbolicContext(
-            "context has large interference coefficients; build the "
-            "hyperbolic representation instead"
-        )
     thetas = _ref_assign_phases(coeffs, convention, mode="trigonometric")[2]
     pa = coeffs.a_profile
     t = coeffs.transition.rows
@@ -138,14 +141,6 @@ def _ref_amplitude(coeffs, convention="principal"):
 
 
 def _ref_hyperbolic_amplitude(coeffs):
-    cls = coeffs.context_class
-    if cls is ContextClass.MIXED:
-        raise MixedContext("mixed contexts have no hyperbolic representation")
-    if cls is ContextClass.TRIGONOMETRIC:
-        raise TrigonometricContext(
-            "context has small interference coefficients; build the complex "
-            "representation instead"
-        )
     _, _, thetas, _, epsilons, _, _ = _ref_assign_phases(coeffs, mode="hyperbolic")
     pa = coeffs.a_profile
     t = coeffs.transition.rows
