@@ -203,29 +203,25 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _born_residual(psi, coeffs) -> float:
+    """The worst |Born probability - P(b=x|C)| over the b-outcomes."""
+    return max(
+        abs(psi.born(x) - p) for x, p in zip(coeffs.pair.b_values, coeffs.b_profile)
+    )
+
+
 def _complex_entry(coeffs, branch, basis):
     psi = cr.amplitude_from_coefficients(coeffs, branch)
-    born_b = max(
-        abs(psi.born(x) - coeffs.b_profile[j])
-        for j, x in enumerate(coeffs.pair.b_values)
-    )
     entry = {
-        "amplitude": {
-            "re": [float(c.real) for c in psi.components],
-            "im": [float(c.imag) for c in psi.components],
-        },
+        "amplitude": _amplitude_payload(psi),
         "branch": branch,
-        "born_b_residual": born_b,
+        "born_b_residual": _born_residual(psi, coeffs),
     }
     if basis.unitary:
-        born_a = max(
-            abs(
-                cr.born_probability(psi, basis.vectors[i])
-                - coeffs.a_profile[i]
-            )
+        entry["born_a_residual"] = max(
+            abs(cr.born_probability(psi, basis.vectors[i]) - coeffs.a_profile[i])
             for i in range(2)
         )
-        entry["born_a_residual"] = born_a
     return entry
 
 
@@ -286,10 +282,7 @@ def cmd_represent(args) -> int:
                 "components": [{"x": c.x, "y": c.y} for c in psi.components],
                 "epsilons": list(psi.epsilons),
                 "thetas": list(psi.thetas),
-                "born_residual": max(
-                    abs(psi.born(x) - coeffs.b_profile[j])
-                    for j, x in enumerate(pair.b_values)
-                ),
+                "born_residual": _born_residual(psi, coeffs),
                 "decomposable": decomposable,
             }
         except ContextualProbabilityError as exc:
@@ -331,10 +324,7 @@ def _represent_nvalued(doc, args) -> int:
             for x in pair.b_values
         )
         out["complex"][name] = {
-            "amplitude": {
-                "re": [float(c.real) for c in psi.components],
-                "im": [float(c.imag) for c in psi.components],
-            },
+            "amplitude": _amplitude_payload(psi),
             "branch": args.branch,
             "born_b_residual": born,
             "split_chain": _chain_payload(chain),
@@ -342,6 +332,13 @@ def _represent_nvalued(doc, args) -> int:
     out["operators"]["b"] = _matrix_payload(cr.operator_for_b(pair).matrix)
     _emit(out, args)
     return 0
+
+
+def _amplitude_payload(psi) -> dict:
+    return {
+        "re": [float(c.real) for c in psi.components],
+        "im": [float(c.imag) for c in psi.components],
+    }
 
 
 def _matrix_payload(m):
@@ -487,24 +484,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="interference coefficients per context")
-    p.add_argument("model")
-    p.add_argument("--context", default=None)
-    p.add_argument(
-        "--branch", choices=("principal", "conjugate"), default="principal"
-    )
-    _add_common(p, tolerance=False)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("represent", help="state vectors and operators")
-    p.add_argument("model")
-    p.add_argument("--context", default=None)
-    p.add_argument(
-        "--branch", choices=("principal", "conjugate"), default="principal"
-    )
-    p.add_argument("--anchor", default=None, help="anchor context name")
-    _add_common(p, tolerance=False)
-    p.set_defaults(func=cmd_represent)
+    for name, help_text, func in (
+        ("analyze", "interference coefficients per context", cmd_analyze),
+        ("represent", "state vectors and operators", cmd_represent),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("model")
+        p.add_argument("--context", default=None)
+        p.add_argument(
+            "--branch", choices=("principal", "conjugate"), default="principal"
+        )
+        if func is cmd_represent:
+            p.add_argument("--anchor", default=None, help="anchor context name")
+        _add_common(p, tolerance=False)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run named verification checks")
     p.add_argument("model")

@@ -39,7 +39,6 @@ from .space import (
     Event,
     FiniteKolmogorovSpace,
     ReferencePair,
-    column_sums,
     pair_tables,
     transition_matrix,
 )
@@ -147,9 +146,9 @@ def a_basis_for_context(
     u = [[math.sqrt(p) for p in row] for row in t.rows]
     e1 = (complex(u[0][0]), complex(u[0][1]))
     e2 = (cis(theta0) * u[1][0], cis(theta1) * u[1][1])
-    witness: dict[str, float] = {}
-    if not t.double_stochastic:
-        witness = {f"column_sum_{j}": s for j, s in enumerate(column_sums(t))}
+    witness = {} if t.double_stochastic else {
+        f"column_sum_{j}": sum(col) for j, col in enumerate(zip(*t.rows))
+    }
     return HilbertBasis((e1, e2), t.double_stochastic, witness)
 
 

@@ -31,7 +31,6 @@ from .space import (
     FiniteKolmogorovSpace,
     ReferencePair,
     TransitionMatrix,
-    column_sums,
 )
 from .tolerances import DECOMPOSABLE_TOL
 
@@ -128,7 +127,7 @@ def hyperbolic_a_basis(anchor: InterferenceCoefficients) -> GModuleBasis:
     if not t.double_stochastic:
         raise NonUnitaryBasis(
             "transition matrix is not double stochastic "
-            f"(column sums {column_sums(t)})"
+            f"(column sums {[sum(col) for col in zip(*t.rows)]})"
         )
     (theta0, theta1), (eps0, eps1) = hyperbolic_phases(anchor)
     u = [[math.sqrt(p) for p in row] for row in t.rows]

@@ -44,12 +44,7 @@ from .space import (
     pair_tables,
     transition_matrix,
 )
-from .tolerances import (
-    BOUNDARY_TOL,
-    DISTINCT_LAMBDA_TOL,
-    OFFSET_TOL,
-    PHASE_SNAP_TOL,
-)
+from .tolerances import BOUNDARY_TOL, OFFSET_TOL, PHASE_SNAP_TOL
 
 TWO_PI = 2.0 * math.pi
 _QUARTER_PI = math.pi / 2.0
@@ -305,15 +300,13 @@ def trigonometric_phases(
         )
     lam0, lam1 = coeffs.lambdas
     theta1 = math.acos(_snap_lambda(lam0))
+    if convention == "conjugate":
+        theta1 = math.fmod(TWO_PI - theta1, TWO_PI)
     if coeffs.transition.double_stochastic:
-        if convention == "conjugate":
-            theta1 = math.fmod(TWO_PI - theta1, TWO_PI)
-        theta2 = math.fmod(theta1 + math.pi, TWO_PI)
-    else:
-        theta2 = math.acos(_snap_lambda(lam1))
-        if convention == "conjugate":
-            theta1 = math.fmod(TWO_PI - theta1, TWO_PI)
-            theta2 = math.fmod(TWO_PI - theta2, TWO_PI)
+        return theta1, math.fmod(theta1 + math.pi, TWO_PI)
+    theta2 = math.acos(_snap_lambda(lam1))
+    if convention == "conjugate":
+        theta2 = math.fmod(TWO_PI - theta2, TWO_PI)
     return theta1, theta2
 
 
@@ -337,8 +330,7 @@ def hyperbolic_phases(
     lam0, lam1 = coeffs.lambdas
     m0, m1 = max(1.0, abs(lam0)), max(1.0, abs(lam1))
     if coeffs.transition.double_stochastic:
-        common = math.acosh((m0 + m1) / 2)
-        thetas = (common, common)
+        thetas = (math.acosh((m0 + m1) / 2),) * 2
     else:
         thetas = (math.acosh(m0), math.acosh(m1))
     d0, d1 = coeffs.deltas
@@ -375,6 +367,7 @@ class GlobalPhaseReport(NamedTuple):
     found: bool
     alpha: float | None
     has_distinct_lambda_pair: bool
+    offset_spread: float
 
 
 def _circular_close(u: float, v: float) -> bool:
@@ -408,10 +401,13 @@ def global_alpha_from_coefficients(
     A shared offset across two contexts with distinct |lambda| forces the
     transition matrix to be double stochastic; when the matrix is double
     stochastic the offset pi always works.  ``verify``'s
-    ``complex.global_phase_offset`` judges both facts on the report.
+    ``complex.global_phase_offset`` judges both facts on the report.  To
+    first order cos(theta2) = -k cos(theta1) puts the offset at pi + (k - 1)
+    cot(theta1), theta1 = arccos |lambda(b_1)|: ``offset_spread`` is
+    |k - 1| times the range of cot(theta1) off the boundary band.
     """
     shared: list[float] | None = None  # the offsets every context so far admits
-    lo, hi = math.inf, -math.inf  # the least and the largest |lambda(b_1)|
+    lo, hi, k = math.inf, -math.inf, 1.0  # the least and largest cot(theta1)
     for name, coeffs in named:
         # refused by name: the search must not read the pi shift it tests
         cls = coeffs.context_class
@@ -429,17 +425,14 @@ def global_alpha_from_coefficients(
             shared = offsets
         elif shared:
             shared = [u for u in shared if any(_circular_close(u, v) for v in offsets)]
-        lo, hi = min(lo, abs(lam0)), max(hi, abs(lam0))
+        if (m := abs(lam0)) < 1.0 - BOUNDARY_TOL:
+            cot = m / math.sqrt(1.0 - m * m)
+            lo, hi, k = min(lo, cot), max(hi, cot), coeffs.transition.cosine_ratio
 
-    alpha: float | None = None
-    if shared:
-        # prefer the pi offset when available; it is the canonical choice
-        alpha = shared[0]
-        for u in shared:
-            if _circular_close(u, math.pi):
-                alpha = math.pi
-                break
-    # fl(max - min) bounds fl(|a - b|) for every pair, so this is the
-    # all-pairs test in linear time; with no context it is -inf
-    has_distinct = hi - lo > DISTINCT_LAMBDA_TOL
-    return GlobalPhaseReport(alpha is not None, alpha, has_distinct)
+    alpha = shared[0] if shared else None
+    if shared and any(_circular_close(u, math.pi) for u in shared):
+        alpha = math.pi  # the canonical choice, when available
+    # fl(max - min) bounds fl(|a - b|) for every pair, so these are the
+    # all-pairs tests in linear time; with no context they are -inf
+    spread = abs(k - 1.0) * max(0.0, hi - lo)
+    return GlobalPhaseReport(alpha is not None, alpha, hi - lo > 2 * OFFSET_TOL, spread)

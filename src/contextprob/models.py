@@ -348,9 +348,7 @@ def generate_random_model(
         if incompatible and not are_incompatible(space, pair):
             continue
         ds = transition_matrix(space, pair, "b/a").double_stochastic
-        if double_stochastic is True and not ds:
-            continue
-        if double_stochastic is False and ds:
+        if double_stochastic is not None and ds != double_stochastic:
             continue
 
         contexts: dict[str, Event] = {"Omega": space.full_event()}

@@ -60,7 +60,7 @@ from .errors import (
     ZeroConditioningContext,
 )
 from .records import Record, ValueTuple
-from .tolerances import IDENTITY_TOL, PREDICATE_TOL, WEIGHT_TOL
+from .tolerances import DOUBLE_STOCHASTIC_TOL, IDENTITY_TOL, WEIGHT_TOL
 
 
 class _EventFields(NamedTuple):
@@ -300,17 +300,17 @@ class TransitionMatrix(Record):
 
     ``rows`` holds the entries as a tuple of rows of Python floats; the
     constructor accepts any nested sequence of numbers.  ``double_stochastic``
-    is true iff the matrix is square and every column also sums to one
-    within ``PREDICATE_TOL``.  Both are computed once, at construction, and
-    matrices compare and hash by value.  ``cosine_ratio`` is computed on
-    first use and never held against ``double_stochastic``; a raise is not
-    kept, so every use on a matrix that has none raises.
+    is :func:`is_double_stochastic` of the pair's integer units, or of
+    ``rows`` when not given.  Both are fixed at construction, and matrices
+    compare and hash by value.  ``cosine_ratio`` is computed on first use and
+    never held against ``double_stochastic``; a raise is not kept, so every
+    use on a matrix that has none raises.
     """
 
     _fields = ("rows",)
     _key = attrgetter("rows", "double_stochastic")
 
-    def __init__(self, rows):
+    def __init__(self, rows, double_stochastic: bool | None = None):
         self.__dict__["rows"] = rows = tuple(tuple(map(float, row)) for row in rows)
         deviation = max(abs(sum(row) - 1.0) for row in rows)
         if deviation > IDENTITY_TOL:
@@ -318,11 +318,9 @@ class TransitionMatrix(Record):
                 "transition matrix rows do not sum to one (worst deviation "
                 f"{deviation!r}, tolerance {IDENTITY_TOL!r})"
             )
-        square = len(rows) == len(rows[0])
-        col_deviation = max(abs(s - 1.0) for s in column_sums(self))
-        self.__dict__["double_stochastic"] = (
-            square and col_deviation <= PREDICATE_TOL
-        )
+        if double_stochastic is None:
+            double_stochastic = is_double_stochastic(rows)
+        self.__dict__["double_stochastic"] = double_stochastic
 
     @cached_property
     def cosine_ratio(self) -> float:
@@ -360,7 +358,26 @@ def transition_matrix(
                 f"conditioning cell {row_values[i]!r} has probability zero"
             )
         entries.append([u / scale / p_row for u in row])
-    return TransitionMatrix(entries)
+    return TransitionMatrix(entries, is_double_stochastic(rows))
+
+
+def is_double_stochastic(rows: Sequence[Sequence[int | float]]) -> bool:
+    """Whether the matrix of rows ``rows[i]`` / R_i, R_i the row sums, is
+    square with each column deviation sum_i F_ij / R_i - 1 within
+    ``DOUBLE_STOCHASTIC_TOL``: exact on the entries (ints, or floats, which
+    are binary fractions) over the denominator prod_i R_i, rounded once."""
+    if len(rows) != len(rows[0]):
+        return False
+    ratios = [[v.as_integer_ratio() for v in row] for row in rows]
+    scale = max(d for row in ratios for _, d in row)
+    units = [[n * (scale // d) for n, d in row] for row in ratios]
+    sums = [sum(row) for row in units]
+    total = math.prod(sums)
+    return all(
+        abs(sum(f * (total // r) for f, r in zip(col, sums)) - total) / total
+        <= DOUBLE_STOCHASTIC_TOL
+        for col in zip(*units)
+    )
 
 
 def are_incompatible(space: FiniteKolmogorovSpace, pair: ReferencePair) -> bool:
@@ -568,11 +585,6 @@ def total_probability_from_table(
     return out
 
 
-def column_sums(m: TransitionMatrix) -> list[float]:
-    """The sum of each column of ``m``, each summed in row order."""
-    return [sum(col) for col in zip(*m.rows)]
-
-
 def is_symmetrically_conditioned(
     space: FiniteKolmogorovSpace, pair: ReferencePair
 ) -> bool:
@@ -581,7 +593,7 @@ def is_symmetrically_conditioned(
     For an incompatible dichotomous pair this is equivalent to both
     transition matrices being double stochastic, and to both marginals being
     uniform; ``verify``'s ``core.symmetry_equivalence`` judges the three
-    readings against each other.
+    readings against each other, at the decision's ``DOUBLE_STOCHASTIC_TOL``.
     """
     m_ba = transition_matrix(space, pair, "b/a")
     m_ab = transition_matrix(space, pair, "a/b")
@@ -590,4 +602,4 @@ def is_symmetrically_conditioned(
     return max(
         abs(p - q) for row, col in zip(m_ba.rows, zip(*m_ab.rows))
         for p, q in zip(row, col)
-    ) <= PREDICATE_TOL
+    ) <= DOUBLE_STOCHASTIC_TOL

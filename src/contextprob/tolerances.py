@@ -16,6 +16,13 @@ the report tolerance of a check and never a guard.  An identity that a
 ``verify`` check compares has no guard, not even in the builders
 ``analyze`` and ``represent`` share with ``verify``: its failure is
 reported by the check alone, with residual and witness.
+
+Double stochasticity is one guard, ``space.is_double_stochastic``: each
+column deviation sum_i F_ij / R_i - 1, exact on the pair's integer cell
+units F_ij (R_i the row sums) and rounded once, is within
+``DOUBLE_STOCHASTIC_TOL``, which ``--tolerance`` never moves.  Off it,
+``complex.global_phase_offset`` is skipped while the offsets predicted off
+pi spread within twice ``OFFSET_TOL``, which the search cannot resolve.
 """
 
 # probabilities
@@ -23,7 +30,8 @@ WEIGHT_TOL = 1e-12          # sum of a space's point weights against one
 SUM_GATE = 1e-9             # declared weight sum of a model document against one
 RENORM_SKIP = 1e-13         # a loaded weight sum this close to one is not rescaled
 IDENTITY_TOL = 1e-12        # both sides of an exact probability identity
-PREDICATE_TOL = 1e-10       # column sums, symmetry, delta sums, unitarity, phases
+PREDICATE_TOL = 1e-10       # delta sums, unitarity, phases
+DOUBLE_STOCHASTIC_TOL = 2e-14  # column deviation, transition entries and marginals
 BORN_TOL = 1e-10            # squared modulus of a state against its probability
 RECURSION_BORN_TOL = 1e-9   # the same at every level of the multivalued split
 AVERAGE_TOL = 1e-9          # conditional average against its operator expectation
@@ -32,7 +40,6 @@ POINT_WEIGHT_FLOOR = 1e-9   # random models redraw a point weight at or below th
 
 # coefficients and states, of order 1
 BOUNDARY_TOL = 1e-12        # |lambda| against one: the boundary class
-DISTINCT_LAMBDA_TOL = 1e-8  # two |lambda| further apart than this are distinct
 HERMITIAN_TOL = 1e-12       # operator entries against those of its adjoint
 GRAM_TOL = 1e-10            # hyperbolic basis Gram entries against the identity
 DECOMPOSABLE_TOL = 1e-12    # squared norm of a decomposable coordinate below zero

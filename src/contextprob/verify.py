@@ -62,6 +62,7 @@ from .tolerances import (
     AVERAGE_TOL,
     BORN_TOL,
     CONE_CLOSURE_TOL,
+    DOUBLE_STOCHASTIC_TOL,
     GRAM_TOL,
     IDENTITY_TOL,
     NORM_PRODUCT_TOL,
@@ -222,10 +223,6 @@ class _Run:
         return transition_matrix(self.space, self.pair, "b/a")
 
     @cached_property
-    def ds(self) -> bool:
-        return self.t.double_stochastic
-
-    @cached_property
     def both_ds(self) -> bool:
         """Whether the "a/b" matrix is double stochastic as well."""
         return transition_matrix(self.space, self.pair, "a/b").double_stochastic
@@ -313,11 +310,11 @@ def _core_checks(run: _Run) -> None:
             lam = coeffs.lambdas
             rec4.compare(lam[1], -run.t.cosine_ratio * lam[0], name)
     symmetric = is_symmetrically_conditioned(space, pair)
-    both_ds = run.ds and run.both_ds
+    both_ds = run.t.double_stochastic and run.both_ds
     tables = pair_tables(space, pair)
     rows, scale = tables.cell_units, tables.scale
     uniform = all(
-        abs(sum(units) / scale - 0.5) <= PREDICATE_TOL
+        abs(sum(units) / scale - 0.5) <= DOUBLE_STOCHASTIC_TOL
         for units in (*rows, *zip(*rows))
     )
     # the three readings coincide only for incompatible pairs: a perfectly
@@ -338,7 +335,7 @@ def _complex_checks(run: _Run) -> None:
     if not run.dichotomous:
         run.check("complex.suite", PREDICATE_TOL, (False, "pair is not dichotomous"))
         return
-    space, pair, ds = run.space, run.pair, run.ds
+    space, pair, ds = run.space, run.pair, run.t.double_stochastic
     basis = cr.a_basis_for_context(space, pair, space.full_event())
     representable = [
         (name, coeffs)
@@ -426,30 +423,29 @@ def _complex_checks(run: _Run) -> None:
                 rec_cls.compare(lam[j], 1.0, "lambda(B{0}|B{0})", j)
                 rec_cls.compare(lam[1 - j], -1.0, "lambda(B{}|B{})", 1 - j, j)
 
+    report = itf.global_alpha_from_coefficients(representable)
     rec = run.check(
         "complex.global_phase_offset",
         PREDICATE_TOL,
         (len(representable) >= 2, "fewer than two trigonometric contexts"),
+        (ds or report.has_distinct_lambda_pair,
+         "no pair of contexts with distinct |lambda|"),
+        (ds or report.offset_spread > 2 * OFFSET_TOL,
+         "offsets predicted off pi spread within the search's resolution"),
     )
-    if rec.runs:
-        report = itf.global_alpha_from_coefficients(representable)
-        rec.require(
-            ds or report.has_distinct_lambda_pair,
-            "no pair of contexts with distinct |lambda|",
+    if ds:
+        rec.expect(
+            report.found and report.alpha is not None
+            and abs(report.alpha - math.pi) <= OFFSET_TOL,
+            "double stochastic model must admit the offset pi, got {}",
+            report.alpha,
         )
-        if ds:
-            rec.expect(
-                report.found and report.alpha is not None
-                and abs(report.alpha - math.pi) <= OFFSET_TOL,
-                "double stochastic model must admit the offset pi, got {}",
-                report.alpha,
-            )
-        else:
-            rec.expect(
-                not report.found,
-                "shared offset {} found despite distinct coefficient magnitudes",
-                report.alpha,
-            )
+    else:
+        rec.expect(
+            not report.found,
+            "shared offset {} found despite distinct coefficient magnitudes",
+            report.alpha,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +493,7 @@ def _hyperbolic_checks(run: _Run) -> None:
     if not run.dichotomous:
         run.check("hyperbolic.born_b", BORN_TOL, (False, "pair is not dichotomous"))
         return
-    space, pair, ds = run.space, run.pair, run.ds
+    space, pair, ds = run.space, run.pair, run.t.double_stochastic
     hyp = [
         (name, coeffs, hr.hyperbolic_amplitude_from_coefficients(coeffs))
         for name, coeffs in run.classified.items()

@@ -1,3 +1,4 @@
+import itertools
 import math
 from functools import reduce
 from operator import or_
@@ -5,6 +6,7 @@ from operator import or_
 import pytest
 
 import contextprob as cp
+from contextprob.models import save_model
 from contextprob.space import MeasureTable
 
 
@@ -21,6 +23,26 @@ def make_pair_model(weights):
     a = cp.RandomVariable((1.0, 1.0, -1.0, -1.0))
     b = cp.RandomVariable((1.0, -1.0, -1.0, 1.0))
     return space, cp.ReferencePair.from_variables(space, a, b)
+
+
+def square_model_path(tmp_path, weights) -> str:
+    """A model on the four-point square with the given weights, a splitting
+    {w1,w2} from {w3,w4} and b splitting {w1,w3} from {w2,w4}, and every
+    two- and three-point context declared."""
+    names = ("w1", "w2", "w3", "w4")
+    space = cp.FiniteKolmogorovSpace(names, weights)
+    variables = {
+        "a": cp.RandomVariable((1.0, 1.0, -1.0, -1.0)),
+        "b": cp.RandomVariable((1.0, -1.0, 1.0, -1.0)),
+    }
+    contexts = {
+        "C" + "".join(name[1:] for name in chosen): space.event(chosen)
+        for k in (2, 3)
+        for chosen in itertools.combinations(names, k)
+    }
+    path = tmp_path / "square.json"
+    save_model(cp.ModelDocument(space, variables, contexts, ("a", "b")), path)
+    return str(path)
 
 
 @pytest.fixture

@@ -12,8 +12,10 @@ through ``contextprob.verify``; a rename or a changed signature there would
 break the benchmark as silently.  The benchmark accepts a command's output
 only where ``bench/oracle.py``, which recomputes every checked quantity from
 raw weight sums, finds no disagreement; ``verify`` must report the exact
-set of check ids and statuses it expects.  These tests read the files and
-write nothing under ``bench/``.
+set of check ids and statuses it expects, and those follow the oracle's own
+double stochastic reading, so the program's decision must agree with it on
+every benchmark workload.  These tests read the files and write nothing
+under ``bench/``.
 """
 
 import ast
@@ -21,18 +23,23 @@ import importlib
 import inspect
 import json
 import types
+from itertools import product
 from pathlib import Path
 
 import pytest
 
+import contextprob as cp
 from contextprob.cli import main
+from contextprob.models import model_from_dict
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SPANS = BENCH / "spans.py"
 WORKER = BENCH / "worker.py"
 REFERENCE = BENCH / "reference.py"
 ORACLE = BENCH / "oracle.py"
+GEN = BENCH / "gen.py"
 DATA = Path(__file__).resolve().parent / "data"
+STEMS = ("atlas8", "random_ds_seed7", "random_3x3_seed4")
 
 
 def load_script(path: Path) -> types.ModuleType:
@@ -137,7 +144,7 @@ def oracle() -> types.ModuleType:
 # kq is left out: C14 and C23 sit on |lambda| = 1, within the oracle's
 # CLASS_MARGIN, so it expects a skip of hyperbolic checks that verify passes
 @pytest.mark.parametrize("command", ["analyze", "represent", "verify"])
-@pytest.mark.parametrize("stem", ["atlas8", "random_ds_seed7", "random_3x3_seed4"])
+@pytest.mark.parametrize("stem", STEMS)
 def test_oracle_agrees_with_every_command(oracle, stem, command, capsys):
     path = DATA / f"{stem}.model.json"
     expectations = oracle.Expectations(json.loads(path.read_text()))
@@ -145,3 +152,24 @@ def test_oracle_agrees_with_every_command(oracle, stem, command, capsys):
     report = oracle.loads_strict(capsys.readouterr().out)
     errors = oracle.CHECKS[command](expectations, report)
     assert (errors.count, list(errors)) == (0, [])
+
+
+@pytest.mark.parametrize(
+    "source, seed",
+    [*product(("wide-ds", "atlas-small", "split-3x3"), (1, 2, 3)),
+     *((stem, None) for stem in STEMS)],
+)
+def test_double_stochastic_decision_agrees_with_the_oracle(oracle, source, seed):
+    """The program's "b/a" double stochastic flag is the oracle's reading
+    of the same document (column sums within its ``DS_TOL``), on each
+    bench/gen.py workload (``source`` with a ``seed``) and each tests/data
+    model.  The workloads sit far from both bounds, so a bound of the
+    program that would make the benchmark find its outputs incorrect fails
+    here first."""
+    if seed is None:
+        doc = json.loads((DATA / f"{source}.model.json").read_text())
+    else:
+        doc = load_script(GEN).model(source, seed)
+    model = model_from_dict(doc)
+    flag = cp.transition_matrix(model.space, model.pair).double_stochastic
+    assert flag is oracle.Model(doc).double_stochastic()

@@ -2,7 +2,6 @@ import argparse
 import enum
 import gc
 import io
-import itertools
 import json
 import math
 import os
@@ -21,6 +20,8 @@ import contextprob as cp
 from contextprob.cli import _json_text, main
 from contextprob.models import save_model
 from contextprob.space import pair_tables
+
+from conftest import square_model_path
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parents[1] / "src"
@@ -331,26 +332,6 @@ class TestThreeValuedModels:
         }
 
 
-def square_model_path(tmp_path, weights) -> str:
-    """A model on the four-point square with the given weights, a splitting
-    {w1,w2} from {w3,w4} and b splitting {w1,w3} from {w2,w4}, and every
-    two- and three-point context declared."""
-    names = ("w1", "w2", "w3", "w4")
-    space = cp.FiniteKolmogorovSpace(names, weights)
-    variables = {
-        "a": cp.RandomVariable((1.0, 1.0, -1.0, -1.0)),
-        "b": cp.RandomVariable((1.0, -1.0, 1.0, -1.0)),
-    }
-    contexts = {
-        "C" + "".join(name[1:] for name in chosen): space.event(chosen)
-        for k in (2, 3)
-        for chosen in itertools.combinations(names, k)
-    }
-    path = tmp_path / "square.json"
-    save_model(cp.ModelDocument(space, variables, contexts, ("a", "b")), path)
-    return str(path)
-
-
 class TestVerify:
     def test_passes_on_bundled_model(self, kq_path, tmp_path):
         out = tmp_path / "verify.json"
@@ -389,15 +370,15 @@ class TestVerify:
 
     @pytest.mark.parametrize("eps", [5e-11, 9e-11])
     def test_near_double_stochastic_basis_is_judged(self, eps, tmp_path, capsys):
-        """Weights (0.495, 0.005, (0.01 + eps)/2, (0.99 - eps)/2): the column
-        sums pass as double stochastic within ``PREDICATE_TOL`` while the
-        Gram matrix of the complex basis misses by eps / (2 sqrt(t00 t01)).
-        The basis is unitary by the flag, so ``represent`` builds the
-        a-operator, and ``verify`` writes its report, whichever checks it
-        fails, in place of refusing the basis."""
+        """Weights (0.495, 0.005, (0.01 + eps)/2, (0.99 - eps)/2): the
+        columns of the transition matrix miss one by eps, far outside
+        ``DOUBLE_STOCHASTIC_TOL``, so the pair is not double stochastic.
+        ``verify`` passes every check with strict JSON, and ``represent``
+        reports the complex basis as not unitary, with its column sums as
+        witness and no a-operator."""
         weights = (0.495, 0.005, 0.5 * (0.01 + eps), 0.5 * (0.99 - eps))
         path = square_model_path(tmp_path, weights)
-        assert main(["verify", path]) != 3
+        assert main(["verify", path]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
 
@@ -405,14 +386,16 @@ class TestVerify:
             raise ValueError(f"non-standard JSON constant {constant}")
 
         report = json.loads(captured.out, parse_constant=reject)
-        checks = {c["id"]: c for c in report["checks"]}
-        assert "complex.basis_unitarity" in checks
+        assert report["passed"] is True
         assert main(["represent", path]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        report = json.loads(captured.out)
-        assert report["basis_unitary"] is True
-        assert "a" in report["operators"]
+        report = json.loads(captured.out, parse_constant=reject)
+        assert report["basis_unitary"] is False
+        assert report["basis_witness"] == pytest.approx(
+            {"column_sum_0": 1.0 + eps, "column_sum_1": 1.0 - eps}, rel=0, abs=1e-15
+        )
+        assert list(report["operators"]) == ["b"]
 
     def test_skips_carry_reasons(self, kq_path, capsys):
         assert main(["verify", kq_path, "--suite", "hyperbolic"]) == 0

@@ -77,6 +77,17 @@ def _scaled_first_cell(monkeypatch):
     monkeypatch.setattr(verify, "table_from_units", scaled)
 
 
+def _boundary_tagged_hyperbolic(monkeypatch):
+    """Every outcome on the |lambda| = 1 boundary is tagged hyperbolic."""
+    original, outcome = interference._outcome_tag, interference.OutcomeClass
+
+    def tag(lam):
+        got = original(lam)
+        return outcome.HYPERBOLIC if got is outcome.BOUNDARY else got
+
+    monkeypatch.setattr(interference, "_outcome_tag", tag)
+
+
 def _every_offset_shared(monkeypatch):
     monkeypatch.setattr(interference, "_circular_close", lambda u, v: True)
 
@@ -206,6 +217,10 @@ ROWS = {
         "atlas8", "complex", _scaled_b_measure(1, 1e-6), "Kac",
     ),
     "complex.born_b": ("atlas8", "complex", _rotated_cis, "Kf6, x=1.0"),
+    "complex.basic_context_classes": (
+        "kq", "complex", _boundary_tagged_hyperbolic,
+        "b-cells trigonometric=False, both matrices doubly stochastic=True",
+    ),
     "hyperbolic.born_b": ("atlas8", "hyperbolic", _stretched_exp_j, "Kc4, x=-1.0"),
     "hyperbolic.epsilon_sum_zero": (
         "atlas8", "hyperbolic", _flipped_second_delta, "K1c",
@@ -218,6 +233,10 @@ ROWS = {
     ),
     "hyperbolic.basis_unitarity": (
         "random_ds_seed7", "hyperbolic", _stretched_exp_j, "gram[1][1].x",
+    ),
+    "hyperbolic.basic_contexts_hyperbolic": (
+        "kq", "hyperbolic", _boundary_tagged_hyperbolic,
+        "b-cell 0 should sit on the boundary, got hyperbolic",
     ),
     "core.partition_closure": ("atlas8", "core", _scaled_first_a_cell, "K4f"),
     "complex.basis_unitarity": (
@@ -263,10 +282,9 @@ CASES = {check_id: (check_id, *row) for check_id, row in ROWS.items()} | MORE_RO
 # every other check id a report can hold, each still without a fault row
 NO_ROW_YET = {
     "core.weights_normalized", "core.probability_range",
-    "core.bayes_consistency", "complex.suite", "complex.basic_context_classes",
+    "core.bayes_consistency", "complex.suite",
     "hyperbolic.ring_laws", "hyperbolic.norm_multiplicative",
     "hyperbolic.positive_cone_closed", "hyperbolic.polar_roundtrip",
-    "hyperbolic.basic_contexts_hyperbolic",
     "multivalued.contextual_split", "multivalued.half_eliminated_split",
 }
 

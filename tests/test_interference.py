@@ -7,8 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contextprob as cp
+from contextprob import interference as itf
 from contextprob.cli import main
 from contextprob.models import save_model
+from contextprob.tolerances import OFFSET_TOL
+
+from conftest import square_model_path
 
 
 def brute_delta(space, pair, context, j):
@@ -424,6 +428,35 @@ class TestGlobalPhaseOffset:
         report = cp.verify_no_global_alpha(space, pair, trig)
         assert report.has_distinct_lambda_pair
         assert not report.found
+
+
+    @pytest.mark.parametrize("e", [1e-6, -1e-7])
+    def test_offset_spread_is_the_first_order_spread(self, e, tmp_path):
+        """On the square with weights (0.495, 0.005, (0.01+e)/2,
+        (0.99-e)/2) the cosine ratio misses one by about e, and
+        ``offset_spread`` is, to first order in k - 1, the spread of the
+        offsets arccos m + arccos(-k m), m = |lambda(b_1)|, over the
+        trigonometric contexts."""
+        weights = (0.495, 0.005, 0.5 * (0.01 + e), 0.5 * (0.99 - e))
+        doc = cp.load_model(square_model_path(tmp_path, weights))
+        trig = [
+            (name, coeffs)
+            for name, _, coeffs in itf.read_contexts(
+                doc.space, doc.pair, doc.contexts.items()
+            )
+            if getattr(coeffs, "context_class", None) is cp.ContextClass.TRIGONOMETRIC
+        ]
+        k = trig[0][1].transition.cosine_ratio
+        offsets = [
+            math.acos(m) + math.acos(-k * m)
+            for m in (abs(coeffs.lambdas[0]) for _, coeffs in trig)
+        ]
+        report = itf.global_alpha_from_coefficients(trig)
+        assert len(trig) >= 3
+        assert report.offset_spread == pytest.approx(
+            max(offsets) - min(offsets), rel=1e-3
+        )
+        assert report.offset_spread > 2 * OFFSET_TOL
 
 
 def _profiles_match_conditionals(space, pair, ctx):

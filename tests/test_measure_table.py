@@ -59,13 +59,12 @@ from contextprob.multivalued import (
 )
 from contextprob.space import (
     IDENTITY_TOL,
-    PREDICATE_TOL,
     Event,
     pair_tables,
     total_probability_from_table,
     transition_matrix,
 )
-from contextprob.tolerances import RECURSION_BORN_TOL
+from contextprob.tolerances import PREDICATE_TOL, RECURSION_BORN_TOL
 from contextprob.verify import run_suite
 
 

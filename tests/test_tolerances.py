@@ -1,6 +1,7 @@
 """The tolerance policy: every tolerance lives in ``contextprob.tolerances``,
-and the boundary band around |lambda| = 1 is wide enough for the rounding
-of the float coefficients."""
+the boundary band around |lambda| = 1 is wide enough for the rounding of
+the float coefficients, and the double stochastic decision is the exact
+column deviation against ``DOUBLE_STOCHASTIC_TOL``."""
 
 import ast
 import re
@@ -13,7 +14,7 @@ import pytest
 
 import contextprob as cp
 from contextprob import interference as itf
-from contextprob.tolerances import BOUNDARY_TOL
+from contextprob.tolerances import BOUNDARY_TOL, DOUBLE_STOCHASTIC_TOL
 
 SRC = Path(cp.__file__).parent
 
@@ -114,3 +115,47 @@ def test_kq_b_cells_are_exactly_on_the_boundary(kq, name):
     coeffs = itf.interference_coefficients(kq.space, kq.pair, context)
     assert coeffs.context_class is itf.ContextClass.BOUNDARY
     assert all(tag is itf.OutcomeClass.BOUNDARY for tag in coeffs.tags)
+
+
+def _exact_column_deviation(space, rows, cols):
+    """max_j |sum_i P(R_i & C_j) / P(R_i) - 1| over the cells R_i of one
+    partition and C_j of the other, in exact rational arithmetic on the
+    float weights, from the point weights alone."""
+    w = [Fraction(x) for x in space.weights]
+
+    def p(mask):
+        return sum((w[i] for i in range(len(w)) if mask >> i & 1), Fraction(0))
+
+    return max(
+        abs(sum(p(r.mask & c.mask) / p(r.mask) for r in rows) - 1) for c in cols
+    )
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("direction", ["b/a", "a/b"])
+@pytest.mark.parametrize("multiple", [0.5, 1.0, 2.0])
+def test_double_stochastic_decision_matches_the_exact_deviation(
+    multiple, direction, sign
+):
+    """Weights ((1-t)/2, t/2, (t+e)/2, (1-t-e)/2) on the square, t = 0.01:
+    the "b/a" columns miss one by e, which is ``multiple`` times the bound,
+    of either sign.  For "a/b" the pair is swapped, so the same deviation
+    falls on that direction.  The flag is the exact deviation, rounded
+    once, against the bound: set at half the bound, unset at twice it."""
+    e = sign * multiple * DOUBLE_STOCHASTIC_TOL
+    t = 0.01
+    space = cp.FiniteKolmogorovSpace(
+        ("w1", "w2", "w3", "w4"),
+        (0.5 * (1 - t), 0.5 * t, 0.5 * (t + e), 0.5 * (1 - t - e)),
+    )
+    a = cp.RandomVariable((1.0, 1.0, -1.0, -1.0))
+    b = cp.RandomVariable((1.0, -1.0, 1.0, -1.0))
+    pair = cp.ReferencePair.from_variables(space, a, b)
+    rows, cols = pair.a_partition, pair.b_partition
+    if direction == "a/b":
+        pair = cp.ReferencePair.from_variables(space, b, a)
+    deviation = _exact_column_deviation(space, rows, cols)
+    want = float(deviation) <= DOUBLE_STOCHASTIC_TOL
+    assert cp.transition_matrix(space, pair, direction).double_stochastic is want
+    if multiple != 1.0:
+        assert want is (multiple < 1.0), float(deviation)
