@@ -4,12 +4,14 @@ Subcommands: ``analyze`` (interference coefficients and context classes),
 ``represent`` (state vectors and operator matrices), ``verify`` (named check
 suites with exit code 1 on failure), ``example kq`` (the bundled four-point
 model reproduced against its closed forms), and ``gen random`` (seeded model
-generation).  Every report is JSON, on stdout or in the ``--output`` file.
-Exit codes: 0 success, 1 a check failed (verification or reproduction
-failure, or an :class:`InvariantViolation`), 2 a usage error (an unknown
-flag, such as ``--tolerance`` on a command that gates on no tolerance, a
-missing argument or a value of the wrong type) or a load/validation failure
-(a :class:`ModelValidationError`, an invalid generator argument, a
+generation).  Every report is JSON, on stdout or in the ``--output`` file,
+written entry by entry only after it is fully computed, so a refused input
+writes nothing and no string ever holds the whole report.  Exit codes: 0
+success, 1 a check failed (verification or reproduction failure, or an
+:class:`InvariantViolation`), 2 a usage error (an unknown flag, such as
+``--tolerance`` on a command that gates on no tolerance, a missing argument
+or a value of the wrong type) or a load/validation failure (a
+:class:`ModelValidationError`, an invalid generator argument, a
 ``--tolerance`` that is negative or not finite, the magnitude of the model's
 values, or an ``OSError`` from reading the model or writing a report, such
 as a missing model file or an output directory that does not exist), 3 input
@@ -58,14 +60,37 @@ _LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def _emit(payload, args) -> None:
-    # the writer joins each container's items once, so the report's text is
-    # built without a buffer holding every chunk; print adds the newline
-    text = _json_text(payload)
+    """Write ``payload``'s report, with its trailing newline, to
+    ``--output`` or stdout as it is encoded."""
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            print(text, file=fh)
+            _write_json(fh.write, payload)
+            fh.write("\n")
     else:
-        print(text)
+        _write_json(sys.stdout.write, payload)
+        sys.stdout.write("\n")
+
+
+def _write_json(write, o, head: str = "", pad: str = "\n", depth: int = 2) -> None:
+    """Call ``write`` on ``head + _json_text(o, pad)`` in pieces: a non-empty
+    dict or list within ``depth`` levels of ``o`` goes out one item per call,
+    the item encoded by :func:`_json_text`, so no string holds the whole
+    text.  ``head`` goes out with the first piece."""
+    if depth and isinstance(o, (dict, list, tuple)) and o:
+        inner = pad + "  "
+        if isinstance(o, dict):
+            brackets = "{}"
+            items = ((f"{_encode_str(key)}: ", o[key]) for key in sorted(o))
+        else:
+            brackets = "[]"
+            items = (("", v) for v in o)
+        sep = head + brackets[0] + inner
+        for key, v in items:
+            _write_json(write, v, sep + key, inner, depth - 1)
+            sep = "," + inner
+        write(pad + brackets[1])
+    else:
+        write(head + _json_text(o, pad))
 
 
 def _json_text(o, pad: str = "\n") -> str:

@@ -128,7 +128,10 @@ def split_from_tables(
     p_d1_c = d1_c / pc
     p_d2_c = d2_c / pc
     delta = lhs - (p_b_d1 * p_d1_c + p_b_d2 * p_d2_c)
-    root = math.sqrt(p_b_d1 * p_d1_c * p_b_d2 * p_d2_c)
+    # each factor is positive, but their product can underflow to zero
+    if (product := p_b_d1 * p_d1_c * p_b_d2 * p_d2_c) == 0.0:
+        raise DegenerateCell("a probability under the normalising root vanishes")
+    root = math.sqrt(product)
     lam = delta / (2.0 * root)
     rhs = p_b_d1 * p_d1_c + p_b_d2 * p_d2_c + 2.0 * lam * root
     return SplitDecomposition(lhs, rhs, lam, additivity_rhs, conditioned_rhs)
@@ -164,8 +167,9 @@ def mu_from_tables(
     lhs = table.unions[rest | {i}][j] / pc
     head = (b_d1 / free.a_row[i]) * (d1_c / pc)
     tail = b_d2_c / pc
-    root = math.sqrt(head * tail)
-    return (lhs - head - tail) / (2.0 * root), head, tail
+    if (product := head * tail) == 0.0:
+        raise DegenerateCell("a probability under the normalising root vanishes")
+    return (lhs - head - tail) / (2.0 * math.sqrt(product)), head, tail
 
 
 class SplitLevel(NamedTuple):
@@ -221,7 +225,7 @@ def build_amplitude_nvalued(
     for j in range(len(pair.b_values)):
         try:
             lams.append(split_from_tables(table, free, j, *order[-2:]).lam)
-        except DegenerateCell:  # the body raises its own, before reading it
+        except DegenerateCell:  # the body refuses a None lambda
             lams.append(None)
     return amplitude_nvalued_from_tables(pair, table, free, order, signs, lams)
 
@@ -285,6 +289,10 @@ def amplitude_nvalued_from_tables(
             if j == n - 2:
                 tail_prob = head_terms[n - 1]
                 coeff = lams[jx]
+                if coeff is None:
+                    raise DegenerateCell(
+                        "a probability under the normalising root vanishes"
+                    )
             else:
                 tail_prob = unions[tails[j + 1]][jx] / pc
                 if tail_prob == 0.0:

@@ -13,11 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import contextprob as cp
-from contextprob.cli import _json_text, main
+from contextprob.cli import _emit, _json_text, main
 from contextprob.models import save_model
 from contextprob.space import pair_tables
 
@@ -520,6 +520,67 @@ class TestEmptyContext:
             assert main(argv) == 0
 
 
+def _tiny_binary_model() -> dict:
+    """A binary model whose point w1 weighs the least positive float."""
+    return {
+        "points": [{"id": "w1", "p": 5e-324}]
+        + [{"id": f"w{i}", "p": 0.25} for i in range(2, 6)],
+        "variables": {
+            "a": {"w1": 1, "w2": 1, "w3": -1, "w4": -1, "w5": 1},
+            "b": {"w1": 1, "w2": -1, "w3": 1, "w4": -1, "w5": 1},
+        },
+        "contexts": {"C": ["w1", "w3", "w4"], "Omega": ["w1", "w2", "w3", "w4", "w5"]},
+    }
+
+
+def _tiny_ternary_model() -> dict:
+    """One point of weight 1/9 per cell of a, b in {1, 0, -1}, and a point
+    of the least positive float in the cell (1, 1); the context holds that
+    point with the a=0 and a=-1 cells."""
+    cells = [(ya, yb) for ya in (1, 0, -1) for yb in (1, 0, -1)]
+    ids = [f"w{k}" for k in range(len(cells))] + ["tiny"]
+    cells.append((1, 1))
+    return {
+        "points": [{"id": p, "p": 1 / 9} for p in ids[:-1]]
+        + [{"id": "tiny", "p": 5e-324}],
+        "variables": {
+            "a": {p: ya for p, (ya, _) in zip(ids, cells)},
+            "b": {p: yb for p, (_, yb) in zip(ids, cells)},
+        },
+        "contexts": {
+            "C": ["tiny"] + [p for p, (ya, _) in zip(ids, cells) if ya != 1]
+        },
+    }
+
+
+class TestTinyWeights:
+    """A weight of 5e-324 underflows the product under a split's root to
+    zero: the split refuses the cell instead of dividing by it."""
+
+    @pytest.mark.parametrize("command", ["analyze", "represent", "verify"])
+    @pytest.mark.parametrize("model", [_tiny_binary_model, _tiny_ternary_model])
+    def test_every_command_writes_strict_json(self, model, command, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(model()))
+        assert main([command, str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        json.loads(captured.out, parse_constant=reject)
+
+    def test_the_ternary_context_is_unrepresentable(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(_tiny_ternary_model()))
+        assert main(["analyze", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["contexts"]["C"] == {
+            "class": "unrepresentable",
+            "reason": "a probability under the normalising root vanishes",
+        }
+
+
 class TestProcessContract:
     """End-to-end subprocess checks of the exit-code contract."""
 
@@ -898,7 +959,6 @@ class TestErrorContract:
 
 class TestStrictJson:
     def test_failed_expect_writes_null_residual(self, tmp_path):
-        from contextprob.cli import _emit
         from contextprob.verify import VerificationReport, _Recorder
 
         rec = _Recorder("demo.expect", tol=1e-12)
@@ -968,9 +1028,23 @@ _PAYLOADS = st.recursive(
 )
 
 
+def _analyze_payload(n: int) -> dict:
+    """An analyze report's shape, with ``n`` contexts."""
+    return {
+        "contexts": {
+            f"C{i}": {
+                "class": "trigonometric",
+                "outcomes": {"1.0": {"lambda": i / 7, "theta": None}},
+            }
+            for i in range(n)
+        }
+    }
+
+
 class TestReportWriter:
     """``cli._json_text`` is exactly the text of the json.dump call it
-    replaced, and the reports it writes are json's own indented form."""
+    replaced, the reports it writes are json's own indented form, and
+    ``cli._emit`` writes that text entry by entry."""
 
     @given(_PAYLOADS)
     @settings(max_examples=300, deadline=None)
@@ -998,15 +1072,7 @@ class TestReportWriter:
         """The writer's peak stays near the two copies that joining a body
         and wrapping it take, as an analyze report of thousands of contexts
         has; a third copy of the text is a regression in peak memory."""
-        payload = {
-            "contexts": {
-                f"C{i}": {
-                    "class": "trigonometric",
-                    "outcomes": {"1.0": {"lambda": i / 7, "theta": None}},
-                }
-                for i in range(3000)
-            }
-        }
+        payload = _analyze_payload(3000)
         tracemalloc.start()
         try:
             text = _json_text(payload)
@@ -1023,3 +1089,49 @@ class TestReportWriter:
         assert main([command, path, "--output", str(out)]) in (0, 1)
         text = out.read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    @given(
+        payload=st.dictionaries(_TEXT, _PAYLOADS, max_size=4)
+        | st.sampled_from(
+            [{}, {"a": {}}, {"a": [], "b": {"c": {}}}, {"a": {"b": {}, "c": []}}]
+        )
+    )
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_streamed_report_is_the_encoded_text(self, payload, tmp_path, capsys):
+        want = _json_text(payload) + "\n"
+        out = tmp_path / "report.json"
+        _emit(payload, argparse.Namespace(output=str(out)))
+        assert out.read_bytes() == want.encode("utf-8")
+        capsys.readouterr()
+        _emit(payload, argparse.Namespace(output=None))
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("command", ["analyze", "represent", "verify"])
+    @pytest.mark.parametrize("model", ["kq", "random_3x3_seed4"])
+    def test_stdout_is_the_output_file(self, model, command, kq_path, tmp_path, capsys):
+        path = kq_path if model == "kq" else str(DATA / f"{model}.model.json")
+        out = tmp_path / "report.json"
+        assert main([command, path, "--output", str(out)]) in (0, 1)
+        capsys.readouterr()
+        assert main([command, path]) in (0, 1)
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+    def test_writer_holds_no_copy_of_the_text(self, tmp_path):
+        """The writer's peak is the sorted keys of the largest map and the
+        file's buffers, not the report's text: for this payload the key
+        list alone is about 5% of the text and the buffers as much again."""
+        payload = _analyze_payload(3000)
+        length = len(_json_text(payload))
+        out = tmp_path / "report.json"
+        tracemalloc.start()
+        try:
+            _emit(payload, argparse.Namespace(output=str(out)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size == length + 1
+        assert peak < 0.15 * length
