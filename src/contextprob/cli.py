@@ -54,7 +54,7 @@ from .models import (
 )
 from .space import pair_tables, transition_matrix
 from .tolerances import KQ_EXAMPLE_TOL
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 _LITERALS = {None: "null", True: "true", False: "false"}
 
@@ -174,10 +174,19 @@ def _chain_payload(chain) -> dict:
     }
 
 
-def _branch_signs(pair, branch: str) -> tuple[int, ...]:
-    """The split recursion's sign at each level for ``--branch``: the
-    conjugate state takes the other arccos branch at every level."""
-    return (1 if branch == "principal" else -1,) * (len(pair.a_values) - 1)
+def _split_states(doc: ModelDocument, pair, args):
+    """``(name, (psi, chain))`` of the split recursion, or ``(name,
+    refusal)``, per selected context of an n-valued ``pair``; the conjugate
+    ``--branch`` takes the other arccos branch at every level."""
+    signs = (1 if args.branch == "principal" else -1,) * (len(pair.a_values) - 1)
+    for name, event in _selected_contexts(doc, args.context).items():
+        try:
+            state = mv.build_amplitude_nvalued(
+                doc.space, pair, event, branch_signs=signs
+            )
+        except ContextualProbabilityError as exc:
+            state = exc
+        yield name, state
 
 
 # the report name of each class, read without the Enum ``value`` property
@@ -188,24 +197,17 @@ def cmd_analyze(args) -> int:
     doc = load_model(args.model)
     space, pair = doc.space, doc.pair
     out: dict = {"contexts": {}}
-    selected = _selected_contexts(doc, args.context).items()
-    if len(pair.a_values) != 2 or len(pair.b_values) != 2:
-        signs = _branch_signs(pair, args.branch)
-        for name, event in selected:
-            try:
-                _, chain = mv.build_amplitude_nvalued(
-                    space, pair, event, branch_signs=signs
-                )
-                out["contexts"][name] = {
-                    "class": "split-representable",
-                    "split_chain": _chain_payload(chain),
-                }
-            except ContextualProbabilityError as exc:
-                out["contexts"][name] = {
-                    "class": "unrepresentable", "reason": str(exc),
-                }
+    if not pair.dichotomous:
+        for name, state in _split_states(doc, pair, args):
+            if isinstance(state, Exception):
+                entry = {"class": "unrepresentable", "reason": str(state)}
+            else:
+                chain = _chain_payload(state[1])
+                entry = {"class": "split-representable", "split_chain": chain}
+            out["contexts"][name] = entry
         _emit(out, args)
         return 0
+    selected = _selected_contexts(doc, args.context).items()
     b_keys = [str(x) for x in pair.b_values]
     for name, _, coeffs in itf.read_contexts(space, pair, selected):
         if isinstance(coeffs, Exception):
@@ -254,8 +256,8 @@ def cmd_represent(args) -> int:
     doc = load_model(args.model)
     space, pair = doc.space, doc.pair
     anchor = space.full_event() if args.anchor is None else doc.context(args.anchor)
-    if len(pair.a_values) != 2 or len(pair.b_values) != 2:
-        return _represent_nvalued(doc, args)
+    if not pair.dichotomous:
+        return _represent_nvalued(doc, pair, args)
     basis = cr.a_basis_for_context(space, pair, anchor, args.branch)
     out: dict = {"complex": {}, "hyperbolic": {}, "operators": {}}
     out["basis_unitary"] = basis.unitary
@@ -324,24 +326,19 @@ def cmd_represent(args) -> int:
     return 0
 
 
-def _represent_nvalued(doc, args) -> int:
+def _represent_nvalued(doc, pair, args) -> int:
     """Split-recursion report for pairs with more than two values."""
-    space, pair = doc.space, doc.pair
     if args.anchor is not None:
         raise ModelValidationError(
             "--anchor needs a dichotomous reference pair; the split recursion "
             "of this pair builds no anchored basis"
         )
-    signs = _branch_signs(pair, args.branch)
     out: dict = {"complex": {}, "operators": {}}
-    for name, event in _selected_contexts(doc, args.context).items():
-        try:
-            psi, chain = mv.build_amplitude_nvalued(
-                space, pair, event, branch_signs=signs
-            )
-        except ContextualProbabilityError as exc:
-            out["complex"][name] = {"skipped": str(exc)}
+    for name, state in _split_states(doc, pair, args):
+        if isinstance(state, Exception):
+            out["complex"][name] = {"skipped": str(state)}
             continue
+        psi, chain = state
         # the first level's tail is the union of every a-cell, so its
         # target is P(B_j & C) / P(C), the conditional probability
         born = max(
@@ -528,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument(
         "--suite",
-        choices=("core", "complex", "hyperbolic", "multivalued", "all"),
+        choices=(*SUITES, "all"),
         default="all",
     )
     _add_common(p, tolerance=True)

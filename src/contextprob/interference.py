@@ -13,9 +13,11 @@ degree of freedom per context.
 
 Contexts split by the magnitude of their lambdas: all |lambda| <= 1 admits a
 cosine phase (trigonometric), all |lambda| >= 1 with some strict admits a
-cosh rapidity with a sign (hyperbolic), exact |lambda| = 1 everywhere sits on
-the boundary and is representable both ways, and anything else is mixed and
-representable neither way.
+cosh rapidity with a sign (hyperbolic), |lambda| = 1 everywhere sits on the
+boundary and is representable both ways, and anything else is mixed and
+representable neither way.  Each outcome is tagged once, |lambda| within
+``BOUNDARY_TOL`` of 1 on the boundary, and the class, the phase bodies and
+the offset search read the tags, never |lambda| against the band again.
 
 All functions are pure; the coefficient objects are immutable snapshots.
 """
@@ -60,18 +62,6 @@ def cis(theta: float) -> complex:
     if abs(theta - k * _QUARTER_PI) < PHASE_SNAP_TOL:
         return (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)[k % 4]
     return complex(math.cos(theta), math.sin(theta))
-
-
-def _snap_lambda(lam: float) -> float:
-    """Clamp into [-1, 1] and snap boundary values to exactly +-1.
-
-    arccos amplifies coefficient noise like 1/sqrt(1 - lam^2) near the
-    boundary; snapping there matches the boundary classification and keeps
-    the phases of boundary contexts exact.
-    """
-    if abs(lam) >= 1.0 - BOUNDARY_TOL:
-        return 1.0 if lam > 0 else -1.0
-    return lam
 
 
 class OutcomeClass(str, Enum):
@@ -135,7 +125,7 @@ def interference_coefficients(
     """Compute delta and lambda for every b-outcome of one context, as
     :func:`read_contexts` reads them; raises on non-dichotomous pairs, and
     the refusal of a context that has no coefficients."""
-    if len(pair.a_values) != 2 or len(pair.b_values) != 2:
+    if not pair.dichotomous:
         raise ValueError(
             "interference decomposition is defined for dichotomous pairs; "
             "use the multivalued splitting for larger value sets"
@@ -170,9 +160,9 @@ def read_contexts(
     units, scale, size = tables.units, tables.scale, tables.size
     w1, field_mask = tables.width, tables.field_mask
     w2, w3 = 2 * w1, 3 * w1
-    two_by_two = len(pair.a_values) == 2 and len(pair.b_values) == 2
+    dichotomous = pair.dichotomous
     transition = refusal = None
-    if two_by_two:
+    if dichotomous:
         if are_incompatible(space, pair):
             # an incompatible pair has no null cell, so the matrix cannot raise
             transition = transition_matrix(space, pair, "b/a")
@@ -182,7 +172,7 @@ def read_contexts(
         if context.size != size:
             raise ValueError("event does not belong to this space")
         packed = units(context.mask)
-        if not two_by_two:
+        if not dichotomous:
             yield name, tables._rows(packed), None
             continue
         # the four fields of the cells (0, 0), (0, 1), (1, 0) and (1, 1)
@@ -238,11 +228,22 @@ def coefficients_from_measures(
 
 
 def _outcome_tag(lam: float) -> OutcomeClass:
+    """The class of one outcome, the one reading of ``BOUNDARY_TOL``: every
+    phase body reads this tag, not |lambda| again."""
     if abs(abs(lam) - 1.0) <= BOUNDARY_TOL:
         return OutcomeClass.BOUNDARY
     if abs(lam) < 1.0:
         return OutcomeClass.TRIGONOMETRIC
     return OutcomeClass.HYPERBOLIC
+
+
+def _angle(lam: float, tag: OutcomeClass) -> float:
+    """The angle in [0, pi] whose cosine is a trigonometric or boundary
+    outcome's lambda: exactly 0 or pi on the boundary, where arccos would
+    amplify coefficient noise like 1/sqrt(1 - lambda^2)."""
+    if tag is OutcomeClass.BOUNDARY:
+        return 0.0 if lam > 0 else math.pi
+    return math.acos(lam)
 
 
 class PhaseAssignment(NamedTuple):
@@ -298,13 +299,13 @@ def trigonometric_phases(
             "context has large interference coefficients; build the "
             "hyperbolic representation instead"
         )
-    lam0, lam1 = coeffs.lambdas
-    theta1 = math.acos(_snap_lambda(lam0))
+    (lam0, lam1), (tag0, tag1) = coeffs.lambdas, coeffs.tags
+    theta1 = _angle(lam0, tag0)
     if convention == "conjugate":
         theta1 = math.fmod(TWO_PI - theta1, TWO_PI)
     if coeffs.transition.double_stochastic:
         return theta1, math.fmod(theta1 + math.pi, TWO_PI)
-    theta2 = math.acos(_snap_lambda(lam1))
+    theta2 = _angle(lam1, tag1)
     if convention == "conjugate":
         theta2 = math.fmod(TWO_PI - theta2, TWO_PI)
     return theta1, theta2
@@ -313,13 +314,14 @@ def trigonometric_phases(
 def hyperbolic_phases(
     coeffs: InterferenceCoefficients,
 ) -> tuple[tuple[float, float], tuple[int, int]]:
-    """The nonnegative rapidities, with cosh equal to |lambda|, and the signs
-    of the perturbations of a hyperbolic or boundary context.  Under a
-    double stochastic transition matrix both outcomes take one rapidity,
-    from the mean of the two cosh targets, which are equal; ``verify``'s
-    ``hyperbolic.rapidity_equality`` judges that.  The two signs are
-    opposite, which ``verify``'s ``hyperbolic.epsilon_sum_zero`` judges.
-    Refuses a mixed or trigonometric context: the geometry's one gate."""
+    """The nonnegative rapidities, with cosh equal to |lambda| (to one on
+    the boundary), and the signs of the perturbations of a hyperbolic or
+    boundary context.  Under a double stochastic transition matrix both
+    outcomes take one rapidity, from the mean of the two cosh targets, which
+    are equal; ``verify``'s ``hyperbolic.rapidity_equality`` judges that.
+    The two signs are opposite, which ``verify``'s
+    ``hyperbolic.epsilon_sum_zero`` judges.  Refuses a mixed or
+    trigonometric context: the geometry's one gate."""
     if coeffs.context_class is ContextClass.MIXED:
         raise MixedContext("mixed contexts have no hyperbolic representation")
     if coeffs.context_class is ContextClass.TRIGONOMETRIC:
@@ -327,8 +329,9 @@ def hyperbolic_phases(
             "context has small interference coefficients; build the complex "
             "representation instead"
         )
-    lam0, lam1 = coeffs.lambdas
-    m0, m1 = max(1.0, abs(lam0)), max(1.0, abs(lam1))
+    (lam0, lam1), (tag0, tag1) = coeffs.lambdas, coeffs.tags
+    m0 = 1.0 if tag0 is OutcomeClass.BOUNDARY else abs(lam0)
+    m1 = 1.0 if tag1 is OutcomeClass.BOUNDARY else abs(lam1)
     if coeffs.transition.double_stochastic:
         thetas = (math.acosh((m0 + m1) / 2),) * 2
     else:
@@ -366,7 +369,6 @@ class GlobalPhaseReport(NamedTuple):
 
     found: bool
     alpha: float | None
-    has_distinct_lambda_pair: bool
     offset_spread: float
 
 
@@ -404,7 +406,8 @@ def global_alpha_from_coefficients(
     ``complex.global_phase_offset`` judges both facts on the report.  To
     first order cos(theta2) = -k cos(theta1) puts the offset at pi + (k - 1)
     cot(theta1), theta1 = arccos |lambda(b_1)|: ``offset_spread`` is
-    |k - 1| times the range of cot(theta1) off the boundary band.
+    |k - 1| times the range of cot(theta1) over the contexts whose b_1 is
+    tagged trigonometric.
     """
     shared: list[float] | None = None  # the offsets every context so far admits
     lo, hi, k = math.inf, -math.inf, 1.0  # the least and largest cot(theta1)
@@ -415,8 +418,8 @@ def global_alpha_from_coefficients(
             raise MixedContext(f"context {name!r} is mixed")
         if cls is ContextClass.HYPERBOLIC:
             raise HyperbolicContext(f"context {name!r} is hyperbolic")
-        lam0, lam1 = coeffs.lambdas
-        t1, t2 = math.acos(_snap_lambda(lam0)), math.acos(_snap_lambda(lam1))
+        (lam0, lam1), (tag0, tag1) = coeffs.lambdas, coeffs.tags
+        t1, t2 = _angle(lam0, tag0), _angle(lam1, tag1)
         offsets = [
             math.fmod(math.fmod(u, TWO_PI) + TWO_PI, TWO_PI)
             for u in (t2 - t1, t2 + t1, -t2 - t1, -t2 + t1)
@@ -425,14 +428,14 @@ def global_alpha_from_coefficients(
             shared = offsets
         elif shared:
             shared = [u for u in shared if any(_circular_close(u, v) for v in offsets)]
-        if (m := abs(lam0)) < 1.0 - BOUNDARY_TOL:
-            cot = m / math.sqrt(1.0 - m * m)
+        if tag0 is OutcomeClass.TRIGONOMETRIC:
+            cot = abs(lam0) / math.sqrt(1.0 - lam0 * lam0)
             lo, hi, k = min(lo, cot), max(hi, cot), coeffs.transition.cosine_ratio
 
     alpha = shared[0] if shared else None
     if shared and any(_circular_close(u, math.pi) for u in shared):
         alpha = math.pi  # the canonical choice, when available
-    # fl(max - min) bounds fl(|a - b|) for every pair, so these are the
-    # all-pairs tests in linear time; with no context they are -inf
+    # fl(max - min) bounds fl(|a - b|) for every pair, so this is the
+    # all-pairs spread in linear time; with no context it is -inf
     spread = abs(k - 1.0) * max(0.0, hi - lo)
-    return GlobalPhaseReport(alpha is not None, alpha, hi - lo > 2 * OFFSET_TOL, spread)
+    return GlobalPhaseReport(alpha is not None, alpha, spread)

@@ -289,6 +289,11 @@ class ReferencePair(NamedTuple):
         b_partition = tuple(b.preimage(x, space.n) for x in b_values)
         return cls(a, b, a_values, b_values, a_partition, b_partition)
 
+    @property
+    def dichotomous(self) -> bool:
+        """Whether both variables take exactly two values."""
+        return len(self.a_values) == 2 and len(self.b_values) == 2
+
 
 class TransitionMatrix(Record):
     """Matrix of transition probabilities between the two partitions.

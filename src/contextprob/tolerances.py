@@ -9,20 +9,22 @@ components are of order 10.
 
 A bound is read in one of two ways.  A guard decides inside the library: it
 raises when an identity the algebra guarantees fails, or it picks a class or
-a branch (a context on the |lambda| = 1 boundary, a snapped phase, a redrawn
-random model).  A report tolerance decides whether a ``verify`` check (or
-the ``example kq`` comparison) passes.  The CLI's ``--tolerance`` replaces
-the report tolerance of a check and never a guard.  An identity that a
-``verify`` check compares has no guard, not even in the builders
-``analyze`` and ``represent`` share with ``verify``: its failure is
+a branch (a snapped phase, a redrawn random model, or an outcome on the
+|lambda| = 1 boundary: ``BOUNDARY_TOL`` decides each outcome's tag once, and
+every phase body reads the tag).  A report tolerance decides whether a
+``verify`` check (or the ``example kq`` comparison) passes.  The CLI's
+``--tolerance`` replaces the report tolerance of a check and never a guard.
+An identity that a ``verify`` check compares has no guard, not even in the
+builders ``analyze`` and ``represent`` share with ``verify``: its failure is
 reported by the check alone, with residual and witness.
 
 Double stochasticity is one guard, ``space.is_double_stochastic``: each
 column deviation sum_i F_ij / R_i - 1, exact on the pair's integer cell
 units F_ij (R_i the row sums) and rounded once, is within
-``DOUBLE_STOCHASTIC_TOL``, which ``--tolerance`` never moves.  Off it,
-``complex.global_phase_offset`` is skipped while the offsets predicted off
-pi spread within twice ``OFFSET_TOL``, which the search cannot resolve.
+``DOUBLE_STOCHASTIC_TOL``, which ``--tolerance`` never moves.  Off it, the
+predicted spread alone gates ``complex.global_phase_offset``: the check is
+skipped while the offsets predicted off pi spread within twice
+``OFFSET_TOL``, which the search cannot resolve.
 """
 
 # probabilities

@@ -182,7 +182,6 @@ class _Run:
         self.tolerance = tolerance
         self.recorders: list[_Recorder] = []
         pair = self.pair
-        self.dichotomous = len(pair.a_values) == 2 and len(pair.b_values) == 2
         self.states: dict[str, tuple[cr.ComplexAmplitude, list[float]]] = {}
         k = range(len(pair.a_values))
         unions = {*map(frozenset, [*combinations(k, 1), *combinations(k, 2)])}
@@ -275,18 +274,18 @@ def _core_checks(run: _Run) -> None:
         "nonempty cells but an inclusion",
     )
     rec.expect(
-        not run.dichotomous or report.cell_nonempty == report.no_inclusions,
+        not pair.dichotomous or report.cell_nonempty == report.no_inclusions,
         "dichotomous cells nonempty={} but no inclusions={}",
         report.cell_nonempty, report.no_inclusions,
     )
 
-    pre = (run.dichotomous, "pair is not dichotomous")
+    pre = (pair.dichotomous, "pair is not dichotomous")
     rec = run.check("core.delta_sum_zero", PREDICATE_TOL, pre)
     rec2 = run.check("core.lambda_weighted_sum_zero", PREDICATE_TOL, pre)
     rec3 = run.check("core.reconstruction_identity", PREDICATE_TOL, pre)
     rec4 = run.check("core.phase_cosine_relation", PREDICATE_TOL, pre)
     rec5 = run.check("core.symmetry_equivalence", PREDICATE_TOL, pre)
-    if not run.dichotomous:
+    if not pair.dichotomous:
         return
     (t00, t01), (t10, t11) = run.t.rows
     for name, coeffs in run.classified.items():
@@ -332,7 +331,7 @@ def _core_checks(run: _Run) -> None:
 
 
 def _complex_checks(run: _Run) -> None:
-    if not run.dichotomous:
+    if not run.pair.dichotomous:
         run.check("complex.suite", PREDICATE_TOL, (False, "pair is not dichotomous"))
         return
     space, pair, ds = run.space, run.pair, run.t.double_stochastic
@@ -428,8 +427,6 @@ def _complex_checks(run: _Run) -> None:
         "complex.global_phase_offset",
         PREDICATE_TOL,
         (len(representable) >= 2, "fewer than two trigonometric contexts"),
-        (ds or report.has_distinct_lambda_pair,
-         "no pair of contexts with distinct |lambda|"),
         (ds or report.offset_spread > 2 * OFFSET_TOL,
          "offsets predicted off pi spread within the search's resolution"),
     )
@@ -490,7 +487,7 @@ def _hyperbolic_checks(run: _Run) -> None:
         rec.compare(back.x, z.x, "roundtrip x")
         rec.compare(back.y, z.y, "roundtrip y")
 
-    if not run.dichotomous:
+    if not run.pair.dichotomous:
         run.check("hyperbolic.born_b", BORN_TOL, (False, "pair is not dichotomous"))
         return
     space, pair, ds = run.space, run.pair, run.t.double_stochastic
@@ -499,11 +496,7 @@ def _hyperbolic_checks(run: _Run) -> None:
         for name, coeffs in run.classified.items()
         if coeffs.context_class in HYPERBOLIC_CLASSES
     ]
-    strict_hyp = [
-        coeffs
-        for _, coeffs, _ in hyp
-        if itf.OutcomeClass.HYPERBOLIC in coeffs.tags
-    ]
+    anchors = [c for _, c, _ in hyp if c.context_class is itf.ContextClass.HYPERBOLIC]
     no_hyp = (bool(hyp), "no hyperbolic contexts declared")
     not_ds = (ds, NOT_DS)
 
@@ -524,10 +517,10 @@ def _hyperbolic_checks(run: _Run) -> None:
         "hyperbolic.basis_unitarity",
         GRAM_TOL,
         not_ds,
-        (bool(strict_hyp), "no strictly hyperbolic anchor declared"),
+        (bool(anchors), "no strictly hyperbolic anchor declared"),
     )
     if rec.runs:
-        basis = hr.hyperbolic_a_basis(strict_hyp[0])
+        basis = hr.hyperbolic_a_basis(anchors[0])
         for i in range(2):
             for k in range(2):
                 g = hr.hyperbolic_inner_product(

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -410,7 +411,7 @@ class TestClosedFormKernelsAgainstNumpy:
 
     @pytest.mark.parametrize("seed", [20, 21])
     def test_quantum_average_matches_vdot(self, seed):
-        # states of order 1, as the imaginary-residue guard is absolute
+        # states of order 1; large operators are the next test's
         states = _random_states(seed, 2, count=240, scales=(1.0,))
         for psi, matrix in zip(states, _random_hermitians(seed, count=40)):
             c, m = np.array(psi.components), np.array(matrix)
@@ -418,6 +419,26 @@ class TestClosedFormKernelsAgainstNumpy:
             magnitude = np.abs(m).max() * np.sum(np.abs(c)) ** 2
             got = cp.quantum_average(cp.HermitianOperator(matrix), psi)
             assert got == pytest.approx(want, rel=0, abs=ULPS * EPS * magnitude)
+
+    def test_quantum_average_of_large_operators_is_the_real_part(self):
+        """Unit states under operators with entries up to 1e7: the
+        imaginary part of <psi, M psi> is rounding of order |M| eps, far
+        above any absolute bound, and the average is the real part."""
+        rng = random.Random(0)
+        residues = 0
+        for _ in range(1000):
+            a, d, x, y = (rng.uniform(-1e7, 1e7) for _ in range(4))
+            matrix = _hermitian(a, d, complex(x, y))
+            re0, im0, re1, im1 = (rng.uniform(-1, 1) for _ in range(4))
+            norm = math.sqrt(re0 * re0 + im0 * im0 + re1 * re1 + im1 * im1)
+            psi = _state([complex(re0, im0) / norm, complex(re1, im1) / norm])
+            c, m = np.array(psi.components), np.array(matrix)
+            exact = np.vdot(c, m @ c)
+            residues += abs(exact.imag) > 1e-10
+            magnitude = np.abs(m).max() * np.sum(np.abs(c)) ** 2
+            got = cp.quantum_average(cp.HermitianOperator(matrix), psi)
+            assert got == pytest.approx(exact.real, rel=0, abs=ULPS * EPS * magnitude)
+        assert residues > 100
 
 
 class TestAveragePreservation:

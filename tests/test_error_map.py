@@ -13,7 +13,8 @@ exact to 1e-8, on both sides of ``DOUBLE_STOCHASTIC_TOL``:
 - the square model (a = (1, 1, -1, -1), b = (1, -1, 1, -1), every 2- and
   3-point context) with the symmetric weights (1/4, 1/4, (1+2e)/4,
   (1-2e)/4) and the skew weights ((1-t)/2, t/2, (t+e)/2, (1-t-e)/2) at
-  t = 0.01, whose columns miss one by e;
+  t = 0.01, whose columns miss one by e, with six more steps of e at the
+  edge of ``DOUBLE_STOCHASTIC_TOL`` = 2e-14;
 - ``generate_random_model(seed, 16, double_stochastic=True, n_contexts=12)``
   for seeds 0 to 39, with each weight times (1 + r u), u uniform in
   [-1, 1], renormalised;
@@ -35,6 +36,23 @@ from conftest import square_model_path
 
 E = (0.0, *(10.0**-k for k in range(16, 7, -1)), 5e-11, 9e-11, 1.1e-10, 2e-10)
 R = (0.0, *(10.0**-k for k in range(16, 7, -1)))
+# the square families also step across the edge of DOUBLE_STOCHASTIC_TOL
+EDGE = (2e-14, 2.5e-14, 3e-14, 3.5e-14, 4e-14, 4.5e-14)
+
+# the square cells that fail today, by (family, e): from 2.5e-14 to 4e-14
+# the three readings of core.symmetry_equivalence measure different
+# quantities against one bound (CHANGES.md FOUND 87), and on the skew
+# family at 2e-14 the flag says double stochastic while a b-cell's lambda
+# misses the boundary band, so the class and offset checks fail (items 3
+# and 14)
+SQUARE_FAILS = {
+    **{
+        (family, e): "FOUND 87"
+        for family in ("symmetric", "skew")
+        for e in (2.5e-14, 3e-14, 3.5e-14, 4e-14)
+    },
+    ("skew", 2e-14): "items 3 and 14",
+}
 
 # the small-cell cells that fail today, by (t, e): the b-cells' float
 # lambda misses the boundary band, so a class check fails (item 3: exact
@@ -72,8 +90,18 @@ def assert_verify_passes(path, capsys):
     assert (code, failed, captured.err) == (0, [], "")
 
 
-@pytest.mark.parametrize("e", E, ids=[f"e={e:g}" for e in E])
-@pytest.mark.parametrize("family", [symmetric, skew], ids=["symmetric", "skew"])
+@pytest.mark.parametrize(
+    "family, e",
+    [
+        pytest.param(
+            family, e, id=f"{family.__name__}-e={e:g}",
+            marks=[pytest.mark.xfail(strict=True, reason=SQUARE_FAILS[key])]
+            if (key := (family.__name__, e)) in SQUARE_FAILS else [],
+        )
+        for e in sorted((*E, *EDGE))
+        for family in (symmetric, skew)
+    ],
+)
 def test_square_model_passes(family, e, tmp_path, capsys):
     assert_verify_passes(square_model_path(tmp_path, family(e)), capsys)
 

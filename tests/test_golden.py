@@ -232,7 +232,8 @@ def branch_models():
         "a_cells_only": _four_point(NOT_DS, {"A1": ["w1", "w2"], "A2": ["w3", "w4"]}),
         # "no representable contexts (2 out of range)"
         "b_cells_only": _four_point(NOT_DS, {"B1": ["w1", "w4"], "B2": ["w2", "w3"]}),
-        # "no pair of contexts with distinct |lambda|"
+        # "offsets predicted off pi spread within the search's resolution":
+        # two contexts of equal |lambda| leave no spread to resolve
         "one_event_two_names": _four_point(
             NOT_DS, {"X": ["w1", "w3"], "Y": ["w1", "w3"]}
         ),

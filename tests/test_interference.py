@@ -426,7 +426,7 @@ class TestGlobalPhaseOffset:
                 trig[f"m{mask}"] = ctx
         assert len(trig) >= 2
         report = cp.verify_no_global_alpha(space, pair, trig)
-        assert report.has_distinct_lambda_pair
+        assert report.offset_spread > 2 * OFFSET_TOL
         assert not report.found
 
 
@@ -524,18 +524,26 @@ class TestCarriedProfiles:
             cp.interference_coefficients(space, pair, full)
 
 
-class TestDistinctLambdaPair:
-    def test_equal_magnitudes_are_not_distinct(self, kq):
-        # lambda(b1) is -sqrt(1-2q)/2 on C123 and +sqrt(1-2q)/2 on C134
-        contexts = {n: kq.context(n) for n in ("C123", "C134")}
-        report = cp.verify_no_global_alpha(kq.space, kq.pair, contexts)
-        assert not report.has_distinct_lambda_pair
+class TestOffsetSpreadGate:
+    """Off double stochasticity ``offset_spread`` is the one gate of
+    ``complex.global_phase_offset``: |k - 1| times the range of
+    cot(arccos |lambda(b_1)|), so it vanishes unless two trigonometric
+    contexts differ in |lambda(b_1)|.  ``skewed`` has k = sqrt(2/3)."""
 
-    def test_one_differing_context_is_distinct(self, kq):
-        contexts = {n: kq.context(n) for n in ("C123", "C134", "C124")}
-        report = cp.verify_no_global_alpha(kq.space, kq.pair, contexts)
-        assert report.has_distinct_lambda_pair
+    def test_equal_magnitudes_give_no_spread(self, skewed):
+        space, pair = skewed
+        ctx = space.event(("w1", "w3"))
+        report = cp.verify_no_global_alpha(space, pair, {"C": ctx, "D": ctx})
+        assert report.offset_spread == 0.0
 
-    def test_single_context_is_not_distinct(self, kq):
-        report = cp.verify_no_global_alpha(kq.space, kq.pair, [kq.context("C124")])
-        assert not report.has_distinct_lambda_pair
+    def test_single_context_gives_no_spread(self, skewed):
+        space, pair = skewed
+        report = cp.verify_no_global_alpha(space, pair, [space.event(("w1", "w3"))])
+        assert report.offset_spread == 0.0
+
+    def test_one_differing_context_spreads_past_the_resolution(self, skewed):
+        space, pair = skewed
+        ctx = space.event(("w1", "w3"))
+        contexts = {"C": ctx, "D": ctx, "E": space.event(("w1", "w2", "w4"))}
+        report = cp.verify_no_global_alpha(space, pair, contexts)
+        assert report.offset_spread > 2 * OFFSET_TOL

@@ -5,7 +5,10 @@ the package outside its own definition and its import lines, or be named by
 the benchmark (``bench/*.py``, whose tracer names its targets as strings).
 So must each name defined at the top of any package module.  A name that
 only its own tests reach fails here: it is surface to delete, or to put to
-use in a command or a ``verify`` check.  The files are read, not imported.
+use in a command or a ``verify`` check.  Each decision the package makes
+once has one reader: the boundary tolerance is read only where an outcome is
+tagged, and the dichotomy of a reference pair only by its property.  The
+files are read, not imported.
 """
 
 import ast
@@ -103,3 +106,68 @@ def test_every_module_level_name_is_read_elsewhere():
         and not any(name in r for i, r in enumerate(reads) if i != k)
     )
     assert unread == []
+
+
+def scopes_where(accepts) -> set[tuple[str, str]]:
+    """(module, dotted name of the enclosing class or function, "" at the
+    top) of every syntax node of the package that ``accepts``."""
+    found = set()
+
+    def visit(node, module, scope):
+        if accepts(node):
+            found.add((module, ".".join(scope)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, ())
+    return found
+
+
+def reads_boundary_tol(node: ast.AST) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id == "BOUNDARY_TOL" and isinstance(node.ctx, ast.Load)
+    return isinstance(node, ast.Attribute) and node.attr == "BOUNDARY_TOL"
+
+
+def counts_values(node: ast.AST) -> bool:
+    """``len(x.a_values)`` or ``len(x.b_values)``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "len"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Attribute)
+        and node.args[0].attr in ("a_values", "b_values")
+    )
+
+
+def compares_value_count_with_two(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = (node.left, *node.comparators)
+    return any(map(counts_values, operands)) and any(
+        isinstance(o, ast.Constant) and o.value == 2 for o in operands
+    )
+
+
+def defines_retired_name(node: ast.AST) -> bool:
+    retired = {"_snap_lambda", "has_distinct_lambda_pair"}
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name in retired
+    return isinstance(node, ast.Name) and node.id in retired
+
+
+def test_each_decision_has_one_reader():
+    """``BOUNDARY_TOL`` is read only by ``_outcome_tag``, which tags each
+    outcome, and the phase bodies read the tag; a pair is dichotomous by
+    ``ReferencePair.dichotomous`` alone; and the readings they replaced,
+    the phase bodies' own snap of |lambda| and the offset search's second
+    gate, are not defined again."""
+    assert scopes_where(reads_boundary_tol) == {("interference", "_outcome_tag")}
+    assert scopes_where(compares_value_count_with_two) == {
+        ("space", "ReferencePair.dichotomous")
+    }
+    assert scopes_where(defines_retired_name) == set()

@@ -49,12 +49,25 @@ from contextprob.errors import (
     ZeroConditioningContext,
 )
 from contextprob.hyperbolic import HyperbolicNumber, exp_j, polar
-from contextprob.interference import TWO_PI, ContextClass, _snap_lambda, cis
+from contextprob.interference import TWO_PI, ContextClass, cis
 from contextprob.space import Event
-from contextprob.tolerances import BORN_TOL, IDENTITY_TOL, RECURSION_BORN_TOL
+from contextprob.tolerances import (
+    BORN_TOL,
+    BOUNDARY_TOL,
+    IDENTITY_TOL,
+    RECURSION_BORN_TOL,
+)
 
 # the phase guard the loop bodies kept; no input of these tests reaches it
 _PHASE_GUARD = 1e-8
+
+
+def _snap_lambda(lam):
+    """The loop bodies' snap, read from |lambda| rather than the outcome's
+    tag: within ``BOUNDARY_TOL`` of +-1 (or past it) to exactly +-1."""
+    if abs(lam) >= 1.0 - BOUNDARY_TOL:
+        return 1.0 if lam > 0 else -1.0
+    return lam
 
 
 def _ref_assign_phases(coeffs, convention="principal", mode="auto"):
